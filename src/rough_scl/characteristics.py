@@ -7,8 +7,12 @@ cross: x(x0, t) = x0 + sum_i a_i(phi(x0)) (W^i(t) - W^i(t0)) with Jacobian
     J(x0, t) = 1 + sum_i a_i'(phi(x0)) phi'(x0) (W^i(t) - W^i(t0)).
 
 The solution is transported along these lines; we keep J >= 1/2 on the whole
-window so the map is well-conditioned to invert.  Against such local smooth
-solutions the scheme's output must dissipate:
+window so the map is well-conditioned to invert.  Both steps are closed
+forms: J is affine in W, hence linear in t between path knots, so the window
+edge solves a linear equation on one segment; and the increasing forward map
+is tabulated once on the support and inverted by interpolation, then polished
+by Newton steps.  Against such local smooth solutions the scheme's output must
+dissipate:
 
     D(t) = int int psi(k) (u(x,t) - k - Psi(x,t))_+ dx dk
 
@@ -27,6 +31,7 @@ from .solver import Trajectory
 
 J_FLOOR = 0.5
 DISSIPATIVE_C = 4.0  # tol_D = C * (dx + snapshot spacing) * (1 + sup|u0|)
+N_PROBE = 1000  # support points where J is checked and the forward map is tabulated
 
 
 def characteristic_flow(
@@ -50,11 +55,6 @@ def characteristic_flow(
     return x, jac
 
 
-def _window_times(path: PiecewiseLinearPath, lo: float, hi: float) -> np.ndarray:
-    inner = path.knots[(path.knots > lo) & (path.knots < hi)]
-    return np.concatenate([[lo], inner, [hi]])
-
-
 def window(
     datum: SmoothDatum,
     path: PiecewiseLinearPath,
@@ -62,15 +62,15 @@ def window(
     t0: float,
     j_floor: float = J_FLOOR,
     h_max: float | None = None,
-    n_probe: int = 1000,
 ) -> float:
     """Largest h <= h_max with J >= j_floor on the support for t in the window.
 
     The window (t0 - h, t0 + h) is always intersected with the path domain
     [0, T], so h_max defaults to the larger one-sided horizon max(t0, T - t0).
-    J is affine in W, hence piecewise linear in t: its minimum over a window is
-    attained at path knots or window endpoints, which makes the min-over-h map
-    exact on a probe grid and monotone, so plain bisection on h is reliable.
+    J is checked on N_PROBE points of the support.  It is affine in W, hence
+    linear in t between path knots, so each side's edge has a closed form:
+    walk the knots outward from t0 to the first one where min J < j_floor; on
+    the segment before it the edge is the earliest per-point linear crossing.
     """
     horizon = path.horizon
     if not 0.0 <= t0 <= horizon:
@@ -79,31 +79,31 @@ def window(
         h_max = max(t0, horizon - t0)
     if h_max <= 0:
         raise ValueError("h_max must be positive")
-    x0 = np.linspace(datum.support[0], datum.support[1], n_probe)
-    g = np.zeros((path.n_channels, x0.size))
+    if path.n_channels != flux.n_channels:
+        raise ValueError("path and flux channel counts differ")
+    x0 = np.linspace(datum.support[0], datum.support[1], N_PROBE)
     phi = datum.value(x0)
     dphi = datum.deriv(x0)
-    for i, ch in enumerate(flux.channels):
-        g[i] = ch.a_prime(phi) * dphi
+    g = np.array([ch.a_prime(phi) * dphi for ch in flux.channels])
     w0 = path.eval(t0)
-
-    def min_j(h: float) -> float:
-        times = _window_times(path, max(0.0, t0 - h), min(horizon, t0 + h))
-        dw = path.eval(times) - w0[None, :]
-        return float((1.0 + dw @ g).min())
-
-    if min_j(h_max) >= j_floor:
-        return float(h_max)
-    lo, hi = 0.0, h_max
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if min_j(mid) >= j_floor:
-            lo = mid
-        else:
-            hi = mid
-    if lo <= 0.0:
+    h = h_max
+    for side in (path.knots[path.knots > t0], path.knots[path.knots < t0][::-1]):
+        times = np.concatenate([[t0], side])
+        jac = 1.0 + (path.eval(times) - w0) @ g  # J at t0, then at each knot outward
+        below = np.flatnonzero(jac.min(axis=1) < j_floor)
+        if below.size == 0:
+            continue
+        k = below[0]
+        if k == 0:  # J(t0) = 1 < j_floor
+            h = 0.0
+            break
+        ja, jb = jac[k - 1], jac[k]
+        cross = jb < j_floor
+        frac = np.min((ja[cross] - j_floor) / (ja[cross] - jb[cross]))
+        h = min(h, abs(times[k - 1] - t0) + frac * abs(times[k] - times[k - 1]))
+    if h <= 0.0:
         raise RuntimeError("window collapsed to zero; Jacobian floor unreachable")
-    return lo
+    return float(h)
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,10 @@ class LocalSmoothSolution:
     def evaluate(self, x, t: float) -> np.ndarray:
         """Psi(x, t) = phi(x0(x, t)); zero outside the transported support.
 
-        The forward map is strictly increasing (J >= j_floor > 0), so the
-        inverse is found by bisection on the datum support and sharpened by a
-        few Newton steps with the exact Jacobian.
+        The forward map is strictly increasing (J >= j_floor > 0), so it is
+        tabulated once on the N_PROBE points of the datum support, inverted by
+        linear interpolation, and sharpened by a few Newton steps with the
+        exact Jacobian.
         """
         self._require_inside(t)
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -148,15 +149,9 @@ class LocalSmoothSolution:
         if not np.any(inside):
             return out
         xq = x[inside]
-        lo = np.full(xq.shape, s_lo)
-        hi = np.full(xq.shape, s_hi)
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            fm, _ = characteristic_flow(self.datum, self.path, self.flux, self.t0, t, mid)
-            take_hi = fm < xq
-            lo = np.where(take_hi, mid, lo)
-            hi = np.where(take_hi, hi, mid)
-        x0 = 0.5 * (lo + hi)
+        s = np.linspace(s_lo, s_hi, N_PROBE)
+        fs, _ = characteristic_flow(self.datum, self.path, self.flux, self.t0, t, s)
+        x0 = np.interp(xq, fs, s)
         for _ in range(3):
             fx, jac = characteristic_flow(self.datum, self.path, self.flux, self.t0, t, x0)
             x0 = np.clip(x0 - (fx - xq) / jac, s_lo, s_hi)

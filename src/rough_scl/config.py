@@ -43,8 +43,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "n_seeds": (int, 5, "number of seeds for sweep experiments"),
     "n_data": (int, 3, "number of random smooth data for the dissipative check"),
     "n_anchors": (int, 3, "number of anchor times per path for the dissipative check"),
-    "kernel_width": (float, 0.1, "transport kernel width for the definition residual"),
-    "n_y": (int, 33, "observation points for the definition residual"),
     "source": (str, "logistic", "semilinear source: logistic | linear:lam | zero"),
 }
 

@@ -143,15 +143,6 @@ class FluxModel:
                 out = out + ci * ch.a(xi)
         return out
 
-    def a_prime_combination(self, w: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """sum_i w_i a_i'(xi) (w is typically the path value W(t))."""
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.zeros_like(np.asarray(xi, dtype=float))
-        for wi, ch in zip(w, self.channels):
-            if wi != 0.0:
-                out = out + wi * ch.a_prime(xi)
-        return out
-
 
 def from_spec(spec: str, u_range: tuple[float, float]) -> FluxModel:
     """Semicolon-separated channel spec, e.g. "burgers;cubic" or "poly:0,0,0.5;cubic"."""

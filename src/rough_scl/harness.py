@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .characteristics import dissipative_check, window
-from .config import CONFIG_KEYS, build_datum, build_experiment, config_text
+from .config import build_datum, build_experiment, config_text, load_config
 from .fluxes import from_spec
 from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_unpr1
 from .paths import (
@@ -390,7 +390,7 @@ def rerun_from_manifest(manifest_file: str | Path, out_root: str | Path | None =
     manifest_file = Path(manifest_file)
     with open(manifest_file, "r", encoding="utf-8") as fp:
         m = json.load(fp)
-    cfg = {k: CONFIG_KEYS[k][0](v) for k, v in m["config"].items()}
+    cfg = load_config(None, m["config"])
     new_dir, report = execute(m["experiment"], cfg, out_root)
     old_dir = manifest_file.parent
     match = {}

@@ -299,16 +299,3 @@ def composition_check(
         "state_path": along,
         "state_composed": composed,
     }
-
-
-def write_state_csv(state: CellState, fp) -> None:
-    """CSV snapshot `x,u` at full precision."""
-    own = isinstance(fp, (str, bytes))
-    f = open(fp, "w") if own else fp
-    try:
-        f.write("x,u\n")
-        for x, u in zip(state.grid.centers, state.u):
-            f.write(f"{x:.17g},{u:.17g}\n")
-    finally:
-        if own:
-            f.close()

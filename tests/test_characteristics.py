@@ -4,6 +4,7 @@ import pytest
 
 from rough_scl.characteristics import (
     J_FLOOR,
+    N_PROBE,
     LocalSmoothSolution,
     characteristic_flow,
     dissipative_check,
@@ -11,7 +12,7 @@ from rough_scl.characteristics import (
     window,
 )
 from rough_scl.fluxes import FluxModel, builtin, from_spec
-from rough_scl.paths import PiecewiseLinearPath, identity_path, tent_path
+from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path, tent_path
 from rough_scl.smooth import bump_datum, bump_weight, datum_from_callables
 from rough_scl.solver import Grid1D, SolverConfig, solve_path
 
@@ -103,6 +104,63 @@ class TestWindow:
         datum = bump_datum(0.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             window(datum, identity_path(1.0), burgers(), 1.5)
+
+    def test_channel_mismatch_rejected(self):
+        datum = bump_datum(0.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="channel counts"):
+            window(datum, brownian_sample(0, 1.0, 4, 2), burgers(), 0.5)
+
+
+def two_channel_case(seed):
+    """burgers;cubic under a 16-segment two-channel Brownian path on [0, 1]."""
+    flux = from_spec("burgers;cubic", (-2.0, 2.0))
+    return bump_datum(0.0, 0.5, 0.3), brownian_sample(seed, 1.0, 16, 2), flux
+
+
+def probe_min_j(datum, path, flux, t0, times):
+    """min of J over the window's probe points, at each time."""
+    x0 = np.linspace(datum.support[0], datum.support[1], N_PROBE)
+    return np.array([characteristic_flow(datum, path, flux, t0, t, x0)[1].min() for t in times])
+
+
+class TestBrownianWindow:
+    """Seeds whose window closes inside a segment two or more knots away from
+    the anchor: on the right for seeds 1 and 2, on the left for 8 and 11."""
+
+    T0 = 0.5
+
+    @pytest.mark.parametrize("seed,side", [(1, 1), (2, 1), (8, -1), (11, -1)])
+    def test_window_edge_is_exact(self, seed, side):
+        datum, path, flux = two_channel_case(seed)
+        h = window(datum, path, flux, self.T0)
+        assert 0.0 < h < self.T0  # below h_max, and inside [0, 1] on both sides
+        edge = self.T0 + side * h
+        passed = path.knots[(path.knots - self.T0) * side > 0]
+        passed = passed[(edge - passed) * side > 0]
+        assert passed.size >= 2
+        assert np.min(np.abs(path.knots - edge)) > 1e-6
+        inner = np.union1d(np.linspace(self.T0 - h, self.T0 + h, 2001),
+                           path.knots[np.abs(path.knots - self.T0) < h])
+        assert probe_min_j(datum, path, flux, self.T0, inner).min() >= J_FLOOR - 1e-12
+        beyond = probe_min_j(datum, path, flux, self.T0,
+                             [self.T0 + side * h * (1 + 1e-9), self.T0 - side * h * (1 + 1e-9)])
+        assert beyond[0] < J_FLOOR <= beyond[1]
+
+    @pytest.mark.parametrize("j_floor", [1.0, 1.5])
+    def test_unreachable_floor_collapses(self, j_floor):
+        datum, path, flux = two_channel_case(1)
+        with pytest.raises(RuntimeError, match="collapsed"):
+            window(datum, path, flux, self.T0, j_floor=j_floor)
+
+    @pytest.mark.parametrize("seed", [1, 8])
+    def test_evaluate_round_trip(self, seed):
+        datum, path, flux = two_channel_case(seed)
+        sol = local_solution(datum, path, flux, self.T0)
+        lo, hi = sol.window
+        x0 = np.linspace(-0.49, 0.49, 97)  # off the probe grid
+        for t in np.linspace(lo, hi, 7):
+            x, _ = characteristic_flow(datum, path, flux, self.T0, t, x0)
+            assert np.allclose(sol.evaluate(x, t), datum.value(x0), rtol=0.0, atol=1e-12)
 
 
 class TestLocalSolution:

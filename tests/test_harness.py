@@ -198,6 +198,15 @@ class TestManifests:
             json.loads((run_dir / "manifest.json").read_text())["outputs"]
         )
 
+    def test_rerun_rejects_stale_config_key(self, tmp_path):
+        run_dir, _ = execute("solve", tiny(experiment="solve"), tmp_path)
+        manifest = run_dir / "manifest.json"
+        m = json.loads(manifest.read_text())
+        m["config"]["kernel_width"] = 0.1  # recorded by versions that still had the key
+        manifest.write_text(json.dumps(m))
+        with pytest.raises(ValueError, match="kernel_width"):
+            rerun_from_manifest(manifest, tmp_path)
+
     def test_unique_run_dirs(self, tmp_path):
         d1, _ = execute("solve", tiny(experiment="solve"), tmp_path)
         d2, _ = execute("solve", tiny(experiment="solve"), tmp_path)
