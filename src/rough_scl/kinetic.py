@@ -7,11 +7,17 @@ of the projection is the nonnegative measure m in
 
     d chi + F'(xi) chi_x dt = m_xi dt.
 
-Everything here extracts m per solver step in closed form (the cumulative
-integrals of chi and of the one-sided flux derivatives are exact, sub-cell, so
-m >= 0 holds to roundoff and the conservation residual at the top of the xi
-range telescopes to machine zero), then checks the a priori bounds, the
-L1 identity, and the transported-kernel formulation of the solution concept.
+`defect_from_slab` extracts m for one solver step in closed form (the
+cumulative integrals of chi and of the one-sided flux derivatives are exact,
+sub-cell, so m >= 0 holds to roundoff and the conservation residual at the top
+of the xi range telescopes to machine zero).  `accumulate_defects` returns the
+same m averaged over each reporting slab without forming it per step: the
+chi part telescopes to the slab's end states, and the transport part depends
+on each cell value only through where it sits among the xi centres and its
+one-sided flux integrals, so per-cell occupation times (histograms of dt and
+of dt * P(u), dt * N(u) over the xi bins) and their cumulative sums give it
+exactly.  The module then checks the a priori bounds, the L1 identity, and
+the transported-kernel formulation of the solution concept.
 """
 from __future__ import annotations
 
@@ -22,8 +28,8 @@ import numpy as np
 
 from .fluxes import FluxModel, SegmentFlux, segment_flux
 from .paths import PiecewiseLinearPath
-from .smooth import Weight, bump_integral, bump_raw, bump_raw_deriv
-from .solver import Grid1D, CellState, Trajectory
+from .smooth import Weight, bump_integral, bump_raw, bump_raw_deriv, bump_raw_pair
+from .solver import Grid1D, CellState, Slab, Trajectory
 
 TOL_M_FACTOR = 1e-8  # tol_m = factor * ||u0||_L2^2 / d_xi
 
@@ -62,16 +68,19 @@ def chi_values(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
     return plus.astype(np.int8) - minus.astype(np.int8)
 
 
+def _check_xi_covers(xi: XiGrid, u_inf: float) -> None:
+    if xi.lo > -u_inf - xi.d_xi or xi.hi < u_inf + xi.d_xi:
+        raise ValueError(
+            f"xi range [{xi.lo}, {xi.hi}] does not cover data range +-{u_inf} plus one cell"
+        )
+
+
 class ChiField:
     """chi of a cell state on a xi grid; keeps the source values for exact integrals."""
 
     def __init__(self, grid: Grid1D, xi: XiGrid, u: np.ndarray, t: float) -> None:
         u = np.asarray(u, dtype=float)
-        u_inf = float(np.max(np.abs(u))) if u.size else 0.0
-        if xi.lo > -u_inf - xi.d_xi or xi.hi < u_inf + xi.d_xi:
-            raise ValueError(
-                f"xi range [{xi.lo}, {xi.hi}] does not cover data range +-{u_inf} plus one cell"
-            )
+        _check_xi_covers(xi, float(np.max(np.abs(u))) if u.size else 0.0)
         self.grid = grid
         self.xi = xi
         self.u = u
@@ -101,6 +110,14 @@ def _chi_cumulative(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
     return s * (np.clip(xi_centers[None, :], l, h) - l)
 
 
+def _chi_tail(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
+    """X_u(xi) - u = -int_{xi}^{inf} chi(u, z) dz, exactly 0 above max(u, 0)."""
+    l = np.minimum(u, 0.0)[:, None]
+    h = np.maximum(u, 0.0)[:, None]
+    s = np.sign(u)[:, None]
+    return s * (np.clip(xi_centers[None, :], l, h) - h)
+
+
 def _one_sided_cumulative(
     fseg: SegmentFlux, u: np.ndarray, g_xi: np.ndarray, g_u: np.ndarray, xi_centers: np.ndarray
 ) -> np.ndarray:
@@ -116,6 +133,20 @@ def _one_sided_cumulative(
     xi = xi_centers[None, :]
     mid = np.where(xi < l, g_l, np.where(xi > h, g_h, g_xi[None, :]))
     return s * (mid - g_l)
+
+
+def _left(a: np.ndarray, bc: str) -> np.ndarray:
+    """Left-neighbour values along axis 0: wrapped (periodic) or edge-replicated."""
+    if bc == "periodic":
+        return np.roll(a, 1, axis=0)
+    return np.concatenate([a[:1], a[:-1]])
+
+
+def _right(a: np.ndarray, bc: str) -> np.ndarray:
+    """Right-neighbour values along axis 0: wrapped (periodic) or edge-replicated."""
+    if bc == "periodic":
+        return np.roll(a, -1, axis=0)
+    return np.concatenate([a[1:], a[-1:]])
 
 
 def _xi_tables(fseg: SegmentFlux, xi: XiGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -203,57 +234,128 @@ def defect_from_slab(
     n_u0 = fseg.neg_integral(u0)
     a_pos = _one_sided_cumulative(fseg, u0, p_xi, p_u0, xc)
     b_neg = _one_sided_cumulative(fseg, u0, n_xi, n_u0, xc)
-    if grid.bc == "periodic":
-        a_left = np.roll(a_pos, 1, axis=0)
-        b_right = np.roll(b_neg, -1, axis=0)
-        p_left = np.roll(p_u0, 1)
-        n_right = np.roll(n_u0, -1)
-    else:
-        a_left = np.vstack([a_pos[:1], a_pos[:-1]])
-        b_right = np.vstack([b_neg[1:], b_neg[-1:]])
-        p_left = np.concatenate([p_u0[:1], p_u0[:-1]])
-        n_right = np.concatenate([n_u0[1:], n_u0[-1:]])
-
-    transport = (a_pos - a_left) + (b_right - b_neg)
+    transport = (a_pos - _left(a_pos, grid.bc)) + (_right(b_neg, grid.bc) - b_neg)
     m = (x1 - x0) / dt + transport / grid.dx
-    flux_div = (p_u0 - p_left) + (n_right - n_u0)
+    flux_div = (p_u0 - _left(p_u0, grid.bc)) + (_right(n_u0, grid.bc) - n_u0)
     cons = (u1 - u0) / dt + flux_div / grid.dx
     return DefectField(grid, xi, chi0.t, dt, m, cons)
 
 
+def _runs(keys: list) -> list[tuple[int, int]]:
+    """[start, stop) bounds of the maximal runs of equal consecutive keys."""
+    cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
+    return list(zip([0] + cuts, cuts + [len(keys)]))
+
+
+def _below_sums(cells: np.ndarray, weights: np.ndarray, n_cells: int, n_xi: int) -> np.ndarray:
+    """Per cell, running sums of binned weights, shape (n_cells, n_xi + 1).
+
+    `cells` holds cell * (n_xi + 1) + (number of xi centres <= u) per value, so
+    column i < n_xi sums the weights of the values below xi centre i and the
+    last column is the cell's total.
+    """
+    hist = np.bincount(cells, weights.ravel(), minlength=n_cells * (n_xi + 1))
+    return np.cumsum(hist.reshape(n_cells, n_xi + 1), axis=1)
+
+
+def _reporting_defect(
+    grid: Grid1D, xi: XiGrid, t0: float, steps: list[Slab], fsegs: list[SegmentFlux]
+) -> DefectField:
+    """The dt-weighted mean of `defect_from_slab` over consecutive solver steps.
+
+    The one-sided cumulative of a step is A_u(xi) = G(min(u, xi)) - [xi < 0] G(xi)
+    (G = P or N); the second term is the same in every cell, so the neighbour
+    differences see only sum_s dt G(min(u, xi)), which per piece (a run of
+    steps with one slope) splits into occupation sums over the xi bins:
+
+        sum dt G(u) - over(xi)  =  under(xi) + G(xi) sum dt,
+        under(xi) = sum_{u < xi} dt (G(u) - G(xi)),
+        over(xi)  = sum_{u >= xi} dt (G(u) - G(xi)).
+
+    The chi part telescopes to the end states, and the neighbour shifts act
+    once on the slab sums.  Written with `under`, m is exactly 0 where every
+    value of the stencil lies at or above xi.  Written with `over`, the chi
+    part as the change of X_u(xi) - u, and sum dt G(u) folded into the
+    conservation residual (summed step by step, keeping its per-step
+    cancellation), m equals that residual exactly where every value lies
+    below xi.  Each cell switches from the first form to the second above its
+    end value, which lies inside its stencil's range.
+    """
+    xc = xi.centers
+    bc, n = grid.bc, grid.n_cells
+    offsets = (np.arange(n) * (xi.n + 1))[:, None]
+    under_p, under_n, over_p, over_n = (np.zeros((n, xi.n)) for _ in range(4))
+    cons = np.zeros(n)
+    for start, stop in _runs([id(f) for f in fsegs]):
+        fseg = fsegs[start]
+        u0 = np.stack([s.u0 for s in steps[start:stop]], axis=1)  # (cells, steps)
+        u1 = np.stack([s.u1 for s in steps[start:stop]], axis=1)
+        dt = np.array([s.dt for s in steps[start:stop]])
+        p_u, n_u = fseg.pos_integral(u0), fseg.neg_integral(u0)
+        flux_div = (p_u - _left(p_u, bc)) + (_right(n_u, bc) - n_u)
+        cons += ((u1 - u0) + dt * (flux_div / grid.dx)).sum(axis=1)
+        cells = (np.searchsorted(xc, u0, side="right") + offsets).ravel()
+        sums_w = _below_sums(cells, np.broadcast_to(dt, u0.shape), n, xi.n)
+        tables = zip(_xi_tables(fseg, xi), (p_u, n_u), (under_p, under_n), (over_p, over_n))
+        for g_xi, g_u, under, over in tables:
+            sums_g = _below_sums(cells, dt * g_u, n, xi.n)
+            under += sums_g[:, :-1] - g_xi * sums_w[:, :-1]
+            over += (sums_g[:, -1:] - sums_g[:, :-1]) - g_xi * (sums_w[:, -1:] - sums_w[:, :-1])
+
+    def transport(a_p, a_n):
+        return ((a_p - _left(a_p, bc)) + (_right(a_n, bc) - a_n)) / grid.dx
+
+    u_first, u_last = steps[0].u0, steps[-1].u1
+    m_under = _chi_cumulative(u_last, xc) - _chi_cumulative(u_first, xc)
+    m_under += transport(under_p, under_n)
+    m_over = _chi_tail(u_last, xc) - _chi_tail(u_first, xc)
+    m_over += cons[:, None] - transport(over_p, over_n)
+    duration = sum(s.dt for s in steps)
+    values = np.where(xc > u_last[:, None], m_over, m_under) / duration
+    return DefectField(grid, xi, t0, duration, values, cons / duration)
+
+
 def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[DefectField]:
-    """Aggregate per-step defects into the reporting slabs between snapshots."""
+    """The dt-weighted mean defect over each reporting slab between snapshots.
+
+    Equals averaging `defect_from_slab` over the solver steps whose midpoint
+    lies in the slab (steps outside the snapshot span are left out), without
+    forming any per-step (n_cells x n_xi) field: each run of steps with one
+    reporting slab and one slope is reduced by occupation-time histograms,
+    so the cost is O(steps * n_cells + pieces * n_cells * n_xi) instead of
+    O(steps * n_cells * n_xi).  The recorded steps must be chained, each one
+    starting from the state the previous one ended in, as `solve_path` records
+    them.
+    """
     if traj.slabs is None:
         raise ValueError("trajectory was solved without record_slabs")
     if traj.times.size < 2:
         raise ValueError("need at least two snapshots")
+    slabs = traj.slabs
+    if not slabs:
+        return []
+    if min(s.dt for s in slabs) <= 0:
+        raise ValueError("slab duration must be positive")
+    u_inf = max(float(np.max(np.abs(s.u0))) for s in slabs)
+    _check_xi_covers(xi, max(u_inf, float(np.max(np.abs(slabs[-1].u1)))))
+
     edges = traj.times
-    n_rep = edges.size - 1
-    acc = [np.zeros((traj.grid.n_cells, xi.n)) for _ in range(n_rep)]
-    acc_cons = [np.zeros(traj.grid.n_cells) for _ in range(n_rep)]
-    dur = np.zeros(n_rep)
+    mids = np.array([s.t0 + 0.5 * s.dt for s in slabs])
+    ks = (np.searchsorted(edges, mids) - 1).tolist()
     fseg_cache: dict[bytes, SegmentFlux] = {}
-    for slab in traj.slabs:
-        key = slab.c.tobytes()
-        fseg = fseg_cache.get(key)
-        if fseg is None:
-            fseg = segment_flux(flux, slab.c)
-            fseg_cache[key] = fseg
-        k = int(np.searchsorted(edges, slab.t0 + 0.5 * slab.dt) - 1)
-        k = min(max(k, 0), n_rep - 1)
-        chi0 = ChiField(traj.grid, xi, slab.u0, slab.t0)
-        chi1 = ChiField(traj.grid, xi, slab.u1, slab.t0 + slab.dt)
-        d = defect_from_slab(chi0, chi1, flux, slab.c, slab.dt, fseg)
-        acc[k] += slab.dt * d.values
-        acc_cons[k] += slab.dt * d.cons_residual
-        dur[k] += slab.dt
+    fsegs = []
+    for s in slabs:
+        key = s.c.tobytes()
+        if key not in fseg_cache:
+            fseg_cache[key] = segment_flux(flux, s.c)
+        fsegs.append(fseg_cache[key])
     out = []
-    for k in range(n_rep):
-        if dur[k] <= 0:
-            continue
-        out.append(
-            DefectField(traj.grid, xi, float(edges[k]), float(dur[k]), acc[k] / dur[k], acc_cons[k] / dur[k])
-        )
+    for start, stop in _runs(ks):
+        k = ks[start]
+        if 0 <= k < edges.size - 1:
+            out.append(_reporting_defect(
+                traj.grid, xi, float(edges[k]), slabs[start:stop], fsegs[start:stop]
+            ))
     return out
 
 
@@ -346,11 +448,16 @@ def xi_lipschitz_increments(defects: list[DefectField], psi_xt: Callable, t_eval
 
 @dataclass(frozen=True)
 class KernelRho:
-    """rho_eta(z) = profile(z/eta)/eta with a smooth unit-mass profile on (-1,1)."""
+    """rho_eta(z) = profile(z/eta)/eta with a smooth unit-mass profile on (-1,1).
+
+    `profile_pair`, when set, returns (profile, dprofile) at the same points
+    from one evaluation; `rho_and_drho` uses it.
+    """
 
     width: float
     profile: Callable[[np.ndarray], np.ndarray]
     dprofile: Callable[[np.ndarray], np.ndarray]
+    profile_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def rho(self, z):
         return self.profile(np.asarray(z, dtype=float) / self.width) / self.width
@@ -358,15 +465,26 @@ class KernelRho:
     def drho(self, z):
         return self.dprofile(np.asarray(z, dtype=float) / self.width) / self.width**2
 
+    def rho_and_drho(self, z):
+        s = np.asarray(z, dtype=float) / self.width
+        p, dp = self.profile_pair(s) if self.profile_pair else (self.profile(s), self.dprofile(s))
+        return p / self.width, dp / self.width**2
+
 
 def default_kernel(width: float) -> KernelRho:
     if width <= 0:
         raise ValueError("kernel width must be positive")
     norm = bump_integral()
+
+    def pair(z):
+        b, db = bump_raw_pair(z)
+        return b / norm, db / norm
+
     return KernelRho(
         width,
         lambda z: bump_raw(z) / norm,
         lambda z: bump_raw_deriv(z) / norm,
+        pair,
     )
 
 
@@ -410,6 +528,10 @@ def definition_residual(
     ||psi||_inf ||phi||_inf ||u0||_L1.  (Integrating R dy instead would kill the
     kernel entirely because rho has unit mass; the definition is a statement for
     every y, so the norm over y is the meaningful scalar.)
+
+    G at each snapshot is evaluated once and shared by the two slabs meeting
+    there, and rho and d_y rho at the midpoint come from one kernel
+    evaluation, so each (x, xi, y) point costs two kernel evaluations per slab.
     """
     grid = traj.grid
     if grid.bc != "periodic":
@@ -424,50 +546,61 @@ def definition_residual(
         if phi.support[0] <= traj.times[0] or phi.support[1] >= traj.times[-1]:
             raise ValueError("phi must be compactly supported inside the time range")
 
-    xc = xi.centers
-    x = grid.centers
+    # xi points where every psi and psi' vanish, and slabs where every phi
+    # term vanishes, add exact zeros to R: skip them
+    psi_v = [p.value(xi.centers) for p, _ in pairs]
+    psi_d = [p.deriv(xi.centers) for p, _ in pairs]
+    active = np.flatnonzero(np.any([(v != 0) | (dv != 0) for v, dv in zip(psi_v, psi_d)], axis=0))
+    psi_v = [v[active] for v in psi_v]
+    psi_d = [dv[active] for dv in psi_d]
+    xa = xi.centers[active]
+    a_stack = np.stack([ch.a(xa) for ch in flux.channels])
+    ap_stack = np.stack([ch.a_prime(xa) for ch in flux.channels])
     y = np.linspace(grid.x_lo, grid.x_hi, n_y, endpoint=False)
-    a_stack = np.stack([ch.a(xc) for ch in flux.channels])
-    ap_stack = np.stack([ch.a_prime(xc) for ch in flux.channels])
-    psi_v = [p.value(xc) for p, _ in pairs]
-    psi_d = [p.deriv(xc) for p, _ in pairs]
+    base = y[None, :] - grid.centers[:, None]
 
     def wrap(z):
         return z - length * np.round(z / length)
 
+    def chi_kernel(u, t):
+        """G(y, xi) = int chi(u(x), xi) rho(y - x + shift(xi, t)) dx on the active xi."""
+        chi = chi_values(u, xa).astype(float)
+        shift = path.eval(t) @ a_stack
+        g = np.empty((xa.size, n_y))
+        for i in range(xa.size):
+            g[i] = grid.dx * (chi[:, i] @ kernel.rho(wrap(base + shift[i])))
+        return g
+
     acc = [np.zeros(n_y) for _ in pairs]
+    g0 = None  # G at the slab start: the previous slab's G at its end
     for k, d in enumerate(defects):
         t0, t1 = d.t0, d.t0 + d.duration
         tm = 0.5 * (t0 + t1)
-        w0, w1, wm = path.eval(t0), path.eval(t1), path.eval(tm)
-        shift0 = w0 @ a_stack
-        shift1 = w1 @ a_stack
+        dphi = [float(phi.value(t1) - phi.value(t0)) for _, phi in pairs]
+        phim = [float(phi.value(tm)) for _, phi in pairs]
+        if not any(dphi) and not any(phim):
+            g0 = None
+            continue
+        if g0 is None:
+            g0 = chi_kernel(traj.states[k].u, t0)
+        g1 = chi_kernel(traj.states[k + 1].u, t1)
+        wm = path.eval(tm)
         shiftm = wm @ a_stack
         a_prime_m = wm @ ap_stack
-        chi0 = chi_values(traj.states[k].u, xc).astype(float)
-        chi1 = chi_values(traj.states[k + 1].u, xc).astype(float)
-        g0 = np.empty((xi.n, n_y))
-        g1 = np.empty((xi.n, n_y))
-        h_rho = np.empty((xi.n, n_y))
-        h_drho = np.empty((xi.n, n_y))
-        base = y[None, :] - x[:, None]
-        for i in range(xi.n):
-            r0 = kernel.rho(wrap(base + shift0[i]))
-            r1 = kernel.rho(wrap(base + shift1[i]))
-            zm = wrap(base + shiftm[i])
-            rm = kernel.rho(zm)
-            rdm = kernel.drho(zm)
-            g0[i] = grid.dx * (chi0[:, i] @ r0)
-            g1[i] = grid.dx * (chi1[:, i] @ r1)
-            h_rho[i] = grid.dx * (d.values[:, i] @ rm)
-            h_drho[i] = grid.dx * (d.values[:, i] @ rdm)
-        for j, (psi, phi) in enumerate(pairs):
-            dphi = float(phi.value(t1) - phi.value(t0))
-            phim = float(phi.value(tm))
-            acc[j] += -dphi * xi.d_xi * (psi_v[j] @ (0.5 * (g0 + g1)))
-            acc[j] += phim * d.duration * xi.d_xi * (
+        m = d.values[:, active]
+        h_rho = np.empty((xa.size, n_y))
+        h_drho = np.empty((xa.size, n_y))
+        for i in range(xa.size):
+            rm, rdm = kernel.rho_and_drho(wrap(base + shiftm[i]))
+            h_rho[i] = grid.dx * (m[:, i] @ rm)
+            h_drho[i] = grid.dx * (m[:, i] @ rdm)
+        g_mean = 0.5 * (g0 + g1)
+        for j in range(len(pairs)):
+            acc[j] += -dphi[j] * xi.d_xi * (psi_v[j] @ g_mean)
+            acc[j] += phim[j] * d.duration * xi.d_xi * (
                 psi_d[j] @ h_rho + (psi_v[j] * a_prime_m) @ h_drho
             )
+        g0 = g1
 
     u0_l1 = traj.states[0].l1()
     out = []

@@ -33,6 +33,20 @@ def bump_raw_deriv(z) -> np.ndarray:
     return out
 
 
+def bump_raw_pair(z) -> tuple[np.ndarray, np.ndarray]:
+    """B(z) and B'(z) from one shared exponential."""
+    z = np.asarray(z, dtype=float)
+    val = np.zeros_like(z)
+    der = np.zeros_like(z)
+    m = np.abs(z) < 1.0
+    zm = z[m]
+    w = 1.0 - zm * zm
+    e = np.exp(1.0 - 1.0 / w)
+    val[m] = e
+    der[m] = e * (-2.0 * zm / (w * w))
+    return val, der
+
+
 _BUMP_INTEGRAL: float | None = None
 
 

@@ -12,6 +12,7 @@ from rough_scl.kinetic import (
     chi_from_state,
     chi_values,
     default_kernel,
+    defect_from_slab,
     definition_residual,
     rho_eval,
     tol_m,
@@ -25,6 +26,34 @@ from rough_scl.solver import CellState, Grid1D, SolverConfig, solve_path
 
 def burgers(rng=(-2.0, 2.0)):
     return FluxModel([builtin("burgers")], rng)
+
+
+def step_datum(grid, seed, n_pieces=6):
+    rng = np.random.default_rng(seed)
+    edges = np.sort(rng.uniform(grid.x_lo, grid.x_hi, n_pieces - 1))
+    return rng.uniform(-1.0, 1.0, n_pieces)[np.searchsorted(edges, grid.centers)]
+
+
+def per_step_defects(traj, flux, xi):
+    """(t0, duration, values, cons_residual) per reporting slab: the dt-weighted
+    mean of `defect_from_slab` over the steps whose midpoint lies in the slab."""
+    edges = traj.times
+    out = []
+    for k in range(edges.size - 1):
+        steps = [s for s in traj.slabs if edges[k] < s.t0 + 0.5 * s.dt <= edges[k + 1]]
+        values = np.zeros((traj.grid.n_cells, xi.n))
+        cons = np.zeros(traj.grid.n_cells)
+        duration = 0.0
+        for s in steps:
+            d = defect_from_slab(
+                ChiField(traj.grid, xi, s.u0, s.t0), ChiField(traj.grid, xi, s.u1, s.t0 + s.dt),
+                flux, s.c, s.dt,
+            )
+            values += s.dt * d.values
+            cons += s.dt * d.cons_residual
+            duration += s.dt
+        out.append((edges[k], duration, values / duration, cons / duration))
+    return out
 
 
 def shock_traj(n_cells=200, horizon=0.5, n_out=6, u_range=(-0.5, 1.5)):
@@ -138,6 +167,108 @@ class TestDefectExactness:
             accumulate_defects(traj, burgers(), XiGrid(-1.0, 1.0, 20))
 
 
+class TestAccumulationOracle:
+    """`accumulate_defects` against the per-step sum of `defect_from_slab`."""
+
+    def assert_matches_per_step(self, traj, flux, xi):
+        defects = accumulate_defects(traj, flux, xi)
+        oracle = per_step_defects(traj, flux, xi)
+        assert len(defects) == len(oracle)
+        for d, (t0, duration, values, cons) in zip(defects, oracle):
+            assert d.t0 == t0
+            assert d.duration == pytest.approx(duration, rel=1e-14)
+            assert np.abs(d.values - values).max() <= 1e-12
+            assert np.abs(d.cons_residual - cons).max() <= 1e-12
+        return defects
+
+    @pytest.mark.parametrize("bc", ["periodic", "outflow"])
+    def test_two_channel_brownian(self, bc):
+        grid = Grid1D(-1.0, 1.0, 64, bc)
+        flux = from_spec("burgers;cubic", (-1.05, 1.05))
+        path = brownian_sample(3, 0.5, 6, 2)
+        # 0.5 / 3 is the knot t = 2/12 of the 6-segment path
+        outputs = [0.0, 0.5 / 3.0, 0.3, 0.5]
+        cfg = SolverConfig(record_slabs=True)
+        traj = solve_path(step_datum(grid, 7), flux, path, outputs, grid, cfg)
+        defects = self.assert_matches_per_step(traj, flux, XiGrid(-1.3, 1.3, 48))
+        assert max(d.values.max() for d in defects) > 1.0
+
+    def test_exact_beyond_the_stencil_values(self):
+        """m is exactly 0 where every value of a cell's stencil (the cell and its
+        two neighbours, over the slab) lies at or above xi, and exactly the
+        conservation residual where every value lies below xi."""
+        grid = Grid1D(-1.0, 1.0, 64, "periodic")
+        flux = from_spec("burgers;cubic", (-1.05, 1.05))
+        path = brownian_sample(1, 0.5, 6, 2)
+        cfg = SolverConfig(record_slabs=True)
+        traj = solve_path(step_datum(grid, 4), flux, path, [0.0, 0.2, 0.5], grid, cfg)
+        xi = XiGrid(-1.3, 1.3, 52)
+        checked = [0, 0]
+        for k, d in enumerate(accumulate_defects(traj, flux, xi)):
+            steps = [s for s in traj.slabs if traj.times[k] < s.t0 + 0.5 * s.dt <= traj.times[k + 1]]
+            u = np.stack([s.u0 for s in steps] + [steps[-1].u1])
+            lo = np.minimum.reduce([np.roll(u.min(axis=0), r) for r in (-1, 0, 1)])
+            hi = np.maximum.reduce([np.roll(u.max(axis=0), r) for r in (-1, 0, 1)])
+            below = xi.centers[None, :] <= lo[:, None]
+            above = xi.centers[None, :] > hi[:, None]
+            assert np.all(d.values[below] == 0.0)
+            cons = np.broadcast_to(d.cons_residual[:, None], d.values.shape)
+            assert np.array_equal(d.values[above], cons[above])
+            checked[0] += below.sum()
+            checked[1] += above.sum()
+        assert min(checked) > 500
+
+    def test_zero_slope_segment_and_output_on_knot(self):
+        grid = Grid1D(-1.0, 1.0, 48, "periodic")
+        flux = burgers()
+        path = PiecewiseLinearPath([0.0, 0.2, 0.4, 0.6], [0.0, 0.2, 0.2, -0.1])
+        traj = solve_path(step_datum(grid, 2), flux, path, [0.0, 0.2, 0.3, 0.6], grid,
+                          SolverConfig(record_slabs=True))
+        flat = [s for s in traj.slabs if not s.c.any()]
+        assert [s.t0 for s in flat] == [0.2, 0.3]
+        assert [s.dt for s in flat] == [pytest.approx(0.1)] * 2
+        self.assert_matches_per_step(traj, flux, XiGrid(-1.2, 1.2, 40))
+
+    def test_xi_coverage_still_checked(self):
+        grid = Grid1D(-1.0, 1.0, 32, "periodic")
+        flux = burgers()
+        u0 = np.where(np.abs(grid.centers) < 0.3, 0.9, 0.0)
+        cfg = SolverConfig(record_slabs=True)
+        traj = solve_path(u0, flux, identity_path(0.2), [0.0, 0.2], grid, cfg)
+        with pytest.raises(ValueError, match="xi range"):
+            accumulate_defects(traj, flux, XiGrid(-0.5, 0.5, 20))
+
+    def test_steps_past_the_last_output_are_left_out(self):
+        grid = Grid1D(-1.0, 1.0, 64, "periodic")
+        flux = burgers()
+        u0 = np.where(np.abs(grid.centers + 0.25) < 0.4, 0.8, 0.0)
+        cfg = SolverConfig(record_slabs=True)
+        xi = XiGrid(-1.5, 1.5, 60)
+        outputs = [0.0, 0.25, 0.5]
+        long = accumulate_defects(solve_path(u0, flux, identity_path(1.0), outputs, grid, cfg), flux, xi)
+        short = accumulate_defects(solve_path(u0, flux, identity_path(0.5), outputs, grid, cfg), flux, xi)
+        assert [d.t0 for d in long] == [0.0, 0.25]
+        assert [d.duration for d in long] == [pytest.approx(0.25)] * 2
+        for a, b in zip(long, short):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.cons_residual, b.cons_residual)
+
+    def test_steps_before_the_first_output_are_left_out(self):
+        grid = Grid1D(-1.0, 1.0, 64, "periodic")
+        flux = burgers()
+        u0 = np.where(np.abs(grid.centers + 0.25) < 0.4, 0.8, 0.0)
+        cfg = SolverConfig(record_slabs=True)
+        xi = XiGrid(-1.5, 1.5, 60)
+        path = identity_path(1.0)
+        late = accumulate_defects(solve_path(u0, flux, path, [0.5, 0.75, 1.0], grid, cfg), flux, xi)
+        full = accumulate_defects(solve_path(u0, flux, path, [0.0, 0.5, 0.75, 1.0], grid, cfg), flux, xi)
+        assert [d.t0 for d in late] == [0.5, 0.75]
+        assert [d.duration for d in late] == [pytest.approx(0.25)] * 2
+        for a, b in zip(late, full[1:]):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.cons_residual, b.cons_residual)
+
+
 class TestL1Identity:
     def test_sign_step_dissipates_l1_at_unit_rate(self):
         """Datum sgn(x) (left -1, right +1 on the periodic box): the seam at
@@ -203,6 +334,69 @@ class TestKernel:
         # a(xi) = xi for burgers: shift = xi * W(t) = 0.3 * 0.5
         v = rho_eval(k, 0.0, 0.15, np.array([0.3]), 0.5, path, flux)
         assert v[0] == pytest.approx(k.rho(np.array([0.0]))[0])
+
+
+def brute_force_residual(traj, defects, kernel, flux, path, pairs, n_y):
+    """The definition residual summed term by term from `rho_eval` and
+    `transport_shift`, with the periodic images of the kernel summed."""
+    grid, xi = traj.grid, defects[0].xi
+    x, xc, dx, length = grid.centers, xi.centers, grid.dx, grid.length
+    y = np.linspace(grid.x_lo, grid.x_hi, n_y, endpoint=False)
+    images = range(-4, 5)
+
+    def rho(i, t):  # (x, y)
+        return sum(rho_eval(kernel, y[None, :] + n * length, x[:, None], xc[i], t, path, flux)
+                   for n in images)
+
+    def drho(i, t):
+        shift = transport_shift(flux, path, xc[i:i + 1], t)[0]
+        return sum(kernel.drho(y[None, :] + n * length - x[:, None] + shift) for n in images)
+
+    out = []
+    for psi, phi in pairs:
+        r = np.zeros(n_y)
+        for k, d in enumerate(defects):
+            t0, t1 = d.t0, d.t0 + d.duration
+            tm = 0.5 * (t0 + t1)
+            chi0 = chi_values(traj.states[k].u, xc)
+            chi1 = chi_values(traj.states[k + 1].u, xc)
+            w = path.eval(tm)
+            for i in range(xi.n):
+                a_prime = sum(wc * ch.a_prime(xc[i]) for wc, ch in zip(w, flux.channels))
+                g0 = dx * chi0[:, i] @ rho(i, t0)
+                g1 = dx * chi1[:, i] @ rho(i, t1)
+                h = dx * d.values[:, i] @ rho(i, tm)
+                hd = dx * d.values[:, i] @ drho(i, tm)
+                r -= (phi.value(t1) - phi.value(t0)) * xi.d_xi * psi.value(xc[i]) * 0.5 * (g0 + g1)
+                r += phi.value(tm) * d.duration * xi.d_xi * (
+                    psi.deriv(xc[i]) * h + psi.value(xc[i]) * a_prime * hd
+                )
+        out.append(np.sum(np.abs(r)) * (length / n_y) / (psi.sup * phi.sup * traj.states[0].l1()))
+    return out
+
+
+class TestResidualOracle:
+    """A tiny periodic problem, 3 reporting slabs: every phi slab pattern."""
+
+    @pytest.mark.parametrize("phis", [
+        [(0.12, 0.07), (0.2, 0.08), (0.15, 0.14)],  # every slab seen by some phi
+        [(0.12, 0.07)],  # the last slab is seen by no phi
+        [(0.2, 0.08)],  # the first slab is seen by no phi
+    ])
+    def test_matches_brute_force_sum(self, phis):
+        grid = Grid1D(-1.0, 1.0, 24, "periodic")
+        flux = from_spec("burgers;cubic", (-1.05, 1.05))
+        path = brownian_sample(5, 0.3, 4, 2)
+        traj = solve_path(step_datum(grid, 11), flux, path, [0.0, 0.1, 0.2, 0.3], grid,
+                          SolverConfig(record_slabs=True))
+        defects = accumulate_defects(traj, flux, XiGrid(-1.5, 1.5, 12))
+        kernel = default_kernel(0.3)
+        psis = [(0.3, 0.6), (-0.4, 0.5), (0.0, 1.2)]
+        pairs = [(bump_weight(*psi), bump_weight(*phi)) for psi, phi in zip(psis, phis)]
+        got = definition_residual(traj, defects, kernel, flux, path, pairs, n_y=5)
+        want = brute_force_residual(traj, defects, kernel, flux, path, pairs, 5)
+        assert min(want) > 1e-3
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestDefinitionResidual:
