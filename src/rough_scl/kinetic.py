@@ -28,7 +28,7 @@ import numpy as np
 
 from .fluxes import FluxModel, SegmentFlux, segment_flux
 from .paths import PiecewiseLinearPath
-from .smooth import Weight, bump_integral, bump_raw, bump_raw_deriv, bump_raw_pair
+from .smooth import Weight, bump_integral, bump_raw, bump_raw_pair
 from .solver import Grid1D, CellState, Slab, Trajectory
 
 TOL_M_FACTOR = 1e-8  # tol_m = factor * ||u0||_L2^2 / d_xi
@@ -450,24 +450,22 @@ def xi_lipschitz_increments(defects: list[DefectField], psi_xt: Callable, t_eval
 class KernelRho:
     """rho_eta(z) = profile(z/eta)/eta with a smooth unit-mass profile on (-1,1).
 
-    `profile_pair`, when set, returns (profile, dprofile) at the same points
-    from one evaluation; `rho_and_drho` uses it.
+    `profile_pair` returns (profile, profile') at the same points from one
+    evaluation.
     """
 
     width: float
     profile: Callable[[np.ndarray], np.ndarray]
-    dprofile: Callable[[np.ndarray], np.ndarray]
-    profile_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    profile_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def rho(self, z):
         return self.profile(np.asarray(z, dtype=float) / self.width) / self.width
 
     def drho(self, z):
-        return self.dprofile(np.asarray(z, dtype=float) / self.width) / self.width**2
+        return self.rho_and_drho(z)[1]
 
     def rho_and_drho(self, z):
-        s = np.asarray(z, dtype=float) / self.width
-        p, dp = self.profile_pair(s) if self.profile_pair else (self.profile(s), self.dprofile(s))
+        p, dp = self.profile_pair(np.asarray(z, dtype=float) / self.width)
         return p / self.width, dp / self.width**2
 
 
@@ -480,12 +478,7 @@ def default_kernel(width: float) -> KernelRho:
         b, db = bump_raw_pair(z)
         return b / norm, db / norm
 
-    return KernelRho(
-        width,
-        lambda z: bump_raw(z) / norm,
-        lambda z: bump_raw_deriv(z) / norm,
-        pair,
-    )
+    return KernelRho(width, lambda z: bump_raw(z) / norm, pair)
 
 
 def transport_shift(flux: FluxModel, path: PiecewiseLinearPath, xi, t: float) -> np.ndarray:

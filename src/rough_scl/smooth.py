@@ -23,16 +23,6 @@ def bump_raw(z) -> np.ndarray:
     return out
 
 
-def bump_raw_deriv(z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    m = np.abs(z) < 1.0
-    zm = z[m]
-    w = 1.0 - zm * zm
-    out[m] = np.exp(1.0 - 1.0 / w) * (-2.0 * zm / (w * w))
-    return out
-
-
 def bump_raw_pair(z) -> tuple[np.ndarray, np.ndarray]:
     """B(z) and B'(z) from one shared exponential."""
     z = np.asarray(z, dtype=float)
@@ -45,6 +35,10 @@ def bump_raw_pair(z) -> tuple[np.ndarray, np.ndarray]:
     val[m] = e
     der[m] = e * (-2.0 * zm / (w * w))
     return val, der
+
+
+def bump_raw_deriv(z) -> np.ndarray:
+    return bump_raw_pair(z)[1]
 
 
 _BUMP_INTEGRAL: float | None = None
