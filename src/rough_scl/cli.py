@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 One subcommand per experiment plus `suite`; every subcommand accepts
-`--config <file>` (flat key = value text), `--seed`, `--out`, and `--workers`.
+`--config <file>` (flat key = value text), `--seed` and `--out`; a suite runs
+its members one after another.
 The default output root is ./runs, overridable by the ROUGH_SCL_OUT variable.
 """
 from __future__ import annotations
@@ -17,7 +18,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", type=int, help="override the path seed")
     p.add_argument("--out", help="output root directory (default: runs/ or ROUGH_SCL_OUT)")
-    p.add_argument("--workers", type=int, default=2, help="concurrent experiments in a suite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name in EXPERIMENTS:
         _add_common(sub.add_parser(name, help=helps[name]))
-    suite = sub.add_parser("suite", help="run several experiments concurrently")
+    suite = sub.add_parser("suite", help="run several experiments in order")
     suite.add_argument("experiments", nargs="*", help=f"names (default: {' '.join(DEFAULT_SUITE)})")
     _add_common(suite)
     return parser
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         if unknown:
             print(f"unknown experiments: {unknown}", file=sys.stderr)
             return 2
-        suite_dir, summary = run_suite(names, cfg, args.out, args.workers)
+        suite_dir, summary = run_suite(names, cfg, args.out)
         for name in names:
             res = summary["experiments"][name]
             print(f"{name}: {'PASS' if res['pass'] else 'FAIL'}  ({res['run_dir']})")

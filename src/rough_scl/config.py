@@ -35,7 +35,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "xi_hi": (float, 1.5, "upper edge of the velocity grid"),
     "n_xi": (int, 200, "number of velocity cells"),
     "cfl": (float, 0.9, "CFL number in (0, 1]"),
-    "scheme": (str, "engquist_osher", "numerical flux: engquist_osher | godunov_convex"),
+    "scheme": (str, "engquist_osher", "flux: engquist_osher | godunov_convex (exact Godunov, any F)"),
     "n_outputs": (int, 10, "number of output intervals (snapshots at linspace)"),
     "epsilons": (str, "0.2,0.1,0.05,0.025", "perturbation sizes for path-stability"),
     "level_lo": (int, 4, "first dyadic refinement level"),

@@ -11,6 +11,9 @@ which are the building blocks of the Engquist-Osher flux and of the kinetic
 defect extraction.  Polynomial channels (the builtins) get exact closed forms
 split at the cached sign changes of F'; anything else falls back to composite
 Gauss-Legendre quadrature between the same breakpoints.
+`SegmentFlux.interface_flux` is the solver's one numerical-flux path, for the
+Engquist-Osher flux and the exact Godunov flux, which is right for concave and
+non-convex F too (a negative driver slope makes F concave).
 """
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ import numpy.polynomial.polynomial as npp
 from scipy.optimize import brentq
 
 MAX_POLY_DEGREE = 8
+QUADRATURE_POINTS = 64  # Gauss-Legendre nodes per interval for non-polynomial channels
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(QUADRATURE_POINTS)
 _FD_STEP = 1e-5
 _FD_RTOL = 1e-6
 
@@ -155,11 +160,12 @@ def from_spec(spec: str, u_range: tuple[float, float]) -> FluxModel:
 class SegmentFlux:
     """Frozen combination F = sum_i c_i A_i for one linear driver segment.
 
-    Caches the sign structure of F' on hull(u_range, 0) so that P, N and the
-    EO flux are exact for polynomial channels and stable quadratures otherwise.
+    Caches the sign structure of F' on hull(u_range, 0) and the values of F at
+    its breakpoints, so that P, N and both numerical fluxes are exact for
+    polynomial channels and stable quadratures otherwise.
     """
 
-    def __init__(self, flux: FluxModel, c, quadrature_points: int = 64) -> None:
+    def __init__(self, flux: FluxModel, c) -> None:
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if c.size != flux.n_channels:
             raise ValueError(f"slope has {c.size} channels, flux has {flux.n_channels}")
@@ -185,7 +191,6 @@ class SegmentFlux:
             roots = self._sampled_sign_changes()
         self.breakpoints = roots
         self._nodes = np.concatenate([[self._lo], roots, [self._hi]])
-        self._quad_points = int(quadrature_points)
         self._build_tables()
 
     # -- raw evaluations ---------------------------------------------------
@@ -220,43 +225,39 @@ class SegmentFlux:
     def _build_tables(self) -> None:
         nodes = self._nodes
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-        self._interval_sign = np.sign(self.deriv(mids))
+        sign = np.sign(self.deriv(mids))
+        self._rising, self._falling = sign > 0, sign < 0
+        self._f_nodes = self.value(nodes)
         if self.is_polynomial:
-            fvals = self.value(nodes)
-            seg = np.diff(fvals)  # exact int of F' over each interval
+            seg = np.diff(self._f_nodes)  # exact int of F' over each interval
         else:
-            x, w = np.polynomial.legendre.leggauss(self._quad_points)
             a, b = nodes[:-1], nodes[1:]
-            pts = 0.5 * (b - a)[:, None] * x[None, :] + 0.5 * (a + b)[:, None]
-            seg = 0.5 * (b - a) * (self.deriv(pts) @ w)
-        pos = np.where(self._interval_sign > 0, seg, 0.0)
-        neg = np.where(self._interval_sign < 0, seg, 0.0)
-        self._pos_cum = np.concatenate([[0.0], np.cumsum(pos)])
-        self._neg_cum = np.concatenate([[0.0], np.cumsum(neg)])
-        self._pos_at_zero = self._one_sided_raw(np.asarray(0.0), positive=True)
-        self._neg_at_zero = self._one_sided_raw(np.asarray(0.0), positive=False)
-        self.f0 = float(self.value(np.asarray(0.0)))
+            pts = 0.5 * (b - a)[:, None] * _GL_X[None, :] + 0.5 * (a + b)[:, None]
+            seg = 0.5 * (b - a) * (self.deriv(pts) @ _GL_W)
+        self._pos_cum = np.concatenate([[0.0], np.cumsum(np.where(self._rising, seg, 0.0))])
+        self._neg_cum = np.concatenate([[0.0], np.cumsum(np.where(self._falling, seg, 0.0))])
+        zero = np.asarray(0.0)
+        self._pos_at_zero = self._one_sided_raw(zero, True)
+        self._neg_at_zero = self._one_sided_raw(zero, False)
 
-    def _partial(self, a, x, positive: bool):
-        """int_a^x of (F')^+ or (F')^- when the sign is constant on [a, x]."""
-        if self.is_polynomial:
-            seg = self.value(x) - self.value(a)
-        else:
-            gx, gw = np.polynomial.legendre.leggauss(self._quad_points)
-            half = 0.5 * (x - a)
-            pts = half[..., None] * gx + (0.5 * (x + a))[..., None]
-            dv = self.deriv(pts)
-            dv = np.maximum(dv, 0.0) if positive else np.minimum(dv, 0.0)
-            return half * (dv @ gw)
-        return seg
+    def _one_sided_raw(self, u, positive: bool, fu=None):
+        """Cumulative int from self._lo to u of (F')^+/-, vectorized.
 
-    def _one_sided_raw(self, u, positive: bool):
-        """Cumulative int from self._lo to u of (F')^+/-, vectorized."""
+        Inside u's node interval F' keeps one sign, so the partial part is
+        F(u) - F(node) for polynomial channels (`fu` = F(u) when the caller
+        has it) and a Gauss-Legendre quadrature otherwise.
+        """
         u = np.asarray(u, dtype=float)
-        idx = np.clip(np.searchsorted(self._nodes, u, side="right") - 1, 0, self._nodes.size - 2)
+        idx = np.searchsorted(self.breakpoints, u, side="right")  # node interval of u
+        if self.is_polynomial:
+            part = (self.value(u) if fu is None else fu) - self._f_nodes[idx]
+        else:
+            a = self._nodes[idx]
+            half = 0.5 * (u - a)
+            dv = self.deriv(half[..., None] * _GL_X + (0.5 * (u + a))[..., None])
+            part = half * ((np.maximum(dv, 0.0) if positive else np.minimum(dv, 0.0)) @ _GL_W)
         base = (self._pos_cum if positive else self._neg_cum)[idx]
-        sign_ok = self._interval_sign[idx] > 0 if positive else self._interval_sign[idx] < 0
-        part = self._partial(self._nodes[idx], u, positive)
+        sign_ok = (self._rising if positive else self._falling)[idx]
         return base + np.where(sign_ok, part, 0.0)
 
     def pos_integral(self, u):
@@ -267,33 +268,33 @@ class SegmentFlux:
         """N(u) = int_0^u min(F'(s), 0) ds."""
         return self._one_sided_raw(u, False) - self._neg_at_zero
 
-    def _check_range(self, u) -> None:
+    def interface_flux(self, v, scheme: str):
+        """Flux at every interface of `v`, cell values padded by one ghost each end.
+
+        Works along the last axis and evaluates F(v) once.  "engquist_osher" is
+        F(0) + P(u_l) + N(u_r) = P~(u_l) + (F - P~)(u_r), P~ the one-sided
+        integral from the bottom node.  "godunov_convex" is the exact Godunov
+        flux for any F: min F on [u_l, u_r], or max F on [u_r, u_l], taken at
+        both ends and the breakpoints between them (F is monotone in between).
+        """
+        v = np.asarray(v, dtype=float)
         lo, hi = self.flux.u_range
-        u = np.asarray(u)
-        if np.any(u < lo - 1e-9) or np.any(u > hi + 1e-9):
+        if np.min(v) < lo - 1e-9 or np.max(v) > hi + 1e-9:
             raise ValueError(f"state outside certified u_range [{lo}, {hi}]")
-
-    def eo(self, u_l, u_r):
-        """Engquist-Osher flux F(0) + P(u_l) + N(u_r)."""
-        self._check_range(u_l)
-        self._check_range(u_r)
-        return self.f0 + self.pos_integral(u_l) + self.neg_integral(u_r)
-
-    def godunov_convex(self, u_l, u_r):
-        """Godunov flux assuming F convex on the range (caller's responsibility)."""
-        self._check_range(u_l)
-        self._check_range(u_r)
-        u_l = np.asarray(u_l, dtype=float)
-        u_r = np.asarray(u_r, dtype=float)
-        crit = self.breakpoints
-        omega = float(crit[0]) if crit.size else (self._lo if self.deriv(np.asarray(self._lo)) > 0 else self._hi)
-        lo_star = np.clip(omega, np.minimum(u_l, u_r), np.maximum(u_l, u_r))
-        return np.where(
-            u_l <= u_r,
-            self.value(lo_star),
-            np.maximum(self.value(u_l), self.value(u_r)),
-        )
+        fv = self.value(v)
+        if scheme == "engquist_osher":
+            p = self._one_sided_raw(v, True, fv)
+            return p[..., :-1] + (fv - p)[..., 1:]
+        if scheme != "godunov_convex":
+            raise ValueError(f"unknown scheme {scheme!r}")
+        u_l, u_r = v[..., :-1], v[..., 1:]
+        s = np.where(u_l <= u_r, 1.0, -1.0)  # a max is the min of -F
+        lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
+        below, above = np.minimum(u_l, u_r), np.maximum(u_l, u_r)
+        for b, fb in zip(self.breakpoints, self._f_nodes[1:-1]):
+            lowest = np.where((below < b) & (b < above), np.minimum(lowest, s * fb), lowest)
+        return s * lowest
 
 
-def segment_flux(flux: FluxModel, c, quadrature_points: int = 64) -> SegmentFlux:
-    return SegmentFlux(flux, c, quadrature_points)
+def segment_flux(flux: FluxModel, c) -> SegmentFlux:
+    return SegmentFlux(flux, c)

@@ -13,7 +13,6 @@ import json
 import os
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,6 +203,11 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
 
 
 def run_kinetic_check(cfg: dict, run_dir: Path) -> dict:
+    if cfg["scheme"] != "engquist_osher":
+        raise ValueError(
+            f"kinetic-check needs scheme = engquist_osher, got {cfg['scheme']!r}: the defect "
+            "extraction is the kinetic form of the Engquist-Osher step only"
+        )
     exp = build_experiment(cfg)
     solver = dataclasses.replace(exp.solver, record_slabs=True)
     path = exp.path()
@@ -406,24 +410,16 @@ def rerun_from_manifest(manifest_file: str | Path, out_root: str | Path | None =
     }
 
 
-def run_suite(
-    names: list[str], cfg: dict, out_root: str | Path | None = None, workers: int = 2
-) -> tuple[Path, dict]:
-    """Run the named experiments concurrently and merge their gate results."""
+def run_suite(names: list[str], cfg: dict, out_root: str | Path | None = None) -> tuple[Path, dict]:
+    """Run the named experiments one after another and merge their gate results."""
     root = Path(out_root) if out_root is not None else output_root()
     suite_id = f"suite-{time.strftime('%Y%m%d-%H%M%S')}-{uuid.uuid4().hex[:8]}"
     suite_dir = root / suite_id
     suite_dir.mkdir(parents=True, exist_ok=False)
     results: dict[str, dict] = {}
-    if names:
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            futures = {
-                name: pool.submit(execute, name, suite_cfg(cfg, name), suite_dir)
-                for name in names
-            }
-            for name, fut in futures.items():
-                run_dir, report = fut.result()
-                results[name] = {"run_dir": str(run_dir), "pass": report.get("pass"), "report": report}
+    for name in names:
+        run_dir, report = execute(name, suite_cfg(cfg, name), suite_dir)
+        results[name] = {"run_dir": str(run_dir), "pass": report.get("pass"), "report": report}
     summary = {
         "experiments": results,
         "pass": bool(all(r["pass"] for r in results.values())) if results else True,

@@ -325,7 +325,9 @@ def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[De
     so the cost is O(steps * n_cells + pieces * n_cells * n_xi) instead of
     O(steps * n_cells * n_xi).  The recorded steps must be chained, each one
     starting from the state the previous one ended in, as `solve_path` records
-    them.
+    them, by the Engquist-Osher scheme: the extraction is the kinetic form of
+    that scheme's step, so steps of any other scheme give a meaningless m
+    (negative, with a conservation residual of the same size).
     """
     if traj.slabs is None:
         raise ValueError("trajectory was solved without record_slabs")

@@ -275,7 +275,7 @@ def direct_semilinear_solve(
     outputs = np.asarray(outputs, dtype=float)
     if outputs[0] != 0.0 or np.any(np.diff(outputs) <= 0) or outputs[-1] != horizon:
         raise ValueError("outputs must ascend from 0 to the horizon")
-    fseg = segment_flux(flux, np.ones(flux.n_channels), config.quadrature_points)
+    fseg = segment_flux(flux, np.ones(flux.n_channels))
     if fseg.max_speed <= 0.0:
         raise ValueError("flux has no transport on the certified range")
     dt_max = config.cfl * grid.dx / fseg.max_speed

@@ -2,8 +2,10 @@
 
 On each linear segment of the driver with slope vector c the equation freezes
 to u_t + F(u)_x = 0 with F = sum_i c_i A_i; the segment is advanced with an
-explicit monotone scheme (Engquist-Osher by default) under a CFL constraint
-derived from the certified speed bound, and segments are chained at the knots.
+explicit monotone scheme (Engquist-Osher by default, or the exact Godunov flux)
+under a CFL constraint derived from the certified speed bound, and segments
+are chained at the knots.  Each step pads the state with one ghost cell per
+side and takes all interface fluxes from `SegmentFlux.interface_flux`.
 """
 from __future__ import annotations
 
@@ -85,7 +87,6 @@ def l1_distance(a: CellState, b: CellState) -> float:
 class SolverConfig:
     cfl: float = 0.9
     scheme: str = "engquist_osher"
-    quadrature_points: int = 64
     record_slabs: bool = False
 
     def __post_init__(self) -> None:
@@ -120,34 +121,22 @@ class Trajectory:
         return self.states[k]
 
 
-def _interface_flux(fseg: SegmentFlux, u: np.ndarray, bc: str, scheme: str) -> np.ndarray:
-    """Numerical flux at every interface; n values (periodic) or n+1 (outflow)."""
-    if bc == "periodic":
-        left, right = u, np.roll(u, -1)
-    else:
-        ext = np.concatenate([u[:1], u, u[-1:]])
-        left, right = ext[:-1], ext[1:]
-    if scheme == "godunov_convex":
-        return fseg.godunov_convex(left, right)
-    return fseg.f0 + fseg.pos_integral(left) + fseg.neg_integral(right)
-
-
 def step(state: CellState, fseg: SegmentFlux, dt: float, config: SolverConfig = SolverConfig()) -> CellState:
-    """One explicit step; refuses dt above cfl * dx / max_speed."""
+    """One explicit step; refuses dt above cfl * dx / max_speed.
+
+    The state is padded by one ghost cell at each end (wrapped for periodic,
+    repeated for outflow), so the n + 1 interface fluxes come from one call
+    and their differences are the n cell updates.
+    """
     grid = state.grid
     if fseg.max_speed > 0.0 and dt > config.cfl * grid.dx / fseg.max_speed * (1.0 + 1e-9):
         raise CFLError(
             f"dt={dt:.3e} exceeds cfl*dx/max_speed={config.cfl * grid.dx / fseg.max_speed:.3e}"
         )
-    lo, hi = fseg.flux.u_range
-    if np.min(state.u) < lo - 1e-9 or np.max(state.u) > hi + 1e-9:
-        raise ValueError("state left the certified u_range")
-    fh = _interface_flux(fseg, state.u, grid.bc, config.scheme)
-    if grid.bc == "periodic":
-        div = fh - np.roll(fh, 1)
-    else:
-        div = fh[1:] - fh[:-1]
-    return CellState(grid, state.u - (dt / grid.dx) * div, state.t + dt)
+    u = state.u
+    left, right = (u[-1:], u[:1]) if grid.bc == "periodic" else (u[:1], u[-1:])
+    fh = fseg.interface_flux(np.concatenate([left, u, right]), config.scheme)
+    return CellState(grid, u - (dt / grid.dx) * np.diff(fh), state.t + dt)
 
 
 def solve_segment(
@@ -169,7 +158,7 @@ def solve_segment(
     if duration == 0:
         return state
     if fseg is None:
-        fseg = segment_flux(flux, c, config.quadrature_points)
+        fseg = segment_flux(flux, c)
     t_end = state.t + duration
     if fseg.max_speed <= 0.0:
         # flux constant in u on the certified range: nothing moves
@@ -200,7 +189,10 @@ def solve_path(
     config: SolverConfig = SolverConfig(),
     collect=None,
 ) -> Trajectory:
-    """March through the path segments, snapshotting at the requested times."""
+    """March through the path segments, snapshotting at the requested times.
+
+    The march ends at the last requested output, not at the path horizon.
+    """
     outputs = np.atleast_1d(np.asarray(outputs, dtype=float))
     if np.any(np.diff(outputs) <= 0):
         raise ValueError("output times must be strictly increasing")
@@ -227,18 +219,16 @@ def solve_path(
         i_out = 1
 
     for k in range(path.n_segments):
+        if i_out == outputs.size:
+            break  # nothing is solved past the last output
         t_k1 = path.knots[k + 1]
         c = path.slope(k)
-        fseg = segment_flux(flux, c, config.quadrature_points)
-        while state.t < t_k1 - _TIME_ATOL:
-            if i_out < outputs.size and outputs[i_out] <= t_k1 + _TIME_ATOL:
-                target, is_snap = outputs[i_out], True
-                if target > t_k1:  # output sits on the knot within tolerance
-                    target, is_snap = t_k1, False
-            else:
-                target, is_snap = t_k1, False
+        fseg = segment_flux(flux, c)
+        while i_out < outputs.size and state.t < t_k1 - _TIME_ATOL:
+            # march to the next output or to the knot, whichever comes first
+            target = min(outputs[i_out], t_k1)
             state = solve_segment(state, flux, c, target - state.t, config, sink, fseg)
-            if is_snap:
+            if outputs[i_out] <= t_k1:
                 times.append(float(target))
                 states.append(CellState(grid, state.u.copy(), state.t))
                 i_out += 1

@@ -7,8 +7,16 @@ from hypothesis import strategies as st
 from rough_scl.fluxes import Channel, FluxModel, builtin, from_spec, segment_flux
 
 
+SCHEMES = ("engquist_osher", "godunov_convex")
+
+
 def burgers_model(rng=(-2.0, 2.0)):
     return FluxModel([builtin("burgers")], rng)
+
+
+def pair_flux(fs, u_l, u_r, scheme="engquist_osher"):
+    """Flux at one interface per (u_l, u_r) pair: each pair is a padded row of two."""
+    return fs.interface_flux(np.stack([u_l, u_r], axis=-1), scheme)[..., 0]
 
 
 class TestBuiltins:
@@ -97,23 +105,31 @@ class TestSegmentFluxExact:
     def test_eo_flux_oracles(self):
         fs = segment_flux(burgers_model(), [1.0])
         one = np.array([1.0])
-        assert fs.eo(one, np.array([0.0]))[0] == pytest.approx(0.5)
-        assert fs.eo(-one, one)[0] == pytest.approx(0.0)
-        assert fs.eo(np.array([2.0]), np.array([-2.0]))[0] == pytest.approx(4.0)
+        assert pair_flux(fs, one, np.array([0.0]))[0] == pytest.approx(0.5)
+        assert pair_flux(fs, -one, one)[0] == pytest.approx(0.0)
+        assert pair_flux(fs, np.array([2.0]), np.array([-2.0]))[0] == pytest.approx(4.0)
 
     def test_eo_reversed_segment(self):
         # c = -1 flips the flux sign, so the upwind split flips roles
         fs = segment_flux(burgers_model(), [-1.0])
         u = np.array([1.0])
         # speeds -z <= 0 on [0, 1]: state 1 upwind only from the right slot
-        assert fs.eo(u, np.array([0.0]))[0] == pytest.approx(0.0)
-        assert fs.eo(np.array([0.0]), u)[0] == pytest.approx(-0.5)
+        assert pair_flux(fs, u, np.array([0.0]))[0] == pytest.approx(0.0)
+        assert pair_flux(fs, np.array([0.0]), u)[0] == pytest.approx(-0.5)
 
     def test_consistency_eo_equals_flux_on_diagonal(self):
         flux = from_spec("burgers;cubic", (-2.0, 2.0))
         fs = segment_flux(flux, [0.5, 1.2])
         u = np.linspace(-1.9, 1.9, 23)
-        assert np.allclose(fs.eo(u, u), fs.value(u), atol=1e-12)
+        for scheme in SCHEMES:
+            assert np.allclose(pair_flux(fs, u, u, scheme), fs.value(u), atol=1e-12)
+
+    def test_eo_matches_one_sided_integrals(self):
+        """P~(u_l) + (F - P~)(u_r) is F(0) + P(u_l) + N(u_r) on a whole padded row."""
+        fs = segment_flux(from_spec("burgers;cubic", (-2.0, 2.0)), [0.7, -0.4])
+        v = np.random.default_rng(1).uniform(-2.0, 2.0, 41)
+        split = fs.value(0.0) + fs.pos_integral(v[:-1]) + fs.neg_integral(v[1:])
+        assert np.allclose(fs.interface_flux(v, "engquist_osher"), split, rtol=0.0, atol=1e-14)
 
     def test_godunov_matches_eo_off_transonic_shock(self):
         fs = segment_flux(burgers_model(), [1.0])
@@ -124,15 +140,15 @@ class TestSegmentFluxExact:
         # both one-sided parts and is strictly more diffusive.
         keep = ~((a > 0.0) & (b < 0.0))
         assert keep.sum() > 100
-        g = fs.godunov_convex(a[keep], b[keep])
-        e = fs.eo(a[keep], b[keep])
+        g = pair_flux(fs, a[keep], b[keep], "godunov_convex")
+        e = pair_flux(fs, a[keep], b[keep])
         assert np.allclose(g, e, atol=1e-12)
 
     def test_godunov_transonic_shock_below_eo(self):
         fs = segment_flux(burgers_model(), [1.0])
         a, b = np.array([1.0]), np.array([-1.0])
-        assert fs.godunov_convex(a, b)[0] == pytest.approx(0.5)
-        assert fs.eo(a, b)[0] == pytest.approx(1.0)
+        assert pair_flux(fs, a, b, "godunov_convex")[0] == pytest.approx(0.5)
+        assert pair_flux(fs, a, b)[0] == pytest.approx(1.0)
 
     def test_max_speed_is_certified_sup(self):
         flux = from_spec("burgers;cubic", (-2.0, 2.0))
@@ -144,26 +160,60 @@ class TestSegmentFluxExact:
         fs = segment_flux(burgers_model((-1.0, 1.0)), [1.0])
         ok = np.array([0.5])
         with pytest.raises(ValueError, match="u_range"):
-            fs.eo(np.array([1.5]), ok)
+            pair_flux(fs, np.array([1.5]), ok)
         with pytest.raises(ValueError, match="u_range"):
-            fs.godunov_convex(ok, np.array([-1.5]))
+            pair_flux(fs, ok, np.array([-1.5]), "godunov_convex")
+        with pytest.raises(ValueError, match="scheme"):
+            pair_flux(fs, ok, ok, "lax_friedrichs")
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-1.9, 1.9), st.floats(-1.9, 1.9), st.floats(-1.9, 1.9))
     def test_eo_monotone_in_both_arguments(self, ul, ur, du):
-        """EO is nondecreasing in the left and nonincreasing in the right slot."""
+        """Both fluxes are nondecreasing in the left and nonincreasing in the right slot."""
         fs = segment_flux(from_spec("burgers;cubic", (-2.0, 2.0)), [0.8, 0.4])
         lo, hi = sorted((ul, min(1.9, ul + abs(du))))
         l, h, r = np.array([lo]), np.array([hi]), np.array([ur])
-        assert fs.eo(h, r)[0] >= fs.eo(l, r)[0] - 1e-12
-        assert fs.eo(r, h)[0] <= fs.eo(r, l)[0] + 1e-12
+        for scheme in SCHEMES:
+            assert pair_flux(fs, h, r, scheme)[0] >= pair_flux(fs, l, r, scheme)[0] - 1e-12
+            assert pair_flux(fs, r, h, scheme)[0] <= pair_flux(fs, r, l, scheme)[0] + 1e-12
+
+
+def sine_model():
+    # A(u) = sin(u): a = cos(u) with sign changes at +-pi/2
+    ch = Channel("sine", np.sin, np.cos, lambda u: -np.sin(u), None)
+    return FluxModel([ch], (-3.0, 3.0))
+
+
+class TestExactGodunov:
+    """The Godunov flux is min F on [u_l, u_r] or max F on [u_r, u_l] for any F."""
+
+    @pytest.mark.parametrize("flux, c", [
+        (from_spec("burgers;cubic", (-2.0, 2.0)), [0.8, 0.4]),
+        (from_spec("burgers;cubic", (-2.0, 2.0)), [-0.8, 0.4]),
+        (from_spec("burgers;cubic", (-2.0, 2.0)), [0.6, -0.5]),
+        (from_spec("burgers;cubic", (-2.0, 2.0)), [-1.0, -0.3]),
+        (burgers_model(), [-1.0]),
+        (sine_model(), [1.0]),
+        (sine_model(), [-0.7]),
+    ])
+    def test_matches_brute_force_extremum(self, flux, c):
+        fs = segment_flux(flux, c)
+        lo, hi = flux.u_range
+        rng = np.random.default_rng(7)
+        u_l, u_r = rng.uniform(lo, hi, (2, 300))
+        g = pair_flux(fs, u_l, u_r, "godunov_convex")
+        s = np.linspace(0.0, 1.0, 4001)
+        dense = fs.value(u_l[:, None] + s * (u_r - u_l)[:, None])
+        brute = np.where(u_l <= u_r, dense.min(axis=1), dense.max(axis=1))
+        # the dense grid holds both ends, so it can only miss an interior
+        # extremum, by at most O(step^2)
+        assert np.all(np.where(u_l <= u_r, g - brute, brute - g) <= 1e-12)
+        assert np.allclose(g, brute, rtol=0.0, atol=1e-6)
 
 
 class TestNonPolynomialFallback:
     def build(self):
-        # A(u) = sin(u): a = cos(u) with sign changes at +-pi/2
-        ch = Channel("sine", np.sin, np.cos, lambda u: -np.sin(u), None)
-        return FluxModel([ch], (-3.0, 3.0))
+        return sine_model()
 
     def test_quadrature_matches_closed_form(self):
         fs = segment_flux(self.build(), [1.0])

@@ -13,6 +13,7 @@ from rough_scl.harness import (
     output_root,
     rerun_from_manifest,
     run_contraction,
+    run_kinetic_check,
     run_path_stability,
     run_refinement,
     run_suite,
@@ -145,6 +146,12 @@ class TestKineticAndDissipative:
         assert (run_dir / "xi_mass.csv").exists()
         assert (run_dir / "l1_identity.csv").exists()
 
+    def test_kinetic_check_rejects_godunov(self, tmp_path):
+        """The defect extraction is the kinetic form of the EO step only."""
+        cfg = tiny(experiment="kinetic-check", n_xi=80, scheme="godunov_convex")
+        with pytest.raises(ValueError, match="engquist_osher"):
+            run_kinetic_check(cfg, tmp_path)
+
     def test_dissipative_check_small(self, tmp_path):
         cfg = tiny(
             experiment="dissipative-check",
@@ -237,7 +244,7 @@ class TestSuite:
 
     def test_suite_runs_members_concurrently(self, tmp_path):
         cfg = tiny(source="zero")
-        suite_dir, summary = run_suite(["solve", "contraction"], cfg, tmp_path, workers=2)
+        suite_dir, summary = run_suite(["solve", "contraction"], cfg, tmp_path)
         assert set(summary["experiments"]) == {"solve", "contraction"}
         assert summary["pass"]
         subdirs = [p for p in suite_dir.iterdir() if p.is_dir()]

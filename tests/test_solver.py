@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from rough_scl.fluxes import FluxModel, builtin, from_spec, segment_flux
-from rough_scl.paths import PiecewiseLinearPath, identity_path, tent_path
+from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path, tent_path
 from rough_scl.solver import (
     CellState,
     CFLError,
@@ -130,6 +130,18 @@ class TestRiemannOracles:
         err = grid.dx * np.abs(out.u - exact).sum()
         assert err <= 0.01
 
+    @pytest.mark.parametrize("scheme", ["engquist_osher", "godunov_convex"])
+    def test_descending_driver_mirrors_the_fan(self, scheme):
+        """W(t) = -t turns F concave; data (1, -1) open the mirrored fan."""
+        grid = Grid1D(-1.0, 1.0, 800, "outflow")
+        state = riemann_state(grid, 1.0, -1.0)
+        path = PiecewiseLinearPath([0.0, 0.5], [0.0, -0.5])
+        cfg = SolverConfig(scheme=scheme)
+        traj = solve_path(state.u, burgers((-1.05, 1.05)), path, [0.5], grid, cfg)
+        exact = burgers_riemann_exact(-1.0, 1.0, -grid.centers, 0.5)
+        err = grid.dx * np.abs(traj.states[-1].u - exact).sum()
+        assert err <= 5.0 * grid.dx
+
     def test_zero_slope_segment_is_identity(self):
         grid = Grid1D(-1.0, 1.0, 50, "periodic")
         u = np.sin(np.pi * grid.centers)
@@ -149,6 +161,22 @@ class TestSolvePath:
         assert traj.state_at(1.3).t == pytest.approx(1.3)
         with pytest.raises(KeyError):
             traj.state_at(0.35)
+
+    def test_stops_at_last_output(self):
+        """Nothing is solved past the last output: the state and the step count
+        equal those of a solve on a path that ends there."""
+        grid = Grid1D(-1.0, 1.0, 100, "periodic")
+        u0 = np.where(grid.centers < 0.0, 1.0, 0.0)
+        t_out = 0.23
+        runs = []
+        for path in (identity_path(1.0), identity_path(t_out)):
+            slabs = []
+            traj = solve_path(u0, burgers(), path, [t_out], grid, collect=slabs.append)
+            runs.append((traj.states[-1].u, len(slabs), slabs[-1].t0 + slabs[-1].dt))
+        (u_long, n_long, t_long), (u_short, n_short, t_short) = runs
+        assert np.array_equal(u_long, u_short)
+        assert n_long == n_short
+        assert t_long == t_short == pytest.approx(t_out)
 
     def test_tent_path_round_trip_contraction(self):
         """W goes up then back down: the final state is closer to the initial
@@ -187,6 +215,32 @@ class TestSolvePath:
         traj = solve_path(u0, flux, path, [2.0], grid, cfg)
         cs = {tuple(np.round(s.c, 12)) for s in traj.slabs}
         assert cs == {(1.0, -0.5), (-0.5, 1.0)}
+
+
+class TestBrownianInvariants:
+    """Criteria 1/2 on two-channel Brownian paths, where F changes convexity."""
+
+    @pytest.mark.parametrize("scheme", ["engquist_osher", "godunov_convex"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_max_principle_tv_mass_and_contraction(self, scheme, seed):
+        grid = Grid1D(-1.0, 1.0, 200, "periodic")
+        flux = from_spec("burgers;cubic", (-1.05, 1.05))
+        path = brownian_sample(seed, 1.0, 8, 2)
+        rng = np.random.default_rng(seed)
+        u_a, u_b = (np.repeat(rng.uniform(-1.0, 1.0, 8), 25) for _ in range(2))
+        cfg = SolverConfig(scheme=scheme)
+        outputs = np.linspace(0.0, 1.0, 11)
+        traj_a = solve_path(u_a, flux, path, outputs, grid, cfg)
+        traj_b = solve_path(u_b, flux, path, outputs, grid, cfg)
+        for traj, u0 in ((traj_a, u_a), (traj_b, u_b)):
+            tv0 = traj.states[0].tv()
+            for s in traj.states:
+                assert s.u.max() <= u0.max() + 1e-12
+                assert s.u.min() >= u0.min() - 1e-12
+                assert s.tv() <= tv0 + 1e-10
+                assert s.mass() == pytest.approx(grid.dx * u0.sum(), abs=1e-12)
+        dist = [l1_distance(a, b) for a, b in zip(traj_a.states, traj_b.states)]
+        assert np.max(np.diff(dist)) <= 1e-10
 
 
 class TestCompositionWithTime:
