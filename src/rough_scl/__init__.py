@@ -59,7 +59,6 @@ from .semilinear import (
     FlowMap,
     SourceTerm,
     direct_semilinear_solve,
-    doss_sussmann_flow,
     linear_source,
     logistic_source,
     mismatch_report,

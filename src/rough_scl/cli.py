@@ -2,7 +2,8 @@
 
 One subcommand per experiment plus `suite`; every subcommand accepts
 `--config <file>` (flat key = value text), `--seed` and `--out`; a suite runs
-its members one after another.
+its members one after another.  A config that fails to load, or that an
+experiment rejects with ValueError, prints `config error: ...` and exits 2.
 The default output root is ./runs, overridable by the ROUGH_SCL_OUT variable.
 """
 from __future__ import annotations
@@ -43,6 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(exc: Exception) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"seed": args.seed}
@@ -51,21 +57,26 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
     except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     if args.command == "suite":
         names = args.experiments or list(DEFAULT_SUITE)
         unknown = [n for n in names if n not in EXPERIMENTS]
         if unknown:
             print(f"unknown experiments: {unknown}", file=sys.stderr)
             return 2
-        suite_dir, summary = run_suite(names, cfg, args.out)
+        try:
+            suite_dir, summary = run_suite(names, cfg, args.out)
+        except ValueError as exc:
+            return _config_error(exc)
         for name in names:
             res = summary["experiments"][name]
             print(f"{name}: {'PASS' if res['pass'] else 'FAIL'}  ({res['run_dir']})")
         print(f"suite: {'PASS' if summary['pass'] else 'FAIL'}  ({suite_dir})")
         return 0 if summary["pass"] else 1
-    run_dir, report = execute(args.command, cfg, args.out)
+    try:
+        run_dir, report = execute(args.command, cfg, args.out)
+    except ValueError as exc:
+        return _config_error(exc)
     ok = report.get("pass")
     print(f"{args.command}: {'PASS' if ok else 'FAIL'}  ({run_dir})")
     for key in sorted(report):

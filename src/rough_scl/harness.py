@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import time
 import uuid
 from dataclasses import dataclass
@@ -372,7 +373,11 @@ def execute(name: str, cfg: dict, out_root: str | Path | None = None) -> tuple[P
     run_dir.mkdir(parents=True, exist_ok=False)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     t0 = time.perf_counter()
-    report = EXPERIMENTS[name](cfg, run_dir)
+    try:
+        report = EXPERIMENTS[name](cfg, run_dir)
+    except BaseException:
+        shutil.rmtree(run_dir)  # a rejected config or a failed run leaves no directory
+        raise
     duration = time.perf_counter() - t0
     outputs = sorted(p.name for p in run_dir.iterdir() if p.suffix == ".csv")
     manifest = RunManifest(
@@ -417,9 +422,13 @@ def run_suite(names: list[str], cfg: dict, out_root: str | Path | None = None) -
     suite_dir = root / suite_id
     suite_dir.mkdir(parents=True, exist_ok=False)
     results: dict[str, dict] = {}
-    for name in names:
-        run_dir, report = execute(name, suite_cfg(cfg, name), suite_dir)
-        results[name] = {"run_dir": str(run_dir), "pass": report.get("pass"), "report": report}
+    try:
+        for name in names:
+            run_dir, report = execute(name, suite_cfg(cfg, name), suite_dir)
+            results[name] = {"run_dir": str(run_dir), "pass": report.get("pass"), "report": report}
+    except BaseException:
+        shutil.rmtree(suite_dir)  # no partial suite without its report
+        raise
     summary = {
         "experiments": results,
         "pass": bool(all(r["pass"] for r in results.values())) if results else True,

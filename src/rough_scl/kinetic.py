@@ -119,7 +119,7 @@ def _chi_tail(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
 
 
 def _one_sided_cumulative(
-    fseg: SegmentFlux, u: np.ndarray, g_xi: np.ndarray, g_u: np.ndarray, xi_centers: np.ndarray
+    u: np.ndarray, g_xi: np.ndarray, g_u: np.ndarray, xi_centers: np.ndarray
 ) -> np.ndarray:
     """int_{-inf}^{xi} (F')^{+/-}(z) chi(u_j, z) dz from the antiderivative G = P or N.
 
@@ -232,8 +232,8 @@ def defect_from_slab(
     x1 = _chi_cumulative(u1, xc)
     p_u0 = fseg.pos_integral(u0)
     n_u0 = fseg.neg_integral(u0)
-    a_pos = _one_sided_cumulative(fseg, u0, p_xi, p_u0, xc)
-    b_neg = _one_sided_cumulative(fseg, u0, n_xi, n_u0, xc)
+    a_pos = _one_sided_cumulative(u0, p_xi, p_u0, xc)
+    b_neg = _one_sided_cumulative(u0, n_xi, n_u0, xc)
     transport = (a_pos - _left(a_pos, grid.bc)) + (_right(b_neg, grid.bc) - b_neg)
     m = (x1 - x0) / dt + transport / grid.dx
     flux_div = (p_u0 - _left(p_u0, grid.bc)) + (_right(n_u0, grid.bc) - n_u0)

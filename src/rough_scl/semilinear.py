@@ -6,6 +6,10 @@ conservation law for v with the time-dependent flux
 
     A~(v, t) = int_0^v A'(Psi(w; t)) dw.
 
+The driver has one channel, so Psi(v; t) = phi_{W~(t)}(v) with phi_s the
+time-s flow of u' = Phi(u) (W~(0) = 0): the flow map needs the driver's value,
+not its history, and RK4 in s costs O(range of W~ / 1e-3) steps.
+
 For the quadratic source Phi(u) = u(1 - u) and Burgers flux this machinery is
 quantitative: the flow is the logistic closed form, the transformed
 Rankine-Hugoniot speed of the 1/0 front is int_0^1 Psi(w; t) dw > 1/2, while
@@ -70,31 +74,32 @@ def zero_source() -> SourceTerm:
                       lambda u: np.zeros_like(np.asarray(u, dtype=float)), fixed_points=(0.0,))
 
 
-def _rk4(f: Callable, y: np.ndarray, h: float, n: int) -> np.ndarray:
-    for _ in range(n):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def source_ode_step(source: SourceTerm, u: np.ndarray, tau: float) -> np.ndarray:
     """Advance du/dt = Phi(u) by tau with classical RK4, step <= 1e-3."""
+    y = np.asarray(u, dtype=float)
     if tau == 0.0:
-        return np.asarray(u, dtype=float)
+        return y
     n = max(1, int(np.ceil(abs(tau) / ODE_STEP_PER_UNIT_DRIVER)))
-    return _rk4(source.phi, np.asarray(u, dtype=float), tau / n, n)
+    h = tau / n
+    for _ in range(n):
+        k1 = source.phi(y)
+        k2 = source.phi(y + 0.5 * h * k1)
+        k3 = source.phi(y + 0.5 * h * k2)
+        k4 = source.phi(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 @dataclass(frozen=True)
 class FlowMap:
     """Flow Psi(v; t) of dPsi = Phi(Psi) dW~ along a piecewise linear driver.
 
-    Per driver segment with slope c the equation is autonomous, y' = c Phi(y),
-    integrated by RK4 with step at most 1e-3 per unit driver variation; the
-    integration is vectorized over the initial values.
+    With one driver channel the flow depends on the path only through its
+    value: Psi(v; t) = phi_s(v) at s = W~(t) - W~(0), where phi_s is the time-s
+    flow of u' = Phi(u).  The flow is integrated with `source_ode_step` (RK4,
+    step at most 1e-3 per unit of s) outward from s = 0 through the sorted
+    driver values, once upward and once downward, vectorized over the initial
+    values; the cost is O(range of W~ / 1e-3), whatever the driver's variation.
     """
 
     source: SourceTerm
@@ -105,80 +110,35 @@ class FlowMap:
         if self.driver.n_channels != 1:
             raise ValueError("the transform driver is a single-channel path")
 
-    def _segment_advance(self, y: np.ndarray, c: float, duration: float,
-                         variational: np.ndarray | None = None):
-        if duration <= 0.0 or c == 0.0:
-            return y, variational
-        n = max(1, int(np.ceil(abs(c) * duration / ODE_STEP_PER_UNIT_DRIVER)))
-        h = duration / n
-        if variational is None:
-            y = _rk4(lambda z: c * self.source.phi(z), y, h, n)
-        else:
-            m = y.size
-
-            def rhs(z):
-                val, jac = z[:m], z[m:]
-                return np.concatenate([c * self.source.phi(val), c * self.source.dphi(val) * jac])
-
-            out = _rk4(rhs, np.concatenate([y, variational]), h, n)
-            y, variational = out[:m], out[m:]
-        if float(np.max(np.abs(y))) > self.blow_up:
-            raise RuntimeError("flow map blew up; source ODE leaves the trusted range")
-        return y, variational
-
     def psi_at_times(self, v, times) -> np.ndarray:
-        """Psi(v; t) for every t in `times` (ascending), shape (len(times), len(v))."""
+        """Psi(v; t) for every t in `times` (ascending), shape (len(times), len(v)).
+
+        The walk also passes through the min and max of W~ on [0, times[-1]]:
+        a scalar autonomous trajectory is monotone in s, so the guard sees the
+        largest |Psi| the path reaches before the last requested time.
+        """
         v = np.atleast_1d(np.asarray(v, dtype=float))
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) < 0) or np.any(times < 0) or np.any(times > self.driver.horizon):
             raise ValueError("times must be ascending within the driver domain")
-        checkpoints = np.union1d(self.driver.knots, times)
-        checkpoints = checkpoints[checkpoints <= times[-1] + 0.0]
-        y = v.copy()
-        out = np.empty((times.size, v.size))
-        for j in np.flatnonzero(times == 0.0):
-            out[j] = y
-        slopes = self.driver.slopes()
-        t_prev = 0.0
-        for t_next in checkpoints[1:]:
-            k = int(np.searchsorted(self.driver.knots, 0.5 * (t_prev + t_next), side="right") - 1)
-            y, _ = self._segment_advance(y, float(slopes[k, 0]), t_next - t_prev)
-            hits = np.flatnonzero(np.abs(times - t_next) == 0.0)
-            for j in hits:
-                out[j] = y
-            t_prev = t_next
-        return out
+        w0 = self.driver.eval(0.0)[0]
+        s = self.driver.eval(times)[:, 0] - w0
+        visited = self.driver.eval(self.driver.restricted_knots(times[-1]))[:, 0] - w0
+        levels = np.union1d(np.append(s, 0.0), [visited.min(), visited.max()])
+        zero = int(np.searchsorted(levels, 0.0))
+        flowed = np.empty((levels.size, v.size))
+        flowed[zero] = v
+        for leg in (range(zero + 1, levels.size), range(zero - 1, -1, -1)):
+            y, s_prev = v, 0.0
+            for i in leg:
+                y = source_ode_step(self.source, y, levels[i] - s_prev)
+                if not np.all(np.abs(y) <= self.blow_up):
+                    raise RuntimeError("flow map blew up; source ODE leaves the trusted range")
+                flowed[i], s_prev = y, levels[i]
+        return flowed[np.searchsorted(levels, s)]
 
     def psi(self, v, t: float) -> np.ndarray:
-        if t == 0.0:
-            return np.atleast_1d(np.asarray(v, dtype=float)).copy()
-        return self.psi_at_times(v, np.asarray([t]))[0]
-
-    def psi_v(self, v, t: float) -> np.ndarray:
-        """d Psi / d v at (v; t), by the variational equation."""
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        y = v.copy()
-        jac = np.ones_like(y)
-        slopes = self.driver.slopes()
-        knots = self.driver.knots
-        t_prev = 0.0
-        for k in range(self.driver.n_segments):
-            t_next = min(float(knots[k + 1]), t)
-            if t_next > t_prev:
-                y, jac = self._segment_advance(y, float(slopes[k, 0]), t_next - t_prev, jac)
-            t_prev = t_next
-            if t_prev >= t:
-                break
-        return jac
-
-
-def doss_sussmann_flow(
-    source: SourceTerm, v, t: float, driver: PiecewiseLinearPath | None = None
-) -> np.ndarray:
-    """Psi(v; t); the default driver is W~(t) = t on [0, max(t, 1)]."""
-    if driver is None:
-        driver = identity_path(max(float(t), 1.0))
-    return FlowMap(source, driver).psi(v, t)
+        return self.psi_at_times(v, [t])[0]
 
 
 def _cumulative_quad(g: Callable, nodes: np.ndarray, tol: float) -> np.ndarray:
@@ -247,11 +207,19 @@ def transformed_shock_position(
     """x(t) = x0 + int_0^t speed(tau) dtau by nested adaptive quadrature."""
     if t == 0.0:
         return x0
+    return x0 + _front_shift(channel, flow, 0.0, t, tol, v_l, v_r)
+
+
+def _front_shift(
+    channel: Channel, flow: FlowMap, t0: float, t1: float, tol: float,
+    v_l: float = 1.0, v_r: float = 0.0,
+) -> float:
+    """int_{t0}^{t1} speed(tau) dtau, adaptive quadrature to absolute tolerance tol."""
     val, _ = quad(
         lambda tau: transformed_shock_speed(channel, flow, tau, v_l, v_r),
-        0.0, t, epsabs=tol, epsrel=1e-10, limit=100,
+        t0, t1, epsabs=tol, epsrel=1e-10, limit=100,
     )
-    return x0 + float(val)
+    return float(val)
 
 
 def direct_semilinear_solve(
@@ -338,11 +306,7 @@ def mismatch_report(
     x_prev, t_prev = 0.0, 0.0
     for k in range(1, n_times + 1):
         t = float(outputs[k])
-        inc, _ = quad(
-            lambda tau: transformed_shock_speed(channel, flow, tau),
-            t_prev, t, epsabs=POSITION_TOL / n_times, epsrel=1e-10, limit=100,
-        )
-        x_trans = x_prev + float(inc)
+        x_trans = x_prev + _front_shift(channel, flow, t_prev, t, POSITION_TOL / n_times)
         x_direct = shock_position(traj.state_at(t))
         rows.append({
             "t": t,

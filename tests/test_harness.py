@@ -276,6 +276,24 @@ class TestCli:
         assert code == 2
         assert "unknown experiments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["single", "suite"])
+    @pytest.mark.parametrize("experiment, line", [
+        ("kinetic-check", "scheme = godunov_convex\n"),
+        ("semilinear-demo", "source = bogus\n"),
+    ], ids=["kinetic-godunov", "semilinear-bogus-source"])
+    def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line):
+        """An experiment that rejects its config leaves no run directory behind."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line)
+        out = tmp_path / "out"
+        argv = [experiment] if command == "single" else ["suite", experiment]
+        code = main(argv + ["--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("n_cols = 7\n")

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from rough_scl.fluxes import FluxModel, builtin
-from rough_scl.paths import PiecewiseLinearPath, identity_path
+from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
 from rough_scl.semilinear import (
     FlowMap,
     SourceTerm,
     direct_semilinear_solve,
-    doss_sussmann_flow,
     linear_source,
     logistic_source,
     mismatch_report,
@@ -58,9 +57,22 @@ class TestFlowMap:
             assert np.allclose(flow.psi(v, t), logistic_exact(v, t), atol=1e-8)
 
     def test_midpoint_value(self):
-        assert doss_sussmann_flow(logistic_source(), 0.5, 1.0)[0] == pytest.approx(
+        assert FlowMap(logistic_source(), identity_path(1.0)).psi(0.5, 1.0)[0] == pytest.approx(
             math.e / (1.0 + math.e), abs=1e-10
         )
+
+    @pytest.mark.parametrize("n_segments", [8, 1024])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_logistic_along_brownian_driver(self, seed, n_segments):
+        """Psi(v; t) = v e^W / (1 + v (e^W - 1)) at W = W~(t); W~ goes negative
+        at some output time for seed 2 at 8 segments and every seed at 1024."""
+        path = brownian_sample(seed, 1.0, n_segments, 1)
+        times = np.linspace(0.0, 1.0, 11)
+        v = np.linspace(0.0, 1.0, 101)
+        grow = np.exp(path.eval(times)[:, 0])[:, None]
+        exact = v * grow / (1.0 + v * (grow - 1.0))
+        out = FlowMap(logistic_source(), path).psi_at_times(v, times)
+        assert np.max(np.abs(out - exact)) <= 1e-12
 
     def test_flow_property(self):
         flow = FlowMap(logistic_source(), identity_path(2.0))
@@ -91,19 +103,22 @@ class TestFlowMap:
         assert out[0, 0] == 0.5
         assert out[2, 0] == pytest.approx(logistic_exact(0.5, 1.0), abs=1e-8)
 
-    def test_psi_v_matches_fd(self):
-        flow = FlowMap(logistic_source(), identity_path(1.0))
-        v = np.linspace(0.15, 0.85, 8)
-        eps = 1e-6
-        fd = (flow.psi(v + eps, 1.0) - flow.psi(v - eps, 1.0)) / (2 * eps)
-        assert np.allclose(flow.psi_v(v, 1.0), fd, atol=1e-6)
-
     def test_blow_up_guard(self):
         # dy = y^2 dt from y=2 blows up at t = 0.5
         src = SourceTerm("sq", lambda u: u * u, lambda u: 2.0 * u, (0.0,))
         flow = FlowMap(src, identity_path(1.0), blow_up=50.0)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="blew up"):
             flow.psi(np.array([2.0]), 0.9)
+
+    def test_blow_up_guard_on_driver_excursion(self):
+        """W~ climbs to 0.9 and returns to 0: Psi(2; 2) = 2 by W~ alone, but the
+        path passed the blow-up at W~ = 0.5 on the way."""
+        src = SourceTerm("sq", lambda u: u * u, lambda u: 2.0 * u, (0.0,))
+        driver = PiecewiseLinearPath([0.0, 1.0, 2.0], [0.0, 0.9, 0.0])
+        flow = FlowMap(src, driver, blow_up=50.0)
+        assert flow.psi(np.array([2.0]), 0.3)[0] == pytest.approx(2.0 / (1.0 - 2.0 * 0.27), abs=1e-9)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="blew up"):
+            flow.psi(np.array([2.0]), 2.0)
 
     def test_source_ode_step_linear_exact(self):
         out = source_ode_step(linear_source(0.7), np.array([2.0, -1.0]), 0.5)
