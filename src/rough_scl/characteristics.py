@@ -202,13 +202,16 @@ def dissipative_check(
     dk = (k_hi - k_lo) / n_k
     k = k_lo + (np.arange(n_k) + 0.5) * dk
     psi_k = weight.value(k)
+    # sum_k psi_k (a - k)_+ = a C0(a) - C1(a), C0 and C1 the sums of psi_k and k psi_k over k < a
+    c0 = np.concatenate([[0.0], np.cumsum(psi_k)])
+    c1 = np.concatenate([[0.0], np.cumsum(k * psi_k)])
     grid = traj.grid
     states = [traj.states[i] for i in np.flatnonzero(mask)]
     d_vals = np.empty(times.size)
     for j, (tj, state) in enumerate(zip(times, states)):
-        psi_bar = sol.evaluate(grid.centers, float(tj))
-        diff = state.u[:, None] - k[None, :] - psi_bar[:, None]
-        d_vals[j] = grid.dx * dk * float((np.maximum(diff, 0.0) @ psi_k).sum())
+        a = state.u - sol.evaluate(grid.centers, float(tj))
+        below = np.searchsorted(k, a)
+        d_vals[j] = grid.dx * dk * float(np.sum(a * c0[below] - c1[below]))
     spacing = float(np.max(np.diff(times)))
     u0_inf = float(np.max(np.abs(traj.states[0].u)))
     tol_d = tol_c * (grid.dx + spacing) * (1.0 + u0_inf)

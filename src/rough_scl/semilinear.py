@@ -7,16 +7,19 @@ conservation law for v with the time-dependent flux
     A~(v, t) = int_0^v A'(Psi(w; t)) dw.
 
 The driver has one channel, so Psi(v; t) = phi_{W~(t)}(v) with phi_s the
-time-s flow of u' = Phi(u) (W~(0) = 0): the flow map needs the driver's value,
-not its history, and RK4 in s costs O(range of W~ / 1e-3) steps.
+time-s flow of u' = Phi(u) (W~(0) = 0).  One RK4 sweep in s through the
+driver's values at its knots and at the requested times gives Psi; carrying
+int_0^s A'(phi_sigma(w)) dsigma at fixed Gauss-Legendre nodes w in the same
+steps gives the front position in closed form on each driver segment.  The
+cost is O(range of W~ / 1e-3 + knots) RK4 steps, whatever the variation.
 
-For the quadratic source Phi(u) = u(1 - u) and Burgers flux this machinery is
-quantitative: the flow is the logistic closed form, the transformed
-Rankine-Hugoniot speed of the 1/0 front is int_0^1 Psi(w; t) dw > 1/2, while
-the direct entropy solution of the semilinear law keeps its shock at t/2
-(states 0 and 1 are equilibria of the source).  The gap between the two front
-positions is the whole point: the transform does not map entropy shocks to
-entropy shocks when the source is nonlinear.
+For a linear source Psi(., t) is linear and the transformed and direct fronts
+coincide.  For the quadratic source Phi(u) = u(1 - u) and Burgers flux the
+flow is the logistic closed form, the transformed Rankine-Hugoniot speed of
+the 1/0 front is int_0^1 Psi(w; t) dw > 1/2, while the direct entropy solution
+keeps its shock at t/2 (0 and 1 are equilibria of the source).  The gap is the
+whole point: the transform does not map entropy shocks to entropy shocks when
+the source is nonlinear.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fluxes import Channel, FluxModel, segment_flux
 from .paths import PiecewiseLinearPath, identity_path
@@ -74,32 +76,33 @@ def zero_source() -> SourceTerm:
                       lambda u: np.zeros_like(np.asarray(u, dtype=float)), fixed_points=(0.0,))
 
 
-def source_ode_step(source: SourceTerm, u: np.ndarray, tau: float) -> np.ndarray:
-    """Advance du/dt = Phi(u) by tau with classical RK4, step <= 1e-3."""
-    y = np.asarray(u, dtype=float)
+def _rk4(field: Callable, y: np.ndarray, tau: float) -> np.ndarray:
+    """Advance y' = field(y) by tau with classical RK4, step <= 1e-3."""
     if tau == 0.0:
         return y
     n = max(1, int(np.ceil(abs(tau) / ODE_STEP_PER_UNIT_DRIVER)))
     h = tau / n
     for _ in range(n):
-        k1 = source.phi(y)
-        k2 = source.phi(y + 0.5 * h * k1)
-        k3 = source.phi(y + 0.5 * h * k2)
-        k4 = source.phi(y + h * k3)
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def source_ode_step(source: SourceTerm, u: np.ndarray, tau: float) -> np.ndarray:
+    """Advance du/dt = Phi(u) by tau with classical RK4, step <= 1e-3."""
+    return _rk4(source.phi, np.asarray(u, dtype=float), tau)
 
 
 @dataclass(frozen=True)
 class FlowMap:
     """Flow Psi(v; t) of dPsi = Phi(Psi) dW~ along a piecewise linear driver.
 
-    With one driver channel the flow depends on the path only through its
-    value: Psi(v; t) = phi_s(v) at s = W~(t) - W~(0), where phi_s is the time-s
-    flow of u' = Phi(u).  The flow is integrated with `source_ode_step` (RK4,
-    step at most 1e-3 per unit of s) outward from s = 0 through the sorted
-    driver values, once upward and once downward, vectorized over the initial
-    values; the cost is O(range of W~ / 1e-3), whatever the driver's variation.
+    Psi(v; t) = phi_s(v) at s = W~(t) - W~(0), integrated in RK4 steps of at
+    most 1e-3 in s outward from s = 0 through the sorted driver values, once
+    upward and once downward, vectorized over v: O(range of W~ / 1e-3 + knots).
     """
 
     source: SourceTerm
@@ -110,79 +113,67 @@ class FlowMap:
         if self.driver.n_channels != 1:
             raise ValueError("the transform driver is a single-channel path")
 
-    def psi_at_times(self, v, times) -> np.ndarray:
-        """Psi(v; t) for every t in `times` (ascending), shape (len(times), len(v)).
+    def _sweep(self, z, times, field: Callable):
+        """Flow z along y' = field(y) to W~ at 0, at `times` and at the knots before.
 
-        The walk also passes through the min and max of W~ on [0, times[-1]]:
-        a scalar autonomous trajectory is monotone in s, so the guard sees the
-        largest |Psi| the path reaches before the last requested time.
+        Returns the sorted times visited, s there and the states at s.  The guard
+        checks row 0, the flowed values: a scalar autonomous trajectory is
+        monotone in s, so at the knots it sees the largest |Psi| the path reaches.
         """
-        v = np.atleast_1d(np.asarray(v, dtype=float))
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) < 0) or np.any(times < 0) or np.any(times > self.driver.horizon):
             raise ValueError("times must be ascending within the driver domain")
-        w0 = self.driver.eval(0.0)[0]
-        s = self.driver.eval(times)[:, 0] - w0
-        visited = self.driver.eval(self.driver.restricted_knots(times[-1]))[:, 0] - w0
-        levels = np.union1d(np.append(s, 0.0), [visited.min(), visited.max()])
+        taus = np.union1d(times, self.driver.restricted_knots(times[-1]))
+        s = self.driver.eval(taus)[:, 0] - self.driver.eval(0.0)[0]
+        levels = np.unique(s)
         zero = int(np.searchsorted(levels, 0.0))
-        flowed = np.empty((levels.size, v.size))
-        flowed[zero] = v
+        flowed = np.empty((levels.size,) + z.shape)
+        flowed[zero] = z
         for leg in (range(zero + 1, levels.size), range(zero - 1, -1, -1)):
-            y, s_prev = v, 0.0
+            y, s_prev = z, 0.0
             for i in leg:
-                y = source_ode_step(self.source, y, levels[i] - s_prev)
-                if not np.all(np.abs(y) <= self.blow_up):
+                y = _rk4(field, y, levels[i] - s_prev)
+                if not np.all(np.abs(y[0]) <= self.blow_up):
                     raise RuntimeError("flow map blew up; source ODE leaves the trusted range")
                 flowed[i], s_prev = y, levels[i]
-        return flowed[np.searchsorted(levels, s)]
+        return taus, s, flowed[np.searchsorted(levels, s)]
+
+    def psi_at_times(self, v, times) -> np.ndarray:
+        """Psi(v; t) for every t in `times` (ascending), shape (len(times), len(v))."""
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        taus, _, flowed = self._sweep(v[None], times, self.source.phi)
+        return flowed[np.searchsorted(taus, times), 0]
 
     def psi(self, v, t: float) -> np.ndarray:
         return self.psi_at_times(v, [t])[0]
 
 
-def _cumulative_quad(g: Callable, nodes: np.ndarray, tol: float) -> np.ndarray:
-    """int_{nodes[0]}^{nodes[j]} g, adaptive panel-halving Gauss-Legendre.
+# Nodes of the 32- and 64-point Gauss-Legendre rules on [-1, 1] side by side, and
+# the (96, 2) matrix whose columns hold each rule's weights.
+_GL_NODES, _GL_WEIGHTS = np.zeros(96), np.zeros((96, 2))
+_GL_NODES[:32], _GL_WEIGHTS[:32, 0] = np.polynomial.legendre.leggauss(32)
+_GL_NODES[32:], _GL_WEIGHTS[32:, 1] = np.polynomial.legendre.leggauss(64)
 
-    All requested nodes stay on panel boundaries, so the cumulative values are
-    read off partial sums exactly; panels are halved globally until two
-    successive levels agree below tol at every node.
+
+def _converged(pair: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The 64-node values of (..., 2) rule pairs; RuntimeError if the rules differ by > tol."""
+    diff = float(np.max(np.abs(pair[..., 1] - pair[..., 0])))
+    if not diff <= tol:
+        raise RuntimeError(f"{what} quadrature did not converge: 32 and 64 nodes differ by {diff:.2e}")
+    return pair[..., 1]
+
+
+def transformed_flux(channel: Channel, flow: FlowMap, v, t: float) -> np.ndarray:
+    """A~(v, t) = int_0^v A'(Psi(w; t)) dw, so A~(0, t) = 0.
+
+    Gauss-Legendre on each [0, v] with 32 and 64 nodes from one `psi` call:
+    the 64-node values, or RuntimeError where the two differ by > QUAD_TOL.
     """
-    gx, gw = np.polynomial.legendre.leggauss(7)
-    edges = [float(nodes[0])]
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        n = max(1, int(np.ceil((b - a) / 0.0625)))
-        edges.extend(np.linspace(a, b, n + 1)[1:])
-    edges = np.asarray(edges)
-
-    def cum_at_nodes(e: np.ndarray) -> np.ndarray:
-        a, b = e[:-1], e[1:]
-        half = 0.5 * (b - a)
-        pts = half[:, None] * gx[None, :] + 0.5 * (a + b)[:, None]
-        vals = np.asarray(g(pts.ravel())).reshape(pts.shape)
-        panel = half * (vals @ gw)
-        cum = np.concatenate([[0.0], np.cumsum(panel)])
-        return cum[np.searchsorted(e, nodes)]
-
-    prev = cum_at_nodes(edges)
-    for _ in range(14):
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        cur = cum_at_nodes(edges)
-        if float(np.max(np.abs(cur - prev))) < tol:
-            return cur
-        prev = cur
-    raise RuntimeError("adaptive quadrature did not converge")
-
-
-def transformed_flux(
-    channel: Channel, flow: FlowMap, v, t: float, tol: float = QUAD_TOL
-) -> np.ndarray:
-    """A~(v, t) = int_0^v A'(Psi(w; t)) dw, adaptive quadrature, A~(0, t) = 0."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    nodes, inverse = np.unique(np.concatenate([[0.0], v]), return_inverse=True)
-    cum = _cumulative_quad(lambda w: channel.a(flow.psi(w, t)), nodes, tol)
-    at_zero = cum[np.searchsorted(nodes, 0.0)]
-    return (cum - at_zero)[inverse[1:]]
+    half = 0.5 * v[:, None]
+    w = half * (_GL_NODES + 1.0)
+    vals = channel.a(flow.psi(w.ravel(), t)).reshape(w.shape)
+    return _converged(half * (vals @ _GL_WEIGHTS), QUAD_TOL, "transformed flux")
 
 
 def transformed_shock_speed(
@@ -195,31 +186,37 @@ def transformed_shock_speed(
     return float((a_vals[0] - a_vals[1]) / (v_l - v_r))
 
 
+def _front(channel: Channel, flow: FlowMap, times, v_l: float, v_r: float):
+    """x(t) = int_0^t speed dtau and the end states Psi(v_l; t), Psi(v_r; t) at `times`.
+
+    The speed is g(W~(tau)), g(s) the mean of a(phi_s(w)) over w in [v_r, v_l].
+    One sweep carries X(s) = int_0^s a(phi_sigma(w)) dsigma at the nodes, whose
+    mean G has G' = g; the driver is linear between visited times, so a step
+    integrates exactly to dtau (G(s1) - G(s0)) / ds.  Where |ds| <= 1e-5 that
+    quotient loses more to cancellation than the trapezoid dtau (g(s0) + g(s1)) / 2
+    errs, so the trapezoid is used there (exact where ds = 0).
+    """
+    if v_l == v_r:
+        raise ValueError("no jump")
+    w = np.concatenate([[v_l, v_r], 0.5 * (v_l + v_r) + 0.5 * (v_l - v_r) * _GL_NODES])
+    phi = flow.source.phi
+    taus, s, flowed = flow._sweep(np.stack([w, np.zeros_like(w)]), times,
+                                  lambda y: np.stack([phi(y[0]), channel.a(y[0])]))
+    psi, cum = flowed[:, 0], flowed[:, 1]
+    g, big_g = (0.5 * y @ _GL_WEIGHTS for y in (channel.a(psi[:, 2:]), cum[:, 2:]))
+    ds = np.diff(s)[:, None]
+    flat = np.abs(ds) <= 1e-5
+    mean = np.where(flat, 0.5 * (g[1:] + g[:-1]), np.diff(big_g, axis=0) / np.where(flat, 1.0, ds))
+    x = np.concatenate([np.zeros((1, 2)), np.cumsum(np.diff(taus)[:, None] * mean, axis=0)])
+    at = np.searchsorted(taus, times)
+    return _converged(x[at], POSITION_TOL, "front position"), psi[at, 0], psi[at, 1]
+
+
 def transformed_shock_position(
-    channel: Channel,
-    flow: FlowMap,
-    t: float,
-    v_l: float = 1.0,
-    v_r: float = 0.0,
-    tol: float = POSITION_TOL,
-    x0: float = 0.0,
+    channel: Channel, flow: FlowMap, t: float, v_l: float = 1.0, v_r: float = 0.0
 ) -> float:
-    """x(t) = x0 + int_0^t speed(tau) dtau by nested adaptive quadrature."""
-    if t == 0.0:
-        return x0
-    return x0 + _front_shift(channel, flow, 0.0, t, tol, v_l, v_r)
-
-
-def _front_shift(
-    channel: Channel, flow: FlowMap, t0: float, t1: float, tol: float,
-    v_l: float = 1.0, v_r: float = 0.0,
-) -> float:
-    """int_{t0}^{t1} speed(tau) dtau, adaptive quadrature to absolute tolerance tol."""
-    val, _ = quad(
-        lambda tau: transformed_shock_speed(channel, flow, tau, v_l, v_r),
-        t0, t1, epsabs=tol, epsrel=1e-10, limit=100,
-    )
-    return float(val)
+    """x(t) = int_0^t speed(tau) dtau of the transformed front from 0, by one flow-map sweep."""
+    return float(_front(channel, flow, [t], v_l, v_r)[0][0])
 
 
 def direct_semilinear_solve(
@@ -274,8 +271,6 @@ def shock_position(state: CellState, level: float = 0.5) -> float:
         raise ValueError("front touches the right boundary")
     x = state.grid.centers
     u0, u1 = u[j], u[j + 1]
-    if u0 == u1:
-        return float(x[j])
     return float(x[j] + (u0 - level) / (u0 - u1) * (x[j + 1] - x[j]))
 
 
@@ -290,10 +285,11 @@ def mismatch_report(
 ) -> list[dict]:
     """Per-time table t, x_transform, x_direct, gap for the 1/0 front.
 
-    The transform route integrates the Rankine-Hugoniot speed of the
-    transformed flux; the direct route runs the splitting solver and locates
-    the u = 1/2 crossing.  For the quadratic source the gap grows like
-    int_0^1 Psi(w; t) dw - 1/2 > 0; the transform does not preserve the shock.
+    One flow-map sweep gives the transformed front and the flowed end states
+    Psi(1; t), Psi(0; t); the direct route runs the splitting solver and
+    locates the crossing of their mean (1/2 when the source fixes 0 and 1).
+    For the quadratic source the gap grows like int_0^1 Psi(w; t) dw - 1/2 > 0;
+    for a linear source it is discretization error.
     """
     if flux.n_channels != 1:
         raise ValueError("the demo is a single-channel construction")
@@ -302,17 +298,14 @@ def mismatch_report(
     outputs = np.linspace(0.0, horizon, n_times + 1)
     traj = direct_semilinear_solve(flux, source, grid, horizon, outputs=outputs, config=config)
     flow = FlowMap(source, identity_path(horizon))
+    x_transform, psi_l, psi_r = _front(channel, flow, outputs[1:], 1.0, 0.0)
     rows = []
-    x_prev, t_prev = 0.0, 0.0
-    for k in range(1, n_times + 1):
-        t = float(outputs[k])
-        x_trans = x_prev + _front_shift(channel, flow, t_prev, t, POSITION_TOL / n_times)
-        x_direct = shock_position(traj.state_at(t))
+    for t, x_trans, level in zip(outputs[1:], x_transform, 0.5 * (psi_l + psi_r)):
+        x_direct = shock_position(traj.state_at(float(t)), float(level))
         rows.append({
-            "t": t,
-            "x_transform": x_trans,
+            "t": float(t),
+            "x_transform": float(x_trans),
             "x_direct": x_direct,
-            "gap": x_trans - x_direct,
+            "gap": float(x_trans) - x_direct,
         })
-        x_prev, t_prev = x_trans, t
     return rows

@@ -1,5 +1,6 @@
 """Experiment harness: run functions, manifests, suite, and the CLI."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +177,20 @@ class TestSemilinearDemo:
         assert report["pass"]
         assert abs(report["gap"]) <= 2.0 * report["dx"] + 1e-6
         assert (run_dir / "mismatch.csv").exists()
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.5])
+    def test_linear_source_fronts_match_exact(self, tmp_path, lam):
+        """u_t + (u^2/2)_x = lam u from the 1/0 step has its shock at
+        (e^{lam t} - 1) / (2 lam); for lam = -1 the left state e^{-t} drops
+        below 1/2, so the direct front is found at half the flowed left state."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"source = linear:{lam}\nn_cells = 400\nhorizon = 1.0\n")
+        out = tmp_path / "out"
+        assert main(["semilinear-demo", "--out", str(out), "--config", str(cfg)]) == 0
+        report = json.loads(next(out.glob("*/report.json")).read_text())
+        exact = math.expm1(lam) / (2.0 * lam)
+        assert abs(report["x_direct"] - exact) <= 2.0 * report["dx"]
+        assert abs(report["gap"]) <= 2.0 * report["dx"]
 
     def test_unknown_source(self, tmp_path):
         cfg = tiny(experiment="semilinear-demo", source="tanh")

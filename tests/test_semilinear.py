@@ -27,6 +27,35 @@ LOGISTIC_SPEED_AT_1 = math.e * (math.e - 2.0) / (math.e - 1.0) ** 2
 TRANSFORMED_FRONT_AT_1 = 0.581976706869246  # int_0^1 speed(tau) dtau
 
 
+def logistic_g(s):
+    """Transformed Burgers front speed at driver value s: int_0^1 Psi(v; s) dv."""
+    if abs(s) < 1e-3:
+        return 0.5 + s / 6.0 - s**3 / 180.0
+    em1 = math.expm1(s)
+    return (1.0 + 1.0 / em1) * (1.0 - s / em1)
+
+
+def logistic_big_g(s):
+    """G(s) = s e^s / (e^s - 1) - 1, the antiderivative of logistic_g with G(0) = 0."""
+    if abs(s) < 1e-3:
+        return s / 2.0 + s * s / 12.0 - s**4 / 720.0
+    return s / -math.expm1(-s) - 1.0
+
+
+def logistic_front(path, t):
+    """Exact int_0^t g(W(tau)) dtau: on each driver piece it is dtau (G(s1) - G(s0)) / ds,
+    taken by Simpson's rule on g where |ds| < 1e-3 (error below 1e-15 dtau)."""
+    taus = path.restricted_knots(t)
+    s = path.eval(taus)[:, 0] - path.eval(0.0)[0]
+    x = 0.0
+    for dtau, s0, s1 in zip(np.diff(taus), s[:-1], s[1:]):
+        if abs(s1 - s0) < 1e-3:
+            x += dtau * (logistic_g(s0) + 4.0 * logistic_g(0.5 * (s0 + s1)) + logistic_g(s1)) / 6.0
+        else:
+            x += dtau * (logistic_big_g(s1) - logistic_big_g(s0)) / (s1 - s0)
+    return x
+
+
 def logistic_exact(v, t):
     et = math.exp(t)
     return v * et / (1.0 - v + v * et)
@@ -154,6 +183,39 @@ class TestTransformedFlux:
         x = transformed_shock_position(builtin("burgers"), flow, 1.0)
         assert x > 0.5
         assert x == pytest.approx(TRANSFORMED_FRONT_AT_1, abs=1e-5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "name", [f"brownian-{seed}-{n}" for seed in range(3) for n in (8, 64, 1024)]
+        + ["zero-slope", "below-zero", "identity"],
+    )
+    def test_front_position_matches_closed_form(self, name):
+        """Burgers, logistic source: x(0.9) against the exact piecewise G form,
+        on Brownian drivers, a driver with zero-slope pieces and one that dips
+        below 0; on the identity driver x(1) = 1 / (e - 1)."""
+        kind, *args = name.split("-")
+        t = 0.9
+        if kind == "brownian":
+            path = brownian_sample(int(args[0]), 1.0, int(args[1]), 1)
+        elif kind == "zero":  # one exactly flat piece, one flat up to roundoff (5.6e-17)
+            path = PiecewiseLinearPath([0.0, 0.2, 0.4, 0.6, 1.0], [0.0, 0.3, 0.3, 0.1 + 0.2, -0.2])
+        elif kind == "below":
+            path = PiecewiseLinearPath([0.0, 0.3, 0.7, 1.0], [0.0, -0.8, 0.4, -0.3])
+        else:
+            path, t = identity_path(1.0), 1.0
+            assert logistic_front(path, t) == pytest.approx(1.0 / (math.e - 1.0), abs=1e-15)
+        x = transformed_shock_position(builtin("burgers"), FlowMap(logistic_source(), path), t)
+        assert x == pytest.approx(logistic_front(path, t), abs=1e-10)
+
+    def test_unresolved_rule_raises(self):
+        """At W~ = 6 the logistic flow has a boundary layer of width e^-6 in v,
+        which 32 Gauss-Legendre nodes do not resolve: both routes say so."""
+        driver = PiecewiseLinearPath([0.0, 0.1, 1.0], [0.0, 6.0, 6.0])
+        flow = FlowMap(logistic_source(), driver)
+        with pytest.raises(RuntimeError, match="transformed flux quadrature did not converge"):
+            transformed_shock_speed(builtin("burgers"), flow, 1.0)
+        with pytest.raises(RuntimeError, match="front position quadrature did not converge"):
+            transformed_shock_position(builtin("burgers"), flow, 1.0)
 
     def test_zero_source_front_is_source_free(self):
         flow = FlowMap(zero_source(), identity_path(1.0))
