@@ -10,8 +10,12 @@ The solution is transported along these lines; we keep J >= 1/2 on the whole
 window so the map is well-conditioned to invert.  Both steps are closed
 forms: J is affine in W, hence linear in t between path knots, so the window
 edge solves a linear equation on one segment; and the increasing forward map
-is tabulated once on the support and inverted by interpolation, then polished
-by Newton steps.  Against such local smooth solutions the scheme's output must
+is tabulated on the support and inverted by interpolation, then polished by
+Newton steps.  The inversion is batched over time: every snapshot of a window
+shares one (n_t x N_PROBE) table and one set of Newton steps over
+(n_t x n_x) points, so a window costs 5 flow evaluations whatever n_t is.  A
+table row that is not strictly increasing means characteristics crossed, and
+raises.  Against such local smooth solutions the scheme's output must
 dissipate:
 
     D(t) = int int psi(k) (u(x,t) - k - Psi(x,t))_+ dx dk
@@ -39,19 +43,27 @@ def characteristic_flow(
     path: PiecewiseLinearPath,
     flux: FluxModel,
     t0: float,
-    t: float,
+    t: float | np.ndarray,
     x0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward characteristics from (x0, t0) to time t: positions and Jacobian."""
+    """Forward characteristics from (x0, t0) to time t: positions and Jacobian.
+
+    A scalar t gives arrays shaped like x0.  A 1-D array of n_t times gives
+    one row per time: x0 is either one row shared by every time or an
+    (n_t, n) array holding each time's own points.  W(t) and W(t0) come from
+    one path evaluation.
+    """
     x0 = np.asarray(x0, dtype=float)
-    dw = path.increment(t0, t)
+    t = np.asarray(t, dtype=float)
+    w = path.eval(np.append(t, t0))
+    dw = w[:-1] - w[-1]
+    dw = dw[:, None, :] if t.ndim else dw[0]  # per-time rows broadcast against x0
     phi = datum.value(x0)
     dphi = datum.deriv(x0)
-    x = x0.astype(float, copy=True)
-    jac = np.ones_like(x0, dtype=float)
-    for wi, ch in zip(dw, flux.channels):
-        x = x + wi * ch.a(phi)
-        jac = jac + wi * ch.a_prime(phi) * dphi
+    x, jac = x0, 1.0
+    for i, ch in enumerate(flux.channels):
+        x = x + dw[..., i] * ch.a(phi)
+        jac = jac + dw[..., i] * ch.a_prime(phi) * dphi
     return x, jac
 
 
@@ -120,46 +132,55 @@ class LocalSmoothSolution:
     def window(self) -> tuple[float, float]:
         return (max(0.0, self.t0 - self.h), min(self.path.horizon, self.t0 + self.h))
 
-    def _require_inside(self, t: float) -> None:
+    def _require_inside(self, t: np.ndarray) -> None:
         lo, hi = self.window
         slack = 1e-12 * max(1.0, self.path.horizon)
-        if not lo - slack <= t <= hi + slack:
-            raise ValueError(f"time {t} outside the validity window [{lo}, {hi}]")
+        outside = ~((lo - slack <= t) & (t <= hi + slack))
+        if np.any(outside):
+            raise ValueError(f"time {t[outside][0]} outside the validity window [{lo}, {hi}]")
 
-    def transported_support(self, t: float) -> tuple[float, float]:
-        """Image of the datum support: endpoints carry phi = 0, so they shift rigidly."""
-        dw = self.path.increment(self.t0, t)
-        shift0 = float(sum(wi * ch.a(0.0) for wi, ch in zip(dw, self.flux.channels)))
-        return (self.datum.support[0] + shift0, self.datum.support[1] + shift0)
-
-    def evaluate(self, x, t: float) -> np.ndarray:
+    def evaluate(self, x, t: float | np.ndarray) -> np.ndarray:
         """Psi(x, t) = phi(x0(x, t)); zero outside the transported support.
 
-        The forward map is strictly increasing (J >= j_floor > 0), so it is
-        tabulated once on the N_PROBE points of the datum support, inverted by
-        linear interpolation, and sharpened by a few Newton steps with the
-        exact Jacobian.
+        t is one time, giving an array shaped like x, or a 1-D array of n_t
+        times, giving one row per time.  All times are inverted in one batch:
+        the forward map is tabulated on the N_PROBE points of the datum
+        support for every time at once (n_t x N_PROBE), each row is inverted
+        by linear interpolation, and 3 Newton steps with the exact Jacobian
+        plus the residual check run over all (n_t x n_x) points together, so
+        a call costs 5 characteristic_flow evaluations whatever n_t is.  The
+        table's end columns are the images of the support ends, outside which
+        Psi is zero.  A table row that is not strictly increasing means
+        characteristics have crossed and raises RuntimeError, as does a
+        residual above 1e-8 * support width.
         """
+        t = np.asarray(t, dtype=float)
         self._require_inside(t)
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        xs = x.ravel()
         s_lo, s_hi = self.datum.support
-        t_lo, t_hi = self.transported_support(t)
-        out = np.zeros_like(x)
-        inside = (x > t_lo) & (x < t_hi)
-        if not np.any(inside):
-            return out
-        xq = x[inside]
         s = np.linspace(s_lo, s_hi, N_PROBE)
-        fs, _ = characteristic_flow(self.datum, self.path, self.flux, self.t0, t, s)
-        x0 = np.interp(xq, fs, s)
-        for _ in range(3):
-            fx, jac = characteristic_flow(self.datum, self.path, self.flux, self.t0, t, x0)
-            x0 = np.clip(x0 - (fx - xq) / jac, s_lo, s_hi)
-        fx, _ = characteristic_flow(self.datum, self.path, self.flux, self.t0, t, x0)
-        if float(np.max(np.abs(fx - xq))) > 1e-8 * max(1.0, s_hi - s_lo):
-            raise RuntimeError("characteristic inversion failed inside the window")
-        out[inside] = self.datum.value(x0)
-        return out
+        times = np.atleast_1d(t)
+
+        def flow(points):
+            return characteristic_flow(self.datum, self.path, self.flux, self.t0, times, points)
+
+        fs, _ = flow(s)
+        if np.any(np.diff(fs, axis=1) <= 0.0):
+            raise RuntimeError("characteristics crossed: the forward map is not increasing")
+        inside = (xs > fs[:, :1]) & (xs < fs[:, -1:])
+        out = np.zeros(inside.shape)
+        if np.any(inside):
+            xq = np.broadcast_to(xs, inside.shape)
+            x0 = np.array([np.interp(xs, row, s) for row in fs])
+            for _ in range(3):
+                fx, jac = flow(x0)
+                x0 = np.clip(x0 - (fx - xq) / jac, s_lo, s_hi)
+            fx, _ = flow(x0)
+            if float(np.max(np.abs(fx - xq)[inside])) > 1e-8 * max(1.0, s_hi - s_lo):
+                raise RuntimeError("characteristic inversion failed inside the window")
+            out = np.where(inside, self.datum.value(x0), 0.0)
+        return out.reshape(t.shape + x.shape)
 
 
 def local_solution(
@@ -188,6 +209,7 @@ def dissipative_check(
 
     Checks D(t_{j+1}) <= D(t_j) + tol_D over the trajectory snapshots that fall
     in the validity window, with tol_D = tol_c * (dx + spacing) * (1 + sup|u0|).
+    Psi at all of those snapshots comes from one batched `evaluate` call.
     """
     sol = local_solution(datum, path, flux, t0)
     w_lo, w_hi = sol.window
@@ -206,10 +228,10 @@ def dissipative_check(
     c0 = np.concatenate([[0.0], np.cumsum(psi_k)])
     c1 = np.concatenate([[0.0], np.cumsum(k * psi_k)])
     grid = traj.grid
-    states = [traj.states[i] for i in np.flatnonzero(mask)]
+    psi = sol.evaluate(grid.centers, times)
     d_vals = np.empty(times.size)
-    for j, (tj, state) in enumerate(zip(times, states)):
-        a = state.u - sol.evaluate(grid.centers, float(tj))
+    for j, i in enumerate(np.flatnonzero(mask)):
+        a = traj.states[i].u - psi[j]
         below = np.searchsorted(k, a)
         d_vals[j] = grid.dx * dk * float(np.sum(a * c0[below] - c1[below]))
     spacing = float(np.max(np.diff(times)))

@@ -2,8 +2,10 @@
 
 One subcommand per experiment plus `suite`; every subcommand accepts
 `--config <file>` (flat key = value text), `--seed` and `--out`; a suite runs
-its members one after another.  A config that fails to load, or that an
-experiment rejects with ValueError, prints `config error: ...` and exits 2.
+its members one after another.  The clauses a report failed, each with its
+numbers, are printed as `failed:` lines under its FAIL line.  A config that
+fails to load, or that an experiment rejects with ValueError, prints
+`config error: ...` and exits 2.
 The default output root is ./runs, overridable by the ROUGH_SCL_OUT variable.
 """
 from __future__ import annotations
@@ -49,6 +51,11 @@ def _config_error(exc: Exception) -> int:
     return 2
 
 
+def _print_failed(report: dict) -> None:
+    for clause in report.get("failed_clauses", []):
+        print(f"  failed: {clause}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"seed": args.seed}
@@ -71,6 +78,7 @@ def main(argv=None) -> int:
         for name in names:
             res = summary["experiments"][name]
             print(f"{name}: {'PASS' if res['pass'] else 'FAIL'}  ({res['run_dir']})")
+            _print_failed(res["report"])
         print(f"suite: {'PASS' if summary['pass'] else 'FAIL'}  ({suite_dir})")
         return 0 if summary["pass"] else 1
     try:
@@ -79,6 +87,7 @@ def main(argv=None) -> int:
         return _config_error(exc)
     ok = report.get("pass")
     print(f"{args.command}: {'PASS' if ok else 'FAIL'}  ({run_dir})")
+    _print_failed(report)
     for key in sorted(report):
         if key in ("pass",) or isinstance(report[key], (list, dict)):
             continue

@@ -125,6 +125,10 @@ def _perturbed(path: PiecewiseLinearPath, eps: float, n_shape: int = 128) -> Pie
     return PiecewiseLinearPath(knots, values)
 
 
+def _chain(values) -> str:
+    return " -> ".join(f"{v:.3g}" for v in values)
+
+
 def _coarsen(u: np.ndarray) -> np.ndarray:
     return 0.5 * (u[0::2] + u[1::2])
 
@@ -155,6 +159,14 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
         for f, c in zip(fine.states, base.states)
     )
     richardson_ok = bool(dx_error <= errors[-1] / 10.0)
+    slope_ok = STABILITY_SLOPE[0] <= slope <= STABILITY_SLOPE[1]
+    failed = []
+    if not slope_ok:
+        failed.append(f"slope {slope:.3f} outside [{STABILITY_SLOPE[0]}, {STABILITY_SLOPE[1]}]")
+    if not monotone:
+        failed.append("errors not strictly decreasing in eps: " + _chain(errors))
+    if not richardson_ok:
+        failed.append(f"Richardson dx_error {dx_error:.2e} > errors[-1]/10 = {errors[-1] / 10.0:.2e}")
 
     write_table(run_dir, "stability.csv", "eps,error", [eps_list, errors])
     return {
@@ -165,7 +177,8 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
         "monotone": monotone,
         "dx_error": dx_error,
         "richardson_ok": richardson_ok,
-        "pass": bool(STABILITY_SLOPE[0] <= slope <= STABILITY_SLOPE[1] and monotone and richardson_ok),
+        "failed_clauses": failed,
+        "pass": bool(slope_ok and monotone and richardson_ok),
     }
 
 
@@ -193,13 +206,21 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
     levels = np.arange(lo, hi)
     write_table(run_dir, "refinement.csv", "level,solution_gap,path_gap", [levels, d, path_dist])
     decreasing = bool(np.all(np.diff(d) < 0.0))
+    quartered = bool(d[-1] <= d[0] / 4.0)
+    failed = []
+    if not decreasing:
+        rises = ", ".join(f"{levels[j]}->{levels[j + 1]}" for j in np.flatnonzero(np.diff(d) >= 0.0))
+        failed.append(f"gaps not strictly decreasing: {_chain(d)} (rise at level {rises})")
+    if not quartered:
+        failed.append(f"final/first gap {d[-1] / d[0]:.3g} > 1/4")
     return {
         "levels": levels.tolist(),
         "gaps": d.tolist(),
         "path_gaps": path_dist.tolist(),
         "strictly_decreasing": decreasing,
         "final_vs_first": float(d[-1] / d[0]),
-        "pass": bool(decreasing and d[-1] <= d[0] / 4.0),
+        "failed_clauses": failed,
+        "pass": bool(decreasing and quartered),
     }
 
 

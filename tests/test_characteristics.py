@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import rough_scl.characteristics as chars
 from rough_scl.characteristics import (
     J_FLOOR,
     N_PROBE,
@@ -58,6 +59,20 @@ class TestFlow:
         x, jac = characteristic_flow(datum, identity_path(1.0), burgers(), 0.0, 0.1, x0)
         assert np.allclose(x, 1.1 * x0)
         assert np.allclose(jac, 1.1)
+
+    @pytest.mark.parametrize("per_time_rows", [False, True])
+    def test_array_of_times_matches_per_time_calls(self, per_time_rows):
+        datum, path, flux = two_channel_case(2)
+        times = np.linspace(0.3, 0.7, 5)
+        x0 = np.linspace(-0.45, 0.45, 31)
+        if per_time_rows:
+            x0 = x0 + 0.01 * np.arange(times.size)[:, None]
+        x, jac = characteristic_flow(datum, path, flux, 0.5, times, x0)
+        assert x.shape == jac.shape == (times.size, 31)
+        for j, t in enumerate(times):
+            xj, jj = characteristic_flow(datum, path, flux, 0.5, t, x0[j] if per_time_rows else x0)
+            assert np.array_equal(x[j], xj)
+            assert np.array_equal(jac[j], jj)
 
     def test_multichannel_superposition(self):
         flux = from_spec("burgers;cubic", (-2.0, 2.0))
@@ -163,6 +178,60 @@ class TestBrownianWindow:
             assert np.allclose(sol.evaluate(x, t), datum.value(x0), rtol=0.0, atol=1e-12)
 
 
+def batch_cases():
+    """The Brownian-window paths with one and two channels, and the identity path."""
+    one = (bump_datum(0.0, 0.5, 0.3), brownian_sample(1, 1.0, 16, 1), burgers())
+    return {"brownian-1ch": one, "brownian-2ch": two_channel_case(1),
+            "identity": (bump_datum(0.0, 0.5, 0.5), identity_path(1.0), burgers())}
+
+
+class TestBatchedEvaluate:
+    T0 = 0.5
+
+    @pytest.mark.parametrize("case", ["brownian-1ch", "brownian-2ch", "identity"])
+    def test_batch_equals_stacked_scalar_calls(self, case):
+        sol = local_solution(*batch_cases()[case], self.T0)
+        lo, hi = sol.window
+        times = np.linspace(lo, hi, 17)
+        x = np.linspace(-1.0, 1.0, 400)
+        batch = sol.evaluate(x, times)
+        assert batch.shape == (17, 400)
+        assert np.count_nonzero(batch) > 0
+        assert np.array_equal(batch, np.stack([sol.evaluate(x, t) for t in times]))
+
+    def test_scalar_time_keeps_shape_of_x(self):
+        sol = local_solution(*batch_cases()["identity"], self.T0)
+        x = np.linspace(-0.6, 0.6, 24)
+        assert sol.evaluate(x, self.T0).shape == (24,)
+        grid = sol.evaluate(x.reshape(4, 6), self.T0)
+        assert grid.shape == (4, 6)
+        assert np.array_equal(grid.ravel(), sol.evaluate(x, self.T0))
+        assert sol.evaluate(x.reshape(4, 6), [self.T0]).shape == (1, 4, 6)
+
+    def test_one_time_outside_window_rejected(self):
+        sol = local_solution(*batch_cases()["brownian-2ch"], self.T0)
+        lo, hi = sol.window
+        times = np.array([lo, self.T0, hi + 0.01 * sol.h])
+        with pytest.raises(ValueError, match="outside the validity window"):
+            sol.evaluate(np.zeros(3), times)
+
+    def test_crossed_characteristics_raise(self):
+        """Past the crossing the forward table is not monotone, so np.interp cannot
+        invert it; inside the window evaluation still succeeds."""
+        datum = bump_datum(0.0, 0.5, 0.5)
+        path, flux = identity_path(3.0), FluxModel([builtin("burgers")], (-1.5, 1.5))
+        sol = LocalSmoothSolution(datum, path, flux, 0.0, 3.0)
+        h = window(datum, path, flux, 0.0)
+        x = np.linspace(-1.0, 2.5, 400)
+        for t in (1.5, 2.5):
+            with pytest.raises(RuntimeError, match="crossed"):
+                sol.evaluate(x, t)
+        with pytest.raises(RuntimeError, match="crossed"):
+            sol.evaluate(x, [0.5 * h, 1.5])
+        ok = sol.evaluate(x, np.linspace(0.0, h, 5))
+        assert np.max(ok) == pytest.approx(0.5, abs=1e-3)
+
+
 class TestLocalSolution:
     def test_forward_inverse_round_trip(self):
         datum = bump_datum(0.0, 0.5, 0.8)
@@ -195,7 +264,7 @@ class TestLocalSolution:
         datum = bump_datum(0.0, 0.5, 0.8)
         sol = local_solution(datum, identity_path(1.0), burgers(), 0.0)
         t = 0.5 * sol.h
-        lo, hi = sol.transported_support(t)
+        (lo, hi), _ = characteristic_flow(datum, sol.path, sol.flux, 0.0, t, np.array(datum.support))
         out = sol.evaluate(np.array([lo - 0.1, hi + 0.1]), t)
         assert np.array_equal(out, np.zeros(2))
 
@@ -233,6 +302,27 @@ class TestDissipative:
         rep = self.run_check(lambda x: np.where(np.abs(x) < 0.5, 1.0, 0.0), datum, weight=weight)
         assert np.allclose(rep["D"], 0.0)
         assert rep["pass"]
+
+    @pytest.mark.parametrize("n_snapshots", [17, 65])
+    def test_flow_calls_per_window_fixed(self, monkeypatch, n_snapshots):
+        """One batched inversion per window: table, 3 Newton steps, residual."""
+        calls = []
+        real = chars.characteristic_flow
+
+        def counted(*args):
+            calls.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(chars, "characteristic_flow", counted)
+        grid = Grid1D(-2.0, 2.0, 100, "periodic")
+        path = identity_path(0.5)
+        traj = solve_path(np.where(np.abs(grid.centers) < 0.5, 1.0, 0.0), burgers(), path,
+                          np.linspace(0.0, 0.5, n_snapshots), grid)
+        rep = dissipative_check(traj, bump_datum(0.5, 0.4, 0.5), bump_weight(0.0, 1.5), 0.25,
+                                burgers(), path)
+        assert len(rep["times"]) >= 4
+        assert len(calls) == 5
+        assert all(np.array_equal(t, rep["times"]) for t in calls)
 
     def test_schedule_too_coarse_rejected(self):
         grid = Grid1D(-2.0, 2.0, 100, "periodic")

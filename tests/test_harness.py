@@ -286,6 +286,24 @@ class TestCli:
         assert "solve: PASS" in out
         assert "suite: PASS" in out
 
+    @pytest.mark.parametrize("command", ["single", "suite"])
+    def test_failing_clauses_printed_under_fail_line(self, tmp_path, capsys, command):
+        """The default suite's two failing members say which clause failed, with its numbers."""
+        if command == "single":
+            code = main(["path-stability", "--out", str(tmp_path)])
+            name, clause = "path-stability", "failed: Richardson dx_error 9.78e-03 > errors[-1]/10 = 2.41e-03"
+        else:
+            code = main(["suite", "refine", "--out", str(tmp_path)])
+            name, clause = "refine", (
+                "failed: gaps not strictly decreasing: 0.166 -> 0.112 -> 0.133 -> 0.0536 -> 0.0265 "
+                "-> 0.0388 (rise at level 5->6, 8->9)"
+            )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        fail = next(i for i, line in enumerate(lines) if line.startswith(f"{name}: FAIL"))
+        assert lines[fail + 1] == f"  {clause}"
+        assert not lines[fail + 2].startswith("  failed:")
+
     def test_unknown_suite_member(self, tmp_path, capsys):
         code = main(["suite", "warp", "--out", str(tmp_path)])
         assert code == 2
