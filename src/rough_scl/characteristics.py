@@ -197,23 +197,19 @@ def local_solution(
 
 def dissipative_check(
     traj: Trajectory,
-    datum: SmoothDatum,
+    sol: LocalSmoothSolution,
     weight: Weight,
-    t0: float,
-    flux: FluxModel,
-    path: PiecewiseLinearPath,
     n_k: int = 200,
     tol_c: float = DISSIPATIVE_C,
 ) -> dict:
-    """Monotonicity of D(t) against the local smooth solution anchored at t0.
+    """Monotonicity of D(t) against the local smooth solution `sol`.
 
     Checks D(t_{j+1}) <= D(t_j) + tol_D over the trajectory snapshots that fall
     in the validity window, with tol_D = tol_c * (dx + spacing) * (1 + sup|u0|).
     Psi at all of those snapshots comes from one batched `evaluate` call.
     """
-    sol = local_solution(datum, path, flux, t0)
     w_lo, w_hi = sol.window
-    slack = 1e-12 * max(1.0, path.horizon)
+    slack = 1e-12 * max(1.0, sol.path.horizon)
     mask = (traj.times >= w_lo - slack) & (traj.times <= w_hi + slack)
     times = traj.times[mask]
     if times.size < 2:
@@ -240,7 +236,7 @@ def dissipative_check(
     increments = np.diff(d_vals)
     max_violation = float(max(0.0, increments.max())) if increments.size else 0.0
     return {
-        "t0": float(t0),
+        "t0": float(sol.t0),
         "h": float(sol.h),
         "window": [float(w_lo), float(w_hi)],
         "times": times.tolist(),

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import paths
 from .fluxes import FluxModel, from_spec
+from .smooth import bump_raw
 from .solver import Grid1D, SolverConfig
 
 # key -> (type, default, help)
@@ -139,11 +140,7 @@ def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
         if len(args) != 3:
             raise ValueError("bump takes center,width,height")
         center, width, height = map(float, args)
-        z = (x - center) / width
-        out = np.zeros_like(x)
-        inside = np.abs(z) < 1.0
-        out[inside] = height * np.exp(1.0 - 1.0 / (1.0 - z[inside] ** 2))
-        return out
+        return height * bump_raw((x - center) / width) + 0.0  # + 0.0: no -0 in the CSVs
     if name == "sign-step":
         return np.where(x < 0.0, 1.0, -1.0)
     if name == "file":

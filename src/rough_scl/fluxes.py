@@ -8,9 +8,11 @@ F(u) = sum_i c_i A_i(u); SegmentFlux packages F with the one-sided integrals
     P(u) = int_0^u max(F'(s), 0) ds,    N(u) = int_0^u min(F'(s), 0) ds,
 
 which are the building blocks of the Engquist-Osher flux and of the kinetic
-defect extraction.  Polynomial channels (the builtins) get exact closed forms
-split at the cached sign changes of F'; anything else falls back to composite
-Gauss-Legendre quadrature between the same breakpoints.
+defect extraction.  Both are split at the breakpoints, the cached sign
+changes of F'.  Polynomial channels (the builtins) take them as the real roots
+of F' and get exact closed forms; for anything else they are bracketed on a
+2001-point grid, all brackets are bisected at once down to 1e-14, and P and N
+come from composite Gauss-Legendre quadrature between them.
 `SegmentFlux.interface_flux` is the solver's one numerical-flux path, for the
 Engquist-Osher flux and the exact Godunov flux, which is right for concave and
 non-convex F too (a negative driver slope makes F concave).
@@ -22,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
-from scipy.optimize import brentq
 
 MAX_POLY_DEGREE = 8
 QUADRATURE_POINTS = 64  # Gauss-Legendre nodes per interval for non-polynomial channels
@@ -214,13 +215,17 @@ class SegmentFlux:
     # -- sign structure ----------------------------------------------------
 
     def _sampled_sign_changes(self) -> np.ndarray:
+        """Roots of F' bracketed on a 2001-point grid, bisected all at once."""
         grid = np.linspace(self._lo, self._hi, 2001)
-        dv = self.deriv(grid)
-        sgn = np.sign(dv)
-        roots = []
-        for k in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-            roots.append(brentq(lambda x: float(self.deriv(x)), grid[k], grid[k + 1], xtol=1e-14))
-        return np.asarray(roots)
+        sgn = np.sign(self.deriv(grid))
+        k = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+        a, b, side = grid[k], grid[k + 1], sgn[k]
+        mid = 0.5 * (a + b)
+        while np.any((b - a > 1e-14) & (a < mid) & (mid < b)):
+            s = np.sign(self.deriv(mid)) * side  # >= 0: the root lies right of mid
+            a, b = np.where(s >= 0, mid, a), np.where(s <= 0, mid, b)
+            mid = 0.5 * (a + b)
+        return mid
 
     def _build_tables(self) -> None:
         nodes = self._nodes

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .characteristics import dissipative_check, window
+from .characteristics import dissipative_check, local_solution
 from .config import build_datum, build_experiment, config_text, load_config
 from .fluxes import from_spec
 from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_unpr1
@@ -272,20 +272,19 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
             data.append(bump_datum(center, halfwidth, height))
         anchors = rng.uniform(0.1 * horizon, 0.9 * horizon, size=n_anchors)
         plan = [
-            (di, float(t0), window(datum, path, exp.flux, float(t0)))
+            (di, local_solution(datum, path, exp.flux, float(t0)))
             for di, datum in enumerate(data)
             for t0 in anchors
         ]
         times = [np.asarray([0.0, horizon])]
-        for _, t0, h in plan:
-            lo, hi = max(0.0, t0 - h), min(horizon, t0 + h)
-            times.append(np.linspace(lo, hi, 17))
+        for _, sol in plan:
+            times.append(np.linspace(*sol.window, 17))
         outputs = np.unique(np.concatenate(times))
         traj = solve_path(u0, exp.flux, path, outputs, exp.grid, exp.solver)
         u_inf = float(np.max(np.abs(u0)))
         weight = bump_weight(0.0, u_inf + 1.0)
-        for di, t0, h in plan:
-            rep = dissipative_check(traj, data[di], weight, t0, exp.flux, path)
+        for di, sol in plan:
+            rep = dissipative_check(traj, sol, weight)
             rep["seed"] = int(cfg["seed"]) + i
             rep["datum_index"] = di
             windows.append(rep)

@@ -22,7 +22,7 @@ the transported-kernel formulation of the solution concept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -149,17 +149,6 @@ def _right(a: np.ndarray, bc: str) -> np.ndarray:
     return np.concatenate([a[1:], a[-1:]])
 
 
-def _xi_tables(fseg: SegmentFlux, xi: XiGrid) -> tuple[np.ndarray, np.ndarray]:
-    cache = getattr(fseg, "_kinetic_xi_tables", None)
-    if cache is None:
-        cache = {}
-        fseg._kinetic_xi_tables = cache
-    if xi not in cache:
-        xc = xi.centers
-        cache[xi] = (fseg.pos_integral(xc), fseg.neg_integral(xc))
-    return cache[xi]
-
-
 @dataclass
 class DefectField:
     """Entropy defect rate m(x, xi) >= 0 for one time slab [t0, t0 + duration].
@@ -224,9 +213,9 @@ def defect_from_slab(
     grid, xi = chi0.grid, chi0.xi
     if fseg is None:
         fseg = segment_flux(flux, c)
-    p_xi, n_xi = _xi_tables(fseg, xi)
     u0, u1 = chi0.u, chi1.u
     xc = xi.centers
+    p_xi, n_xi = fseg.pos_integral(xc), fseg.neg_integral(xc)
 
     x0 = _chi_cumulative(u0, xc)
     x1 = _chi_cumulative(u1, xc)
@@ -259,7 +248,8 @@ def _below_sums(cells: np.ndarray, weights: np.ndarray, n_cells: int, n_xi: int)
 
 
 def _reporting_defect(
-    grid: Grid1D, xi: XiGrid, t0: float, steps: list[Slab], fsegs: list[SegmentFlux]
+    grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab], fsegs: Sequence[SegmentFlux],
+    xi_tables: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> DefectField:
     """The dt-weighted mean of `defect_from_slab` over consecutive solver steps.
 
@@ -279,7 +269,8 @@ def _reporting_defect(
     conservation residual (summed step by step, keeping its per-step
     cancellation), m equals that residual exactly where every value lies
     below xi.  Each cell switches from the first form to the second above its
-    end value, which lies inside its stencil's range.
+    end value, which lies inside its stencil's range.  `xi_tables` holds, per
+    step, its slope's (P, N) at the xi centres.
     """
     xc = xi.centers
     bc, n = grid.bc, grid.n_cells
@@ -296,7 +287,7 @@ def _reporting_defect(
         cons += ((u1 - u0) + dt * (flux_div / grid.dx)).sum(axis=1)
         cells = (np.searchsorted(xc, u0, side="right") + offsets).ravel()
         sums_w = _below_sums(cells, np.broadcast_to(dt, u0.shape), n, xi.n)
-        tables = zip(_xi_tables(fseg, xi), (p_u, n_u), (under_p, under_n), (over_p, over_n))
+        tables = zip(xi_tables[start], (p_u, n_u), (under_p, under_n), (over_p, over_n))
         for g_xi, g_u, under, over in tables:
             sums_g = _below_sums(cells, dt * g_u, n, xi.n)
             under += sums_g[:, :-1] - g_xi * sums_w[:, :-1]
@@ -344,19 +335,20 @@ def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[De
     edges = traj.times
     mids = np.array([s.t0 + 0.5 * s.dt for s in slabs])
     ks = (np.searchsorted(edges, mids) - 1).tolist()
-    fseg_cache: dict[bytes, SegmentFlux] = {}
-    fsegs = []
+    fseg_cache: dict[bytes, tuple[SegmentFlux, tuple[np.ndarray, np.ndarray]]] = {}
     for s in slabs:
         key = s.c.tobytes()
         if key not in fseg_cache:
-            fseg_cache[key] = segment_flux(flux, s.c)
-        fsegs.append(fseg_cache[key])
+            fseg = segment_flux(flux, s.c)
+            fseg_cache[key] = (fseg, (fseg.pos_integral(xi.centers), fseg.neg_integral(xi.centers)))
+    fsegs, xi_tables = zip(*(fseg_cache[s.c.tobytes()] for s in slabs))
     out = []
     for start, stop in _runs(ks):
         k = ks[start]
         if 0 <= k < edges.size - 1:
             out.append(_reporting_defect(
-                traj.grid, xi, float(edges[k]), slabs[start:stop], fsegs[start:stop]
+                traj.grid, xi, float(edges[k]), slabs[start:stop], fsegs[start:stop],
+                xi_tables[start:stop],
             ))
     return out
 

@@ -285,7 +285,7 @@ class TestDissipative:
         traj = solve_path(u0, flux, path, times, grid)
         if weight is None:
             weight = bump_weight(0.0, 1.5)
-        return dissipative_check(traj, datum, weight, t0, flux, path)
+        return dissipative_check(traj, local_solution(datum, path, flux, t0), weight)
 
     def test_shock_data_passes(self):
         datum = bump_datum(0.5, 0.4, 0.5)
@@ -318,8 +318,8 @@ class TestDissipative:
         path = identity_path(0.5)
         traj = solve_path(np.where(np.abs(grid.centers) < 0.5, 1.0, 0.0), burgers(), path,
                           np.linspace(0.0, 0.5, n_snapshots), grid)
-        rep = dissipative_check(traj, bump_datum(0.5, 0.4, 0.5), bump_weight(0.0, 1.5), 0.25,
-                                burgers(), path)
+        sol = local_solution(bump_datum(0.5, 0.4, 0.5), path, burgers(), 0.25)
+        rep = dissipative_check(traj, sol, bump_weight(0.0, 1.5))
         assert len(rep["times"]) >= 4
         assert len(calls) == 5
         assert all(np.array_equal(t, rep["times"]) for t in calls)
@@ -332,4 +332,4 @@ class TestDissipative:
         traj = solve_path(u0, flux, path, [0.0, 0.5], grid)
         datum = bump_datum(0.5, 0.3, 1.2)
         with pytest.raises(ValueError, match="snapshots inside"):
-            dissipative_check(traj, datum, bump_weight(0.0, 1.5), 0.25, flux, path)
+            dissipative_check(traj, local_solution(datum, path, flux, 0.25), bump_weight(0.0, 1.5))

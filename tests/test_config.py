@@ -11,6 +11,7 @@ from rough_scl.config import (
     load_config,
     parse_config_text,
 )
+from rough_scl.smooth import bump_raw
 from rough_scl.solver import Grid1D
 
 
@@ -77,6 +78,13 @@ class TestDatumBuilders:
         assert u.max() <= 1.0
         assert u[0] == 0.0 and u[-1] == 0.0
         assert u[np.abs(self.grid.centers) < 0.4].min() > 0.0
+
+    def test_negative_bump_is_bump_raw_without_negative_zeros(self):
+        grid = Grid1D(-2.0, 2.0, 64, "periodic")
+        u = build_datum("bump:-0.2,0.55,-1.3", grid)
+        assert np.array_equal(u, -1.3 * bump_raw((grid.centers + 0.2) / 0.55))
+        assert not np.any(np.signbit(u) & (u == 0.0))
+        assert np.any(u == 0.0) and np.all(u <= 0.0)
 
     def test_sign_step(self):
         u = build_datum("sign-step", self.grid)

@@ -233,6 +233,38 @@ class TestNonPolynomialFallback:
         assert np.allclose(total, np.sin(u), atol=1e-9)
 
 
+def sine3_model():
+    # A(u) = sin(3u)/3: a = cos(3u) with sign changes at +-pi/6, +-pi/2, +-5pi/6
+    ch = Channel("sine3", lambda u: np.sin(3.0 * u) / 3.0, lambda u: np.cos(3.0 * u),
+                 lambda u: -3.0 * np.sin(3.0 * u), None)
+    return FluxModel([ch], (-3.0, 3.0))
+
+
+class TestSampledBreakpoints:
+    """Non-polynomial breakpoints come from one vectorised bisection."""
+
+    @pytest.mark.parametrize("c", [1.0, -0.7])
+    @pytest.mark.parametrize("model, roots", [
+        (sine_model, [-0.5, 0.5]),
+        (sine3_model, [-5.0 / 6.0, -0.5, -1.0 / 6.0, 1.0 / 6.0, 0.5, 5.0 / 6.0]),
+    ])
+    def test_exact_roots(self, model, roots, c):
+        fs = segment_flux(model(), [c])
+        assert fs.breakpoints.shape == (len(roots),)
+        assert np.max(np.abs(fs.breakpoints - np.pi * np.array(roots))) <= 1e-14
+
+    @pytest.mark.parametrize("c", [1.0, -0.7])
+    def test_monotone_channel_has_none(self, c):
+        # A(u) = u + sin(u)/2: a = 1 + cos(u)/2 >= 1/2, so F' = c a never changes sign
+        ch = Channel("monotone", lambda u: u + 0.5 * np.sin(u), lambda u: 1.0 + 0.5 * np.cos(u),
+                     lambda u: -0.5 * np.sin(u), None)
+        fs = segment_flux(FluxModel([ch], (-3.0, 3.0)), [c])
+        assert fs.breakpoints.shape == (0,)
+        u = np.linspace(-3.0, 3.0, 13)
+        one_sided = fs.pos_integral(u) if c > 0 else fs.neg_integral(u)
+        assert np.allclose(one_sided, c * (u + 0.5 * np.sin(u)), rtol=0.0, atol=1e-12)
+
+
 class TestReparametrization:
     def test_doubling_slope_doubles_flux_split(self):
         flux = from_spec("burgers;cubic", (-2.0, 2.0))

@@ -1,10 +1,15 @@
 """Experiment harness: run functions, manifests, suite, and the CLI."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rough_scl
 from rough_scl.cli import main
 from rough_scl.config import load_config
 from rough_scl.harness import (
@@ -303,6 +308,18 @@ class TestCli:
         fail = next(i for i, line in enumerate(lines) if line.startswith(f"{name}: FAIL"))
         assert lines[fail + 1] == f"  {clause}"
         assert not lines[fail + 2].startswith("  failed:")
+
+    def test_package_imports_no_scipy(self):
+        """The runtime is numpy-only: importing the package and its CLI loads no scipy module."""
+        src = str(Path(rough_scl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = (
+            "import sys, rough_scl, rough_scl.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
     def test_unknown_suite_member(self, tmp_path, capsys):
         code = main(["suite", "warp", "--out", str(tmp_path)])

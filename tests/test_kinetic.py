@@ -20,7 +20,7 @@ from rough_scl.kinetic import (
     xi_lipschitz_increments,
 )
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
-from rough_scl.smooth import bump_weight
+from rough_scl.smooth import bump_integral, bump_weight
 from rough_scl.solver import CellState, Grid1D, SolverConfig, solve_path
 
 
@@ -320,6 +320,10 @@ class TestKernel:
         zz = np.linspace(-0.2, 0.2, 11)
         fd = (k.rho(zz + h) - k.rho(zz - h)) / (2 * h)
         assert np.allclose(k.drho(zz), fd, atol=1e-4)
+
+    def test_bump_mass_from_fixed_rule(self):
+        # reference: tight adaptive quadrature of B on (-1, 1)
+        assert bump_integral() == pytest.approx(1.2069003224378765, rel=1e-14, abs=0.0)
 
     def test_transport_shift_zero_path(self):
         flux = burgers()
