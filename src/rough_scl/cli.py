@@ -4,8 +4,8 @@ One subcommand per experiment plus `suite`; every subcommand accepts
 `--config <file>` (flat key = value text), `--seed` and `--out`; a suite runs
 its members one after another.  The clauses a report failed, each with its
 numbers, are printed as `failed:` lines under its FAIL line.  A config that
-fails to load, or that an experiment rejects with ValueError, prints
-`config error: ...` and exits 2.
+fails to load, that an experiment rejects with ValueError, or that names a
+datum or path file that cannot be read prints `config error: ...` and exits 2.
 The default output root is ./runs, overridable by the ROUGH_SCL_OUT variable.
 """
 from __future__ import annotations
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
             return 2
         try:
             suite_dir, summary = run_suite(names, cfg, args.out)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             return _config_error(exc)
         for name in names:
             res = summary["experiments"][name]
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
         return 0 if summary["pass"] else 1
     try:
         run_dir, report = execute(args.command, cfg, args.out)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _config_error(exc)
     ok = report.get("pass")
     print(f"{args.command}: {'PASS' if ok else 'FAIL'}  ({run_dir})")

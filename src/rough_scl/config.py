@@ -126,6 +126,12 @@ def _spec_args(spec: str) -> tuple[str, list[str]]:
     return name.strip().lower(), args
 
 
+def _file_arg(args: list[str]) -> str:
+    if len(args) != 1 or not args[0]:
+        raise ValueError("file takes one csv path, without commas")
+    return args[0]
+
+
 def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
     """Cell-center samples of a named initial datum."""
     name, args = _spec_args(spec)
@@ -144,9 +150,11 @@ def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
     if name == "sign-step":
         return np.where(x < 0.0, 1.0, -1.0)
     if name == "file":
-        data = np.loadtxt(args[0], delimiter=",", skiprows=1)
+        data = np.loadtxt(_file_arg(args), delimiter=",", skiprows=1, ndmin=2)
         if data.shape[0] != grid.n_cells:
             raise ValueError(f"table has {data.shape[0]} rows, grid has {grid.n_cells} cells")
+        if data.shape[1] < 2:
+            raise ValueError(f"table has {data.shape[1]} column, want x,u")
         return np.asarray(data[:, 1], dtype=float)
     raise ValueError(f"unknown datum spec {spec!r}")
 
@@ -175,7 +183,7 @@ def build_path(
         knots = np.linspace(0.0, horizon, n_seg + 1)
         return paths.PiecewiseLinearPath(knots, knots**p)
     if name == "file":
-        with open(args[0], "r", encoding="utf-8") as fp:
+        with open(_file_arg(args), "r", encoding="utf-8") as fp:
             path = paths.read_csv(fp)
         if path.n_channels != n_channels:
             raise ValueError(f"path file has {path.n_channels} channels, need {n_channels}")

@@ -84,26 +84,15 @@ def bump_weight(center: float, halfwidth: float, height: float = 1.0) -> Weight:
 
 @dataclass(frozen=True)
 class SmoothDatum:
-    """Smooth initial datum with closed-form derivative; zero outside support."""
+    """Smooth initial datum phi with its closed-form derivative; phi vanishes
+    outside `support`, the interval on which the characteristics probe it."""
 
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
-    sup: float
-    sup_deriv: float
 
 
 def bump_datum(center: float, halfwidth: float, height: float) -> SmoothDatum:
+    """height * B((x - center)/halfwidth) as a datum."""
     w = bump_weight(center, halfwidth, height)
-    # max |B'| = sup over (-1,1); attained near |z| ~ 0.486, value ~ 1.1638
-    grid = np.linspace(-1.0, 1.0, 20001)
-    sup_d = abs(height) * float(np.max(np.abs(bump_raw_deriv(grid)))) / halfwidth
-    return SmoothDatum(w.value, w.deriv, w.support, abs(height), sup_d)
-
-
-def datum_from_callables(value, deriv, support, n_probe: int = 4001) -> SmoothDatum:
-    grid = np.linspace(support[0], support[1], n_probe)
-    return SmoothDatum(
-        value, deriv, (float(support[0]), float(support[1])),
-        float(np.max(np.abs(value(grid)))), float(np.max(np.abs(deriv(grid)))),
-    )
+    return SmoothDatum(w.value, w.deriv, w.support)

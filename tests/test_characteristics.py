@@ -14,7 +14,7 @@ from rough_scl.characteristics import (
 )
 from rough_scl.fluxes import FluxModel, builtin, from_spec
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path, tent_path
-from rough_scl.smooth import bump_datum, bump_weight, datum_from_callables
+from rough_scl.smooth import SmoothDatum, bump_datum, bump_weight
 from rough_scl.solver import Grid1D, SolverConfig, solve_path
 
 
@@ -25,7 +25,7 @@ def burgers(rng=(-2.0, 2.0)):
 def linear_datum(slope=0.1, lo=-1.0, hi=1.0):
     """phi(x) = slope * x on [lo, hi]; not compactly supported, used only
     where the flow is probed strictly inside the support."""
-    return datum_from_callables(
+    return SmoothDatum(
         lambda x: slope * np.asarray(x, dtype=float),
         lambda x: slope * np.ones_like(np.asarray(x, dtype=float)),
         (lo, hi),
@@ -42,7 +42,7 @@ class TestFlow:
 
     def test_plateau_translates_rigidly(self):
         """Constant datum: a(phi) is constant, so x = x0 + a(c) dW and J = 1."""
-        datum = datum_from_callables(
+        datum = SmoothDatum(
             lambda x: 0.5 * np.ones_like(np.asarray(x, dtype=float)),
             lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             (-1.0, 1.0),
@@ -88,7 +88,7 @@ class TestFlow:
 
 class TestWindow:
     def test_flat_datum_gives_full_horizon(self):
-        datum = datum_from_callables(
+        datum = SmoothDatum(
             lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             (-1.0, 1.0),
@@ -103,10 +103,13 @@ class TestWindow:
 
     def test_burgers_linear_clock_oracle(self):
         """For W(t) = t the Jacobian 1 + (t - t0) (a'∘phi) phi' first hits 1/2
-        at h = 1 / (2 max phi'), exactly where phi' is most negative."""
+        at h = 1 / (2 max |phi'|), exactly where phi' is most negative.  For
+        B(z) = exp(1 - 1/(1 - z^2)), max |B'| sits at z = 3^(-1/4)."""
         datum = bump_datum(0.0, 0.5, 1.0)
         h = window(datum, identity_path(2.0), burgers(), 0.0, j_floor=0.5)
-        expected = 0.5 / datum.sup_deriv
+        z = 3.0 ** -0.25
+        sup_deriv = 2.0 * z / (1.0 - z * z) ** 2 * np.exp(1.0 - 1.0 / (1.0 - z * z)) / 0.5
+        expected = 0.5 / sup_deriv
         assert h == pytest.approx(expected, rel=1e-3)
 
     def test_window_shrinks_with_steeper_data(self):

@@ -100,6 +100,24 @@ class TestDatumBuilders:
         with pytest.raises(ValueError, match="rows"):
             build_datum(f"file:{f}", bad)
 
+    @pytest.mark.parametrize("n_cells", [2, 3])
+    def test_one_row_file_counts_one_row(self, tmp_path, n_cells):
+        f = tmp_path / "u.csv"
+        f.write_text("x,u\n0.0,0.5\n")
+        with pytest.raises(ValueError, match="table has 1 rows"):
+            build_datum(f"file:{f}", Grid1D(-1.0, 1.0, n_cells, "periodic"))
+
+    def test_one_column_file_rejected(self, tmp_path):
+        f = tmp_path / "u.csv"
+        f.write_text("u\n0.1\n0.2\n")
+        with pytest.raises(ValueError, match="1 column"):
+            build_datum(f"file:{f}", Grid1D(-1.0, 1.0, 2, "periodic"))
+
+    @pytest.mark.parametrize("spec", ["file", "file:", "file:a,b.csv"])
+    def test_file_needs_one_path(self, spec):
+        with pytest.raises(ValueError, match="one csv path"):
+            build_datum(spec, self.grid)
+
     def test_unknown(self):
         with pytest.raises(ValueError, match="datum spec"):
             build_datum("tophat:1", self.grid)
@@ -134,6 +152,11 @@ class TestPathBuilders:
         assert p.eval(1.0)[0] == pytest.approx(0.5)
         with pytest.raises(ValueError, match="channels"):
             build_path(f"file:{f}", 0, 1.0, 2)
+
+    @pytest.mark.parametrize("spec", ["file", "file:", "file:a,b.csv"])
+    def test_file_needs_one_path(self, spec):
+        with pytest.raises(ValueError, match="one csv path"):
+            build_path(spec, 0, 1.0, 1)
 
     def test_unknown(self):
         with pytest.raises(ValueError, match="path spec"):

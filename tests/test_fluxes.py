@@ -1,5 +1,6 @@
 """Flux channels, certified bounds, and exact one-sided integrals."""
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,16 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="degree"):
             builtin("poly:" + ",".join(["1"] * 12))
 
+    def test_callable_channel_rejected(self):
+        """A channel is a name and ascending coefficients, nothing else."""
+        with pytest.raises(TypeError):
+            Channel("x", np.sin, np.cos, lambda u: -np.sin(u))
+
+    @pytest.mark.parametrize("coeffs", [[], [[0.0, 0.5]], np.ones(10)], ids=["empty", "2-D", "degree-9"])
+    def test_bad_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="coefficients|degree"):
+            Channel("x", coeffs)
+
 
 class TestFromSpec:
     def test_semicolon_separated(self):
@@ -80,11 +91,6 @@ class TestCertifiedBounds:
         # a(u) = u - u^3/3 from A = u^2/2 - u^4/12 has extrema at u = +-1
         flux = FluxModel([builtin("poly:0,0,0.5,0,-1/12".replace("1/12", str(1 / 12)))], (-2.0, 2.0))
         assert flux.lip_a[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
-
-    def test_derivative_mismatch_rejected(self):
-        bad = Channel("bad", lambda u: u**2, lambda u: u, lambda u: 0.0 * u + 2.0, None)
-        with pytest.raises(ValueError, match="does not match"):
-            FluxModel([bad], (-1.0, 1.0))
 
 
 class TestSegmentFluxExact:
@@ -178,9 +184,10 @@ class TestSegmentFluxExact:
             assert pair_flux(fs, r, h, scheme)[0] <= pair_flux(fs, r, l, scheme)[0] + 1e-12
 
 
-def sine_model():
-    # A(u) = sin(u): a = cos(u) with sign changes at +-pi/2
-    ch = Channel("sine", np.sin, np.cos, lambda u: -np.sin(u), None)
+def taylor_sine_model():
+    # degree-5 Taylor polynomial of sin u: F' = 1 - u^2/2 + u^4/24 changes
+    # sign at u = +-1.593 inside (-3, 3), so F is neither convex nor concave
+    ch = Channel("taylor-sine", [0.0, 1.0, 0.0, -1.0 / 6.0, 0.0, 1.0 / 120.0])
     return FluxModel([ch], (-3.0, 3.0))
 
 
@@ -193,8 +200,8 @@ class TestExactGodunov:
         (from_spec("burgers;cubic", (-2.0, 2.0)), [0.6, -0.5]),
         (from_spec("burgers;cubic", (-2.0, 2.0)), [-1.0, -0.3]),
         (burgers_model(), [-1.0]),
-        (sine_model(), [1.0]),
-        (sine_model(), [-0.7]),
+        (taylor_sine_model(), [1.0]),
+        (taylor_sine_model(), [-0.7]),
     ])
     def test_matches_brute_force_extremum(self, flux, c):
         fs = segment_flux(flux, c)
@@ -211,58 +218,29 @@ class TestExactGodunov:
         assert np.allclose(g, brute, rtol=0.0, atol=1e-6)
 
 
-class TestNonPolynomialFallback:
-    def build(self):
-        return sine_model()
-
-    def test_quadrature_matches_closed_form(self):
-        fs = segment_flux(self.build(), [1.0])
-        u = np.linspace(-3.0, 3.0, 25)
-        # P(u) for cos^+: piecewise sin clipped at the sign changes
-        def pos_exact(x):
-            pts = np.linspace(0.0, x, 4001)
-            return np.trapezoid(np.maximum(np.cos(pts), 0.0), pts)
-
-        exact = np.array([pos_exact(x) for x in u])
-        assert np.allclose(fs.pos_integral(u), exact, atol=5e-7)
-
-    def test_split_reassembles(self):
-        fs = segment_flux(self.build(), [1.0])
-        u = np.linspace(-2.9, 2.9, 31)
-        total = fs.pos_integral(u) + fs.neg_integral(u)
-        assert np.allclose(total, np.sin(u), atol=1e-9)
-
-
-def sine3_model():
-    # A(u) = sin(3u)/3: a = cos(3u) with sign changes at +-pi/6, +-pi/2, +-5pi/6
-    ch = Channel("sine3", lambda u: np.sin(3.0 * u) / 3.0, lambda u: np.cos(3.0 * u),
-                 lambda u: -3.0 * np.sin(3.0 * u), None)
-    return FluxModel([ch], (-3.0, 3.0))
+SIX_ROOTS = np.pi * np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]) / 6.0
 
 
 class TestSampledBreakpoints:
-    """Non-polynomial breakpoints come from one vectorised bisection."""
+    """Breakpoints are the real roots of F' inside hull(u_range, 0)."""
 
     @pytest.mark.parametrize("c", [1.0, -0.7])
-    @pytest.mark.parametrize("model, roots", [
-        (sine_model, [-0.5, 0.5]),
-        (sine3_model, [-5.0 / 6.0, -0.5, -1.0 / 6.0, 1.0 / 6.0, 0.5, 5.0 / 6.0]),
-    ])
-    def test_exact_roots(self, model, roots, c):
-        fs = segment_flux(model(), [c])
-        assert fs.breakpoints.shape == (len(roots),)
-        assert np.max(np.abs(fs.breakpoints - np.pi * np.array(roots))) <= 1e-14
+    def test_exact_roots(self, c):
+        # degree-7 A with A' vanishing at +-pi/6, +-pi/2, +-5pi/6
+        ch = Channel("six-roots", npp.polyint(npp.polyfromroots(SIX_ROOTS)))
+        fs = segment_flux(FluxModel([ch], (-3.0, 3.0)), [c])
+        assert fs.breakpoints.shape == (6,)
+        assert np.max(np.abs(fs.breakpoints - SIX_ROOTS)) <= 1e-14
 
     @pytest.mark.parametrize("c", [1.0, -0.7])
     def test_monotone_channel_has_none(self, c):
-        # A(u) = u + sin(u)/2: a = 1 + cos(u)/2 >= 1/2, so F' = c a never changes sign
-        ch = Channel("monotone", lambda u: u + 0.5 * np.sin(u), lambda u: 1.0 + 0.5 * np.cos(u),
-                     lambda u: -0.5 * np.sin(u), None)
+        # A(u) = u + u^3/3: F' = c (1 + u^2) never changes sign
+        ch = Channel("monotone", [0.0, 1.0, 0.0, 1.0 / 3.0])
         fs = segment_flux(FluxModel([ch], (-3.0, 3.0)), [c])
         assert fs.breakpoints.shape == (0,)
         u = np.linspace(-3.0, 3.0, 13)
         one_sided = fs.pos_integral(u) if c > 0 else fs.neg_integral(u)
-        assert np.allclose(one_sided, c * (u + 0.5 * np.sin(u)), rtol=0.0, atol=1e-12)
+        assert np.allclose(one_sided, c * (u + u**3 / 3.0), rtol=0.0, atol=1e-12)
 
 
 class TestReparametrization:

@@ -344,6 +344,21 @@ class TestCli:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["single", "suite"])
+    @pytest.mark.parametrize("key", ["datum", "path"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, command, key):
+        """A datum or path file that is not there is a config error, not a traceback."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = file:{tmp_path / 'absent.csv'}\n")
+        out = tmp_path / "out"
+        argv = ["solve"] if command == "single" else ["suite", "solve"]
+        code = main(argv + ["--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert "absent.csv" in err
+        assert list(out.iterdir()) == []
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("n_cols = 7\n")
