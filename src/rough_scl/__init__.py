@@ -35,14 +35,12 @@ from .solver import (
     step,
 )
 from .kinetic import (
-    ChiField,
     DefectField,
     KernelRho,
     XiGrid,
     accumulate_defects,
     check_kf_bounds,
     check_unpr1,
-    chi_from_state,
     default_kernel,
     defect_from_slab,
     definition_residual,

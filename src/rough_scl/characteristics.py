@@ -36,6 +36,7 @@ from .solver import Trajectory
 J_FLOOR = 0.5
 DISSIPATIVE_C = 4.0  # tol_D = C * (dx + snapshot spacing) * (1 + sup|u0|)
 N_PROBE = 1000  # support points where J is checked and the forward map is tabulated
+N_K = 200  # midpoint-rule levels k over the dissipative weight's support
 
 
 def characteristic_flow(
@@ -73,12 +74,11 @@ def window(
     flux: FluxModel,
     t0: float,
     j_floor: float = J_FLOOR,
-    h_max: float | None = None,
 ) -> float:
-    """Largest h <= h_max with J >= j_floor on the support for t in the window.
+    """Largest h with J >= j_floor on the support for t in the window.
 
     The window (t0 - h, t0 + h) is always intersected with the path domain
-    [0, T], so h_max defaults to the larger one-sided horizon max(t0, T - t0).
+    [0, T], so h is at most the larger one-sided horizon max(t0, T - t0).
     J is checked on N_PROBE points of the support.  It is affine in W, hence
     linear in t between path knots, so each side's edge has a closed form:
     walk the knots outward from t0 to the first one where min J < j_floor; on
@@ -87,10 +87,6 @@ def window(
     horizon = path.horizon
     if not 0.0 <= t0 <= horizon:
         raise ValueError(f"anchor {t0} outside the path domain [0, {horizon}]")
-    if h_max is None:
-        h_max = max(t0, horizon - t0)
-    if h_max <= 0:
-        raise ValueError("h_max must be positive")
     if path.n_channels != flux.n_channels:
         raise ValueError("path and flux channel counts differ")
     x0 = np.linspace(datum.support[0], datum.support[1], N_PROBE)
@@ -98,7 +94,7 @@ def window(
     dphi = datum.deriv(x0)
     g = np.array([ch.a_prime(phi) * dphi for ch in flux.channels])
     w0 = path.eval(t0)
-    h = h_max
+    h = max(t0, horizon - t0)
     for side in (path.knots[path.knots > t0], path.knots[path.knots < t0][::-1]):
         times = np.concatenate([[t0], side])
         jac = 1.0 + (path.eval(times) - w0) @ g  # J at t0, then at each knot outward
@@ -189,9 +185,8 @@ def local_solution(
     flux: FluxModel,
     t0: float,
     j_floor: float = J_FLOOR,
-    h_max: float | None = None,
 ) -> LocalSmoothSolution:
-    h = window(datum, path, flux, t0, j_floor=j_floor, h_max=h_max)
+    h = window(datum, path, flux, t0, j_floor=j_floor)
     return LocalSmoothSolution(datum, path, flux, t0, h)
 
 
@@ -199,13 +194,11 @@ def dissipative_check(
     traj: Trajectory,
     sol: LocalSmoothSolution,
     weight: Weight,
-    n_k: int = 200,
-    tol_c: float = DISSIPATIVE_C,
 ) -> dict:
     """Monotonicity of D(t) against the local smooth solution `sol`.
 
     Checks D(t_{j+1}) <= D(t_j) + tol_D over the trajectory snapshots that fall
-    in the validity window, with tol_D = tol_c * (dx + spacing) * (1 + sup|u0|).
+    in the validity window, with tol_D = DISSIPATIVE_C * (dx + spacing) * (1 + sup|u0|).
     Psi at all of those snapshots comes from one batched `evaluate` call.
     """
     w_lo, w_hi = sol.window
@@ -217,8 +210,8 @@ def dissipative_check(
             f"only {times.size} snapshots inside the window [{w_lo}, {w_hi}]; refine the schedule"
         )
     k_lo, k_hi = weight.support
-    dk = (k_hi - k_lo) / n_k
-    k = k_lo + (np.arange(n_k) + 0.5) * dk
+    dk = (k_hi - k_lo) / N_K
+    k = k_lo + (np.arange(N_K) + 0.5) * dk
     psi_k = weight.value(k)
     # sum_k psi_k (a - k)_+ = a C0(a) - C1(a), C0 and C1 the sums of psi_k and k psi_k over k < a
     c0 = np.concatenate([[0.0], np.cumsum(psi_k)])
@@ -232,7 +225,7 @@ def dissipative_check(
         d_vals[j] = grid.dx * dk * float(np.sum(a * c0[below] - c1[below]))
     spacing = float(np.max(np.diff(times)))
     u0_inf = float(np.max(np.abs(traj.states[0].u)))
-    tol_d = tol_c * (grid.dx + spacing) * (1.0 + u0_inf)
+    tol_d = DISSIPATIVE_C * (grid.dx + spacing) * (1.0 + u0_inf)
     increments = np.diff(d_vals)
     max_violation = float(max(0.0, increments.max())) if increments.size else 0.0
     return {

@@ -155,6 +155,9 @@ def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
             raise ValueError(f"table has {data.shape[0]} rows, grid has {grid.n_cells} cells")
         if data.shape[1] < 2:
             raise ValueError(f"table has {data.shape[1]} column, want x,u")
+        offset = float(np.max(np.abs(data[:, 0] - x)))
+        if not offset <= 1e-9 * grid.dx:
+            raise ValueError(f"table x column is off the grid centres by up to {offset:.3g}")
         return np.asarray(data[:, 1], dtype=float)
     raise ValueError(f"unknown datum spec {spec!r}")
 

@@ -34,6 +34,7 @@ from .paths import (
     write_csv,
 )
 from .semilinear import (
+    MISMATCH_DOMAIN,
     FlowMap,
     linear_source,
     logistic_source,
@@ -334,7 +335,7 @@ def run_semilinear_demo(cfg: dict, run_dir: Path) -> dict:
     flow = FlowMap(source, identity_path(horizon))
     speed_end = transformed_shock_speed(flux.channels[0], flow, horizon)
     last = rows[-1]
-    dx = 2.0 / n_cells
+    dx = (MISMATCH_DOMAIN[1] - MISMATCH_DOMAIN[0]) / n_cells
     report = {
         "source": source.name,
         "speed_at_horizon": float(speed_end),

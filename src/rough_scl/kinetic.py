@@ -7,17 +7,20 @@ of the projection is the nonnegative measure m in
 
     d chi + F'(xi) chi_x dt = m_xi dt.
 
-`defect_from_slab` extracts m for one solver step in closed form (the
-cumulative integrals of chi and of the one-sided flux derivatives are exact,
-sub-cell, so m >= 0 holds to roundoff and the conservation residual at the top
-of the xi range telescopes to machine zero).  `accumulate_defects` returns the
-same m averaged over each reporting slab without forming it per step: the
-chi part telescopes to the slab's end states, and the transport part depends
-on each cell value only through where it sits among the xi centres and its
-one-sided flux integrals, so per-cell occupation times (histograms of dt and
-of dt * P(u), dt * N(u) over the xi bins) and their cumulative sums give it
-exactly.  The module then checks the a priori bounds, the L1 identity, and
-the transported-kernel formulation of the solution concept.
+`defect_from_slab` extracts m in closed form from one `Slab`, the step record
+the solver emits (t0, dt, slope c, states u0 and u1): the cumulative integrals
+of chi and of the one-sided flux derivatives are exact, sub-cell, so m >= 0
+holds to roundoff and the conservation residual at the top of the xi range
+telescopes to machine zero.  Neighbour differences take the solver's ghost
+cells from `Grid1D.pad`, so both layers apply one boundary rule.
+`accumulate_defects` returns the same m averaged over each reporting slab
+without forming it per step: the chi part telescopes to the slab's end
+states, and the transport part depends on each cell value only through where
+it sits among the xi centres and its one-sided flux integrals, so per-cell
+occupation times (histograms of dt and of dt * P(u), dt * N(u) over the xi
+bins) and their cumulative sums give it exactly.  The module then checks the
+a priori bounds, the L1 identity, and the transported-kernel formulation of
+the solution concept.
 """
 from __future__ import annotations
 
@@ -75,33 +78,6 @@ def _check_xi_covers(xi: XiGrid, u_inf: float) -> None:
         )
 
 
-class ChiField:
-    """chi of a cell state on a xi grid; keeps the source values for exact integrals."""
-
-    def __init__(self, grid: Grid1D, xi: XiGrid, u: np.ndarray, t: float) -> None:
-        u = np.asarray(u, dtype=float)
-        _check_xi_covers(xi, float(np.max(np.abs(u))) if u.size else 0.0)
-        self.grid = grid
-        self.xi = xi
-        self.u = u
-        self.t = float(t)
-        self._values: np.ndarray | None = None
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = chi_values(self.u, self.xi.centers)
-        return self._values
-
-    def integral_dxi(self) -> np.ndarray:
-        """d_xi * sum_i chi: recovers u up to one-cell quantization."""
-        return self.xi.d_xi * self.values.sum(axis=1)
-
-
-def chi_from_state(state: CellState, xi: XiGrid) -> ChiField:
-    return ChiField(state.grid, xi, state.u, state.t)
-
-
 def _chi_cumulative(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
     """X_u(xi) = int_{-inf}^{xi} chi(u, z) dz, exact, at the given xi points."""
     l = np.minimum(u, 0.0)[:, None]
@@ -135,18 +111,16 @@ def _one_sided_cumulative(
     return s * (mid - g_l)
 
 
-def _left(a: np.ndarray, bc: str) -> np.ndarray:
-    """Left-neighbour values along axis 0: wrapped (periodic) or edge-replicated."""
-    if bc == "periodic":
-        return np.roll(a, 1, axis=0)
-    return np.concatenate([a[:1], a[:-1]])
+def _upwind_difference(grid: Grid1D, p: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(p_j - p_{j-1}) + (n_{j+1} - n_j) along axis 0, neighbours from `Grid1D.pad`.
 
-
-def _right(a: np.ndarray, bc: str) -> np.ndarray:
-    """Right-neighbour values along axis 0: wrapped (periodic) or edge-replicated."""
-    if bc == "periodic":
-        return np.roll(a, -1, axis=0)
-    return np.concatenate([a[1:], a[-1:]])
+    Summed in place, so at most two arrays of the input's size are alive.
+    """
+    out = p - grid.pad(p)[:-2]
+    n_right = grid.pad(n)[2:]
+    n_right -= n
+    out += n_right
+    return out
 
 
 @dataclass
@@ -192,28 +166,21 @@ class DefectField:
         return float(self.values[:, mask].max()) if np.any(mask) else 0.0
 
 
-def defect_from_slab(
-    chi0: ChiField,
-    chi1: ChiField,
-    flux: FluxModel,
-    c,
-    dt: float,
-    fseg: SegmentFlux | None = None,
-) -> DefectField:
+def defect_from_slab(slab: Slab, grid: Grid1D, xi: XiGrid, flux: FluxModel) -> DefectField:
     """Extract the defect rate of one solver step.
 
     The accumulation over zeta runs from xi_lo upward with the same upwind
-    splitting as the solver step: cumulative of (chi1 - chi0)/dt plus the
-    difference of the one-sided interface integrals, all exact in xi.
+    splitting as the solver step: cumulative of (chi(u1) - chi(u0))/dt plus
+    the difference of the one-sided interface integrals, all exact in xi.
+    The xi grid must cover max(|u0|, |u1|) plus one cell.
     """
-    if chi0.grid != chi1.grid or chi0.xi != chi1.xi:
-        raise ValueError("chi fields live on different grids")
-    if dt <= 0:
+    if slab.dt <= 0:
         raise ValueError("slab duration must be positive")
-    grid, xi = chi0.grid, chi0.xi
-    if fseg is None:
-        fseg = segment_flux(flux, c)
-    u0, u1 = chi0.u, chi1.u
+    u0, u1 = slab.u0, slab.u1
+    if u0.shape != (grid.n_cells,) or u1.shape != (grid.n_cells,):
+        raise ValueError(f"slab states of shape {u0.shape}, {u1.shape} do not match the grid")
+    _check_xi_covers(xi, max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1)))))
+    fseg = segment_flux(flux, slab.c)
     xc = xi.centers
     p_xi, n_xi = fseg.pos_integral(xc), fseg.neg_integral(xc)
 
@@ -223,11 +190,9 @@ def defect_from_slab(
     n_u0 = fseg.neg_integral(u0)
     a_pos = _one_sided_cumulative(u0, p_xi, p_u0, xc)
     b_neg = _one_sided_cumulative(u0, n_xi, n_u0, xc)
-    transport = (a_pos - _left(a_pos, grid.bc)) + (_right(b_neg, grid.bc) - b_neg)
-    m = (x1 - x0) / dt + transport / grid.dx
-    flux_div = (p_u0 - _left(p_u0, grid.bc)) + (_right(n_u0, grid.bc) - n_u0)
-    cons = (u1 - u0) / dt + flux_div / grid.dx
-    return DefectField(grid, xi, chi0.t, dt, m, cons)
+    m = (x1 - x0) / slab.dt + _upwind_difference(grid, a_pos, b_neg) / grid.dx
+    cons = (u1 - u0) / slab.dt + _upwind_difference(grid, p_u0, n_u0) / grid.dx
+    return DefectField(grid, xi, slab.t0, slab.dt, m, cons)
 
 
 def _runs(keys: list) -> list[tuple[int, int]]:
@@ -273,7 +238,7 @@ def _reporting_defect(
     step, its slope's (P, N) at the xi centres.
     """
     xc = xi.centers
-    bc, n = grid.bc, grid.n_cells
+    n = grid.n_cells
     offsets = (np.arange(n) * (xi.n + 1))[:, None]
     under_p, under_n, over_p, over_n = (np.zeros((n, xi.n)) for _ in range(4))
     cons = np.zeros(n)
@@ -283,8 +248,7 @@ def _reporting_defect(
         u1 = np.stack([s.u1 for s in steps[start:stop]], axis=1)
         dt = np.array([s.dt for s in steps[start:stop]])
         p_u, n_u = fseg.pos_integral(u0), fseg.neg_integral(u0)
-        flux_div = (p_u - _left(p_u, bc)) + (_right(n_u, bc) - n_u)
-        cons += ((u1 - u0) + dt * (flux_div / grid.dx)).sum(axis=1)
+        cons += ((u1 - u0) + dt * (_upwind_difference(grid, p_u, n_u) / grid.dx)).sum(axis=1)
         cells = (np.searchsorted(xc, u0, side="right") + offsets).ravel()
         sums_w = _below_sums(cells, np.broadcast_to(dt, u0.shape), n, xi.n)
         tables = zip(xi_tables[start], (p_u, n_u), (under_p, under_n), (over_p, over_n))
@@ -293,14 +257,11 @@ def _reporting_defect(
             under += sums_g[:, :-1] - g_xi * sums_w[:, :-1]
             over += (sums_g[:, -1:] - sums_g[:, :-1]) - g_xi * (sums_w[:, -1:] - sums_w[:, :-1])
 
-    def transport(a_p, a_n):
-        return ((a_p - _left(a_p, bc)) + (_right(a_n, bc) - a_n)) / grid.dx
-
     u_first, u_last = steps[0].u0, steps[-1].u1
     m_under = _chi_cumulative(u_last, xc) - _chi_cumulative(u_first, xc)
-    m_under += transport(under_p, under_n)
+    m_under += _upwind_difference(grid, under_p, under_n) / grid.dx
     m_over = _chi_tail(u_last, xc) - _chi_tail(u_first, xc)
-    m_over += cons[:, None] - transport(over_p, over_n)
+    m_over += cons[:, None] - _upwind_difference(grid, over_p, over_n) / grid.dx
     duration = sum(s.dt for s in steps)
     values = np.where(xc > u_last[:, None], m_over, m_under) / duration
     return DefectField(grid, xi, t0, duration, values, cons / duration)
@@ -365,7 +326,7 @@ def check_kf_bounds(defects: list[DefectField], state0: CellState) -> dict:
     l2sq = state0.l2_sq()
     l1 = state0.l1()
     u_inf = float(np.max(np.abs(state0.u)))
-    tol = TOL_M_FACTOR * l2sq / xi.d_xi
+    tol = tol_m(state0, xi)
 
     total = sum(d.total_mass() for d in defects)
     xi_mass = np.sum([d.xi_line_mass() for d in defects], axis=0)
@@ -422,17 +383,17 @@ def check_unpr1(traj: Trajectory, defects: list[DefectField]) -> dict:
     }
 
 
-def xi_lipschitz_increments(defects: list[DefectField], psi_xt: Callable, t_eval: str = "mid") -> np.ndarray:
+def xi_lipschitz_increments(defects: list[DefectField], psi_xt: Callable) -> np.ndarray:
     """Increments of Q(xi) = sum_slabs int psi(x,t) m dx dt per unit xi.
 
-    Returns |Q(xi_{i+1}) - Q(xi_i)| / d_xi; the a priori bound is
+    psi is taken at each slab's midpoint time.  Returns
+    |Q(xi_{i+1}) - Q(xi_i)| / d_xi; the a priori bound is
     (sup |D_{x,t} psi| + sup |psi(., 0)|) * ||u0||_L1.
     """
     xi = defects[0].xi
     q = np.zeros(xi.n)
     for d in defects:
-        t = d.t0 + (0.5 * d.duration if t_eval == "mid" else 0.0)
-        w = psi_xt(d.grid.centers, t)
+        w = psi_xt(d.grid.centers, d.t0 + 0.5 * d.duration)
         q += d.duration * d.grid.dx * (w @ d.values)
     return np.abs(np.diff(q)) / xi.d_xi
 

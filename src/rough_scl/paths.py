@@ -12,27 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BIT_GENERATORS = {"pcg64": np.random.PCG64}
-
 
 @dataclass(frozen=True)
 class PathSeed:
-    """Seed plus the name of the bit generator that consumes it."""
+    """Seed of a PCG64 bit generator."""
 
     seed: int
-    generator: str = "pcg64"
 
     def __post_init__(self) -> None:
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.generator not in _BIT_GENERATORS:
-            known = sorted(_BIT_GENERATORS)
-            raise ValueError(f"unknown generator id {self.generator!r}, known: {known}")
 
     def rng(self, *stream: int) -> np.random.Generator:
         """Generator for this seed; extra integers derive independent substreams."""
         ss = np.random.SeedSequence([int(self.seed), *map(int, stream)])
-        return np.random.Generator(_BIT_GENERATORS[self.generator](ss))
+        return np.random.Generator(np.random.PCG64(ss))
 
 
 def _as_seed(seed: PathSeed | int) -> PathSeed:

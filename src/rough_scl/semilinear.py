@@ -35,6 +35,7 @@ from .solver import CellState, Grid1D, SolverConfig, Trajectory, step
 ODE_STEP_PER_UNIT_DRIVER = 1e-3
 QUAD_TOL = 1e-9
 POSITION_TOL = 1e-6
+MISMATCH_DOMAIN = (-0.5, 1.5)  # outflow domain of the 1/0 front in `mismatch_report`
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class SourceTerm:
 
     name: str
     phi: Callable[[np.ndarray], np.ndarray]
-    dphi: Callable[[np.ndarray], np.ndarray]
     fixed_points: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -57,7 +57,6 @@ def logistic_source() -> SourceTerm:
     return SourceTerm(
         "logistic",
         lambda u: u * (1.0 - u),
-        lambda u: 1.0 - 2.0 * u,
         fixed_points=(0.0, 1.0),
     )
 
@@ -66,14 +65,12 @@ def linear_source(lam: float) -> SourceTerm:
     return SourceTerm(
         f"linear:{lam:g}",
         lambda u: lam * u,
-        lambda u: lam * np.ones_like(np.asarray(u, dtype=float)),
         fixed_points=(0.0,),
     )
 
 
 def zero_source() -> SourceTerm:
-    return SourceTerm("zero", lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                      lambda u: np.zeros_like(np.asarray(u, dtype=float)), fixed_points=(0.0,))
+    return SourceTerm("zero", lambda u: np.zeros_like(np.asarray(u, dtype=float)), fixed_points=(0.0,))
 
 
 def _rk4(field: Callable, y: np.ndarray, tau: float) -> np.ndarray:
@@ -280,7 +277,6 @@ def mismatch_report(
     horizon: float = 1.0,
     n_cells: int = 800,
     n_times: int = 10,
-    domain: tuple[float, float] = (-0.5, 1.5),
     config: SolverConfig = SolverConfig(),
 ) -> list[dict]:
     """Per-time table t, x_transform, x_direct, gap for the 1/0 front.
@@ -294,7 +290,7 @@ def mismatch_report(
     if flux.n_channels != 1:
         raise ValueError("the demo is a single-channel construction")
     channel = flux.channels[0]
-    grid = Grid1D(domain[0], domain[1], n_cells, "outflow")
+    grid = Grid1D(*MISMATCH_DOMAIN, n_cells, "outflow")
     outputs = np.linspace(0.0, horizon, n_times + 1)
     traj = direct_semilinear_solve(flux, source, grid, horizon, outputs=outputs, config=config)
     flow = FlowMap(source, identity_path(horizon))

@@ -5,7 +5,8 @@ to u_t + F(u)_x = 0 with F = sum_i c_i A_i; the segment is advanced with an
 explicit monotone scheme (Engquist-Osher by default, or the exact Godunov flux)
 under a CFL constraint derived from the certified speed bound, and segments
 are chained at the knots.  Each step pads the state with one ghost cell per
-side and takes all interface fluxes from `SegmentFlux.interface_flux`.
+side (`Grid1D.pad`, the one boundary rule of the package) and takes all
+interface fluxes from `SegmentFlux.interface_flux`.
 """
 from __future__ import annotations
 
@@ -49,6 +50,12 @@ class Grid1D:
     @property
     def length(self) -> float:
         return self.x_hi - self.x_lo
+
+    def pad(self, a: np.ndarray) -> np.ndarray:
+        """`a` with one ghost cell per side along axis 0: wrapped (periodic) or repeated (outflow)."""
+        if self.bc == "periodic":
+            return np.concatenate([a[-1:], a, a[:1]])
+        return np.concatenate([a[:1], a, a[-1:]])
 
 
 @dataclass
@@ -98,7 +105,11 @@ class SolverConfig:
 
 @dataclass
 class Slab:
-    """One solver step [t0, t0+dt] with frozen slope c; consumed by the kinetic module."""
+    """One solver step: state u0 at t0 advanced to u1 at t0 + dt with frozen slope c.
+
+    `solve_segment` emits one per step; `kinetic.defect_from_slab` reads the
+    defect m of the step from it.
+    """
 
     t0: float
     dt: float
@@ -124,41 +135,35 @@ class Trajectory:
 def step(state: CellState, fseg: SegmentFlux, dt: float, config: SolverConfig = SolverConfig()) -> CellState:
     """One explicit step; refuses dt above cfl * dx / max_speed.
 
-    The state is padded by one ghost cell at each end (wrapped for periodic,
-    repeated for outflow), so the n + 1 interface fluxes come from one call
-    and their differences are the n cell updates.
+    The state is padded by `Grid1D.pad`, so the n + 1 interface fluxes come
+    from one call and their differences are the n cell updates.
     """
     grid = state.grid
     if fseg.max_speed > 0.0 and dt > config.cfl * grid.dx / fseg.max_speed * (1.0 + 1e-9):
         raise CFLError(
             f"dt={dt:.3e} exceeds cfl*dx/max_speed={config.cfl * grid.dx / fseg.max_speed:.3e}"
         )
-    u = state.u
-    left, right = (u[-1:], u[:1]) if grid.bc == "periodic" else (u[:1], u[-1:])
-    fh = fseg.interface_flux(np.concatenate([left, u, right]), config.scheme)
-    return CellState(grid, u - (dt / grid.dx) * np.diff(fh), state.t + dt)
+    fh = fseg.interface_flux(grid.pad(state.u), config.scheme)
+    return CellState(grid, state.u - (dt / grid.dx) * np.diff(fh), state.t + dt)
 
 
 def solve_segment(
     state: CellState,
-    flux: FluxModel,
-    c,
+    fseg: SegmentFlux,
     duration: float,
     config: SolverConfig = SolverConfig(),
     collect=None,
-    fseg: SegmentFlux | None = None,
 ) -> CellState:
-    """Advance by `duration` with frozen slope c.
+    """Advance by `duration` under the frozen flux `fseg` (slope `fseg.c`).
 
     Steps use the largest admissible dt; the last one is truncated to land
-    exactly on the segment end.  `collect(slab)` is called once per step.
+    exactly on the segment end.  `collect(slab)` is called with one `Slab`
+    per step.
     """
     if duration < 0:
         raise ValueError("negative duration")
     if duration == 0:
         return state
-    if fseg is None:
-        fseg = segment_flux(flux, c)
     t_end = state.t + duration
     if fseg.max_speed <= 0.0:
         # flux constant in u on the certified range: nothing moves
@@ -222,12 +227,11 @@ def solve_path(
         if i_out == outputs.size:
             break  # nothing is solved past the last output
         t_k1 = path.knots[k + 1]
-        c = path.slope(k)
-        fseg = segment_flux(flux, c)
+        fseg = segment_flux(flux, path.slope(k))
         while i_out < outputs.size and state.t < t_k1 - _TIME_ATOL:
             # march to the next output or to the knot, whichever comes first
             target = min(outputs[i_out], t_k1)
-            state = solve_segment(state, flux, c, target - state.t, config, sink, fseg)
+            state = solve_segment(state, fseg, target - state.t, config, sink)
             if outputs[i_out] <= t_k1:
                 times.append(float(target))
                 states.append(CellState(grid, state.u.copy(), state.t))

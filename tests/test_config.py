@@ -100,6 +100,13 @@ class TestDatumBuilders:
         with pytest.raises(ValueError, match="rows"):
             build_datum(f"file:{f}", bad)
 
+    def test_file_x_column_must_match_grid(self, tmp_path):
+        """A table written for another domain is rejected, not loaded onto this grid."""
+        f = tmp_path / "u.csv"
+        f.write_text("x,u\n" + "".join(f"{x},0.5\n" for x in np.linspace(5.0, 9.0, 4)))
+        with pytest.raises(ValueError, match="x column .* up to 8.25"):
+            build_datum(f"file:{f}", Grid1D(-1.0, 1.0, 4, "periodic"))
+
     @pytest.mark.parametrize("n_cells", [2, 3])
     def test_one_row_file_counts_one_row(self, tmp_path, n_cells):
         f = tmp_path / "u.csv"

@@ -359,6 +359,20 @@ class TestCli:
         assert "absent.csv" in err
         assert list(out.iterdir()) == []
 
+    def test_datum_table_off_the_grid_exits_2(self, tmp_path, capsys):
+        """A datum table whose x column is not the grid's centres is a config error."""
+        table = tmp_path / "u.csv"
+        table.write_text("x,u\n" + "".join(f"{x},0.5\n" for x in np.linspace(5.0, 9.0, 4)))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n_cells = 4\ndatum = file:{table}\n")
+        out = tmp_path / "out"
+        code = main(["solve", "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert "x column" in err
+        assert list(out.iterdir()) == []
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("n_cols = 7\n")

@@ -4,12 +4,10 @@ import pytest
 
 from rough_scl.fluxes import FluxModel, builtin, from_spec, segment_flux
 from rough_scl.kinetic import (
-    ChiField,
     XiGrid,
     accumulate_defects,
     check_kf_bounds,
     check_unpr1,
-    chi_from_state,
     chi_values,
     default_kernel,
     defect_from_slab,
@@ -21,7 +19,7 @@ from rough_scl.kinetic import (
 )
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
 from rough_scl.smooth import bump_integral, bump_weight
-from rough_scl.solver import CellState, Grid1D, SolverConfig, solve_path
+from rough_scl.solver import Grid1D, Slab, SolverConfig, solve_path
 
 
 def burgers(rng=(-2.0, 2.0)):
@@ -45,10 +43,7 @@ def per_step_defects(traj, flux, xi):
         cons = np.zeros(traj.grid.n_cells)
         duration = 0.0
         for s in steps:
-            d = defect_from_slab(
-                ChiField(traj.grid, xi, s.u0, s.t0), ChiField(traj.grid, xi, s.u1, s.t0 + s.dt),
-                flux, s.c, s.dt,
-            )
+            d = defect_from_slab(s, traj.grid, xi, flux)
             values += s.dt * d.values
             cons += s.dt * d.cons_residual
             duration += s.dt
@@ -88,25 +83,27 @@ class TestChi:
         assert np.array_equal(chi_values(np.array([0.5]), xc)[0], [0, 0, 1, 0])
 
     def test_integral_recovers_state(self):
-        grid = Grid1D(0.0, 1.0, 64, "periodic")
         rng = np.random.default_rng(0)
         u = rng.uniform(-1.0, 1.0, 64)
         xi = XiGrid(-1.5, 1.5, 6000)
-        chi = ChiField(grid, xi, u, 0.0)
+        chi = chi_values(u, xi.centers)
+        assert chi.dtype == np.int8
         # midpoint rule on a +-1 indicator: error <= d_xi per cell
-        assert np.allclose(chi.integral_dxi(), u, atol=xi.d_xi)
+        assert np.allclose(xi.d_xi * chi.sum(axis=1), u, atol=xi.d_xi)
 
     def test_coverage_guard(self):
+        """The xi grid must cover both end states of the step."""
         grid = Grid1D(0.0, 1.0, 4, "periodic")
-        with pytest.raises(ValueError, match="xi range"):
-            ChiField(grid, XiGrid(-0.5, 0.5, 50), np.array([0.0, 0.9, 0.0, 0.0]), 0.0)
+        small, large = np.zeros(4), np.array([0.0, 0.9, 0.0, 0.0])
+        for u0, u1 in ((large, small), (small, large)):
+            slab = Slab(0.0, 0.01, np.array([1.0]), u0, u1)
+            with pytest.raises(ValueError, match="xi range"):
+                defect_from_slab(slab, grid, XiGrid(-0.5, 0.5, 50), burgers())
 
-    def test_chi_from_state(self):
-        grid = Grid1D(0.0, 1.0, 4, "periodic")
-        state = CellState(grid, np.array([0.5, -0.5, 0.0, 0.25]), 1.0)
-        chi = chi_from_state(state, XiGrid(-1.0, 1.0, 40))
-        assert chi.t == 1.0
-        assert chi.values.dtype == np.int8
+    def test_slab_must_match_grid(self):
+        slab = Slab(0.0, 0.01, np.array([1.0]), np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError, match="do not match the grid"):
+            defect_from_slab(slab, Grid1D(0.0, 1.0, 5, "periodic"), XiGrid(-0.5, 0.5, 50), burgers())
 
 
 class TestDefectExactness:

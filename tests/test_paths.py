@@ -28,10 +28,6 @@ class TestPathSeed:
         with pytest.raises(ValueError):
             PathSeed(2**64)
 
-    def test_rejects_unknown_generator(self):
-        with pytest.raises(ValueError, match="unknown generator"):
-            PathSeed(0, "mt19937")
-
     def test_streams_are_independent_and_reproducible(self):
         ps = PathSeed(42)
         a = ps.rng(1).normal(size=4)

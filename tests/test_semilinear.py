@@ -68,7 +68,7 @@ def burgers(rng=(-0.5, 1.5)):
 class TestSourceTerm:
     def test_fixed_point_validation(self):
         with pytest.raises(ValueError, match="fixed point"):
-            SourceTerm("bad", lambda u: u + 1.0, lambda u: np.ones_like(u), (0.0,))
+            SourceTerm("bad", lambda u: u + 1.0, (0.0,))
 
     def test_logistic_positive_between_equilibria(self):
         src = logistic_source()
@@ -134,7 +134,7 @@ class TestFlowMap:
 
     def test_blow_up_guard(self):
         # dy = y^2 dt from y=2 blows up at t = 0.5
-        src = SourceTerm("sq", lambda u: u * u, lambda u: 2.0 * u, (0.0,))
+        src = SourceTerm("sq", lambda u: u * u, (0.0,))
         flow = FlowMap(src, identity_path(1.0), blow_up=50.0)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="blew up"):
             flow.psi(np.array([2.0]), 0.9)
@@ -142,7 +142,7 @@ class TestFlowMap:
     def test_blow_up_guard_on_driver_excursion(self):
         """W~ climbs to 0.9 and returns to 0: Psi(2; 2) = 2 by W~ alone, but the
         path passed the blow-up at W~ = 0.5 on the way."""
-        src = SourceTerm("sq", lambda u: u * u, lambda u: 2.0 * u, (0.0,))
+        src = SourceTerm("sq", lambda u: u * u, (0.0,))
         driver = PiecewiseLinearPath([0.0, 1.0, 2.0], [0.0, 0.9, 0.0])
         flow = FlowMap(src, driver, blow_up=50.0)
         assert flow.psi(np.array([2.0]), 0.3)[0] == pytest.approx(2.0 / (1.0 - 2.0 * 0.27), abs=1e-9)

@@ -117,7 +117,7 @@ class TestRiemannOracles:
     def test_solver_tracks_shock(self):
         grid = Grid1D(-1.0, 1.0, 400, "outflow")
         state = riemann_state(grid, 1.0, 0.0)
-        out = solve_segment(state, burgers(), [1.0], 0.8)
+        out = solve_segment(state, segment_flux(burgers(), [1.0]), 0.8)
         exact = burgers_riemann_exact(1.0, 0.0, grid.centers, 0.8)
         err = grid.dx * np.abs(out.u - exact).sum()
         assert err <= 5.0 * grid.dx
@@ -125,7 +125,7 @@ class TestRiemannOracles:
     def test_solver_tracks_fan(self):
         grid = Grid1D(-1.0, 1.0, 400, "outflow")
         state = riemann_state(grid, -0.5, 0.5)
-        out = solve_segment(state, burgers(), [1.0], 0.8)
+        out = solve_segment(state, segment_flux(burgers(), [1.0]), 0.8)
         exact = burgers_riemann_exact(-0.5, 0.5, grid.centers, 0.8)
         err = grid.dx * np.abs(out.u - exact).sum()
         assert err <= 0.01
@@ -145,7 +145,7 @@ class TestRiemannOracles:
     def test_zero_slope_segment_is_identity(self):
         grid = Grid1D(-1.0, 1.0, 50, "periodic")
         u = np.sin(np.pi * grid.centers)
-        out = solve_segment(CellState(grid, u, 0.0), burgers(), [0.0], 5.0)
+        out = solve_segment(CellState(grid, u, 0.0), segment_flux(burgers(), [0.0]), 5.0)
         assert np.array_equal(out.u, u)
         assert out.t == pytest.approx(5.0)
 
