@@ -16,11 +16,10 @@ from .paths import (
     brownian_sample,
     dyadic_refine,
     identity_path,
-    monotone_segments,
     sup_distance,
     tent_path,
 )
-from .fluxes import Channel, FluxModel, SegmentFlux, builtin, from_spec, segment_flux
+from .fluxes import Channel, FluxModel, SegmentFlux, builtin, from_spec
 from .solver import (
     CellState,
     CFLError,

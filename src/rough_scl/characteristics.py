@@ -73,15 +73,14 @@ def window(
     path: PiecewiseLinearPath,
     flux: FluxModel,
     t0: float,
-    j_floor: float = J_FLOOR,
 ) -> float:
-    """Largest h with J >= j_floor on the support for t in the window.
+    """Largest h with J >= J_FLOOR on the support for t in the window.
 
     The window (t0 - h, t0 + h) is always intersected with the path domain
     [0, T], so h is at most the larger one-sided horizon max(t0, T - t0).
     J is checked on N_PROBE points of the support.  It is affine in W, hence
     linear in t between path knots, so each side's edge has a closed form:
-    walk the knots outward from t0 to the first one where min J < j_floor; on
+    walk the knots outward from t0 to the first one where min J < J_FLOOR; on
     the segment before it the edge is the earliest per-point linear crossing.
     """
     horizon = path.horizon
@@ -98,19 +97,14 @@ def window(
     for side in (path.knots[path.knots > t0], path.knots[path.knots < t0][::-1]):
         times = np.concatenate([[t0], side])
         jac = 1.0 + (path.eval(times) - w0) @ g  # J at t0, then at each knot outward
-        below = np.flatnonzero(jac.min(axis=1) < j_floor)
+        below = np.flatnonzero(jac.min(axis=1) < J_FLOOR)
         if below.size == 0:
             continue
-        k = below[0]
-        if k == 0:  # J(t0) = 1 < j_floor
-            h = 0.0
-            break
+        k = below[0]  # never 0: J(t0) = 1 exactly, above J_FLOOR, so h > 0
         ja, jb = jac[k - 1], jac[k]
-        cross = jb < j_floor
-        frac = np.min((ja[cross] - j_floor) / (ja[cross] - jb[cross]))
+        cross = jb < J_FLOOR
+        frac = np.min((ja[cross] - J_FLOOR) / (ja[cross] - jb[cross]))
         h = min(h, abs(times[k - 1] - t0) + frac * abs(times[k] - times[k - 1]))
-    if h <= 0.0:
-        raise RuntimeError("window collapsed to zero; Jacobian floor unreachable")
     return float(h)
 
 
@@ -184,10 +178,8 @@ def local_solution(
     path: PiecewiseLinearPath,
     flux: FluxModel,
     t0: float,
-    j_floor: float = J_FLOOR,
 ) -> LocalSmoothSolution:
-    h = window(datum, path, flux, t0, j_floor=j_floor)
-    return LocalSmoothSolution(datum, path, flux, t0, h)
+    return LocalSmoothSolution(datum, path, flux, t0, window(datum, path, flux, t0))
 
 
 def dissipative_check(

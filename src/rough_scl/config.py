@@ -13,7 +13,7 @@ import numpy as np
 
 from . import paths
 from .fluxes import FluxModel, from_spec
-from .smooth import bump_raw
+from .smooth import bump_datum
 from .solver import Grid1D, SolverConfig
 
 # key -> (type, default, help)
@@ -41,7 +41,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "epsilons": (str, "0.2,0.1,0.05,0.025", "perturbation sizes for path-stability"),
     "level_lo": (int, 4, "first dyadic refinement level"),
     "level_hi": (int, 10, "last dyadic refinement level"),
-    "n_seeds": (int, 5, "number of seeds for sweep experiments"),
+    "n_seeds": (int, 5, "number of driver paths (consecutive seeds) for dissipative-check"),
     "n_data": (int, 3, "number of random smooth data for the dissipative check"),
     "n_anchors": (int, 3, "number of anchor times per path for the dissipative check"),
     "source": (str, "logistic", "semilinear source: logistic | linear:lam | zero"),
@@ -114,6 +114,8 @@ class Experiment:
 
 
 def build_experiment(cfg: dict) -> Experiment:
+    if int(cfg["n_outputs"]) < 1:
+        raise ValueError(f"n_outputs must be at least 1, got {cfg['n_outputs']}")
     flux = from_spec(cfg["flux"], (float(cfg["u_lo"]), float(cfg["u_hi"])))
     grid = Grid1D(float(cfg["x_lo"]), float(cfg["x_hi"]), int(cfg["n_cells"]), cfg["bc"])
     solver = SolverConfig(cfl=float(cfg["cfl"]), scheme=cfg["scheme"], record_slabs=False)
@@ -146,7 +148,7 @@ def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
         if len(args) != 3:
             raise ValueError("bump takes center,width,height")
         center, width, height = map(float, args)
-        return height * bump_raw((x - center) / width) + 0.0  # + 0.0: no -0 in the CSVs
+        return bump_datum(center, width, height).value(x) + 0.0  # + 0.0: no -0 in the CSVs
     if name == "sign-step":
         return np.where(x < 0.0, 1.0, -1.0)
     if name == "file":

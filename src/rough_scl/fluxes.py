@@ -224,7 +224,3 @@ class SegmentFlux:
         for b, fb in zip(self.breakpoints, self._f_nodes[1:-1]):
             lowest = np.where((below < b) & (b < above), np.minimum(lowest, s * fb), lowest)
         return s * lowest
-
-
-def segment_flux(flux: FluxModel, c) -> SegmentFlux:
-    return SegmentFlux(flux, c)

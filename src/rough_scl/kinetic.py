@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fluxes import FluxModel, SegmentFlux, segment_flux
+from .fluxes import FluxModel, SegmentFlux
 from .paths import PiecewiseLinearPath
 from .smooth import Weight, bump_integral, bump_raw, bump_raw_pair
 from .solver import Grid1D, CellState, Slab, Trajectory
@@ -180,7 +180,7 @@ def defect_from_slab(slab: Slab, grid: Grid1D, xi: XiGrid, flux: FluxModel) -> D
     if u0.shape != (grid.n_cells,) or u1.shape != (grid.n_cells,):
         raise ValueError(f"slab states of shape {u0.shape}, {u1.shape} do not match the grid")
     _check_xi_covers(xi, max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1)))))
-    fseg = segment_flux(flux, slab.c)
+    fseg = SegmentFlux(flux, slab.c)
     xc = xi.centers
     p_xi, n_xi = fseg.pos_integral(xc), fseg.neg_integral(xc)
 
@@ -300,7 +300,7 @@ def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[De
     for s in slabs:
         key = s.c.tobytes()
         if key not in fseg_cache:
-            fseg = segment_flux(flux, s.c)
+            fseg = SegmentFlux(flux, s.c)
             fseg_cache[key] = (fseg, (fseg.pos_integral(xi.centers), fseg.neg_integral(xi.centers)))
     fsegs, xi_tables = zip(*(fseg_cache[s.c.tobytes()] for s in slabs))
     out = []

@@ -7,7 +7,6 @@ at knots and reproducible sampling matter more than generality.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +65,6 @@ class PiecewiseLinearPath:
     def n_channels(self) -> int:
         return self.values.shape[1]
 
-    def __call__(self, t):
-        return self.eval(t)
-
     def eval(self, t):
         """Value at time t (scalar -> (M,), array -> (len(t), M)). Exact at knots."""
         t_arr = np.asarray(t, dtype=float)
@@ -99,18 +95,15 @@ class PiecewiseLinearPath:
         return np.append(k, t)
 
 
-def sup_distance(p: PiecewiseLinearPath, q: PiecewiseLinearPath, t: float | None = None) -> float:
-    """sup over [0, t] and channels of |p - q|.
+def sup_distance(p: PiecewiseLinearPath, q: PiecewiseLinearPath) -> float:
+    """sup over the common horizon and channels of |p - q|.
 
     The difference of two piecewise linear paths is piecewise linear, so the
     sup is attained at a knot of the merged partition; no sampling error.
     """
     if p.n_channels != q.n_channels:
         raise ValueError("channel counts differ")
-    if t is None:
-        t = min(p.horizon, q.horizon)
-    if t < 0 or t > min(p.horizon, q.horizon):
-        raise ValueError(f"t={t} outside the common horizon")
+    t = min(p.horizon, q.horizon)
     merged = np.union1d(p.restricted_knots(t), q.restricted_knots(t))
     return float(np.max(np.abs(p.eval(merged) - q.eval(merged))))
 
@@ -159,65 +152,21 @@ def dyadic_refine(path: PiecewiseLinearPath, seed: PathSeed | int, level: int) -
     return PiecewiseLinearPath(knots, values)
 
 
-def monotone_segments(path: PiecewiseLinearPath) -> list[tuple[int, int, int]]:
-    """Maximal monotone runs of a single-channel path.
-
-    Returns (first_knot, last_knot, direction) triples with direction +1 for
-    nondecreasing, -1 for nonincreasing.  Zero-slope segments are merged into
-    the run in progress (the preceding interval); a path that never moves is
-    a single nondecreasing run.
-    """
-    if path.n_channels != 1:
-        raise ValueError("monotone_segments is defined for single-channel paths")
-    dirs = np.sign(path.slopes()[:, 0]).astype(int)
-    runs: list[tuple[int, int, int]] = []
-    current = 0
-    start = 0
-    for k, d in enumerate(dirs):
-        if d == 0 or d == current:
-            continue
-        if current == 0:
-            current = d  # leading flat part joins the first real run
-            continue
-        runs.append((start, k, current))
-        start, current = k, d
-    runs.append((start, path.n_segments, current if current != 0 else 1))
-    return runs
-
-
 def write_csv(path: PiecewiseLinearPath, fp) -> None:
-    """CSV with header t,W1,...,WM at full double precision (17 significant digits)."""
-    own = isinstance(fp, (str, bytes))
-    f = open(fp, "w") if own else fp
-    try:
-        header = ",".join(["t"] + [f"W{i + 1}" for i in range(path.n_channels)])
-        f.write(header + "\n")
-        for t, row in zip(path.knots, path.values):
-            f.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
-    finally:
-        if own:
-            f.close()
+    """CSV with header t,W1,...,WM to the open file `fp`, at full double precision
+    (17 significant digits)."""
+    fp.write(",".join(["t"] + [f"W{i + 1}" for i in range(path.n_channels)]) + "\n")
+    for t, row in zip(path.knots, path.values):
+        fp.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
 
 
 def read_csv(fp) -> PiecewiseLinearPath:
-    """Inverse of write_csv; round trips bit for bit."""
-    own = isinstance(fp, (str, bytes))
-    f = open(fp, "r") if own else fp
-    try:
-        header = f.readline().strip().split(",")
-        if not header or header[0] != "t":
-            raise ValueError("malformed path CSV header")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    finally:
-        if own:
-            f.close()
+    """Inverse of write_csv, from the open file `fp`; round trips bit for bit."""
+    header = fp.readline().strip().split(",")
+    if not header or header[0] != "t":
+        raise ValueError("malformed path CSV header")
+    data = np.loadtxt(fp, delimiter=",", ndmin=2)
     return PiecewiseLinearPath(data[:, 0], data[:, 1:])
-
-
-def path_to_string(path: PiecewiseLinearPath) -> str:
-    buf = io.StringIO()
-    write_csv(path, buf)
-    return buf.getvalue()
 
 
 def tent_path(peak_time: float = 1.0, peak_value: float = 1.0, horizon: float = 2.0) -> PiecewiseLinearPath:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fluxes import Channel, FluxModel, segment_flux
+from .fluxes import Channel, FluxModel, SegmentFlux
 from .paths import PiecewiseLinearPath, identity_path
 from .solver import CellState, Grid1D, SolverConfig, Trajectory, step
 
@@ -36,41 +36,27 @@ ODE_STEP_PER_UNIT_DRIVER = 1e-3
 QUAD_TOL = 1e-9
 POSITION_TOL = 1e-6
 MISMATCH_DOMAIN = (-0.5, 1.5)  # outflow domain of the 1/0 front in `mismatch_report`
+BLOW_UP = 100.0  # |Psi| above this means the source ODE has left the trusted range
 
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Smooth scalar source with known equilibria."""
+    """Smooth scalar source Phi with a name for reports."""
 
     name: str
     phi: Callable[[np.ndarray], np.ndarray]
-    fixed_points: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        for p in self.fixed_points:
-            v = float(self.phi(np.asarray(p, dtype=float)))
-            if abs(v) > 1e-12:
-                raise ValueError(f"{p} is not a fixed point: phi({p}) = {v}")
 
 
 def logistic_source() -> SourceTerm:
-    return SourceTerm(
-        "logistic",
-        lambda u: u * (1.0 - u),
-        fixed_points=(0.0, 1.0),
-    )
+    return SourceTerm("logistic", lambda u: u * (1.0 - u))
 
 
 def linear_source(lam: float) -> SourceTerm:
-    return SourceTerm(
-        f"linear:{lam:g}",
-        lambda u: lam * u,
-        fixed_points=(0.0,),
-    )
+    return SourceTerm(f"linear:{lam:g}", lambda u: lam * u)
 
 
 def zero_source() -> SourceTerm:
-    return SourceTerm("zero", lambda u: np.zeros_like(np.asarray(u, dtype=float)), fixed_points=(0.0,))
+    return SourceTerm("zero", lambda u: np.zeros_like(np.asarray(u, dtype=float)))
 
 
 def _rk4(field: Callable, y: np.ndarray, tau: float) -> np.ndarray:
@@ -104,7 +90,6 @@ class FlowMap:
 
     source: SourceTerm
     driver: PiecewiseLinearPath
-    blow_up: float = 100.0
 
     def __post_init__(self) -> None:
         if self.driver.n_channels != 1:
@@ -130,7 +115,7 @@ class FlowMap:
             y, s_prev = z, 0.0
             for i in leg:
                 y = _rk4(field, y, levels[i] - s_prev)
-                if not np.all(np.abs(y[0]) <= self.blow_up):
+                if not np.all(np.abs(y[0]) <= BLOW_UP):
                     raise RuntimeError("flow map blew up; source ODE leaves the trusted range")
                 flowed[i], s_prev = y, levels[i]
         return taus, s, flowed[np.searchsorted(levels, s)]
@@ -237,7 +222,7 @@ def direct_semilinear_solve(
     outputs = np.asarray(outputs, dtype=float)
     if outputs[0] != 0.0 or np.any(np.diff(outputs) <= 0) or outputs[-1] != horizon:
         raise ValueError("outputs must ascend from 0 to the horizon")
-    fseg = segment_flux(flux, np.ones(flux.n_channels))
+    fseg = SegmentFlux(flux, np.ones(flux.n_channels))
     if fseg.max_speed <= 0.0:
         raise ValueError("flux has no transport on the certified range")
     dt_max = config.cfl * grid.dx / fseg.max_speed

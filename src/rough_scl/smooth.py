@@ -37,10 +37,6 @@ def bump_raw_pair(z) -> tuple[np.ndarray, np.ndarray]:
     return val, der
 
 
-def bump_raw_deriv(z) -> np.ndarray:
-    return bump_raw_pair(z)[1]
-
-
 _BUMP_NODES = 256  # Gauss-Legendre nodes for the mass of B
 _BUMP_INTEGRAL: float | None = None
 
@@ -77,7 +73,8 @@ def bump_weight(center: float, halfwidth: float, height: float = 1.0) -> Weight:
         return height * bump_raw((np.asarray(x, dtype=float) - center) / halfwidth)
 
     def deriv(x):
-        return height * bump_raw_deriv((np.asarray(x, dtype=float) - center) / halfwidth) / halfwidth
+        z = (np.asarray(x, dtype=float) - center) / halfwidth
+        return height * bump_raw_pair(z)[1] / halfwidth
 
     return Weight(value, deriv, abs(height), (center - halfwidth, center + halfwidth))
 

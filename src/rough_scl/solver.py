@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fluxes import FluxModel, SegmentFlux, segment_flux
-from .paths import PiecewiseLinearPath, identity_path, monotone_segments
+from .fluxes import FluxModel, SegmentFlux
+from .paths import PiecewiseLinearPath, identity_path
 
 _TIME_ATOL = 1e-12
 
@@ -227,7 +227,7 @@ def solve_path(
         if i_out == outputs.size:
             break  # nothing is solved past the last output
         t_k1 = path.knots[k + 1]
-        fseg = segment_flux(flux, path.slope(k))
+        fseg = SegmentFlux(flux, path.slope(k))
         while i_out < outputs.size and state.t < t_k1 - _TIME_ATOL:
             # march to the next output or to the knot, whichever comes first
             target = min(outputs[i_out], t_k1)
@@ -276,8 +276,7 @@ def composition_check(
     """
     if flux.n_channels != 1 or path.n_channels != 1:
         raise ValueError("composition check is single-channel only")
-    runs = monotone_segments(path)
-    if len(runs) != 1 or runs[0][2] != +1:
+    if np.any(path.slopes() < 0.0):
         raise ValueError("path must be nondecreasing")
     along = solve_path(u0, flux, path, [t], grid, config).states[-1]
     w_t = float(path.eval(t)[0])

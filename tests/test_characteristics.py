@@ -106,7 +106,7 @@ class TestWindow:
         at h = 1 / (2 max |phi'|), exactly where phi' is most negative.  For
         B(z) = exp(1 - 1/(1 - z^2)), max |B'| sits at z = 3^(-1/4)."""
         datum = bump_datum(0.0, 0.5, 1.0)
-        h = window(datum, identity_path(2.0), burgers(), 0.0, j_floor=0.5)
+        h = window(datum, identity_path(2.0), burgers(), 0.0)
         z = 3.0 ** -0.25
         sup_deriv = 2.0 * z / (1.0 - z * z) ** 2 * np.exp(1.0 - 1.0 / (1.0 - z * z)) / 0.5
         expected = 0.5 / sup_deriv
@@ -163,12 +163,6 @@ class TestBrownianWindow:
         beyond = probe_min_j(datum, path, flux, self.T0,
                              [self.T0 + side * h * (1 + 1e-9), self.T0 - side * h * (1 + 1e-9)])
         assert beyond[0] < J_FLOOR <= beyond[1]
-
-    @pytest.mark.parametrize("j_floor", [1.0, 1.5])
-    def test_unreachable_floor_collapses(self, j_floor):
-        datum, path, flux = two_channel_case(1)
-        with pytest.raises(RuntimeError, match="collapsed"):
-            window(datum, path, flux, self.T0, j_floor=j_floor)
 
     @pytest.mark.parametrize("seed", [1, 8])
     def test_evaluate_round_trip(self, seed):

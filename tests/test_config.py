@@ -86,6 +86,12 @@ class TestDatumBuilders:
         assert not np.any(np.signbit(u) & (u == 0.0))
         assert np.any(u == 0.0) and np.all(u <= 0.0)
 
+    @pytest.mark.parametrize("spec", ["bump:0,0,1", "bump:0,-0.5,1"])
+    def test_bump_width_must_be_positive(self, spec):
+        """A zero width divided by zero and solved an all-zero datum."""
+        with pytest.raises(ValueError, match="halfwidth must be positive"):
+            build_datum(spec, self.grid)
+
     def test_sign_step(self):
         u = build_datum("sign-step", self.grid)
         assert set(np.unique(u)) == {-1.0, 1.0}
@@ -180,6 +186,12 @@ class TestExperiment:
         assert exp.outputs[0] == 0.0 and exp.outputs[-1] == exp.horizon
         assert exp.datum().shape == (32,)
         assert exp.datum("riemann:0,1").max() == 1.0
+
+    @pytest.mark.parametrize("n_outputs", [0, -2])
+    def test_needs_one_output_interval(self, n_outputs):
+        """n_outputs = 0 left one snapshot, and path-stability took log(0)."""
+        with pytest.raises(ValueError, match="n_outputs must be at least 1"):
+            build_experiment(load_config(None, {"n_outputs": n_outputs}))
 
     def test_channel_override(self):
         cfg = load_config(None, {"channels": 3})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rough_scl.fluxes import Channel, FluxModel, builtin, from_spec, segment_flux
+from rough_scl.fluxes import Channel, FluxModel, SegmentFlux, builtin, from_spec
 
 
 SCHEMES = ("engquist_osher", "godunov_convex")
@@ -95,7 +95,7 @@ class TestCertifiedBounds:
 
 class TestSegmentFluxExact:
     def test_positive_negative_split_burgers(self):
-        fs = segment_flux(burgers_model(), [1.0])
+        fs = SegmentFlux(burgers_model(), [1.0])
         u = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         # P(u) = int_0^u max(z,0) dz, N(u) = int_0^u min(z,0) dz
         assert np.allclose(fs.pos_integral(u), [0.0, 0.0, 0.0, 0.5, 2.0])
@@ -103,13 +103,13 @@ class TestSegmentFluxExact:
 
     def test_split_reassembles_flux(self):
         flux = from_spec("burgers;cubic", (-2.0, 2.0))
-        fs = segment_flux(flux, [0.7, -0.3])
+        fs = SegmentFlux(flux, [0.7, -0.3])
         u = np.linspace(-2.0, 2.0, 41)
         total = fs.pos_integral(u) + fs.neg_integral(u)
         assert np.allclose(total, fs.value(u) - fs.value(np.array([0.0])), atol=1e-12)
 
     def test_eo_flux_oracles(self):
-        fs = segment_flux(burgers_model(), [1.0])
+        fs = SegmentFlux(burgers_model(), [1.0])
         one = np.array([1.0])
         assert pair_flux(fs, one, np.array([0.0]))[0] == pytest.approx(0.5)
         assert pair_flux(fs, -one, one)[0] == pytest.approx(0.0)
@@ -117,7 +117,7 @@ class TestSegmentFluxExact:
 
     def test_eo_reversed_segment(self):
         # c = -1 flips the flux sign, so the upwind split flips roles
-        fs = segment_flux(burgers_model(), [-1.0])
+        fs = SegmentFlux(burgers_model(), [-1.0])
         u = np.array([1.0])
         # speeds -z <= 0 on [0, 1]: state 1 upwind only from the right slot
         assert pair_flux(fs, u, np.array([0.0]))[0] == pytest.approx(0.0)
@@ -125,20 +125,20 @@ class TestSegmentFluxExact:
 
     def test_consistency_eo_equals_flux_on_diagonal(self):
         flux = from_spec("burgers;cubic", (-2.0, 2.0))
-        fs = segment_flux(flux, [0.5, 1.2])
+        fs = SegmentFlux(flux, [0.5, 1.2])
         u = np.linspace(-1.9, 1.9, 23)
         for scheme in SCHEMES:
             assert np.allclose(pair_flux(fs, u, u, scheme), fs.value(u), atol=1e-12)
 
     def test_eo_matches_one_sided_integrals(self):
         """P~(u_l) + (F - P~)(u_r) is F(0) + P(u_l) + N(u_r) on a whole padded row."""
-        fs = segment_flux(from_spec("burgers;cubic", (-2.0, 2.0)), [0.7, -0.4])
+        fs = SegmentFlux(from_spec("burgers;cubic", (-2.0, 2.0)), [0.7, -0.4])
         v = np.random.default_rng(1).uniform(-2.0, 2.0, 41)
         split = fs.value(0.0) + fs.pos_integral(v[:-1]) + fs.neg_integral(v[1:])
         assert np.allclose(fs.interface_flux(v, "engquist_osher"), split, rtol=0.0, atol=1e-14)
 
     def test_godunov_matches_eo_off_transonic_shock(self):
-        fs = segment_flux(burgers_model(), [1.0])
+        fs = SegmentFlux(burgers_model(), [1.0])
         rng = np.random.default_rng(0)
         a = rng.uniform(-1.9, 1.9, 400)
         b = rng.uniform(-1.9, 1.9, 400)
@@ -151,19 +151,19 @@ class TestSegmentFluxExact:
         assert np.allclose(g, e, atol=1e-12)
 
     def test_godunov_transonic_shock_below_eo(self):
-        fs = segment_flux(burgers_model(), [1.0])
+        fs = SegmentFlux(burgers_model(), [1.0])
         a, b = np.array([1.0]), np.array([-1.0])
         assert pair_flux(fs, a, b, "godunov_convex")[0] == pytest.approx(0.5)
         assert pair_flux(fs, a, b)[0] == pytest.approx(1.0)
 
     def test_max_speed_is_certified_sup(self):
         flux = from_spec("burgers;cubic", (-2.0, 2.0))
-        fs = segment_flux(flux, [0.5, -0.25])
+        fs = SegmentFlux(flux, [0.5, -0.25])
         # |c1|*sup|u| + |c2|*sup|u^2| on the hull
         assert fs.max_speed == pytest.approx(0.5 * 2.0 + 0.25 * 4.0)
 
     def test_out_of_range_rejected(self):
-        fs = segment_flux(burgers_model((-1.0, 1.0)), [1.0])
+        fs = SegmentFlux(burgers_model((-1.0, 1.0)), [1.0])
         ok = np.array([0.5])
         with pytest.raises(ValueError, match="u_range"):
             pair_flux(fs, np.array([1.5]), ok)
@@ -176,7 +176,7 @@ class TestSegmentFluxExact:
     @given(st.floats(-1.9, 1.9), st.floats(-1.9, 1.9), st.floats(-1.9, 1.9))
     def test_eo_monotone_in_both_arguments(self, ul, ur, du):
         """Both fluxes are nondecreasing in the left and nonincreasing in the right slot."""
-        fs = segment_flux(from_spec("burgers;cubic", (-2.0, 2.0)), [0.8, 0.4])
+        fs = SegmentFlux(from_spec("burgers;cubic", (-2.0, 2.0)), [0.8, 0.4])
         lo, hi = sorted((ul, min(1.9, ul + abs(du))))
         l, h, r = np.array([lo]), np.array([hi]), np.array([ur])
         for scheme in SCHEMES:
@@ -204,7 +204,7 @@ class TestExactGodunov:
         (taylor_sine_model(), [-0.7]),
     ])
     def test_matches_brute_force_extremum(self, flux, c):
-        fs = segment_flux(flux, c)
+        fs = SegmentFlux(flux, c)
         lo, hi = flux.u_range
         rng = np.random.default_rng(7)
         u_l, u_r = rng.uniform(lo, hi, (2, 300))
@@ -228,7 +228,7 @@ class TestSampledBreakpoints:
     def test_exact_roots(self, c):
         # degree-7 A with A' vanishing at +-pi/6, +-pi/2, +-5pi/6
         ch = Channel("six-roots", npp.polyint(npp.polyfromroots(SIX_ROOTS)))
-        fs = segment_flux(FluxModel([ch], (-3.0, 3.0)), [c])
+        fs = SegmentFlux(FluxModel([ch], (-3.0, 3.0)), [c])
         assert fs.breakpoints.shape == (6,)
         assert np.max(np.abs(fs.breakpoints - SIX_ROOTS)) <= 1e-14
 
@@ -236,7 +236,7 @@ class TestSampledBreakpoints:
     def test_monotone_channel_has_none(self, c):
         # A(u) = u + u^3/3: F' = c (1 + u^2) never changes sign
         ch = Channel("monotone", [0.0, 1.0, 0.0, 1.0 / 3.0])
-        fs = segment_flux(FluxModel([ch], (-3.0, 3.0)), [c])
+        fs = SegmentFlux(FluxModel([ch], (-3.0, 3.0)), [c])
         assert fs.breakpoints.shape == (0,)
         u = np.linspace(-3.0, 3.0, 13)
         one_sided = fs.pos_integral(u) if c > 0 else fs.neg_integral(u)
@@ -246,8 +246,8 @@ class TestSampledBreakpoints:
 class TestReparametrization:
     def test_doubling_slope_doubles_flux_split(self):
         flux = from_spec("burgers;cubic", (-2.0, 2.0))
-        f1 = segment_flux(flux, [0.6, -0.2])
-        f2 = segment_flux(flux, [1.2, -0.4])
+        f1 = SegmentFlux(flux, [0.6, -0.2])
+        f2 = SegmentFlux(flux, [1.2, -0.4])
         u = np.linspace(-1.9, 1.9, 17)
         assert np.allclose(2.0 * f1.pos_integral(u), f2.pos_integral(u), atol=1e-11)
         assert np.allclose(2.0 * f1.neg_integral(u), f2.neg_integral(u), atol=1e-11)

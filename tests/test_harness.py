@@ -12,9 +12,11 @@ import pytest
 import rough_scl
 from rough_scl.cli import main
 from rough_scl.config import load_config
+from rough_scl import harness
 from rough_scl.harness import (
     DEFAULT_SUITE,
     EXPERIMENTS,
+    _logistic_speed,
     execute,
     output_root,
     rerun_from_manifest,
@@ -202,6 +204,26 @@ class TestSemilinearDemo:
         with pytest.raises(ValueError, match="source spec"):
             execute("semilinear-demo", cfg, tmp_path)
 
+    def test_logistic_oracle_at_the_horizon(self, tmp_path):
+        """The speed oracle is the closed form at T = 0.5, not the T = 1 value."""
+        cfg = tiny(experiment="semilinear-demo", n_cells=200)
+        _, report = execute("semilinear-demo", cfg, tmp_path)
+        em1 = math.expm1(0.5)
+        assert report["speed_oracle"] == (1.0 + 1.0 / em1) * (1.0 - 0.5 / em1)
+        assert abs(report["speed_at_horizon"] - report["speed_oracle"]) <= 1e-6
+        assert report["pass"] and report["failed_clauses"] == []
+
+    def test_logistic_speed_closed_form_and_series(self):
+        """int_0^1 Psi(w; T) dw: e(e-2)/(e-1)^2 at T = 1, and 1/2 + T/6 + O(T^2) near 0."""
+        e = math.e
+        assert _logistic_speed(1.0) == e * (e - 2.0) / (e - 1.0) ** 2
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        w = 0.5 * (nodes + 1.0)
+        for t in (1e-7, 1e-5, 0.3):
+            exact = 0.5 * weights @ (w * math.exp(t) / (1.0 + w * math.expm1(t)))
+            assert _logistic_speed(t) == pytest.approx(exact, rel=0.0, abs=1e-10)
+        assert abs(_logistic_speed(1e-7) - (0.5 + 1e-7 / 12.0)) > 1e-9  # the T/12 series is wrong
+
 
 class TestManifests:
     def test_execute_writes_manifest(self, tmp_path):
@@ -260,6 +282,9 @@ class TestSuite:
         cfg = tiny(bc="periodic")
         assert suite_cfg(cfg, "contraction")["datum2"] == "riemann:0.8,0"
         assert suite_cfg(cfg, "semilinear-demo")["bc"] == "outflow"
+        two = tiny(flux="burgers;cubic")
+        assert suite_cfg(two, "semilinear-demo")["flux"] == "burgers"
+        assert suite_cfg(two, "solve")["flux"] == "burgers;cubic"
         assert suite_cfg(cfg, "solve")["experiment"] == "solve"
 
     def test_suite_runs_members_concurrently(self, tmp_path):
@@ -272,6 +297,46 @@ class TestSuite:
 
     def test_default_suite_names_known(self):
         assert set(DEFAULT_SUITE) <= set(EXPERIMENTS)
+
+
+class TestVerdict:
+    """Every experiment derives `pass` by one rule: no clause in `failed_clauses`."""
+
+    PASSING = {
+        "solve": {},
+        "contraction": {"datum2": "riemann:0.8,-0.2"},
+        "path-stability": {"datum": "riemann:2,0", "u_lo": -0.5, "u_hi": 2.5, "n_cells": 200,
+                           "epsilons": "0.4,0.2,0.1,0.05"},
+        # refine's strict-decrease clause holds at some seeds only (see ROADMAP); 3 is one
+        "refine": {"level_lo": 2, "level_hi": 5, "seed": 3},
+        "kinetic-check": {"n_xi": 80},
+        "dissipative-check": {"n_seeds": 1, "n_data": 1, "n_anchors": 1, "datum": "riemann:0.5,0",
+                              "x_lo": -2.0, "x_hi": 2.0},
+        "semilinear-demo": {"n_cells": 200},
+    }
+
+    def test_every_experiment_covered(self):
+        assert set(self.PASSING) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(PASSING))
+    def test_passing_config_has_no_failed_clause(self, tmp_path, name):
+        _, report = execute(name, tiny(experiment=name, **self.PASSING[name]), tmp_path)
+        assert report["failed_clauses"] == []
+        assert report["pass"] is True
+
+    def test_failing_contraction_prints_its_clause(self, tmp_path, capsys, monkeypatch):
+        """A failing clause of an experiment other than path-stability and refine
+        is printed under its FAIL line too, with its numbers."""
+        monkeypatch.setattr(harness, "CONTRACTION_TOL", -1.0)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_cells = 100\nhorizon = 0.5\nn_outputs = 4\npath = brownian:4\n"
+                       "datum2 = riemann:0.8,-0.2\n")
+        code = main(["contraction", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0].startswith("contraction: FAIL")
+        assert lines[1].startswith("  failed: L1 distance grew by ") and lines[1].endswith(" > -1")
+        assert not lines[2].startswith("  failed:")
 
 
 class TestCli:
@@ -330,7 +395,9 @@ class TestCli:
     @pytest.mark.parametrize("experiment, line", [
         ("kinetic-check", "scheme = godunov_convex\n"),
         ("semilinear-demo", "source = bogus\n"),
-    ], ids=["kinetic-godunov", "semilinear-bogus-source"])
+        ("solve", "datum = bump:0,0,1\n"),
+        ("path-stability", "n_outputs = 0\n"),
+    ], ids=["kinetic-godunov", "semilinear-bogus-source", "bump-zero-width", "zero-outputs"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line):
         """An experiment that rejects its config leaves no run directory behind."""
         cfg = tmp_path / "cfg.txt"
@@ -357,6 +424,18 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error: ")
         assert "absent.csv" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flux", ["cubic", "burgers;cubic"])
+    def test_semilinear_demo_flux_key_exits_2(self, tmp_path, capsys, flux):
+        """The demo solves Burgers; another flux key was ignored and the demo still passed."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"flux = {flux}\n")
+        out = tmp_path / "out"
+        code = main(["semilinear-demo", "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and f"flux = {flux!r}" in err
         assert list(out.iterdir()) == []
 
     def test_datum_table_off_the_grid_exits_2(self, tmp_path, capsys):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rough_scl.fluxes import FluxModel, builtin, from_spec, segment_flux
+from rough_scl.fluxes import FluxModel, builtin, from_spec
 from rough_scl.kinetic import (
     XiGrid,
     accumulate_defects,

@@ -12,8 +12,6 @@ from rough_scl.paths import (
     brownian_sample,
     dyadic_refine,
     identity_path,
-    monotone_segments,
-    path_to_string,
     read_csv,
     sup_distance,
     tent_path,
@@ -138,22 +136,6 @@ class TestSupDistance:
         assert dab <= sup_distance(pa, pc) + sup_distance(pc, pb) + 1e-12
 
 
-class TestMonotoneSegments:
-    def test_tent_splits_in_two(self):
-        runs = monotone_segments(tent_path(1.0, 1.0, 2.0))
-        assert runs == [(0, 1, 1), (1, 2, -1)]
-
-    def test_monotone_path_is_single_run(self):
-        knots = np.linspace(0.0, 1.0, 65)
-        runs = monotone_segments(PiecewiseLinearPath(knots, knots**2))
-        assert runs == [(0, 64, 1)]
-
-    def test_flat_path_is_single_plus_run(self):
-        p = PiecewiseLinearPath([0.0, 1.0, 2.0], [1e-300, 1e-300, 1e-300])
-        [(lo, hi, sign)] = monotone_segments(p)
-        assert (lo, hi) == (0, 2)
-
-
 class TestCsvRoundTrip:
     def test_bitwise_round_trip(self):
         p = brownian_sample(11, 1.0, 16, 3)
@@ -162,10 +144,6 @@ class TestCsvRoundTrip:
         q = read_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(p.knots, q.knots)
         assert np.array_equal(p.values, q.values)
-
-    def test_string_form_mentions_channels(self):
-        s = path_to_string(brownian_sample(0, 1.0, 4, 2))
-        assert "W1" in s and "W2" in s
 
 
 def test_tent_path_shape():

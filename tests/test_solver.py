@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rough_scl.fluxes import FluxModel, builtin, from_spec, segment_flux
+from rough_scl.fluxes import FluxModel, SegmentFlux, builtin, from_spec
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path, tent_path
 from rough_scl.solver import (
     CellState,
@@ -74,7 +74,7 @@ class TestStepInvariants:
         self.flux = from_spec("burgers;cubic", (-1.5, 1.5))
 
     def test_cfl_refusal(self):
-        fs = segment_flux(self.flux, [1.0, 1.0])
+        fs = SegmentFlux(self.flux, [1.0, 1.0])
         state = CellState(self.grid, np.zeros(64), 0.0)
         dt_max = SolverConfig().cfl * self.grid.dx / fs.max_speed
         with pytest.raises(CFLError):
@@ -82,7 +82,7 @@ class TestStepInvariants:
 
     def test_random_data_invariants(self):
         rng = np.random.default_rng(3)
-        fs = segment_flux(self.flux, [0.8, -0.5])
+        fs = SegmentFlux(self.flux, [0.8, -0.5])
         for _ in range(5):
             u = rng.uniform(-1.0, 1.0, 64)
             state = CellState(self.grid, u, 0.0)
@@ -95,7 +95,7 @@ class TestStepInvariants:
 
     def test_discrete_l1_contraction(self):
         rng = np.random.default_rng(4)
-        fs = segment_flux(self.flux, [1.0, 0.3])
+        fs = SegmentFlux(self.flux, [1.0, 0.3])
         dt = 0.85 * self.grid.dx / fs.max_speed
         for _ in range(5):
             a = CellState(self.grid, rng.uniform(-1.0, 1.0, 64), 0.0)
@@ -117,7 +117,7 @@ class TestRiemannOracles:
     def test_solver_tracks_shock(self):
         grid = Grid1D(-1.0, 1.0, 400, "outflow")
         state = riemann_state(grid, 1.0, 0.0)
-        out = solve_segment(state, segment_flux(burgers(), [1.0]), 0.8)
+        out = solve_segment(state, SegmentFlux(burgers(), [1.0]), 0.8)
         exact = burgers_riemann_exact(1.0, 0.0, grid.centers, 0.8)
         err = grid.dx * np.abs(out.u - exact).sum()
         assert err <= 5.0 * grid.dx
@@ -125,7 +125,7 @@ class TestRiemannOracles:
     def test_solver_tracks_fan(self):
         grid = Grid1D(-1.0, 1.0, 400, "outflow")
         state = riemann_state(grid, -0.5, 0.5)
-        out = solve_segment(state, segment_flux(burgers(), [1.0]), 0.8)
+        out = solve_segment(state, SegmentFlux(burgers(), [1.0]), 0.8)
         exact = burgers_riemann_exact(-0.5, 0.5, grid.centers, 0.8)
         err = grid.dx * np.abs(out.u - exact).sum()
         assert err <= 0.01
@@ -145,7 +145,7 @@ class TestRiemannOracles:
     def test_zero_slope_segment_is_identity(self):
         grid = Grid1D(-1.0, 1.0, 50, "periodic")
         u = np.sin(np.pi * grid.centers)
-        out = solve_segment(CellState(grid, u, 0.0), segment_flux(burgers(), [0.0]), 5.0)
+        out = solve_segment(CellState(grid, u, 0.0), SegmentFlux(burgers(), [0.0]), 5.0)
         assert np.array_equal(out.u, u)
         assert out.t == pytest.approx(5.0)
 
