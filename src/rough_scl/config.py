@@ -22,11 +22,10 @@ CONFIG_KEYS: dict[str, tuple] = {
     "flux": (str, "burgers", "semicolon-separated channels: burgers | cubic | poly:c0,c1,..."),
     "u_lo": (float, -2.0, "lower edge of the certified state range"),
     "u_hi": (float, 2.0, "upper edge of the certified state range"),
-    "datum": (str, "riemann:1,0", "riemann:u_l,u_r[,x_jump] | bump:center,width,height | sign-step"),
+    "datum": (str, "riemann:1,0", "riemann:u_l,u_r[,x_jump] | bump:center,halfwidth,height | sign-step"),
     "datum2": (str, "", "second datum for contraction runs, same grammar"),
     "path": (str, "brownian:8", "brownian:n_segments | tent | identity | monomial:p,n_segments | file:csv"),
     "seed": (int, 0, "path seed (unsigned 64-bit)"),
-    "channels": (int, 0, "driver channels for brownian paths; 0 = match the flux"),
     "horizon": (float, 1.0, "final time T"),
     "x_lo": (float, -1.0, "left edge of the spatial domain"),
     "x_hi": (float, 1.0, "right edge of the spatial domain"),
@@ -109,8 +108,7 @@ class Experiment:
 
     def path(self, seed: int | None = None) -> paths.PiecewiseLinearPath:
         used = int(self.cfg["seed"]) if seed is None else int(seed)
-        n_ch = int(self.cfg["channels"]) or self.flux.n_channels
-        return build_path(self.cfg["path"], used, self.horizon, n_ch)
+        return build_path(self.cfg["path"], used, self.horizon, self.flux.n_channels)
 
 
 def build_experiment(cfg: dict) -> Experiment:
@@ -146,9 +144,9 @@ def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
         return np.where(x < jump, u_l, u_r)
     if name == "bump":
         if len(args) != 3:
-            raise ValueError("bump takes center,width,height")
-        center, width, height = map(float, args)
-        return bump_datum(center, width, height).value(x) + 0.0  # + 0.0: no -0 in the CSVs
+            raise ValueError("bump takes center,halfwidth,height")
+        center, halfwidth, height = map(float, args)
+        return bump_datum(center, halfwidth, height).value(x) + 0.0  # + 0.0: no -0 in the CSVs
     if name == "sign-step":
         return np.where(x < 0.0, 1.0, -1.0)
     if name == "file":

@@ -2,8 +2,8 @@
 
 Every channel is a polynomial A_i(u) = sum_k c_k u^k of degree at most
 MAX_POLY_DEGREE.  A FluxModel holds one per driver channel together with
-certified sup bounds for a_i = A_i' and a_i' on the working range of u, taken
-exactly at the endpoints and the real roots of the next derivative.  On a
+a certified sup bound for |a_i| = |A_i'| on the working range of u, taken
+exactly at the endpoints and the real roots of a_i'.  On a
 linear piece of the driver with slope c the solver sees the frozen polynomial
 F(u) = sum_i c_i A_i(u); SegmentFlux packages F with the one-sided integrals
 
@@ -90,33 +90,27 @@ class FluxModel:
             raise ValueError("need at least one channel")
         self.channels = list(channels)
         self.u_range = (lo, hi)
-        self.lip_a = np.array([self._certified_sup(ch, order=1) for ch in channels])
-        self.lip_a_prime = np.array([self._certified_sup(ch, order=2) for ch in channels])
+        self.lip_a = np.array([self._certified_sup(ch) for ch in channels])
         self._validate()
 
     @property
     def n_channels(self) -> int:
         return len(self.channels)
 
-    def _certified_sup(self, ch: Channel, order: int) -> float:
-        """Exact sup of |a| (order 1) or |a'| (order 2): extrema sit at the
-        endpoints or at real roots of the next derivative."""
+    def _certified_sup(self, ch: Channel) -> float:
+        """Exact sup of |a|: extrema sit at the endpoints or at real roots of a'."""
         lo, hi = self.u_range
-        f = ch.a if order == 1 else ch.a_prime
-        dnext = npp.polyder(ch.coeffs, order + 1)
-        pts = np.concatenate([[lo, hi], _real_roots(dnext, lo, hi)])
-        return float(np.max(np.abs(f(pts))))
+        pts = np.concatenate([[lo, hi], _real_roots(npp.polyder(ch.coeffs, 2), lo, hi)])
+        return float(np.max(np.abs(ch.a(pts))))
 
     def _validate(self) -> None:
-        """Sampled |a| and |a'| stay within the bounds, which catches a root
-        that `_real_roots`' imaginary-part cut-off dropped."""
+        """Sampled |a| stays within the bound, which catches a root that
+        `_real_roots`' imaginary-part cut-off dropped."""
         lo, hi = self.u_range
         sample = np.linspace(lo, hi, 1000)
         for i, ch in enumerate(self.channels):
             if np.max(np.abs(ch.a(sample))) > self.lip_a[i] * (1.0 + 1e-12):
                 raise ValueError(f"channel {ch.name!r}: certified |a| bound below sampled sup")
-            if np.max(np.abs(ch.a_prime(sample))) > self.lip_a_prime[i] * (1.0 + 1e-12):
-                raise ValueError(f"channel {ch.name!r}: certified |a'| bound below sampled sup")
 
 
 def from_spec(spec: str, u_range: tuple[float, float]) -> FluxModel:

@@ -8,7 +8,7 @@ of the projection is the nonnegative measure m in
     d chi + F'(xi) chi_x dt = m_xi dt.
 
 `defect_from_slab` extracts m in closed form from one `Slab`, the step record
-the solver emits (t0, dt, slope c, states u0 and u1): the cumulative integrals
+the solver emits (t0, dt, its flux and scheme, u0, u1): the cumulative integrals
 of chi and of the one-sided flux derivatives are exact, sub-cell, so m >= 0
 holds to roundoff and the conservation residual at the top of the xi range
 telescopes to machine zero.  Neighbour differences take the solver's ghost
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fluxes import FluxModel, SegmentFlux
+from .fluxes import FluxModel
 from .paths import PiecewiseLinearPath
 from .smooth import Weight, bump_integral, bump_raw, bump_raw_pair
 from .solver import Grid1D, CellState, Slab, Trajectory
@@ -166,21 +166,38 @@ class DefectField:
         return float(self.values[:, mask].max()) if np.any(mask) else 0.0
 
 
-def defect_from_slab(slab: Slab, grid: Grid1D, xi: XiGrid, flux: FluxModel) -> DefectField:
-    """Extract the defect rate of one solver step.
+def _check_steps(slabs: Sequence[Slab], flux: FluxModel | None = None) -> None:
+    """The extraction's preconditions: positive durations, Engquist-Osher steps
+    (m is the kinetic form of that step only) and, when given, `flux` equal to
+    the steps' flux, with the same u_range and channel coefficients."""
+    if min(s.dt for s in slabs) <= 0:
+        raise ValueError("slab duration must be positive")
+    scheme = next((s.scheme for s in slabs if s.scheme != "engquist_osher"), None)
+    if scheme is not None:
+        raise ValueError(f"steps made with scheme {scheme!r}: the defect extraction is the "
+                         "kinetic form of the engquist_osher step only")
+    if flux is None:
+        return
+    want = (flux.u_range, [ch.coeffs.tolist() for ch in flux.channels])
+    for made in {id(s.fseg.flux): s.fseg.flux for s in slabs}.values():
+        if (made.u_range, [ch.coeffs.tolist() for ch in made.channels]) != want:
+            raise ValueError("flux differs from the flux the steps were made with")
+
+
+def defect_from_slab(slab: Slab, grid: Grid1D, xi: XiGrid) -> DefectField:
+    """Extract the defect rate of one solver step under its own frozen flux.
 
     The accumulation over zeta runs from xi_lo upward with the same upwind
     splitting as the solver step: cumulative of (chi(u1) - chi(u0))/dt plus
     the difference of the one-sided interface integrals, all exact in xi.
-    The xi grid must cover max(|u0|, |u1|) plus one cell.
+    The step must be Engquist-Osher's; the xi grid must cover max(|u0|, |u1|) plus one cell.
     """
-    if slab.dt <= 0:
-        raise ValueError("slab duration must be positive")
+    _check_steps([slab])
     u0, u1 = slab.u0, slab.u1
     if u0.shape != (grid.n_cells,) or u1.shape != (grid.n_cells,):
         raise ValueError(f"slab states of shape {u0.shape}, {u1.shape} do not match the grid")
     _check_xi_covers(xi, max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1)))))
-    fseg = SegmentFlux(flux, slab.c)
+    fseg = slab.fseg
     xc = xi.centers
     p_xi, n_xi = fseg.pos_integral(xc), fseg.neg_integral(xc)
 
@@ -212,16 +229,13 @@ def _below_sums(cells: np.ndarray, weights: np.ndarray, n_cells: int, n_xi: int)
     return np.cumsum(hist.reshape(n_cells, n_xi + 1), axis=1)
 
 
-def _reporting_defect(
-    grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab], fsegs: Sequence[SegmentFlux],
-    xi_tables: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> DefectField:
+def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]) -> DefectField:
     """The dt-weighted mean of `defect_from_slab` over consecutive solver steps.
 
     The one-sided cumulative of a step is A_u(xi) = G(min(u, xi)) - [xi < 0] G(xi)
     (G = P or N); the second term is the same in every cell, so the neighbour
     differences see only sum_s dt G(min(u, xi)), which per piece (a run of
-    steps with one slope) splits into occupation sums over the xi bins:
+    steps under one `SegmentFlux`) splits into occupation sums over the xi bins:
 
         sum dt G(u) - over(xi)  =  under(xi) + G(xi) sum dt,
         under(xi) = sum_{u < xi} dt (G(u) - G(xi)),
@@ -234,16 +248,15 @@ def _reporting_defect(
     conservation residual (summed step by step, keeping its per-step
     cancellation), m equals that residual exactly where every value lies
     below xi.  Each cell switches from the first form to the second above its
-    end value, which lies inside its stencil's range.  `xi_tables` holds, per
-    step, its slope's (P, N) at the xi centres.
+    end value, which lies inside its stencil's range.
     """
     xc = xi.centers
     n = grid.n_cells
     offsets = (np.arange(n) * (xi.n + 1))[:, None]
     under_p, under_n, over_p, over_n = (np.zeros((n, xi.n)) for _ in range(4))
     cons = np.zeros(n)
-    for start, stop in _runs([id(f) for f in fsegs]):
-        fseg = fsegs[start]
+    for start, stop in _runs([id(s.fseg) for s in steps]):
+        fseg = steps[start].fseg
         u0 = np.stack([s.u0 for s in steps[start:stop]], axis=1)  # (cells, steps)
         u1 = np.stack([s.u1 for s in steps[start:stop]], axis=1)
         dt = np.array([s.dt for s in steps[start:stop]])
@@ -251,8 +264,8 @@ def _reporting_defect(
         cons += ((u1 - u0) + dt * (_upwind_difference(grid, p_u, n_u) / grid.dx)).sum(axis=1)
         cells = (np.searchsorted(xc, u0, side="right") + offsets).ravel()
         sums_w = _below_sums(cells, np.broadcast_to(dt, u0.shape), n, xi.n)
-        tables = zip(xi_tables[start], (p_u, n_u), (under_p, under_n), (over_p, over_n))
-        for g_xi, g_u, under, over in tables:
+        g_xis = (fseg.pos_integral(xc), fseg.neg_integral(xc))
+        for g_xi, g_u, under, over in zip(g_xis, (p_u, n_u), (under_p, under_n), (over_p, over_n)):
             sums_g = _below_sums(cells, dt * g_u, n, xi.n)
             under += sums_g[:, :-1] - g_xi * sums_w[:, :-1]
             over += (sums_g[:, -1:] - sums_g[:, :-1]) - g_xi * (sums_w[:, -1:] - sums_w[:, :-1])
@@ -273,13 +286,12 @@ def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[De
     Equals averaging `defect_from_slab` over the solver steps whose midpoint
     lies in the slab (steps outside the snapshot span are left out), without
     forming any per-step (n_cells x n_xi) field: each run of steps with one
-    reporting slab and one slope is reduced by occupation-time histograms,
-    so the cost is O(steps * n_cells + pieces * n_cells * n_xi) instead of
-    O(steps * n_cells * n_xi).  The recorded steps must be chained, each one
-    starting from the state the previous one ended in, as `solve_path` records
-    them, by the Engquist-Osher scheme: the extraction is the kinetic form of
-    that scheme's step, so steps of any other scheme give a meaningless m
-    (negative, with a conservation residual of the same size).
+    reporting slab and one `SegmentFlux` is reduced by occupation-time
+    histograms, so the cost is O(steps * n_cells + pieces * n_cells * n_xi)
+    instead of O(steps * n_cells * n_xi).  The recorded steps must be chained,
+    each one starting from the state the previous one ended in, as
+    `solve_path` records them.  They must be Engquist-Osher steps, and `flux`
+    must equal the flux they were made with; each is checked.
     """
     if traj.slabs is None:
         raise ValueError("trajectory was solved without record_slabs")
@@ -288,29 +300,18 @@ def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[De
     slabs = traj.slabs
     if not slabs:
         return []
-    if min(s.dt for s in slabs) <= 0:
-        raise ValueError("slab duration must be positive")
+    _check_steps(slabs, flux)
     u_inf = max(float(np.max(np.abs(s.u0))) for s in slabs)
     _check_xi_covers(xi, max(u_inf, float(np.max(np.abs(slabs[-1].u1)))))
 
     edges = traj.times
     mids = np.array([s.t0 + 0.5 * s.dt for s in slabs])
     ks = (np.searchsorted(edges, mids) - 1).tolist()
-    fseg_cache: dict[bytes, tuple[SegmentFlux, tuple[np.ndarray, np.ndarray]]] = {}
-    for s in slabs:
-        key = s.c.tobytes()
-        if key not in fseg_cache:
-            fseg = SegmentFlux(flux, s.c)
-            fseg_cache[key] = (fseg, (fseg.pos_integral(xi.centers), fseg.neg_integral(xi.centers)))
-    fsegs, xi_tables = zip(*(fseg_cache[s.c.tobytes()] for s in slabs))
     out = []
     for start, stop in _runs(ks):
         k = ks[start]
         if 0 <= k < edges.size - 1:
-            out.append(_reporting_defect(
-                traj.grid, xi, float(edges[k]), slabs[start:stop], fsegs[start:stop],
-                xi_tables[start:stop],
-            ))
+            out.append(_reporting_defect(traj.grid, xi, float(edges[k]), slabs[start:stop]))
     return out
 
 

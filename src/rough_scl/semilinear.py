@@ -158,29 +158,23 @@ def transformed_flux(channel: Channel, flow: FlowMap, v, t: float) -> np.ndarray
     return _converged(half * (vals @ _GL_WEIGHTS), QUAD_TOL, "transformed flux")
 
 
-def transformed_shock_speed(
-    channel: Channel, flow: FlowMap, t: float, v_l: float = 1.0, v_r: float = 0.0
-) -> float:
-    """Rankine-Hugoniot speed of the transformed front: jump of A~ over jump of v."""
-    if v_l == v_r:
-        raise ValueError("no jump")
-    a_vals = transformed_flux(channel, flow, np.asarray([v_l, v_r]), t)
-    return float((a_vals[0] - a_vals[1]) / (v_l - v_r))
+def transformed_shock_speed(channel: Channel, flow: FlowMap, t: float) -> float:
+    """Rankine-Hugoniot speed of the transformed 1/0 front: the jump of A~ over the unit jump of v."""
+    a_vals = transformed_flux(channel, flow, np.asarray([1.0, 0.0]), t)
+    return float(a_vals[0] - a_vals[1])
 
 
-def _front(channel: Channel, flow: FlowMap, times, v_l: float, v_r: float):
-    """x(t) = int_0^t speed dtau and the end states Psi(v_l; t), Psi(v_r; t) at `times`.
+def _front(channel: Channel, flow: FlowMap, times):
+    """x(t) = int_0^t speed dtau of the 1/0 front and the end states Psi(1; t), Psi(0; t) at `times`.
 
-    The speed is g(W~(tau)), g(s) the mean of a(phi_s(w)) over w in [v_r, v_l].
+    The speed is g(W~(tau)), g(s) the mean of a(phi_s(w)) over w in [0, 1].
     One sweep carries X(s) = int_0^s a(phi_sigma(w)) dsigma at the nodes, whose
     mean G has G' = g; the driver is linear between visited times, so a step
     integrates exactly to dtau (G(s1) - G(s0)) / ds.  Where |ds| <= 1e-5 that
     quotient loses more to cancellation than the trapezoid dtau (g(s0) + g(s1)) / 2
     errs, so the trapezoid is used there (exact where ds = 0).
     """
-    if v_l == v_r:
-        raise ValueError("no jump")
-    w = np.concatenate([[v_l, v_r], 0.5 * (v_l + v_r) + 0.5 * (v_l - v_r) * _GL_NODES])
+    w = np.concatenate([[1.0, 0.0], 0.5 + 0.5 * _GL_NODES])
     phi = flow.source.phi
     taus, s, flowed = flow._sweep(np.stack([w, np.zeros_like(w)]), times,
                                   lambda y: np.stack([phi(y[0]), channel.a(y[0])]))
@@ -194,11 +188,9 @@ def _front(channel: Channel, flow: FlowMap, times, v_l: float, v_r: float):
     return _converged(x[at], POSITION_TOL, "front position"), psi[at, 0], psi[at, 1]
 
 
-def transformed_shock_position(
-    channel: Channel, flow: FlowMap, t: float, v_l: float = 1.0, v_r: float = 0.0
-) -> float:
-    """x(t) = int_0^t speed(tau) dtau of the transformed front from 0, by one flow-map sweep."""
-    return float(_front(channel, flow, [t], v_l, v_r)[0][0])
+def transformed_shock_position(channel: Channel, flow: FlowMap, t: float) -> float:
+    """x(t) = int_0^t speed(tau) dtau of the transformed 1/0 front from 0, by one flow-map sweep."""
+    return float(_front(channel, flow, [t])[0][0])
 
 
 def direct_semilinear_solve(
@@ -279,7 +271,7 @@ def mismatch_report(
     outputs = np.linspace(0.0, horizon, n_times + 1)
     traj = direct_semilinear_solve(flux, source, grid, horizon, outputs=outputs, config=config)
     flow = FlowMap(source, identity_path(horizon))
-    x_transform, psi_l, psi_r = _front(channel, flow, outputs[1:], 1.0, 0.0)
+    x_transform, psi_l, psi_r = _front(channel, flow, outputs[1:])
     rows = []
     for t, x_trans, level in zip(outputs[1:], x_transform, 0.5 * (psi_l + psi_r)):
         x_direct = shock_position(traj.state_at(float(t)), float(level))

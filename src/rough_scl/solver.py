@@ -105,7 +105,7 @@ class SolverConfig:
 
 @dataclass
 class Slab:
-    """One solver step: state u0 at t0 advanced to u1 at t0 + dt with frozen slope c.
+    """One solver step: u0 at t0 to u1 at t0 + dt by `scheme` under its segment's frozen flux.
 
     `solve_segment` emits one per step; `kinetic.defect_from_slab` reads the
     defect m of the step from it.
@@ -113,9 +113,15 @@ class Slab:
 
     t0: float
     dt: float
-    c: np.ndarray
+    fseg: SegmentFlux
+    scheme: str
     u0: np.ndarray
     u1: np.ndarray
+
+    @property
+    def c(self) -> np.ndarray:
+        """The driver slope of the step's segment."""
+        return self.fseg.c
 
 
 @dataclass
@@ -169,7 +175,7 @@ def solve_segment(
         # flux constant in u on the certified range: nothing moves
         out = CellState(state.grid, state.u.copy(), t_end)
         if collect is not None:
-            collect(Slab(state.t, duration, fseg.c, state.u, out.u))
+            collect(Slab(state.t, duration, fseg, config.scheme, state.u, out.u))
         return out
     dt_max = config.cfl * state.grid.dx / fseg.max_speed
     n_steps = max(1, int(np.ceil(duration / dt_max - 1e-12)))
@@ -180,7 +186,7 @@ def solve_segment(
         new = step(state, fseg, dt, config)
         new.t = target
         if collect is not None:
-            collect(Slab(state.t, dt, fseg.c, state.u, new.u))
+            collect(Slab(state.t, dt, fseg, config.scheme, state.u, new.u))
         state = new
     return state
 

@@ -178,11 +178,11 @@ class TestPathBuilders:
 
 class TestExperiment:
     def test_build(self):
-        cfg = load_config(None, {"flux": "burgers;cubic", "channels": 0, "n_cells": 32})
+        cfg = load_config(None, {"flux": "burgers;cubic", "n_cells": 32})
         exp = build_experiment(cfg)
         assert exp.flux.n_channels == 2
         assert exp.grid.n_cells == 32
-        assert exp.path().n_channels == 2  # channels=0 follows the flux
+        assert exp.path().n_channels == 2  # the path follows the flux
         assert exp.outputs[0] == 0.0 and exp.outputs[-1] == exp.horizon
         assert exp.datum().shape == (32,)
         assert exp.datum("riemann:0,1").max() == 1.0
@@ -193,7 +193,3 @@ class TestExperiment:
         with pytest.raises(ValueError, match="n_outputs must be at least 1"):
             build_experiment(load_config(None, {"n_outputs": n_outputs}))
 
-    def test_channel_override(self):
-        cfg = load_config(None, {"channels": 3})
-        exp = build_experiment(cfg)
-        assert exp.path().n_channels == 3

@@ -77,15 +77,13 @@ class TestFromSpec:
 class TestCertifiedBounds:
     def test_burgers_lipschitz_exact(self):
         flux = burgers_model((-2.0, 3.0))
-        # a(u) = u: sup |a| = 3, sup |a'| = 1 on [-2, 3]
+        # a(u) = u: sup |a| = 3 on [-2, 3]
         assert flux.lip_a[0] == pytest.approx(3.0)
-        assert flux.lip_a_prime[0] == pytest.approx(1.0)
 
     def test_cubic_lipschitz_exact(self):
         flux = FluxModel([builtin("cubic")], (-2.0, 3.0))
-        # a = u^2 sup 9; a' = 2u sup 6
+        # a = u^2 sup 9
         assert flux.lip_a[0] == pytest.approx(9.0)
-        assert flux.lip_a_prime[0] == pytest.approx(6.0)
 
     def test_interior_extremum_found(self):
         # a(u) = u - u^3/3 from A = u^2/2 - u^4/12 has extrema at u = +-1

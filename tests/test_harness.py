@@ -181,7 +181,9 @@ class TestSemilinearDemo:
     def test_zero_source_gap_small(self, tmp_path):
         cfg = tiny(experiment="semilinear-demo", source="zero", n_cells=200, horizon=0.5)
         run_dir, report = execute("semilinear-demo", cfg, tmp_path)
-        assert report["pass"]
+        assert report["pass"] and report["failed_clauses"] == []
+        assert report["front_oracle"] == 0.25  # T/2
+        assert abs(report["x_transform"] - 0.25) <= 1e-6
         assert abs(report["gap"]) <= 2.0 * report["dx"] + 1e-6
         assert (run_dir / "mismatch.csv").exists()
 
@@ -196,8 +198,20 @@ class TestSemilinearDemo:
         assert main(["semilinear-demo", "--out", str(out), "--config", str(cfg)]) == 0
         report = json.loads(next(out.glob("*/report.json")).read_text())
         exact = math.expm1(lam) / (2.0 * lam)
+        assert report["front_oracle"] == pytest.approx(exact, rel=1e-15)
+        assert report["pass"] and report["failed_clauses"] == []
+        assert abs(report["x_transform"] - exact) <= 1e-6
         assert abs(report["x_direct"] - exact) <= 2.0 * report["dx"]
         assert abs(report["gap"]) <= 2.0 * report["dx"]
+
+    def test_linear_front_gate_fails_off_the_oracle(self, tmp_path, monkeypatch):
+        """The linear-source gate is live: a wrong oracle fails both front clauses."""
+        monkeypatch.setattr(harness, "_linear_front", lambda lam, horizon: 0.25)
+        cfg = load_config(None, {"experiment": "semilinear-demo", "source": "linear:-1"})
+        _, report = execute("semilinear-demo", cfg, tmp_path)
+        assert report["front_oracle"] == 0.25
+        assert not report["pass"]
+        assert [c.split()[0] for c in report["failed_clauses"]] == ["transformed", "direct"]
 
     def test_unknown_source(self, tmp_path):
         cfg = tiny(experiment="semilinear-demo", source="tanh")

@@ -1,8 +1,10 @@
 """Kinetic layer: chi decomposition, nonnegative defect, and weak residuals."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rough_scl.fluxes import FluxModel, builtin, from_spec
+from rough_scl.fluxes import FluxModel, SegmentFlux, builtin, from_spec
 from rough_scl.kinetic import (
     XiGrid,
     accumulate_defects,
@@ -43,7 +45,7 @@ def per_step_defects(traj, flux, xi):
         cons = np.zeros(traj.grid.n_cells)
         duration = 0.0
         for s in steps:
-            d = defect_from_slab(s, traj.grid, xi, flux)
+            d = defect_from_slab(s, traj.grid, xi)
             values += s.dt * d.values
             cons += s.dt * d.cons_residual
             duration += s.dt
@@ -96,14 +98,67 @@ class TestChi:
         grid = Grid1D(0.0, 1.0, 4, "periodic")
         small, large = np.zeros(4), np.array([0.0, 0.9, 0.0, 0.0])
         for u0, u1 in ((large, small), (small, large)):
-            slab = Slab(0.0, 0.01, np.array([1.0]), u0, u1)
+            slab = Slab(0.0, 0.01, SegmentFlux(burgers(), [1.0]), "engquist_osher", u0, u1)
             with pytest.raises(ValueError, match="xi range"):
-                defect_from_slab(slab, grid, XiGrid(-0.5, 0.5, 50), burgers())
+                defect_from_slab(slab, grid, XiGrid(-0.5, 0.5, 50))
 
     def test_slab_must_match_grid(self):
-        slab = Slab(0.0, 0.01, np.array([1.0]), np.zeros(4), np.zeros(4))
+        slab = Slab(0.0, 0.01, SegmentFlux(burgers(), [1.0]), "engquist_osher", np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError, match="do not match the grid"):
-            defect_from_slab(slab, Grid1D(0.0, 1.0, 5, "periodic"), XiGrid(-0.5, 0.5, 50), burgers())
+            defect_from_slab(slab, Grid1D(0.0, 1.0, 5, "periodic"), XiGrid(-0.5, 0.5, 50))
+
+
+class TestPreconditions:
+    """The extraction reads each step's own flux and scheme, and checks both."""
+
+    def two_channel_traj(self, scheme="engquist_osher"):
+        grid = Grid1D(-1.0, 1.0, 64, "periodic")
+        flux = from_spec("burgers;cubic", (-1.05, 1.05))
+        u0 = np.sin(np.pi * grid.centers)
+        cfg = SolverConfig(scheme=scheme, record_slabs=True)
+        return solve_path(u0, flux, brownian_sample(0, 1.0, 8, 2), [0.0, 0.5, 1.0], grid, cfg)
+
+    def test_equal_flux_accepted(self):
+        traj = self.two_channel_traj()
+        xi = XiGrid(-1.5, 1.5, 40)
+        fresh = accumulate_defects(traj, from_spec("burgers;cubic", (-1.05, 1.05)), xi)
+        same = accumulate_defects(traj, traj.slabs[0].fseg.flux, xi)
+        for a, b in zip(fresh, same):
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("spec, u_range", [
+        ("cubic;burgers", (-1.05, 1.05)),
+        ("burgers;cubic", (-1.1, 1.05)),
+        ("burgers;poly:0,0,0,0.3", (-1.05, 1.05)),
+    ], ids=["channels-swapped", "other-range", "other-coefficients"])
+    def test_other_flux_rejected(self, spec, u_range):
+        traj = self.two_channel_traj()
+        with pytest.raises(ValueError, match="flux differs"):
+            accumulate_defects(traj, from_spec(spec, u_range), XiGrid(-1.5, 1.5, 40))
+
+    def test_godunov_steps_rejected(self):
+        traj = self.two_channel_traj("godunov_convex")
+        xi = XiGrid(-1.5, 1.5, 40)
+        with pytest.raises(ValueError, match="'godunov_convex'.*engquist_osher"):
+            accumulate_defects(traj, from_spec("burgers;cubic", (-1.05, 1.05)), xi)
+        with pytest.raises(ValueError, match="'godunov_convex'.*engquist_osher"):
+            defect_from_slab(traj.slabs[0], traj.grid, xi)
+
+    def test_equal_consecutive_slopes_split_at_the_knot(self):
+        """W = t on 16 segments: each segment has slope 1 but its own flux, so the
+        pieces split at every knot; read as one piece the numbers agree to roundoff."""
+        grid = Grid1D(-1.0, 1.0, 64, "periodic")
+        flux = burgers((-1.05, 1.05))
+        u0 = np.where(np.abs(grid.centers) < 0.5, 1.0, 0.0)
+        knots = np.linspace(0.0, 1.0, 17)
+        traj = solve_path(u0, flux, PiecewiseLinearPath(knots, knots), [0.0, 0.5, 1.0], grid,
+                          SolverConfig(record_slabs=True))
+        assert len({id(s.fseg) for s in traj.slabs}) == 16
+        one = replace(traj, slabs=[replace(s, fseg=traj.slabs[0].fseg) for s in traj.slabs])
+        xi = XiGrid(-1.5, 1.5, 60)
+        for a, b in zip(accumulate_defects(traj, flux, xi), accumulate_defects(one, flux, xi)):
+            assert np.abs(a.values - b.values).max() <= 1e-12
+            assert np.abs(a.cons_residual - b.cons_residual).max() <= 1e-12
 
 
 class TestDefectExactness:
