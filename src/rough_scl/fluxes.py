@@ -16,6 +16,13 @@ the values of F there.  `SegmentFlux.interface_flux` is the solver's one
 numerical-flux path, for the Engquist-Osher flux and the exact Godunov flux,
 which is right for concave and non-convex F too (a negative driver slope makes
 F concave).
+
+The solver calls `interface_flux` once per step and builds one SegmentFlux per
+driver segment, so both avoid numpy's per-call wrappers.  F and F' are
+evaluated by `_horner`, the recurrence c0 = c[-i] + c0 * x of
+`numpy.polynomial.polynomial.polyval` in its own operation order, so every
+value is bitwise equal to polyval's; the set-up writes F' = polyder(F), the
+degree-1 root of F' and the node tables out directly.
 """
 from __future__ import annotations
 
@@ -65,12 +72,32 @@ def builtin(name: str) -> Channel:
     raise ValueError(f"unknown flux {name!r} (want burgers | cubic | poly:c0,c1,...)")
 
 
+def _horner(c, x):
+    """`npp.polyval(x, c)` for ascending coefficients `c` and finite float `x`.
+
+    Same recurrence and operation order, c0 = c[-i] + c0 * x, started at the
+    scalar c[-1]: polyval's c[-1] + x * 0 equals it for finite x unless c[-1]
+    is -0.0, which no coefficient built up from +0.0 is.
+    """
+    if len(c) == 1:
+        return c[0] + x * 0
+    y = c[-1]
+    for ci in c[-2::-1]:
+        y = ci + y * x
+    return y
+
+
 def _real_roots(coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Real roots of a polynomial (ascending coeffs) inside (lo, hi)."""
-    c = np.trim_zeros(coeffs, "b")
-    if c.size <= 1:
+    n = coeffs.size
+    while n and coeffs[n - 1] == 0.0:  # np.trim_zeros(coeffs, "b")
+        n -= 1
+    if n <= 1:
         return np.empty(0)
-    r = npp.polyroots(c)
+    if n == 2:  # npp.polyroots' own degree-1 root
+        r = -coeffs[0] / coeffs[1]
+        return np.array([r]) if lo < r < hi else np.empty(0)
+    r = npp.polyroots(coeffs[:n])
     r = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))].real
     r = np.unique(r[(r > lo) & (r < hi)])
     if r.size > 1:
@@ -143,43 +170,50 @@ class SegmentFlux:
         coeffs = np.zeros(max(len(ch.coeffs) for ch in flux.channels))
         for ci, ch in zip(c, flux.channels):
             coeffs[: len(ch.coeffs)] += ci * ch.coeffs
-        self._coeffs = coeffs
-        self._dcoeffs = npp.polyder(coeffs)
-        self.breakpoints = _real_roots(self._dcoeffs, self._lo, self._hi)
+        # npp.polyder(coeffs): j * c_j, or c_0 * 0 for a constant
+        dcoeffs = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else coeffs[:1] * 0
+        self.breakpoints = _real_roots(dcoeffs, self._lo, self._hi)
+        # Python floats: `_horner` multiplies an array by them fastest
+        self._coeffs = tuple(coeffs.tolist())
+        self._dcoeffs = tuple(dcoeffs.tolist())
         self._build_tables()
 
     # -- raw evaluations ---------------------------------------------------
 
     def value(self, u):
-        return npp.polyval(np.asarray(u, dtype=float), self._coeffs)
+        return _horner(self._coeffs, np.asarray(u, dtype=float))
 
     def deriv(self, u):
-        return npp.polyval(np.asarray(u, dtype=float), self._dcoeffs)
+        return _horner(self._dcoeffs, np.asarray(u, dtype=float))
 
     # -- sign structure ----------------------------------------------------
 
     def _build_tables(self) -> None:
-        nodes = np.concatenate([[self._lo], self.breakpoints, [self._hi]])
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        sign = np.sign(self.deriv(mids))
+        k = self.breakpoints.size
+        nodes = np.empty(k + 2)
+        nodes[0], nodes[1:-1], nodes[-1] = self._lo, self.breakpoints, self._hi
+        sign = np.sign(_horner(self._dcoeffs, 0.5 * (nodes[:-1] + nodes[1:])))
         self._rising, self._falling = sign > 0, sign < 0
-        self._f_nodes = self.value(nodes)
-        seg = np.diff(self._f_nodes)  # exact int of F' over each interval
-        self._pos_cum = np.concatenate([[0.0], np.cumsum(np.where(self._rising, seg, 0.0))])
-        self._neg_cum = np.concatenate([[0.0], np.cumsum(np.where(self._falling, seg, 0.0))])
-        zero = np.asarray(0.0)
-        self._pos_at_zero = self._one_sided_raw(zero, True)
-        self._neg_at_zero = self._one_sided_raw(zero, False)
+        f = self._f_nodes = _horner(self._coeffs, nodes)
+        seg = f[1:] - f[:-1]  # exact int of F' over each interval
+        self._pos_cum, self._neg_cum = np.zeros(k + 2), np.zeros(k + 2)
+        np.cumsum(np.where(self._rising, seg, 0.0), out=self._pos_cum[1:])
+        np.cumsum(np.where(self._falling, seg, 0.0), out=self._neg_cum[1:])
+        # `_one_sided_raw` at u = 0, on Python scalars
+        i = int(self.breakpoints.searchsorted(0.0, "right"))
+        part = _horner(self._coeffs, 0.0) - f[i]
+        self._pos_at_zero = self._pos_cum[i] + (part if self._rising[i] else 0.0)
+        self._neg_at_zero = self._neg_cum[i] + (part if self._falling[i] else 0.0)
 
-    def _one_sided_raw(self, u, positive: bool, fu=None):
+    def _one_sided_raw(self, u, positive: bool):
         """Cumulative int from self._lo to u of (F')^+/-, vectorized.
 
         Inside u's node interval F' keeps one sign, so the partial part is
-        F(u) - F(node) (`fu` = F(u) when the caller has it).
+        F(u) - F(node).
         """
         u = np.asarray(u, dtype=float)
         idx = np.searchsorted(self.breakpoints, u, side="right")  # node interval of u
-        part = (self.value(u) if fu is None else fu) - self._f_nodes[idx]
+        part = self.value(u) - self._f_nodes[idx]
         base = (self._pos_cum if positive else self._neg_cum)[idx]
         sign_ok = (self._rising if positive else self._falling)[idx]
         return base + np.where(sign_ok, part, 0.0)
@@ -203,11 +237,14 @@ class SegmentFlux:
         """
         v = np.asarray(v, dtype=float)
         lo, hi = self.flux.u_range
-        if np.min(v) < lo - 1e-9 or np.max(v) > hi + 1e-9:
+        v_min, v_max = v.min(), v.max()
+        if v_min < lo - 1e-9 or v_max > hi + 1e-9:
             raise ValueError(f"state outside certified u_range [{lo}, {hi}]")
-        fv = self.value(v)
+        fv = _horner(self._coeffs, v)
         if scheme == "engquist_osher":
-            p = self._one_sided_raw(v, True, fv)
+            # `_one_sided_raw(v, True)` on the F(v) in hand, inline: the step's hot path
+            idx = self.breakpoints.searchsorted(v, "right")
+            p = self._pos_cum[idx] + np.where(self._rising[idx], fv - self._f_nodes[idx], 0.0)
             return p[..., :-1] + (fv - p)[..., 1:]
         if scheme != "godunov_convex":
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -215,6 +252,7 @@ class SegmentFlux:
         s = np.where(u_l <= u_r, 1.0, -1.0)  # a max is the min of -F
         lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
         below, above = np.minimum(u_l, u_r), np.maximum(u_l, u_r)
-        for b, fb in zip(self.breakpoints, self._f_nodes[1:-1]):
-            lowest = np.where((below < b) & (b < above), np.minimum(lowest, s * fb), lowest)
+        for b, fb in zip(self.breakpoints.tolist(), self._f_nodes[1:-1].tolist()):
+            if not (b <= v_min or v_max <= b):  # else no interval holds b (a NaN keeps it)
+                np.minimum(lowest, s * fb, out=lowest, where=(below < b) & (b < above))
         return s * lowest

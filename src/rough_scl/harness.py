@@ -23,7 +23,7 @@ from . import __version__
 from .characteristics import dissipative_check, local_solution
 from .config import build_datum, build_experiment, config_text, load_config
 from .fluxes import from_spec
-from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_unpr1
+from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1
 from .paths import (
     PathSeed,
     PiecewiseLinearPath,
@@ -212,6 +212,7 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
 
 def run_kinetic_check(cfg: dict, run_dir: Path) -> dict:
     exp = build_experiment(cfg)
+    check_scheme(exp.solver.scheme)  # before solving: the extraction needs EO steps
     solver = dataclasses.replace(exp.solver, record_slabs=True)
     path = exp.path()
     u0 = exp.datum()

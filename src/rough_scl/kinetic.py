@@ -166,16 +166,24 @@ class DefectField:
         return float(self.values[:, mask].max()) if np.any(mask) else 0.0
 
 
-def _check_steps(slabs: Sequence[Slab], flux: FluxModel | None = None) -> None:
-    """The extraction's preconditions: positive durations, Engquist-Osher steps
-    (m is the kinetic form of that step only) and, when given, `flux` equal to
-    the steps' flux, with the same u_range and channel coefficients."""
-    if min(s.dt for s in slabs) <= 0:
-        raise ValueError("slab duration must be positive")
-    scheme = next((s.scheme for s in slabs if s.scheme != "engquist_osher"), None)
-    if scheme is not None:
+def check_scheme(scheme: str) -> None:
+    """Reject a scheme other than Engquist-Osher: m is the kinetic form of that step only.
+
+    Callers that solve for the extraction check their scheme before solving.
+    """
+    if scheme != "engquist_osher":
         raise ValueError(f"steps made with scheme {scheme!r}: the defect extraction is the "
                          "kinetic form of the engquist_osher step only")
+
+
+def _check_steps(slabs: Sequence[Slab], flux: FluxModel | None = None) -> None:
+    """The extraction's preconditions: positive durations, Engquist-Osher steps
+    (`check_scheme`) and, when given, `flux` equal to the steps' flux, with the
+    same u_range and channel coefficients."""
+    if min(s.dt for s in slabs) <= 0:
+        raise ValueError("slab duration must be positive")
+    for scheme in dict.fromkeys(s.scheme for s in slabs):
+        check_scheme(scheme)
     if flux is None:
         return
     want = (flux.u_range, [ch.coeffs.tolist() for ch in flux.channels])

@@ -139,18 +139,21 @@ class Trajectory:
 
 
 def step(state: CellState, fseg: SegmentFlux, dt: float, config: SolverConfig = SolverConfig()) -> CellState:
-    """One explicit step; refuses dt above cfl * dx / max_speed.
+    """One explicit step; refuses a negative dt and dt above cfl * dx / max_speed.
 
-    The state is padded by `Grid1D.pad`, so the n + 1 interface fluxes come
-    from one call and their differences are the n cell updates.
+    A negative dt would run the scheme backward, which is anti-diffusive and
+    breaks the maximum principle; dt = 0 is allowed.  The state is padded by
+    `Grid1D.pad`, so the n + 1 interface fluxes come from one call and their
+    differences (`np.diff`, written out) are the n cell updates.
     """
     grid = state.grid
-    if fseg.max_speed > 0.0 and dt > config.cfl * grid.dx / fseg.max_speed * (1.0 + 1e-9):
-        raise CFLError(
-            f"dt={dt:.3e} exceeds cfl*dx/max_speed={config.cfl * grid.dx / fseg.max_speed:.3e}"
-        )
+    dx = grid.dx
+    if dt < 0:
+        raise ValueError(f"negative dt={dt:.3e}")
+    if fseg.max_speed > 0.0 and dt > config.cfl * dx / fseg.max_speed * (1.0 + 1e-9):
+        raise CFLError(f"dt={dt:.3e} exceeds cfl*dx/max_speed={config.cfl * dx / fseg.max_speed:.3e}")
     fh = fseg.interface_flux(grid.pad(state.u), config.scheme)
-    return CellState(grid, state.u - (dt / grid.dx) * np.diff(fh), state.t + dt)
+    return CellState(grid, state.u - (dt / dx) * (fh[1:] - fh[:-1]), state.t + dt)
 
 
 def solve_segment(

@@ -249,3 +249,121 @@ class TestReparametrization:
         u = np.linspace(-1.9, 1.9, 17)
         assert np.allclose(2.0 * f1.pos_integral(u), f2.pos_integral(u), atol=1e-11)
         assert np.allclose(2.0 * f1.neg_integral(u), f2.neg_integral(u), atol=1e-11)
+
+
+class NumpyReference:
+    """`SegmentFlux` written with numpy's polynomial wrappers, `np.diff` and a
+    plain Godunov loop: the operation order the lean kernels must keep."""
+
+    def __init__(self, flux, c):
+        lo, hi = min(flux.u_range[0], 0.0), max(flux.u_range[1], 0.0)
+        pad = 1e-9 * (hi - lo)
+        lo, hi = lo - pad, hi + pad
+        self.coeffs = np.zeros(max(len(ch.coeffs) for ch in flux.channels))
+        for ci, ch in zip(c, flux.channels):
+            self.coeffs[: len(ch.coeffs)] += ci * ch.coeffs
+        self.dcoeffs = npp.polyder(self.coeffs)
+        r = np.empty(0)
+        trimmed = np.trim_zeros(self.dcoeffs, "b")
+        if trimmed.size > 1:
+            r = npp.polyroots(trimmed)
+            r = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))].real
+            r = np.unique(r[(r > lo) & (r < hi)])
+            if r.size > 1:
+                r = r[np.concatenate([[True], np.diff(r) > 1e-12])]
+        self.breakpoints = r
+        nodes = np.concatenate([[lo], r, [hi]])
+        sign = np.sign(self.deriv(0.5 * (nodes[:-1] + nodes[1:])))
+        self.rising, self.falling = sign > 0, sign < 0
+        self.f_nodes = self.value(nodes)
+        seg = np.diff(self.f_nodes)
+        self.pos_cum = np.concatenate([[0.0], np.cumsum(np.where(self.rising, seg, 0.0))])
+        self.neg_cum = np.concatenate([[0.0], np.cumsum(np.where(self.falling, seg, 0.0))])
+        self.pos_at_zero = self.one_sided(np.asarray(0.0), True)
+        self.neg_at_zero = self.one_sided(np.asarray(0.0), False)
+
+    def value(self, u):
+        return npp.polyval(np.asarray(u, dtype=float), self.coeffs)
+
+    def deriv(self, u):
+        return npp.polyval(np.asarray(u, dtype=float), self.dcoeffs)
+
+    def one_sided(self, u, positive, fu=None):
+        idx = np.searchsorted(self.breakpoints, u, side="right")
+        part = (self.value(u) if fu is None else fu) - self.f_nodes[idx]
+        base = (self.pos_cum if positive else self.neg_cum)[idx]
+        return base + np.where((self.rising if positive else self.falling)[idx], part, 0.0)
+
+    def interface_flux(self, v, scheme):
+        fv = self.value(v)
+        if scheme == "engquist_osher":
+            p = self.one_sided(v, True, fv)
+            return p[..., :-1] + (fv - p)[..., 1:]
+        u_l, u_r = v[..., :-1], v[..., 1:]
+        s = np.where(u_l <= u_r, 1.0, -1.0)
+        lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
+        below, above = np.minimum(u_l, u_r), np.maximum(u_l, u_r)
+        for b, fb in zip(self.breakpoints, self.f_nodes[1:-1]):
+            lowest = np.where((below < b) & (b < above), np.minimum(lowest, s * fb), lowest)
+        return s * lowest
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# F' has degree 1 with a root off 0 for the fourth spec; the cubic term of the
+# last spec cancels when both slopes are equal.
+REFERENCE_SPECS = ("burgers", "burgers;cubic", "poly:0.1,-0.3,0.2,0.5,-0.25,0.15",
+                   "burgers;poly:0.2,-0.7,0.25", "cubic;poly:0,0.1,0.2,-0.3333333333333333")
+
+
+def reference_slopes(n_channels, rng):
+    """Random slopes, each with one component zero, all zero, and equal components."""
+    out = [rng.normal(size=n_channels) for _ in range(4)]
+    for i in range(n_channels):
+        c = rng.normal(size=n_channels)
+        c[i] = 0.0
+        out.append(c)
+    out.append(np.zeros(n_channels))
+    out.append(np.full(n_channels, rng.normal()))
+    return out
+
+
+class TestKernelsMatchNumpyReference:
+    """Every table and value of `SegmentFlux` is bitwise that of the numpy form."""
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
+    def test_tables_values_integrals_and_fluxes(self, spec):
+        flux = from_spec(spec, (-1.5, 1.5))
+        rng = np.random.default_rng(sum(map(ord, spec)))
+        for c in reference_slopes(flux.n_channels, rng):
+            fs, ref = SegmentFlux(flux, c), NumpyReference(flux, c)
+            assert_bitwise(fs.breakpoints, ref.breakpoints)
+            assert_bitwise(fs._f_nodes, ref.f_nodes)
+            assert_bitwise(fs._pos_cum, ref.pos_cum)
+            assert_bitwise(fs._neg_cum, ref.neg_cum)
+            assert_bitwise(fs._rising, ref.rising)
+            assert_bitwise(fs._falling, ref.falling)
+            # states on the range ends, at 0 and on every breakpoint, then random
+            special = np.concatenate([[-1.5, 0.0, 1.5], ref.breakpoints[np.abs(ref.breakpoints) <= 1.5]])
+            for v in (np.concatenate([special, rng.uniform(-1.5, 1.5, 402)]),
+                      rng.uniform(-1.5, 1.5, (3, 17))):
+                assert_bitwise(fs.value(v), ref.value(v))
+                assert_bitwise(fs.deriv(v), ref.deriv(v))
+                assert_bitwise(fs.pos_integral(v), ref.one_sided(v, True) - ref.pos_at_zero)
+                assert_bitwise(fs.neg_integral(v), ref.one_sided(v, False) - ref.neg_at_zero)
+                for scheme in SCHEMES:
+                    assert_bitwise(fs.interface_flux(v, scheme), ref.interface_flux(v, scheme))
+
+    def test_degree_one_root_cases_are_covered(self):
+        """The slopes above reach the closed-form degree-1 root and the general one."""
+        degrees = set()
+        for spec in REFERENCE_SPECS:
+            flux = from_spec(spec, (-1.5, 1.5))
+            rng = np.random.default_rng(sum(map(ord, spec)))
+            for c in reference_slopes(flux.n_channels, rng):
+                degrees.add(np.trim_zeros(NumpyReference(flux, c).dcoeffs, "b").size - 1)
+        assert {-1, 1, 2, 4} <= degrees

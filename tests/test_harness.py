@@ -154,11 +154,21 @@ class TestKineticAndDissipative:
         assert (run_dir / "xi_mass.csv").exists()
         assert (run_dir / "l1_identity.csv").exists()
 
-    def test_kinetic_check_rejects_godunov(self, tmp_path):
-        """The defect extraction is the kinetic form of the EO step only."""
-        cfg = tiny(experiment="kinetic-check", n_xi=80, scheme="godunov_convex")
-        with pytest.raises(ValueError, match="engquist_osher"):
+    def test_kinetic_check_rejects_godunov(self, tmp_path, monkeypatch):
+        """The defect extraction is the kinetic form of the EO step only; the
+        scheme is checked before the solve, whose cost grows with the path."""
+        import rough_scl.harness as harness_module
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_path called on a config the extraction rejects")
+
+        monkeypatch.setattr(harness_module, "solve_path", no_solve)
+        cfg = tiny(experiment="kinetic-check", n_xi=80, scheme="godunov_convex", path="brownian:1024")
+        with pytest.raises(ValueError, match="'godunov_convex'.*engquist_osher"):
             run_kinetic_check(cfg, tmp_path)
+        with pytest.raises(ValueError, match="'godunov_convex'.*engquist_osher"):
+            execute("kinetic-check", cfg, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_dissipative_check_small(self, tmp_path):
         cfg = tiny(

@@ -80,6 +80,15 @@ class TestStepInvariants:
         with pytest.raises(CFLError):
             step(state, fs, 2.0 * dt_max)
 
+    def test_negative_dt_rejected(self):
+        """A backward step is anti-diffusive: on a 1/0 Burgers shock it leaves [0, 1]."""
+        fs = SegmentFlux(burgers(), [1.0])
+        state = riemann_state(self.grid, 1.0, 0.0)
+        with pytest.raises(ValueError, match="negative dt"):
+            step(state, fs, -1e-3)
+        out = step(state, fs, 0.0)
+        assert np.array_equal(out.u, state.u) and out.t == 0.0
+
     def test_random_data_invariants(self):
         rng = np.random.default_rng(3)
         fs = SegmentFlux(self.flux, [0.8, -0.5])
@@ -215,6 +224,38 @@ class TestSolvePath:
         traj = solve_path(u0, flux, path, [2.0], grid, cfg)
         cs = {tuple(np.round(s.c, 12)) for s in traj.slabs}
         assert cs == {(1.0, -0.5), (-0.5, 1.0)}
+
+
+class TestStepCounting:
+    """The benchmark counts cell steps by wrapping the module-level `step` and
+    segment set-ups by wrapping `SegmentFlux.__init__`: `solve_path` must reach
+    both through those names, once per step and once per solved segment."""
+
+    def test_one_step_call_per_slab_and_one_set_up_per_segment(self, monkeypatch):
+        import rough_scl.solver as solver_module
+
+        calls = {"step": 0, "set_up": 0}
+        real_step, real_init = solver_module.step, SegmentFlux.__init__
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return real_step(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            calls["set_up"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "step", counted_step)
+        monkeypatch.setattr(SegmentFlux, "__init__", counted_init)
+        grid = Grid1D(-1.0, 1.0, 64, "periodic")
+        path = brownian_sample(5, 1.0, 16, 2)
+        assert np.all(np.any(path.slopes() != 0.0, axis=1))  # a still segment takes no step
+        u0 = np.where(grid.centers < 0.0, 0.8, -0.3)
+        outputs = [0.1, 0.45, 0.7]  # off the knots; the march stops at 0.7
+        slabs = []
+        solve_path(u0, from_spec("burgers;cubic", (-1.5, 1.5)), path, outputs, grid, collect=slabs.append)
+        assert calls["step"] == len(slabs) > 16
+        assert calls["set_up"] == int(np.sum(path.knots[:-1] < outputs[-1])) == 12
 
 
 class TestBrownianInvariants:
