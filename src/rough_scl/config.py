@@ -155,6 +155,8 @@ def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
             raise ValueError(f"table has {data.shape[0]} rows, grid has {grid.n_cells} cells")
         if data.shape[1] < 2:
             raise ValueError(f"table has {data.shape[1]} column, want x,u")
+        if not np.all(np.isfinite(data[:, :2])):
+            raise ValueError("table has a value in its x or u column that is not finite")
         offset = float(np.max(np.abs(data[:, 0] - x)))
         if not offset <= 1e-9 * grid.dx:
             raise ValueError(f"table x column is off the grid centres by up to {offset:.3g}")

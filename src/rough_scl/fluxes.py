@@ -238,7 +238,7 @@ class SegmentFlux:
         v = np.asarray(v, dtype=float)
         lo, hi = self.flux.u_range
         v_min, v_max = v.min(), v.max()
-        if v_min < lo - 1e-9 or v_max > hi + 1e-9:
+        if not (lo - 1e-9 <= v_min and v_max <= hi + 1e-9):  # a NaN fails too
             raise ValueError(f"state outside certified u_range [{lo}, {hi}]")
         fv = _horner(self._coeffs, v)
         if scheme == "engquist_osher":
@@ -253,6 +253,6 @@ class SegmentFlux:
         lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
         below, above = np.minimum(u_l, u_r), np.maximum(u_l, u_r)
         for b, fb in zip(self.breakpoints.tolist(), self._f_nodes[1:-1].tolist()):
-            if not (b <= v_min or v_max <= b):  # else no interval holds b (a NaN keeps it)
+            if not (b <= v_min or v_max <= b):  # else no interval holds b
                 np.minimum(lowest, s * fb, out=lowest, where=(below < b) & (b < above))
         return s * lowest

@@ -18,16 +18,20 @@ without forming it per step: the chi part telescopes to the slab's end
 states, and the transport part depends on each cell value only through where
 it sits among the xi centres and its one-sided flux integrals, so per-cell
 occupation times (histograms of dt and of dt * P(u), dt * N(u) over the xi
-bins) and their cumulative sums give it exactly.  The module then checks the
-a priori bounds, the L1 identity, and the transported-kernel formulation of
-the solution concept.
+bins) and their cumulative sums give it exactly, computed only on the band of
+xi that each cell's stencil values sweep (m is 0 below it and the
+conservation residual above it).  The module then checks the a priori bounds,
+the L1 identity, and the transported-kernel formulation of the solution
+concept, whose x integrals run only over the cells where the kernel is nonzero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fluxes import FluxModel
 from .paths import PiecewiseLinearPath
@@ -78,20 +82,18 @@ def _check_xi_covers(xi: XiGrid, u_inf: float) -> None:
         )
 
 
-def _chi_cumulative(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
-    """X_u(xi) = int_{-inf}^{xi} chi(u, z) dz, exact, at the given xi points."""
-    l = np.minimum(u, 0.0)[:, None]
-    h = np.maximum(u, 0.0)[:, None]
-    s = np.sign(u)[:, None]
-    return s * (np.clip(xi_centers[None, :], l, h) - l)
+def _chi_cumulative(u: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """X_u(xi) = int_{-inf}^{xi} chi(u, z) dz, exact; u and xi broadcast together."""
+    l = np.minimum(u, 0.0)
+    h = np.maximum(u, 0.0)
+    return np.sign(u) * (np.clip(xi, l, h) - l)
 
 
-def _chi_tail(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
-    """X_u(xi) - u = -int_{xi}^{inf} chi(u, z) dz, exactly 0 above max(u, 0)."""
-    l = np.minimum(u, 0.0)[:, None]
-    h = np.maximum(u, 0.0)[:, None]
-    s = np.sign(u)[:, None]
-    return s * (np.clip(xi_centers[None, :], l, h) - h)
+def _chi_tail(u: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """X_u(xi) - u = -int_{xi}^{inf} chi(u, z) dz, exactly 0 above max(u, 0); broadcast."""
+    l = np.minimum(u, 0.0)
+    h = np.maximum(u, 0.0)
+    return np.sign(u) * (np.clip(xi, l, h) - h)
 
 
 def _one_sided_cumulative(
@@ -209,8 +211,8 @@ def defect_from_slab(slab: Slab, grid: Grid1D, xi: XiGrid) -> DefectField:
     xc = xi.centers
     p_xi, n_xi = fseg.pos_integral(xc), fseg.neg_integral(xc)
 
-    x0 = _chi_cumulative(u0, xc)
-    x1 = _chi_cumulative(u1, xc)
+    x0 = _chi_cumulative(u0[:, None], xc)
+    x1 = _chi_cumulative(u1[:, None], xc)
     p_u0 = fseg.pos_integral(u0)
     n_u0 = fseg.neg_integral(u0)
     a_pos = _one_sided_cumulative(u0, p_xi, p_u0, xc)
@@ -226,15 +228,30 @@ def _runs(keys: list) -> list[tuple[int, int]]:
     return list(zip([0] + cuts, cuts + [len(keys)]))
 
 
-def _below_sums(cells: np.ndarray, weights: np.ndarray, n_cells: int, n_xi: int) -> np.ndarray:
-    """Per cell, running sums of binned weights, shape (n_cells, n_xi + 1).
+def _below_sums(cells: np.ndarray, weights: np.ndarray, n_cells: int, width: int) -> np.ndarray:
+    """Per cell, running sums of binned weights over a window of bins, shape (n_cells, width).
 
-    `cells` holds cell * (n_xi + 1) + (number of xi centres <= u) per value, so
-    column i < n_xi sums the weights of the values below xi centre i and the
-    last column is the cell's total.
+    `cells` holds cell * width + (the value's bin - the cell's lowest bin + 1)
+    per value, a bin being the number of xi centres <= u.  Column 0 stays 0
+    (no value lies below the window), column k sums the weights of the values
+    below xi centre (lowest bin + k - 1), and the last column is the cell's
+    total once `width` exceeds the cell's bin range by at least 2.
     """
-    hist = np.bincount(cells, weights.ravel(), minlength=n_cells * (n_xi + 1))
-    return np.cumsum(hist.reshape(n_cells, n_xi + 1), axis=1)
+    hist = np.bincount(cells, weights.ravel(), minlength=n_cells * width)
+    return np.cumsum(hist.reshape(n_cells, width), axis=1)
+
+
+def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat layout of the per-row column windows [lo_r, hi_r), row after row.
+
+    Returns the row and the column of each element and the offset of each row's
+    first element.
+    """
+    width = hi - lo
+    start = np.cumsum(width) - width
+    rows = np.repeat(np.arange(lo.size), width)
+    cols = np.arange(rows.size) - np.repeat(start - lo, width)
+    return rows, cols, start
 
 
 def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]) -> DefectField:
@@ -257,11 +274,37 @@ def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]
     cancellation), m equals that residual exactly where every value lies
     below xi.  Each cell switches from the first form to the second above its
     end value, which lies inside its stencil's range.
+
+    So only the band between those two ends is computed: for cell j the xi
+    columns [lo_j, hi_j), lo and hi the least and greatest bin (number of xi
+    centres <= u) of the values of cells j-1, j, j+1 (neighbours from
+    `Grid1D.pad`) over the slab's step states and its end state.  Below the
+    band m is 0, above it the conservation residual.  The sums under and over
+    of a cell are kept on the union of the bands that read them (its own and
+    its neighbours'); each piece bins a value once, in its own cell's window
+    of bins, and reads a cell's running sums there by a clipped index: 0 below
+    the window, the cell's total above it.  Every number in the band goes
+    through the same operations as in the dense (n_cells x n_xi) form, so the
+    result equals it exactly.
     """
     xc = xi.centers
     n = grid.n_cells
-    offsets = (np.arange(n) * (xi.n + 1))[:, None]
-    under_p, under_n, over_p, over_n = (np.zeros((n, xi.n)) for _ in range(4))
+    u_first, u_last = steps[0].u0, steps[-1].u1
+    # a bin is monotone in u, so each cell's bin range is that of its value range
+    lowest = reduce(np.minimum, (s.u0 for s in steps), u_last)
+    highest = reduce(np.maximum, (s.u0 for s in steps), u_last)
+    stencil = grid.pad(np.arange(n))
+    left, right = stencil[:-2], stencil[2:]
+
+    def spread(lo, hi):  # union over each cell and its two neighbours
+        return (np.minimum(np.minimum(lo[left], lo), lo[right]),
+                np.maximum(np.maximum(hi[left], hi), hi[right]))
+
+    band_lo, band_hi = spread(np.searchsorted(xc, lowest, "right"),
+                              np.searchsorted(xc, highest, "right"))
+    keep_lo, keep_hi = spread(band_lo, band_hi)  # where each cell's sums are read
+    rows, cols, keep_start = _windows(keep_lo, keep_hi)
+    under_p, under_n, over_p, over_n = (np.zeros(rows.size) for _ in range(4))
     cons = np.zeros(n)
     for start, stop in _runs([id(s.fseg) for s in steps]):
         fseg = steps[start].fseg
@@ -270,21 +313,41 @@ def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]
         dt = np.array([s.dt for s in steps[start:stop]])
         p_u, n_u = fseg.pos_integral(u0), fseg.neg_integral(u0)
         cons += ((u1 - u0) + dt * (_upwind_difference(grid, p_u, n_u) / grid.dx)).sum(axis=1)
-        cells = (np.searchsorted(xc, u0, side="right") + offsets).ravel()
-        sums_w = _below_sums(cells, np.broadcast_to(dt, u0.shape), n, xi.n)
-        g_xis = (fseg.pos_integral(xc), fseg.neg_integral(xc))
+        bins = np.searchsorted(xc, u0, side="right")
+        bin_lo = bins.min(axis=1)
+        width = int((bins.max(axis=1) - bin_lo).max()) + 2
+        cells = (bins - bin_lo[:, None] + 1 + (np.arange(n) * width)[:, None]).ravel()
+        at = rows * width
+        total = at + (width - 1)
+        at += np.clip(cols + 1 - bin_lo[rows], 0, width - 1)
+        sums_w = _below_sums(cells, np.broadcast_to(dt, u0.shape), n, width).ravel()
+        below_w = sums_w[at]
+        above_w = sums_w[total] - below_w
+        g_xis = (fseg.pos_integral(xc)[cols], fseg.neg_integral(xc)[cols])
         for g_xi, g_u, under, over in zip(g_xis, (p_u, n_u), (under_p, under_n), (over_p, over_n)):
-            sums_g = _below_sums(cells, dt * g_u, n, xi.n)
-            under += sums_g[:, :-1] - g_xi * sums_w[:, :-1]
-            over += (sums_g[:, -1:] - sums_g[:, :-1]) - g_xi * (sums_w[:, -1:] - sums_w[:, :-1])
+            sums_g = _below_sums(cells, dt * g_u, n, width).ravel()
+            below_g = sums_g[at]
+            under += below_g - g_xi * below_w
+            over += (sums_g[total] - below_g) - g_xi * above_w
 
-    u_first, u_last = steps[0].u0, steps[-1].u1
-    m_under = _chi_cumulative(u_last, xc) - _chi_cumulative(u_first, xc)
-    m_under += _upwind_difference(grid, under_p, under_n) / grid.dx
-    m_over = _chi_tail(u_last, xc) - _chi_tail(u_first, xc)
-    m_over += cons[:, None] - _upwind_difference(grid, over_p, over_n) / grid.dx
+    rows, cols, _ = _windows(band_lo, band_hi)
+    mid, lft, rgt = (keep_start[r] + (cols - keep_lo[r]) for r in (rows, left[rows], right[rows]))
+
+    def upwind_difference(pos, neg):  # `_upwind_difference` on the band
+        out = pos[mid] - pos[lft]
+        neg_right = neg[rgt]
+        neg_right -= neg[mid]
+        out += neg_right
+        return out
+
+    first, last, xc_band = u_first[rows], u_last[rows], xc[cols]
+    m_under = _chi_cumulative(last, xc_band) - _chi_cumulative(first, xc_band)
+    m_under += upwind_difference(under_p, under_n) / grid.dx
+    m_over = _chi_tail(last, xc_band) - _chi_tail(first, xc_band)
+    m_over += cons[rows] - upwind_difference(over_p, over_n) / grid.dx
     duration = sum(s.dt for s in steps)
-    values = np.where(xc > u_last[:, None], m_over, m_under) / duration
+    values = np.where(np.arange(xi.n) >= band_hi[:, None], (cons / duration)[:, None], 0.0)
+    values[rows, cols] = np.where(xc_band > last, m_over, m_under) / duration
     return DefectField(grid, xi, t0, duration, values, cons / duration)
 
 
@@ -295,11 +358,15 @@ def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[De
     lies in the slab (steps outside the snapshot span are left out), without
     forming any per-step (n_cells x n_xi) field: each run of steps with one
     reporting slab and one `SegmentFlux` is reduced by occupation-time
-    histograms, so the cost is O(steps * n_cells + pieces * n_cells * n_xi)
-    instead of O(steps * n_cells * n_xi).  The recorded steps must be chained,
-    each one starting from the state the previous one ended in, as
-    `solve_path` records them.  They must be Engquist-Osher steps, and `flux`
-    must equal the flux they were made with; each is checked.
+    histograms, on the band of xi that each cell's stencil values sweep (see
+    `_reporting_defect`).  The cost is O(steps * n_cells) for the states, plus
+    per piece O(n_cells * w + B), w the widest bin range of one cell's values
+    over the piece and B the (cell, xi) points of the bands of each cell and
+    its neighbours, instead of O(steps * n_cells * n_xi); the only dense
+    (n_cells x n_xi) work left is writing each slab's field.  The recorded
+    steps must be chained, each one starting from the state the previous one
+    ended in, as `solve_path` records them.  They must be Engquist-Osher
+    steps, and `flux` must equal the flux they were made with; each is checked.
     """
     if traj.slabs is None:
         raise ValueError("trajectory was solved without record_slabs")
@@ -488,7 +555,11 @@ def definition_residual(
 
     G at each snapshot is evaluated once and shared by the two slabs meeting
     there, and rho and d_y rho at the midpoint come from one kernel
-    evaluation, so each (x, xi, y) point costs two kernel evaluations per slab.
+    evaluation.  The kernel profile must vanish outside (-1, 1) (checked at
+    sampled points), so for each (xi, y) the x integrals run over the
+    ceil(2 eta / dx) + 2 periodic cells around y + shift(xi) only: a slab costs
+    two kernel evaluations at each of (active xi) * n_y * (2 eta / dx + 2)
+    points, not at each (x, xi, y) point.
     """
     grid = traj.grid
     if grid.bc != "periodic":
@@ -497,6 +568,11 @@ def definition_residual(
     length = grid.length
     if not kernel.width < 0.5 * length:
         raise ValueError("kernel width must be below half the domain length")
+    # the x sums skip the cells where |z| >= eta; elsewhere on the periodic
+    # domain |z| / eta reaches length / (2 eta)
+    far = np.linspace(1.0, max(2.0, 0.5 * length / kernel.width), 65)
+    if np.any(kernel.profile(np.concatenate([-far, far])) != 0.0):
+        raise ValueError("kernel profile must vanish outside (-1, 1)")
     for psi, phi in pairs:
         if psi.support[0] <= xi.lo or psi.support[1] >= xi.hi:
             raise ValueError("psi must be compactly supported inside the xi range")
@@ -514,19 +590,39 @@ def definition_residual(
     a_stack = np.stack([ch.a(xa) for ch in flux.channels])
     ap_stack = np.stack([ch.a_prime(xa) for ch in flux.channels])
     y = np.linspace(grid.x_lo, grid.x_hi, n_y, endpoint=False)
-    base = y[None, :] - grid.centers[:, None]
+    n, dx, eta = grid.n_cells, grid.dx, kernel.width
+    n_win = int(np.ceil(2.0 * eta / dx)) + 2
+    reach = (dx / eta) * np.arange(n_win)
+    periodic = np.arange(n + n_win - 1) % n  # cell index read through a periodic extension
+    # xi per chunk, for temporaries near 2^14 doubles (128 KB): on a 2-core VM
+    # the kinetic benchmark's residuals ran twice as fast as with 1 MB ones
+    chunk = max(1, 2**14 // (n_y * n_win))
 
-    def wrap(z):
-        return z - length * np.round(z / length)
+    def window_sums(cols, shift, with_drho=False):
+        """dx * sum_x cols[x, i] rho(y - x + shift[i]) for each active xi i and
+        each y (and the same with d_y rho), over the window of cells where rho
+        can be nonzero."""
+        windows = sliding_window_view(cols[periodic].T, n_win, axis=1)
+        s = (y[None, :] + shift[:, None]) - grid.x_lo  # kernel centre from x_lo
+        first = np.floor((s - eta) / dx - 0.5)  # the window's first cell
+        z_first = (s - (first + 0.5) * dx) / eta  # in [1, 1 + dx / eta)
+        first = first.astype(np.intp) % n
+        xi_at = np.arange(xa.size)[:, None]
+        out = np.empty((1 + with_drho, xa.size, n_y))
+        for lo in range(0, xa.size, chunk):
+            rows = slice(lo, lo + chunk)
+            vals = windows[xi_at[rows], first[rows]]
+            z = z_first[rows, :, None] - reach
+            for o, p in zip(out, kernel.profile_pair(z) if with_drho else (kernel.profile(z),)):
+                o[rows] = np.einsum("ikm,ikm->ik", vals, p)
+        out[0] *= dx / eta
+        if with_drho:
+            out[1] *= dx / eta**2
+        return out
 
     def chi_kernel(u, t):
         """G(y, xi) = int chi(u(x), xi) rho(y - x + shift(xi, t)) dx on the active xi."""
-        chi = chi_values(u, xa).astype(float)
-        shift = path.eval(t) @ a_stack
-        g = np.empty((xa.size, n_y))
-        for i in range(xa.size):
-            g[i] = grid.dx * (chi[:, i] @ kernel.rho(wrap(base + shift[i])))
-        return g
+        return window_sums(chi_values(u, xa).astype(float), path.eval(t) @ a_stack)[0]
 
     acc = [np.zeros(n_y) for _ in pairs]
     g0 = None  # G at the slab start: the previous slab's G at its end
@@ -544,13 +640,7 @@ def definition_residual(
         wm = path.eval(tm)
         shiftm = wm @ a_stack
         a_prime_m = wm @ ap_stack
-        m = d.values[:, active]
-        h_rho = np.empty((xa.size, n_y))
-        h_drho = np.empty((xa.size, n_y))
-        for i in range(xa.size):
-            rm, rdm = kernel.rho_and_drho(wrap(base + shiftm[i]))
-            h_rho[i] = grid.dx * (m[:, i] @ rm)
-            h_drho[i] = grid.dx * (m[:, i] @ rdm)
+        h_rho, h_drho = window_sums(d.values[:, active], shiftm, with_drho=True)
         g_mean = 0.5 * (g0 + g1)
         for j in range(len(pairs)):
             acc[j] += -dphi[j] * xi.d_xi * (psi_v[j] @ g_mean)

@@ -113,6 +113,17 @@ class TestDatumBuilders:
         with pytest.raises(ValueError, match="x column .* up to 8.25"):
             build_datum(f"file:{f}", Grid1D(-1.0, 1.0, 4, "periodic"))
 
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_file_non_finite_value_rejected(self, tmp_path, column, bad):
+        grid = Grid1D(-1.0, 1.0, 4, "periodic")
+        rows = [[f"{x}", "0.5"] for x in grid.centers]
+        rows[2][column] = bad
+        f = tmp_path / "u.csv"
+        f.write_text("x,u\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(ValueError, match="not finite"):
+            build_datum(f"file:{f}", grid)
+
     @pytest.mark.parametrize("n_cells", [2, 3])
     def test_one_row_file_counts_one_row(self, tmp_path, n_cells):
         f = tmp_path / "u.csv"

@@ -170,6 +170,15 @@ class TestSegmentFluxExact:
         with pytest.raises(ValueError, match="scheme"):
             pair_flux(fs, ok, ok, "lax_friedrichs")
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_rejected(self, scheme, bad):
+        """A NaN makes min and max NaN, and the range check must fail on it."""
+        fs = SegmentFlux(burgers_model((-1.0, 1.0)), [1.0])
+        v = np.array([0.1, 0.2, bad, 0.3])
+        with pytest.raises(ValueError, match="u_range"):
+            fs.interface_flux(v, scheme)
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-1.9, 1.9), st.floats(-1.9, 1.9), st.floats(-1.9, 1.9))
     def test_eo_monotone_in_both_arguments(self, ul, ur, du):

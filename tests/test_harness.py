@@ -476,6 +476,22 @@ class TestCli:
         assert "x column" in err
         assert list(out.iterdir()) == []
 
+    def test_datum_table_with_nan_exits_2(self, tmp_path, capsys):
+        """A NaN in the u column is a config error, not a solve of all-NaN states."""
+        x = [-0.75, -0.25, 0.25, 0.75]  # the default domain's centres at n_cells = 4
+        u = ["0.5", "0.5", "nan", "0.5"]
+        table = tmp_path / "u.csv"
+        table.write_text("x,u\n" + "".join(f"{a},{v}\n" for a, v in zip(x, u)))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n_cells = 4\ndatum = file:{table}\n")
+        out = tmp_path / "out"
+        code = main(["solve", "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert "not finite" in err
+        assert list(out.iterdir()) == []
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("n_cols = 7\n")

@@ -3,10 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rough_scl.fluxes import FluxModel, SegmentFlux, builtin, from_spec
 from rough_scl.kinetic import (
+    DefectField,
+    KernelRho,
     XiGrid,
+    _reporting_defect,
+    _runs,
+    _upwind_difference,
     accumulate_defects,
     check_kf_bounds,
     check_unpr1,
@@ -321,6 +328,143 @@ class TestAccumulationOracle:
             assert np.array_equal(a.cons_residual, b.cons_residual)
 
 
+# -- the dense (n_cells x n_xi) accumulation over every xi column: the
+# reference that the band-limited `_reporting_defect` must equal exactly
+
+
+def dense_chi_cumulative(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
+    """X_u(xi) = int_{-inf}^{xi} chi(u, z) dz, exact, at the given xi points."""
+    l = np.minimum(u, 0.0)[:, None]
+    h = np.maximum(u, 0.0)[:, None]
+    s = np.sign(u)[:, None]
+    return s * (np.clip(xi_centers[None, :], l, h) - l)
+
+
+def dense_chi_tail(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
+    """X_u(xi) - u = -int_{xi}^{inf} chi(u, z) dz, exactly 0 above max(u, 0)."""
+    l = np.minimum(u, 0.0)[:, None]
+    h = np.maximum(u, 0.0)[:, None]
+    s = np.sign(u)[:, None]
+    return s * (np.clip(xi_centers[None, :], l, h) - h)
+
+
+def dense_below_sums(cells: np.ndarray, weights: np.ndarray, n_cells: int, n_xi: int) -> np.ndarray:
+    """Per cell, running sums of binned weights, shape (n_cells, n_xi + 1)."""
+    hist = np.bincount(cells, weights.ravel(), minlength=n_cells * (n_xi + 1))
+    return np.cumsum(hist.reshape(n_cells, n_xi + 1), axis=1)
+
+
+def dense_reporting_defect(grid, xi, t0, steps) -> DefectField:
+    xc = xi.centers
+    n = grid.n_cells
+    offsets = (np.arange(n) * (xi.n + 1))[:, None]
+    under_p, under_n, over_p, over_n = (np.zeros((n, xi.n)) for _ in range(4))
+    cons = np.zeros(n)
+    for start, stop in _runs([id(s.fseg) for s in steps]):
+        fseg = steps[start].fseg
+        u0 = np.stack([s.u0 for s in steps[start:stop]], axis=1)  # (cells, steps)
+        u1 = np.stack([s.u1 for s in steps[start:stop]], axis=1)
+        dt = np.array([s.dt for s in steps[start:stop]])
+        p_u, n_u = fseg.pos_integral(u0), fseg.neg_integral(u0)
+        cons += ((u1 - u0) + dt * (_upwind_difference(grid, p_u, n_u) / grid.dx)).sum(axis=1)
+        cells = (np.searchsorted(xc, u0, side="right") + offsets).ravel()
+        sums_w = dense_below_sums(cells, np.broadcast_to(dt, u0.shape), n, xi.n)
+        g_xis = (fseg.pos_integral(xc), fseg.neg_integral(xc))
+        for g_xi, g_u, under, over in zip(g_xis, (p_u, n_u), (under_p, under_n), (over_p, over_n)):
+            sums_g = dense_below_sums(cells, dt * g_u, n, xi.n)
+            under += sums_g[:, :-1] - g_xi * sums_w[:, :-1]
+            over += (sums_g[:, -1:] - sums_g[:, :-1]) - g_xi * (sums_w[:, -1:] - sums_w[:, :-1])
+
+    u_first, u_last = steps[0].u0, steps[-1].u1
+    m_under = dense_chi_cumulative(u_last, xc) - dense_chi_cumulative(u_first, xc)
+    m_under += _upwind_difference(grid, under_p, under_n) / grid.dx
+    m_over = dense_chi_tail(u_last, xc) - dense_chi_tail(u_first, xc)
+    m_over += cons[:, None] - _upwind_difference(grid, over_p, over_n) / grid.dx
+    duration = sum(s.dt for s in steps)
+    values = np.where(xc > u_last[:, None], m_over, m_under) / duration
+    return DefectField(grid, xi, t0, duration, values, cons / duration)
+
+
+def assert_identical(a, b):
+    """Equal as IEEE numbers, signs of zeros included."""
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def chained_steps(draw):
+    """A grid, a xi grid and chained Engquist-Osher steps under 1-3 segment fluxes
+    (some with zero slope), with values that include 0, negatives and xi centres."""
+    grid = Grid1D(-1.0, 1.0, draw(st.integers(3, 12)), draw(st.sampled_from(["periodic", "outflow"])))
+    flux = from_spec(draw(st.sampled_from(["burgers", "burgers;cubic"])), (-1.05, 1.05))
+    xi = XiGrid(-1.3, 1.3, draw(st.integers(4, 40)))
+    centres = xi.centers[np.abs(xi.centers) <= 1.05].tolist()
+    value = st.one_of(st.floats(-1.05, 1.05), st.sampled_from(centres), st.just(0.0))
+    n_steps = draw(st.integers(1, 8))
+    states = [np.array(draw(st.lists(value, min_size=grid.n_cells, max_size=grid.n_cells)))
+              for _ in range(n_steps + 1)]
+    slope = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    n_ch = len(flux.channels)
+    fsegs = [SegmentFlux(flux, draw(st.lists(slope, min_size=n_ch, max_size=n_ch)))
+             for _ in range(draw(st.integers(1, 3)))]
+    steps, t = [], 0.0
+    for k in range(n_steps):
+        dt = draw(st.floats(1e-3, 0.1))
+        fseg = fsegs[draw(st.integers(0, len(fsegs) - 1))]
+        steps.append(Slab(t, dt, fseg, "engquist_osher", states[k], states[k + 1]))
+        t += dt
+    return grid, xi, steps
+
+
+class TestBandLimitedDefect:
+    """The band-limited accumulation against the dense reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chained_steps())
+    def test_equals_dense_accumulation(self, case):
+        grid, xi, steps = case
+        got = _reporting_defect(grid, xi, 0.0, steps)
+        want = dense_reporting_defect(grid, xi, 0.0, steps)
+        assert got.duration == want.duration
+        assert_identical(got.values, want.values)
+        assert_identical(got.cons_residual, want.cons_residual)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chained_steps())
+    def test_zero_below_and_residual_above_the_stencil_band(self, case):
+        """Band of cell j: the bins (xi centres <= u) of cells j-1, j, j+1 over the
+        step states and the end state, neighbours from `Grid1D.pad`."""
+        grid, xi, steps = case
+        d = _reporting_defect(grid, xi, 0.0, steps)
+        bins = np.searchsorted(xi.centers, np.stack([s.u0 for s in steps] + [steps[-1].u1]), "right")
+        lo, hi = grid.pad(bins.min(axis=0)), grid.pad(bins.max(axis=0))
+        lo = np.minimum(np.minimum(lo[:-2], lo[1:-1]), lo[2:])
+        hi = np.maximum(np.maximum(hi[:-2], hi[1:-1]), hi[2:])
+        col = np.arange(xi.n)[None, :]
+        below, above = col < lo[:, None], col >= hi[:, None]
+        assert_identical(d.values[below], np.zeros(below.sum()))
+        cons = np.broadcast_to(d.cons_residual[:, None], d.values.shape)
+        assert_identical(d.values[above], cons[above])
+
+    @pytest.mark.parametrize("bc", ["periodic", "outflow"])
+    @pytest.mark.parametrize("spec, seed", [("burgers", 0), ("burgers;cubic", 1)])
+    def test_solver_trajectories_equal_dense(self, bc, spec, seed):
+        grid = Grid1D(-1.0, 1.0, 96, bc)
+        flux = from_spec(spec, (-1.05, 1.05))
+        path = brownian_sample(seed, 0.5, 6, len(flux.channels))
+        traj = solve_path(step_datum(grid, seed + 3), flux, path, [0.0, 0.1, 0.3, 0.5], grid,
+                          SolverConfig(record_slabs=True))
+        xi = XiGrid(-1.3, 1.3, 80)
+        defects = accumulate_defects(traj, flux, xi)
+        mids = [s.t0 + 0.5 * s.dt for s in traj.slabs]
+        for k, d in enumerate(defects):
+            steps = [s for s, t in zip(traj.slabs, mids) if traj.times[k] < t <= traj.times[k + 1]]
+            want = dense_reporting_defect(grid, xi, d.t0, steps)
+            assert_identical(d.values, want.values)
+            assert_identical(d.cons_residual, want.cons_residual)
+
+
 class TestL1Identity:
     def test_sign_step_dissipates_l1_at_unit_rate(self):
         """Datum sgn(x) (left -1, right +1 on the periodic box): the seam at
@@ -440,13 +584,21 @@ class TestResidualOracle:
         [(0.2, 0.08)],  # the first slab is seen by no phi
     ])
     def test_matches_brute_force_sum(self, phis):
+        self.check(phis, 0.3)
+
+    def test_window_longer_than_the_domain(self):
+        """eta = 0.95 on a domain of length 2 and 24 cells: the kernel window of
+        ceil(2 eta / dx) + 2 = 25 cells wraps past the whole periodic domain."""
+        self.check([(0.12, 0.07), (0.2, 0.08), (0.15, 0.14)], 0.95)
+
+    def check(self, phis, eta):
         grid = Grid1D(-1.0, 1.0, 24, "periodic")
         flux = from_spec("burgers;cubic", (-1.05, 1.05))
         path = brownian_sample(5, 0.3, 4, 2)
         traj = solve_path(step_datum(grid, 11), flux, path, [0.0, 0.1, 0.2, 0.3], grid,
                           SolverConfig(record_slabs=True))
         defects = accumulate_defects(traj, flux, XiGrid(-1.5, 1.5, 12))
-        kernel = default_kernel(0.3)
+        kernel = default_kernel(eta)
         psis = [(0.3, 0.6), (-0.4, 0.5), (0.0, 1.2)]
         pairs = [(bump_weight(*psi), bump_weight(*phi)) for psi, phi in zip(psis, phis)]
         got = definition_residual(traj, defects, kernel, flux, path, pairs, n_y=5)
@@ -497,3 +649,18 @@ class TestDefinitionResidual:
         with pytest.raises(ValueError, match="phi"):
             definition_residual(traj, defects, kernel, flux, path,
                                 [(bump_weight(0.4, 0.3), bump_weight(0.2, 0.5))])
+
+    def test_kernel_profile_must_vanish_outside_the_unit_interval(self):
+        """The x sums skip the cells where |z| >= eta, so a profile with mass
+        there (a Gaussian) is rejected rather than silently truncated."""
+        traj, defects, flux = self.make(50, 60)
+
+        def gauss(z):
+            return np.exp(-0.5 * (3.0 * z) ** 2) * 3.0 / np.sqrt(2.0 * np.pi)
+
+        def gauss_pair(z):
+            return gauss(z), -9.0 * z * gauss(z)
+
+        with pytest.raises(ValueError, match="vanish outside"):
+            definition_residual(traj, defects, KernelRho(0.3, gauss, gauss_pair), flux,
+                                identity_path(0.4), [(bump_weight(0.4, 0.35), bump_weight(0.2, 0.15))])
