@@ -22,9 +22,13 @@ driver segment, so both avoid numpy's per-call wrappers.  F and F' are
 evaluated by `_horner`, the recurrence c0 = c[-i] + c0 * x of
 `numpy.polynomial.polynomial.polyval` in its own operation order, so every
 value is bitwise equal to polyval's; the set-up writes F' = polyder(F), the
-degree-1 root of F' and the node tables out directly.
+degree-1 root of F' and the node tables out directly; states in one node
+interval (every Burgers 1/0 solve) read that interval's entries as scalars.
 """
 from __future__ import annotations
+
+import bisect
+import math
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -75,13 +79,13 @@ def builtin(name: str) -> Channel:
 def _horner(c, x):
     """`npp.polyval(x, c)` for ascending coefficients `c` and finite float `x`.
 
-    Same recurrence and operation order, c0 = c[-i] + c0 * x, started at the
-    scalar c[-1]: polyval's c[-1] + x * 0 equals it for finite x unless c[-1]
-    is -0.0, which no coefficient built up from +0.0 is.
+    Same recurrence and operation order, c0 = c[-i] + c0 * x.  polyval's start
+    c[-1] + x * 0 is the scalar c[-1] for finite x unless c[-1] is -0.0 (then
+    its sign follows x's), so the scalar start is taken wherever it is exact.
     """
-    if len(c) == 1:
-        return c[0] + x * 0
     y = c[-1]
+    if len(c) == 1 or (y == 0.0 and math.copysign(1.0, y) < 0.0):
+        y = y + x * 0
     for ci in c[-2::-1]:
         y = ci + y * x
     return y
@@ -89,15 +93,17 @@ def _horner(c, x):
 
 def _real_roots(coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Real roots of a polynomial (ascending coeffs) inside (lo, hi)."""
-    n = coeffs.size
-    while n and coeffs[n - 1] == 0.0:  # np.trim_zeros(coeffs, "b")
-        n -= 1
-    if n <= 1:
+    # Drop leading zeros and, from degree 2, a leading c_n so small that some c_k / c_n
+    # overflows (`polyroots` would raise on it): the roots it adds lie beyond 1e308.
+    c = coeffs.tolist()
+    while c and (c[-1] == 0.0 or len(c) > 2 and max(map(abs, c[:-1])) / abs(c[-1]) == math.inf):
+        c.pop()
+    if len(c) <= 1:
         return np.empty(0)
-    if n == 2:  # npp.polyroots' own degree-1 root
-        r = -coeffs[0] / coeffs[1]
+    if len(c) == 2:  # npp.polyroots' own degree-1 root
+        r = -c[0] / c[1]
         return np.array([r]) if lo < r < hi else np.empty(0)
-    r = npp.polyroots(coeffs[:n])
+    r = npp.polyroots(coeffs[:len(c)])
     r = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))].real
     r = np.unique(r[(r > lo) & (r < hi)])
     if r.size > 1:
@@ -173,7 +179,8 @@ class SegmentFlux:
         # npp.polyder(coeffs): j * c_j, or c_0 * 0 for a constant
         dcoeffs = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else coeffs[:1] * 0
         self.breakpoints = _real_roots(dcoeffs, self._lo, self._hi)
-        # Python floats: `_horner` multiplies an array by them fastest
+        # Python floats: `_horner` multiplies an array by them fastest, `bisect` finds an interval
+        self._bp = tuple(self.breakpoints.tolist())
         self._coeffs = tuple(coeffs.tolist())
         self._dcoeffs = tuple(dcoeffs.tolist())
         self._build_tables()
@@ -234,6 +241,7 @@ class SegmentFlux:
         integral from the bottom node.  "godunov_convex" is the exact Godunov
         flux for any F: min F on [u_l, u_r], or max F on [u_r, u_l], taken at
         both ends and the breakpoints between them (F is monotone in between).
+        With no breakpoint in (min v, max v] both read one node interval's entries.
         """
         v = np.asarray(v, dtype=float)
         lo, hi = self.flux.u_range
@@ -241,18 +249,23 @@ class SegmentFlux:
         if not (lo - 1e-9 <= v_min and v_max <= hi + 1e-9):  # a NaN fails too
             raise ValueError(f"state outside certified u_range [{lo}, {hi}]")
         fv = _horner(self._coeffs, v)
+        i = bisect.bisect_right(self._bp, v_min)  # `searchsorted(v_min, "right")`
+        one = i == bisect.bisect_right(self._bp, v_max)  # no breakpoint in (v_min, v_max]
         if scheme == "engquist_osher":
             # `_one_sided_raw(v, True)` on the F(v) in hand, inline: the step's hot path
-            idx = self.breakpoints.searchsorted(v, "right")
-            p = self._pos_cum[idx] + np.where(self._rising[idx], fv - self._f_nodes[idx], 0.0)
+            if one:
+                p = self._pos_cum[i] + (fv - self._f_nodes[i] if self._rising[i] else np.zeros_like(fv))
+            else:
+                idx = self.breakpoints.searchsorted(v, "right")
+                p = self._pos_cum[idx] + np.where(self._rising[idx], fv - self._f_nodes[idx], 0.0)
             return p[..., :-1] + (fv - p)[..., 1:]
         if scheme != "godunov_convex":
             raise ValueError(f"unknown scheme {scheme!r}")
         u_l, u_r = v[..., :-1], v[..., 1:]
         s = np.where(u_l <= u_r, 1.0, -1.0)  # a max is the min of -F
         lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
-        below, above = np.minimum(u_l, u_r), np.maximum(u_l, u_r)
-        for b, fb in zip(self.breakpoints.tolist(), self._f_nodes[1:-1].tolist()):
-            if not (b <= v_min or v_max <= b):  # else no interval holds b
+        below, above = (None, None) if one else (np.minimum(u_l, u_r), np.maximum(u_l, u_r))
+        for b, fb in zip(self._bp, self._f_nodes[1:-1].tolist()):
+            if not (b <= v_min or v_max <= b):  # else no interval holds b (none does if `one`)
                 np.minimum(lowest, s * fb, out=lowest, where=(below < b) & (b < above))
         return s * lowest

@@ -376,8 +376,10 @@ def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[De
     if not slabs:
         return []
     _check_steps(slabs, flux)
-    u_inf = max(float(np.max(np.abs(s.u0))) for s in slabs)
-    _check_xi_covers(xi, max(u_inf, float(np.max(np.abs(slabs[-1].u1)))))
+    u_abs = np.abs(slabs[-1].u1)  # running max of |u| over every recorded state
+    for s in slabs:
+        np.maximum(u_abs, np.abs(s.u0), out=u_abs)
+    _check_xi_covers(xi, float(u_abs.max()))
 
     edges = traj.times
     mids = np.array([s.t0 + 0.5 * s.dt for s in slabs])

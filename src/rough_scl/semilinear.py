@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fluxes import Channel, FluxModel, SegmentFlux
+from .fluxes import Channel, FluxModel, SegmentFlux, _horner
 from .paths import PiecewiseLinearPath, identity_path
 from .solver import CellState, Grid1D, SolverConfig, Trajectory, step
 
@@ -60,17 +60,26 @@ def zero_source() -> SourceTerm:
 
 
 def _rk4(field: Callable, y: np.ndarray, tau: float) -> np.ndarray:
-    """Advance y' = field(y) by tau with classical RK4, step <= 1e-3."""
+    """Advance y' = field(y) by tau with classical RK4, step <= 1e-3.
+
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4) is formed in place in arrays allocated here, so
+    neither `y` nor an array the field made is written: a field may return its argument
+    (lambda u: u) or one shared array, but must not change an array it returned before."""
     if tau == 0.0:
         return y
     n = max(1, int(np.ceil(abs(tau) / ODE_STEP_PER_UNIT_DRIVER)))
     h = tau / n
-    for _ in range(n):
+    hh, h6 = 0.5 * h, h / 6.0
+    stage, acc, two_k3 = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    for j in range(n):
         k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = field(np.add(y, np.multiply(hh, k1, out=stage), out=stage))
+        np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
+        k3 = field(np.add(y, np.multiply(hh, k2, out=stage), out=stage))
+        np.add(acc, np.multiply(2.0, k3, out=two_k3), out=acc)
+        k4 = field(np.add(y, np.multiply(h, k3, out=stage), out=stage))
+        np.multiply(h6, np.add(acc, k4, out=acc), out=acc)
+        y = np.add(y, acc, out=y if j and y.ndim else None)  # in place once y is our own array
     return y
 
 
@@ -175,9 +184,9 @@ def _front(channel: Channel, flow: FlowMap, times):
     errs, so the trapezoid is used there (exact where ds = 0).
     """
     w = np.concatenate([[1.0, 0.0], 0.5 + 0.5 * _GL_NODES])
-    phi = flow.source.phi
-    taus, s, flowed = flow._sweep(np.stack([w, np.zeros_like(w)]), times,
-                                  lambda y: np.stack([phi(y[0]), channel.a(y[0])]))
+    phi, a = flow.source.phi, tuple(channel._d1.tolist())  # `_horner(a, u)` is `channel.a(u)`
+    taus, s, flowed = flow._sweep(np.stack([w, np.zeros_like(w)]), times,  # rows phi(psi), a(psi)
+                                  lambda y: np.concatenate((phi(y[0]), _horner(a, y[0]))).reshape(y.shape))
     psi, cum = flowed[:, 0], flowed[:, 1]
     g, big_g = (0.5 * y @ _GL_WEIGHTS for y in (channel.a(psi[:, 2:]), cum[:, 2:]))
     ds = np.diff(s)[:, None]

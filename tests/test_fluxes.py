@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rough_scl.fluxes import Channel, FluxModel, SegmentFlux, builtin, from_spec
+from rough_scl.fluxes import Channel, FluxModel, SegmentFlux, _horner, builtin, from_spec
 
 
 SCHEMES = ("engquist_osher", "godunov_convex")
@@ -376,3 +376,107 @@ class TestKernelsMatchNumpyReference:
             for c in reference_slopes(flux.n_channels, rng):
                 degrees.add(np.trim_zeros(NumpyReference(flux, c).dcoeffs, "b").size - 1)
         assert {-1, 1, 2, 4} <= degrees
+
+
+class TestOneInterval:
+    """States that share one node interval take the scalar-table path; it must
+    give the general path's bits and the numpy reference's."""
+
+    @staticmethod
+    def check(fs, ref, v, far):
+        """`v` inside one node interval; appending `far` from another interval
+        sends the same interfaces through the general path."""
+        lo, hi = fs.flux.u_range
+        bp = fs.breakpoints
+        assert np.searchsorted(bp, v.min(), "right") == np.searchsorted(bp, v.max(), "right")
+        assert np.searchsorted(bp, far, "right") != np.searchsorted(bp, v.max(), "right")
+        assert lo <= far <= hi
+        for scheme in SCHEMES:
+            got = fs.interface_flux(v, scheme)
+            assert_bitwise(got, ref.interface_flux(v, scheme))
+            general = fs.interface_flux(np.concatenate([v, np.full(v.shape[:-1] + (1,), far)], axis=-1), scheme)
+            assert_bitwise(got, general[..., :-1])
+
+    @staticmethod
+    def states(rng, a, b, ends=()):
+        """Random states in [a, b] with the given end values included."""
+        return np.concatenate([list(ends), rng.uniform(a, b, 61)])
+
+    @pytest.mark.parametrize("c", [1.0, 0.7, -1.0, -0.3])
+    def test_burgers_rising_and_falling(self, c):
+        """F = c u^2/2: rising above 0 for c > 0, falling there for c < 0; the
+        1/0 data of the splitting solver start on the breakpoint 0."""
+        flux = burgers_model((-1.0, 1.5))
+        fs, ref = SegmentFlux(flux, [c]), NumpyReference(flux, [c])
+        rng = np.random.default_rng(3)
+        assert fs.breakpoints.tolist() == [0.0]
+        for v in (np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0]), self.states(rng, 0.0, 1.5, (0.0, -0.0, 1.5))):
+            self.check(fs, ref, v, -0.5)
+        self.check(fs, ref, self.states(rng, -1.0, -0.1, (-1.0,)), 0.5)
+
+    def test_values_on_a_breakpoint(self):
+        """A state on a breakpoint belongs to the interval above it."""
+        flux = from_spec("burgers;cubic", (-1.5, 1.5))
+        c = [1.0, -2.0]
+        fs, ref = SegmentFlux(flux, c), NumpyReference(flux, c)
+        b0, b1 = fs.breakpoints.tolist()
+        rng = np.random.default_rng(4)
+        v = self.states(rng, b0, 0.5 * (b0 + b1), (b0, b0))
+        self.check(fs, ref, v, b1)
+        self.check(fs, ref, self.states(rng, b1, 1.5, (b1,)), b0)
+
+    @pytest.mark.parametrize("spec", ["burgers", "burgers;cubic"])
+    def test_zero_slope_has_no_breakpoints(self, spec):
+        flux = from_spec(spec, (-1.5, 1.5))
+        c = np.zeros(flux.n_channels)
+        fs, ref = SegmentFlux(flux, c), NumpyReference(flux, c)
+        assert fs.breakpoints.size == 0
+        v = self.states(np.random.default_rng(5), -1.5, 1.5, (0.0, -0.0, 1.5, -1.5))
+        for scheme in SCHEMES:
+            assert_bitwise(fs.interface_flux(v, scheme), ref.interface_flux(v, scheme))
+
+    @pytest.mark.parametrize("c", [[0.8, -1.1], [-0.6, 0.9]])
+    def test_cubic_between_its_two_breakpoints(self, c):
+        flux = from_spec("burgers;cubic", (-1.5, 1.5))
+        fs, ref = SegmentFlux(flux, c), NumpyReference(flux, c)
+        b0, b1 = fs.breakpoints.tolist()
+        rng = np.random.default_rng(6)
+        inner = np.nextafter(b0, b1), np.nextafter(b1, b0)
+        self.check(fs, ref, self.states(rng, *inner, inner), -1.5 if b0 > -1.5 else 1.5)
+        self.check(fs, ref, rng.uniform(*inner, (3, 17)), 1.5)  # batched along the last axis
+
+
+class TestRealRootsOverflow:
+    """A leading coefficient whose companion ratios overflow is dropped."""
+
+    def test_subnormal_slope_component(self):
+        """F' = u + 2.2e-313 u^2 made `polyroots` raise on an infinite companion
+        matrix; its second root lies near -4.5e312, outside any u_range."""
+        flux = from_spec("burgers;cubic", (-1.05, 1.05))
+        fs = SegmentFlux(flux, [1.0, 2.2250738585e-313])
+        plain = SegmentFlux(flux, [1.0, 0.0])
+        assert_bitwise(fs.breakpoints, plain.breakpoints)
+        v = np.linspace(-1.05, 1.05, 43)
+        for scheme in SCHEMES:
+            assert_bitwise(fs.interface_flux(v, scheme), plain.interface_flux(v, scheme))
+
+    def test_subnormal_degree_one_coefficient(self):
+        """F' = 1 + 1e-320 u: the root -1e320 overflows to -inf and is outside."""
+        flux = from_spec("poly:0,1;burgers", (-1.0, 1.0))
+        fs = SegmentFlux(flux, [1.0, 1e-320])
+        assert fs.breakpoints.size == 0
+
+    def test_overflow_below_the_leading_term_is_trimmed_too(self):
+        """Dropping a subnormal leading term can expose a zero, which goes as well."""
+        flux = from_spec("poly:0,1,0,0;poly:0,0,0,1", (-1.0, 1.0))
+        fs = SegmentFlux(flux, [1.0, 1e-320])  # F' = 1 + 0 u + 3e-320 u^2
+        assert fs.breakpoints.size == 0
+
+
+@pytest.mark.parametrize("c", [(-0.0, -0.0), (0.0, -0.0), (1.5, -0.0, -0.0), (-0.0,), (0.3, -0.0, 0.0),
+                               (0.25, 1.0, -0.5)])
+def test_horner_is_polyval_on_finite_values(c):
+    """Also for a leading coefficient -0.0, where polyval's start c[-1] + x * 0
+    takes the sign of x."""
+    x = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0, -1e-300, 1e150])
+    assert_bitwise(_horner(c, x), npp.polyval(x, np.array(c)))

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rough_scl.fluxes import FluxModel, SegmentFlux, builtin, from_spec
@@ -28,7 +28,7 @@ from rough_scl.kinetic import (
 )
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
 from rough_scl.smooth import bump_integral, bump_weight
-from rough_scl.solver import Grid1D, Slab, SolverConfig, solve_path
+from rough_scl.solver import CellState, Grid1D, Slab, SolverConfig, Trajectory, solve_path
 
 
 def burgers(rng=(-2.0, 2.0)):
@@ -297,6 +297,27 @@ class TestAccumulationOracle:
         with pytest.raises(ValueError, match="xi range"):
             accumulate_defects(traj, flux, XiGrid(-0.5, 0.5, 20))
 
+    def test_xi_coverage_sees_every_recorded_state(self):
+        """The bound is max |u| over every step's start state and the last end
+        state, negative values and steps outside the snapshot span included."""
+        grid = Grid1D(-1.0, 1.0, 4, "periodic")
+        flux = burgers()
+        fseg = SegmentFlux(flux, [1.0])
+        xi = XiGrid(-0.5, 0.5, 50)  # covers |u| <= 0.5 - d_xi = 0.48
+        quiet = np.array([0.1, -0.2, 0.47, -0.47])
+
+        def accumulate(where, value):
+            states = [quiet.copy() for _ in range(4)]
+            states[where][where] = value
+            slabs = [Slab(0.05 * k, 0.05, fseg, "engquist_osher", states[k], states[k + 1]) for k in range(3)]
+            traj = Trajectory(grid, np.array([0.0, 0.1]), [CellState(grid, states[0], 0.0)], slabs)
+            return accumulate_defects(traj, flux, xi)
+
+        assert len(accumulate(0, 0.48)) == 1
+        for where, value in ((0, 0.49), (1, -0.49), (2, 0.49), (3, -0.49)):  # 2 is past the span
+            with pytest.raises(ValueError, match="xi range"):
+                accumulate(where, value)
+
     def test_steps_past_the_last_output_are_left_out(self):
         grid = Grid1D(-1.0, 1.0, 64, "periodic")
         flux = burgers()
@@ -417,11 +438,23 @@ def chained_steps(draw):
     return grid, xi, steps
 
 
+def subnormal_slope_steps():
+    """A `chained_steps` draw kept by the example database: one slope component is
+    the subnormal 2.2250738585e-313, which made `SegmentFlux` raise in `polyroots`."""
+    grid = Grid1D(-1.0, 1.0, 3, "periodic")
+    fseg = SegmentFlux(from_spec("burgers;cubic", (-1.05, 1.05)), [1.0, 2.2250738585e-313])
+    states = [np.array([0.0, 0.5, -0.25]), np.array([0.1, 0.375, -0.2]), np.array([0.15, 0.3, -0.125])]
+    steps = [Slab(0.0, 0.05, fseg, "engquist_osher", states[0], states[1]),
+             Slab(0.05, 0.05, fseg, "engquist_osher", states[1], states[2])]
+    return grid, XiGrid(-1.3, 1.3, 8), steps
+
+
 class TestBandLimitedDefect:
     """The band-limited accumulation against the dense reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(chained_steps())
+    @example(subnormal_slope_steps())
     def test_equals_dense_accumulation(self, case):
         grid, xi, steps = case
         got = _reporting_defect(grid, xi, 0.0, steps)

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import rough_scl.semilinear as semilinear
 from rough_scl.fluxes import FluxModel, builtin
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
 from rough_scl.semilinear import (
+    ODE_STEP_PER_UNIT_DRIVER,
     FlowMap,
+    _rk4,
     SourceTerm,
     direct_semilinear_solve,
     linear_source,
@@ -271,3 +274,105 @@ class TestMismatch:
         dx = 2.0 / 200
         for r in rows:
             assert abs(r["gap"]) <= 2.0 * dx + 1e-5
+
+
+def parent_rk4(field, y, tau):
+    """`_rk4` as it was before it formed its sums in place: the bitwise reference."""
+    if tau == 0.0:
+        return y
+    n = max(1, int(np.ceil(abs(tau) / ODE_STEP_PER_UNIT_DRIVER)))
+    h = tau / n
+    for _ in range(n):
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # signs of zeros included
+
+
+# Both signs, whole and fractional multiples of the 1e-3 step, one step and many.
+TAUS = (0.0123, -0.00731, 0.5, -0.2501, 1e-4, -3.7e-6, 0.001, -0.002)
+
+
+class TestRk4MatchesParent:
+    """The in-place RK4 gives the allocating one's bits, and writes neither into
+    its argument nor into an array the field returned."""
+
+    @staticmethod
+    def watched(field):
+        """`field`, recording each array it returns with a copy taken at return."""
+        returned = []
+
+        def call(y):
+            k = field(y)
+            returned.append((k, np.array(k, copy=True)))
+            return k
+        return call, returned
+
+    def check(self, field, y, watch_returns=True):
+        want = [parent_rk4(field, y, tau) for tau in TAUS]
+        before = y.copy()
+        for tau, w in zip(TAUS, want):
+            call, returned = self.watched(field)
+            assert_same_bits(_rk4(call, y, tau), w)
+            assert_same_bits(y, before)
+            if watch_returns:
+                assert returned
+                for k, copy in returned:
+                    assert_same_bits(k, copy)
+
+    @pytest.mark.parametrize("source", [logistic_source(), linear_source(0.7), linear_source(-1.3),
+                                        zero_source()], ids=lambda s: s.name)
+    def test_sources(self, source):
+        y = np.concatenate([[0.0, -0.0, 1.0, -1.0, 0.5], np.random.default_rng(1).uniform(-0.5, 1.5, 40)])
+        self.check(source.phi, y)
+        self.check(source.phi, y.reshape(5, 9))
+
+    def test_zero_dimensional_state(self):
+        for tau in TAUS + (0.0,):
+            got = source_ode_step(logistic_source(), 0.3, tau)
+            want = parent_rk4(logistic_source().phi, np.asarray(0.3), tau)
+            assert type(got) is type(want)
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("spec", ["burgers", "cubic", "poly:0.3,-1,0.25,-0", "poly:0,-0,-0"])
+    def test_front_field(self, spec, monkeypatch):
+        """`_front`'s field on its (2, n) state: rows phi(psi) and a(psi), as np.stack
+        and `Channel.a` gave them, then stepped like the parent's."""
+        channel = builtin(spec)
+        fields = []
+
+        def spy(field, y, tau):
+            fields.append(field)
+            return _rk4(field, y, tau)
+        monkeypatch.setattr(semilinear, "_rk4", spy)
+        source = logistic_source()
+        transformed_shock_position(channel, FlowMap(source, identity_path(0.01)), 0.01)
+        front_field = fields[0]
+
+        def stacked(y):
+            return np.stack([source.phi(y[0]), channel.a(y[0])])
+        rng = np.random.default_rng(2)
+        y = np.stack([np.concatenate([[0.0, -0.0, 1.0, -0.5], rng.uniform(-0.5, 1.5, 30)]),
+                      rng.uniform(-1.0, 1.0, 34)])
+        assert_same_bits(front_field(y), stacked(y))
+        for tau in TAUS:
+            assert_same_bits(_rk4(front_field, y, tau), parent_rk4(stacked, y, tau))
+
+    def test_identity_field(self):
+        """`lambda u: u` returns its argument: the caller's y at the first stage."""
+        y = np.array([0.0, -0.0, 1.0, -2.0, 0.25])
+        self.check(lambda u: u, y, watch_returns=False)
+        self.check(lambda u: u, np.stack([y, -y]), watch_returns=False)
+
+    def test_shared_constant_field(self):
+        shared = np.array([0.5, -0.0, 2.0, -1.0, 0.0])
+        self.check(lambda u: shared, np.array([1.0, 0.0, -0.0, 3.0, -2.0]))
+        assert_same_bits(shared, np.array([0.5, -0.0, 2.0, -1.0, 0.0]))
