@@ -18,12 +18,13 @@ which is right for concave and non-convex F too (a negative driver slope makes
 F concave).
 
 The solver calls `interface_flux` once per step and builds one SegmentFlux per
-driver segment, so both avoid numpy's per-call wrappers.  F and F' are
-evaluated by `_horner`, the recurrence c0 = c[-i] + c0 * x of
-`numpy.polynomial.polynomial.polyval` in its own operation order, so every
-value is bitwise equal to polyval's; the set-up writes F' = polyder(F), the
-degree-1 root of F' and the node tables out directly; states in one node
-interval (every Burgers 1/0 solve) read that interval's entries as scalars.
+driver segment, so both avoid numpy's per-call wrappers.  F, F' and each
+channel's A, a and a' are evaluated by `_horner`, the recurrence
+c0 = c[-i] + c0 * x of `numpy.polynomial.polynomial.polyval` in its own
+operation order, so every finite value is bitwise equal to polyval's; the
+set-up writes F' = polyder(F), the degree-1 root of F' and the node tables out
+directly; states in one node interval (every Burgers 1/0 solve) read that
+interval's entries as scalars.
 """
 from __future__ import annotations
 
@@ -47,17 +48,17 @@ class Channel:
             raise ValueError(f"polynomial degree {coeffs.size - 1} exceeds cap {MAX_POLY_DEGREE}")
         self.name = name
         self.coeffs = coeffs
-        self._d1 = npp.polyder(coeffs)  # computed once: a is called in every RK4 stage
-        self._d2 = npp.polyder(coeffs, 2)
+        # Python floats for `_horner`, computed once: a is called in every RK4 stage
+        self._c0, self._c1, self._c2 = (tuple(npp.polyder(coeffs, k).tolist()) for k in range(3))
 
     def A(self, u) -> np.ndarray:
-        return npp.polyval(np.asarray(u, dtype=float), self.coeffs)
+        return _horner(self._c0, np.asarray(u, dtype=float))
 
     def a(self, u) -> np.ndarray:
-        return npp.polyval(np.asarray(u, dtype=float), self._d1)
+        return _horner(self._c1, np.asarray(u, dtype=float))
 
     def a_prime(self, u) -> np.ndarray:
-        return npp.polyval(np.asarray(u, dtype=float), self._d2)
+        return _horner(self._c2, np.asarray(u, dtype=float))
 
 
 def builtin(name: str) -> Channel:

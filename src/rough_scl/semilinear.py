@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fluxes import Channel, FluxModel, SegmentFlux, _horner
+from .fluxes import Channel, FluxModel, SegmentFlux
 from .paths import PiecewiseLinearPath, identity_path
 from .solver import CellState, Grid1D, SolverConfig, Trajectory, step
 
@@ -139,11 +139,12 @@ class FlowMap:
         return self.psi_at_times(v, [t])[0]
 
 
-# Nodes of the 32- and 64-point Gauss-Legendre rules on [-1, 1] side by side, and
-# the (96, 2) matrix whose columns hold each rule's weights.
+# Nodes of the 32- and 64-point Gauss-Legendre rules mapped to [0, 1] side by side,
+# and the (96, 2) matrix whose columns hold each rule's weights there.
 _GL_NODES, _GL_WEIGHTS = np.zeros(96), np.zeros((96, 2))
 _GL_NODES[:32], _GL_WEIGHTS[:32, 0] = np.polynomial.legendre.leggauss(32)
 _GL_NODES[32:], _GL_WEIGHTS[32:, 1] = np.polynomial.legendre.leggauss(64)
+_GL_NODES, _GL_WEIGHTS = 0.5 + 0.5 * _GL_NODES, 0.5 * _GL_WEIGHTS
 
 
 def _converged(pair: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -160,41 +161,40 @@ def transformed_flux(channel: Channel, flow: FlowMap, v, t: float) -> np.ndarray
     Gauss-Legendre on each [0, v] with 32 and 64 nodes from one `psi` call:
     the 64-node values, or RuntimeError where the two differ by > QUAD_TOL.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    half = 0.5 * v[:, None]
-    w = half * (_GL_NODES + 1.0)
+    v = np.atleast_1d(np.asarray(v, dtype=float))[:, None]
+    w = v * _GL_NODES
     vals = channel.a(flow.psi(w.ravel(), t)).reshape(w.shape)
-    return _converged(half * (vals @ _GL_WEIGHTS), QUAD_TOL, "transformed flux")
+    return _converged(v * (vals @ _GL_WEIGHTS), QUAD_TOL, "transformed flux")
 
 
 def transformed_shock_speed(channel: Channel, flow: FlowMap, t: float) -> float:
-    """Rankine-Hugoniot speed of the transformed 1/0 front: the jump of A~ over the unit jump of v."""
-    a_vals = transformed_flux(channel, flow, np.asarray([1.0, 0.0]), t)
-    return float(a_vals[0] - a_vals[1])
+    """Rankine-Hugoniot speed of the transformed 1/0 front: (A~(1, t) - A~(0, t)) / 1 = A~(1, t)."""
+    return float(transformed_flux(channel, flow, 1.0, t)[0])
 
 
 def _front(channel: Channel, flow: FlowMap, times):
-    """x(t) = int_0^t speed dtau of the 1/0 front and the end states Psi(1; t), Psi(0; t) at `times`.
+    """x(t) = int_0^t speed dtau of the 1/0 front, the end states Psi(1; t), Psi(0; t) and the
+    speed's (32, 64)-node pair at `times`; RuntimeError if x's two rules differ by > POSITION_TOL.
 
-    The speed is g(W~(tau)), g(s) the mean of a(phi_s(w)) over w in [0, 1].
+    The speed is g(W~(tau)) = A~(1, tau), g(s) the mean of a(phi_s(w)) over w in [0, 1].
     One sweep carries X(s) = int_0^s a(phi_sigma(w)) dsigma at the nodes, whose
     mean G has G' = g; the driver is linear between visited times, so a step
     integrates exactly to dtau (G(s1) - G(s0)) / ds.  Where |ds| <= 1e-5 that
     quotient loses more to cancellation than the trapezoid dtau (g(s0) + g(s1)) / 2
     errs, so the trapezoid is used there (exact where ds = 0).
     """
-    w = np.concatenate([[1.0, 0.0], 0.5 + 0.5 * _GL_NODES])
-    phi, a = flow.source.phi, tuple(channel._d1.tolist())  # `_horner(a, u)` is `channel.a(u)`
+    w = np.concatenate([[1.0, 0.0], _GL_NODES])
+    phi, a = flow.source.phi, channel.a
     taus, s, flowed = flow._sweep(np.stack([w, np.zeros_like(w)]), times,  # rows phi(psi), a(psi)
-                                  lambda y: np.concatenate((phi(y[0]), _horner(a, y[0]))).reshape(y.shape))
+                                  lambda y: np.concatenate((phi(y[0]), a(y[0]))).reshape(y.shape))
     psi, cum = flowed[:, 0], flowed[:, 1]
-    g, big_g = (0.5 * y @ _GL_WEIGHTS for y in (channel.a(psi[:, 2:]), cum[:, 2:]))
+    g, big_g = (y @ _GL_WEIGHTS for y in (a(psi[:, 2:]), cum[:, 2:]))
     ds = np.diff(s)[:, None]
     flat = np.abs(ds) <= 1e-5
     mean = np.where(flat, 0.5 * (g[1:] + g[:-1]), np.diff(big_g, axis=0) / np.where(flat, 1.0, ds))
     x = np.concatenate([np.zeros((1, 2)), np.cumsum(np.diff(taus)[:, None] * mean, axis=0)])
     at = np.searchsorted(taus, times)
-    return _converged(x[at], POSITION_TOL, "front position"), psi[at, 0], psi[at, 1]
+    return _converged(x[at], POSITION_TOL, "front position"), psi[at, 0], psi[at, 1], g[at]
 
 
 def transformed_shock_position(channel: Channel, flow: FlowMap, t: float) -> float:
@@ -207,13 +207,10 @@ def direct_semilinear_solve(
     source: SourceTerm,
     grid: Grid1D,
     horizon: float,
-    u_l: float = 1.0,
-    u_r: float = 0.0,
-    jump: float = 0.0,
     outputs=None,
     config: SolverConfig = SolverConfig(),
 ) -> Trajectory:
-    """u_t + (A(u))_x = Phi(u) by Strang splitting around the conservation step.
+    """u_t + (A(u))_x = Phi(u) from the 1/0 step at x = 0, by Strang splitting.
 
     Each step is half an RK4 source step, one monotone conservation step, and
     another half source step; steps land exactly on the requested outputs.
@@ -227,7 +224,7 @@ def direct_semilinear_solve(
     if fseg.max_speed <= 0.0:
         raise ValueError("flux has no transport on the certified range")
     dt_max = config.cfl * grid.dx / fseg.max_speed
-    u = np.where(grid.centers < jump, float(u_l), float(u_r))
+    u = np.where(grid.centers < 0.0, 1.0, 0.0)
     state = CellState(grid, u, 0.0)
     times = [0.0]
     states = [state]
@@ -262,14 +259,14 @@ def mismatch_report(
     flux: FluxModel,
     horizon: float = 1.0,
     n_cells: int = 800,
-    n_times: int = 10,
     config: SolverConfig = SolverConfig(),
 ) -> list[dict]:
-    """Per-time table t, x_transform, x_direct, gap for the 1/0 front.
+    """Per-time table t, speed, x_transform, x_direct, gap for the 1/0 front at ten equal steps.
 
-    One flow-map sweep gives the transformed front and the flowed end states
-    Psi(1; t), Psi(0; t); the direct route runs the splitting solver and
-    locates the crossing of their mean (1/2 when the source fixes 0 and 1).
+    One flow-map sweep gives the transformed speed A~(1, t), the transformed
+    front and the flowed end states Psi(1; t), Psi(0; t); the direct route runs
+    the splitting solver and locates the crossing of their mean (1/2 when the
+    source fixes 0 and 1).
     For the quadratic source the gap grows like int_0^1 Psi(w; t) dw - 1/2 > 0;
     for a linear source it is discretization error.
     """
@@ -277,15 +274,17 @@ def mismatch_report(
         raise ValueError("the demo is a single-channel construction")
     channel = flux.channels[0]
     grid = Grid1D(*MISMATCH_DOMAIN, n_cells, "outflow")
-    outputs = np.linspace(0.0, horizon, n_times + 1)
+    outputs = np.linspace(0.0, horizon, 11)
     traj = direct_semilinear_solve(flux, source, grid, horizon, outputs=outputs, config=config)
     flow = FlowMap(source, identity_path(horizon))
-    x_transform, psi_l, psi_r = _front(channel, flow, outputs[1:])
+    x_transform, psi_l, psi_r, speed_pair = _front(channel, flow, outputs[1:])
+    speed = _converged(speed_pair, QUAD_TOL, "transformed flux")
     rows = []
-    for t, x_trans, level in zip(outputs[1:], x_transform, 0.5 * (psi_l + psi_r)):
+    for t, g, x_trans, level in zip(outputs[1:], speed, x_transform, 0.5 * (psi_l + psi_r)):
         x_direct = shock_position(traj.state_at(float(t)), float(level))
         rows.append({
             "t": float(t),
+            "speed": float(g),
             "x_transform": float(x_trans),
             "x_direct": x_direct,
             "gap": float(x_trans) - x_direct,

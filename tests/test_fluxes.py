@@ -480,3 +480,15 @@ def test_horner_is_polyval_on_finite_values(c):
     takes the sign of x."""
     x = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0, -1e-300, 1e150])
     assert_bitwise(_horner(c, x), npp.polyval(x, np.array(c)))
+
+
+@pytest.mark.parametrize("spec", ["burgers", "cubic", "poly:0.3,-1,0.25,-0", "poly:0,-0,-0", "poly:2",
+                                  "poly:1,-0", "poly:-0.5,0.1,0,0,0,0,0,0,1e-3"])
+def test_channel_evaluators_are_polyval(spec):
+    """A, a and a' through `_horner` on the coefficient tuples give polyval's bits on A, A' and A''."""
+    ch = builtin(spec)
+    x = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0, -1e-300, 1e30])
+    for k, f in enumerate((ch.A, ch.a, ch.a_prime)):
+        c = npp.polyder(ch.coeffs, k)
+        assert_bitwise(f(x), npp.polyval(x, c))
+        assert_bitwise(f(x[4]), npp.polyval(x[4], c))

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import rough_scl
+import rough_scl.semilinear as semilinear
 from rough_scl.cli import main
 from rough_scl.config import load_config
 from rough_scl import harness
+from rough_scl.fluxes import builtin
 from rough_scl.harness import (
     DEFAULT_SUITE,
     EXPERIMENTS,
@@ -27,6 +29,7 @@ from rough_scl.harness import (
     run_suite,
     suite_cfg,
 )
+from rough_scl.paths import identity_path
 
 
 def tiny(**over):
@@ -126,6 +129,13 @@ class TestPathStability:
         with pytest.raises(ValueError, match="octaves"):
             run_path_stability(cfg, tmp_path)
 
+    @pytest.mark.parametrize("bad", ["0", "-0.0125", "nan", "inf"])
+    def test_rejects_epsilon_not_positive_and_finite(self, tmp_path, bad):
+        """Every epsilon must be positive and finite; the message names one that is not."""
+        cfg = tiny(experiment="path-stability", epsilons=f"0.2,0.1,0.05,{bad}")
+        with pytest.raises(ValueError, match=f"^epsilons must be positive and finite, got {float(bad)!r}$"):
+            run_path_stability(cfg, tmp_path)
+
 
 class TestRefinement:
     def test_gap_table(self, tmp_path):
@@ -186,6 +196,17 @@ class TestKineticAndDissipative:
         assert report["min_h"] > 0.0
         assert (run_dir / "windows.csv").exists()
 
+    @pytest.mark.parametrize("key", ["n_seeds", "n_data", "n_anchors"])
+    def test_dissipative_check_rejects_zero_counts(self, tmp_path, monkeypatch, key):
+        """Each count must be at least 1; the message names the key, and nothing is solved."""
+        counts = dict(n_seeds=1, n_data=1, n_anchors=1)
+        counts[key] = 0
+        cfg = tiny(experiment="dissipative-check", **counts)
+        monkeypatch.setattr(harness, "solve_path", lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(ValueError, match=f"^{key} must be at least 1, got 0$"):
+            execute("dissipative-check", cfg, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestSemilinearDemo:
     def test_zero_source_gap_small(self, tmp_path):
@@ -236,6 +257,23 @@ class TestSemilinearDemo:
         assert report["speed_oracle"] == (1.0 + 1.0 / em1) * (1.0 - 0.5 / em1)
         assert abs(report["speed_at_horizon"] - report["speed_oracle"]) <= 1e-6
         assert report["pass"] and report["failed_clauses"] == []
+
+    def test_one_flow_map_sweep(self, tmp_path, monkeypatch):
+        """The report's speed at the horizon is the speed row of the front's sweep, the only one."""
+        sweeps = []
+        sweep = semilinear.FlowMap._sweep
+
+        def counted(*args):
+            sweeps.append(args)
+            return sweep(*args)
+        monkeypatch.setattr(semilinear.FlowMap, "_sweep", counted)
+        cfg = tiny(experiment="semilinear-demo", n_cells=200)
+        _, report = execute("semilinear-demo", cfg, tmp_path)
+        assert len(sweeps) == 1
+        monkeypatch.undo()
+        flow = semilinear.FlowMap(semilinear.logistic_source(), identity_path(0.5))
+        speed = semilinear.transformed_shock_speed(builtin("burgers"), flow, 0.5)
+        assert abs(report["speed_at_horizon"] - speed) <= 1e-15
 
     def test_logistic_speed_closed_form_and_series(self):
         """int_0^1 Psi(w; T) dw: e(e-2)/(e-1)^2 at T = 1, and 1/2 + T/6 + O(T^2) near 0."""
@@ -311,7 +349,7 @@ class TestSuite:
         assert suite_cfg(two, "solve")["flux"] == "burgers;cubic"
         assert suite_cfg(cfg, "solve")["experiment"] == "solve"
 
-    def test_suite_runs_members_concurrently(self, tmp_path):
+    def test_suite_runs_members_one_after_another(self, tmp_path):
         cfg = tiny(source="zero")
         suite_dir, summary = run_suite(["solve", "contraction"], cfg, tmp_path)
         assert set(summary["experiments"]) == {"solve", "contraction"}
@@ -421,7 +459,10 @@ class TestCli:
         ("semilinear-demo", "source = bogus\n"),
         ("solve", "datum = bump:0,0,1\n"),
         ("path-stability", "n_outputs = 0\n"),
-    ], ids=["kinetic-godunov", "semilinear-bogus-source", "bump-zero-width", "zero-outputs"])
+        ("path-stability", "epsilons = 0.2,0.1,0.05,0\n"),
+        ("path-stability", "epsilons = 0.2,nan,0.05,0.025\n"),
+    ], ids=["kinetic-godunov", "semilinear-bogus-source", "bump-zero-width", "zero-outputs",
+            "zero-epsilon", "nan-epsilon"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line):
         """An experiment that rejects its config leaves no run directory behind."""
         cfg = tmp_path / "cfg.txt"

@@ -175,6 +175,20 @@ class TestTransformedFlux:
         s1 = transformed_shock_speed(builtin("burgers"), flow, 1.0)
         assert s1 == pytest.approx(LOGISTIC_SPEED_AT_1, abs=1e-8)
 
+    def test_shock_speed_flows_96_points(self, monkeypatch):
+        """The speed is A~(1, t): one row of the 32 + 64 nodes, and no A~(0, t) = 0 row."""
+        channel, flow = builtin("burgers"), FlowMap(logistic_source(), identity_path(1.0))
+        sizes = []
+
+        def spy(field, y, tau):
+            sizes.append(y.size)
+            return _rk4(field, y, tau)
+        monkeypatch.setattr(semilinear, "_rk4", spy)
+        speed = transformed_shock_speed(channel, flow, 1.0)
+        assert sizes == [96]
+        monkeypatch.undo()
+        assert abs(speed - transformed_flux(channel, flow, [1.0, 0.0], 1.0)[0]) <= 1e-15
+
     def test_front_position_exceeds_source_free_line(self):
         """Phi > 0 on (0,1) pushes interior values up, so the transformed
         front moves faster than t/2 for t > 0 and hits the frozen value."""
@@ -230,12 +244,13 @@ class TestDirectSolve:
         assert x == pytest.approx(0.5, abs=2.0 * grid.dx)
 
     def test_equilibrium_datum_is_steady_modulo_transport(self):
-        """u = 1 everywhere is a logistic equilibrium: the solve keeps it."""
+        """1 and 0 are logistic equilibria: away from the 1/0 front the solve keeps them exactly."""
         grid = Grid1D(-0.5, 1.5, 100, "outflow")
-        traj = direct_semilinear_solve(
-            burgers(), logistic_source(), grid, 0.5, u_l=1.0, u_r=1.0, jump=-10.0
-        )
-        assert np.allclose(traj.states[-1].u, 1.0, atol=1e-12)
+        traj = direct_semilinear_solve(burgers(), logistic_source(), grid, 0.5)
+        u, x = traj.states[-1].u, grid.centers
+        assert np.all(u[x < -0.25] == 1.0)
+        assert np.all(u[x > 1.25] == 0.0)
+        assert 0.0 < shock_position(traj.states[-1]) < 0.5
 
     def test_outputs_validated(self):
         grid = Grid1D(-0.5, 1.5, 50, "outflow")
@@ -258,7 +273,7 @@ class TestShockPosition:
 
 class TestMismatch:
     def test_logistic_gap_positive_and_growing(self):
-        rows = mismatch_report(logistic_source(), burgers(), n_cells=400, n_times=6)
+        rows = mismatch_report(logistic_source(), burgers(), n_cells=400)
         gaps = np.array([r["gap"] for r in rows])
         t = np.array([r["t"] for r in rows])
         assert t[0] > 0.0
@@ -266,11 +281,12 @@ class TestMismatch:
         assert np.all(gaps[t >= 0.5] > 0.0)
         assert gaps[-1] > gaps[0]
         final = rows[-1]
+        assert final["speed"] == pytest.approx(LOGISTIC_SPEED_AT_1, abs=1e-8)
         assert final["x_transform"] == pytest.approx(TRANSFORMED_FRONT_AT_1, abs=1e-5)
         assert final["x_direct"] == pytest.approx(0.5, abs=2.0 * dx)
 
     def test_zero_source_gap_vanishes(self):
-        rows = mismatch_report(zero_source(), burgers(), n_cells=200, n_times=4)
+        rows = mismatch_report(zero_source(), burgers(), n_cells=200)
         dx = 2.0 / 200
         for r in rows:
             assert abs(r["gap"]) <= 2.0 * dx + 1e-5
