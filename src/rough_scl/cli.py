@@ -5,7 +5,10 @@ One subcommand per experiment plus `suite`; every subcommand accepts
 its members one after another.  The clauses a report failed, each with its
 numbers, are printed as `failed:` lines under its FAIL line.  A config that
 fails to load, that an experiment rejects with ValueError, or that names a
-datum or path file that cannot be read prints `config error: ...` and exits 2.
+datum or path file that cannot be read prints `config error: ...` and exits 2;
+a numerical breakdown inside a run (a RuntimeError, such as a quadrature that
+does not converge) prints `run error: ...` and exits 2.  Neither leaves a run
+directory.
 The default output root is ./runs, overridable by the ROUGH_SCL_OUT variable.
 """
 from __future__ import annotations
@@ -46,8 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_error(exc: Exception) -> int:
-    print(f"config error: {exc}", file=sys.stderr)
+_ERRORS = (ValueError, OSError, RuntimeError)
+
+
+def _error(exc: Exception) -> int:
+    kind = "run error" if isinstance(exc, RuntimeError) else "config error"
+    print(f"{kind}: {exc}", file=sys.stderr)
     return 2
 
 
@@ -63,8 +70,8 @@ def main(argv=None) -> int:
         overrides["experiment"] = args.command
     try:
         cfg = load_config(args.config, overrides)
-    except (ValueError, OSError) as exc:
-        return _config_error(exc)
+    except _ERRORS as exc:
+        return _error(exc)
     if args.command == "suite":
         names = args.experiments or list(DEFAULT_SUITE)
         unknown = [n for n in names if n not in EXPERIMENTS]
@@ -73,8 +80,8 @@ def main(argv=None) -> int:
             return 2
         try:
             suite_dir, summary = run_suite(names, cfg, args.out)
-        except (ValueError, OSError) as exc:
-            return _config_error(exc)
+        except _ERRORS as exc:
+            return _error(exc)
         for name in names:
             res = summary["experiments"][name]
             print(f"{name}: {'PASS' if res['pass'] else 'FAIL'}  ({res['run_dir']})")
@@ -83,8 +90,8 @@ def main(argv=None) -> int:
         return 0 if summary["pass"] else 1
     try:
         run_dir, report = execute(args.command, cfg, args.out)
-    except (ValueError, OSError) as exc:
-        return _config_error(exc)
+    except _ERRORS as exc:
+        return _error(exc)
     ok = report.get("pass")
     print(f"{args.command}: {'PASS' if ok else 'FAIL'}  ({run_dir})")
     _print_failed(report)

@@ -172,17 +172,13 @@ def build_path(
     if name == "brownian":
         n_seg = int(args[0]) if args else 8
         return paths.brownian_sample(seed, horizon, n_seg, n_channels)
+    if name in ("tent", "identity", "monomial") and n_channels != 1:
+        raise ValueError(f"{name} path is single-channel")
     if name == "tent":
-        if n_channels != 1:
-            raise ValueError("tent path is single-channel")
         return paths.tent_path(0.5 * horizon, 1.0, horizon)
     if name == "identity":
-        if n_channels != 1:
-            raise ValueError("identity path is single-channel")
         return paths.identity_path(horizon)
     if name == "monomial":
-        if n_channels != 1:
-            raise ValueError("monomial path is single-channel")
         p = float(args[0]) if args else 2.0
         n_seg = int(args[1]) if len(args) > 1 else 64
         knots = np.linspace(0.0, horizon, n_seg + 1)

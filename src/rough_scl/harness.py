@@ -300,7 +300,12 @@ def _source_from_spec(spec: str):
     if name == "logistic":
         return logistic_source(), None
     if name == "linear":
-        lam = float(arg or 0.0)
+        try:
+            lam = float(arg or 0.0)
+        except ValueError:
+            lam = math.nan
+        if not math.isfinite(lam):
+            raise ValueError(f"source = {spec}: the linear rate must be a finite number, got {arg.strip()!r}")
         return linear_source(lam), lam
     if name == "zero":
         return zero_source(), 0.0

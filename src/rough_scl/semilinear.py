@@ -30,7 +30,7 @@ import numpy as np
 
 from .fluxes import Channel, FluxModel, SegmentFlux
 from .paths import PiecewiseLinearPath, identity_path
-from .solver import CellState, Grid1D, SolverConfig, Trajectory, step
+from .solver import _TIME_ATOL, CellState, Grid1D, SolverConfig, Trajectory, step
 
 ODE_STEP_PER_UNIT_DRIVER = 1e-3
 QUAD_TOL = 1e-9
@@ -207,37 +207,32 @@ def direct_semilinear_solve(
     source: SourceTerm,
     grid: Grid1D,
     horizon: float,
-    outputs=None,
     config: SolverConfig = SolverConfig(),
 ) -> Trajectory:
     """u_t + (A(u))_x = Phi(u) from the 1/0 step at x = 0, by Strang splitting.
 
     Each step is half an RK4 source step, one monotone conservation step, and
-    another half source step; steps land exactly on the requested outputs.
+    another half source step.  Snapshots at 0 and ten equal steps to the
+    horizon are reached by the landing rule of `solve_path`.
     """
-    if outputs is None:
-        outputs = np.linspace(0.0, horizon, 11)
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs[0] != 0.0 or np.any(np.diff(outputs) <= 0) or outputs[-1] != horizon:
-        raise ValueError("outputs must ascend from 0 to the horizon")
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     fseg = SegmentFlux(flux, np.ones(flux.n_channels))
     if fseg.max_speed <= 0.0:
         raise ValueError("flux has no transport on the certified range")
     dt_max = config.cfl * grid.dx / fseg.max_speed
-    u = np.where(grid.centers < 0.0, 1.0, 0.0)
-    state = CellState(grid, u, 0.0)
-    times = [0.0]
-    states = [state]
-    for target in outputs[1:]:
-        while state.t < target - 1e-12 * horizon:
+    outputs = np.linspace(0.0, horizon, 11)
+    state = CellState(grid, np.where(grid.centers < 0.0, 1.0, 0.0), 0.0)
+    states = []
+    for target in outputs:
+        while state.t < target - _TIME_ATOL:
             dt = min(dt_max, target - state.t)
             half = source_ode_step(source, state.u, 0.5 * dt)
             moved = step(CellState(grid, half, state.t), fseg, dt, config)
             full = source_ode_step(source, moved.u, 0.5 * dt)
             state = CellState(grid, full, state.t + dt)
-        times.append(state.t)
         states.append(state)
-    return Trajectory(grid, np.asarray(times), states, None)
+    return Trajectory(grid, outputs, states, None)
 
 
 def shock_position(state: CellState, level: float = 0.5) -> float:
@@ -274,14 +269,14 @@ def mismatch_report(
         raise ValueError("the demo is a single-channel construction")
     channel = flux.channels[0]
     grid = Grid1D(*MISMATCH_DOMAIN, n_cells, "outflow")
-    outputs = np.linspace(0.0, horizon, 11)
-    traj = direct_semilinear_solve(flux, source, grid, horizon, outputs=outputs, config=config)
+    traj = direct_semilinear_solve(flux, source, grid, horizon, config)
     flow = FlowMap(source, identity_path(horizon))
-    x_transform, psi_l, psi_r, speed_pair = _front(channel, flow, outputs[1:])
+    x_transform, psi_l, psi_r, speed_pair = _front(channel, flow, traj.times[1:])
     speed = _converged(speed_pair, QUAD_TOL, "transformed flux")
     rows = []
-    for t, g, x_trans, level in zip(outputs[1:], speed, x_transform, 0.5 * (psi_l + psi_r)):
-        x_direct = shock_position(traj.state_at(float(t)), float(level))
+    for t, state, g, x_trans, level in zip(traj.times[1:], traj.states[1:], speed, x_transform,
+                                           0.5 * (psi_l + psi_r)):
+        x_direct = shock_position(state, float(level))
         rows.append({
             "t": float(t),
             "speed": float(g),

@@ -205,54 +205,37 @@ def solve_path(
 ) -> Trajectory:
     """March through the path segments, snapshotting at the requested times.
 
-    The march ends at the last requested output, not at the path horizon.
+    Landing rule: while the state is more than `_TIME_ATOL` short of an output
+    (or of the horizon, for an output admitted past it), solve the segment that
+    holds the state up to the output or its knot, a knot within `_TIME_ATOL`
+    counting as passed; then snapshot, labelled with the output.  The march
+    ends at the last output; `Trajectory.times` is a copy of `outputs`.
     """
-    outputs = np.atleast_1d(np.asarray(outputs, dtype=float))
-    if np.any(np.diff(outputs) <= 0):
+    outputs = np.array(outputs, dtype=float, ndmin=1)
+    if not np.all(np.diff(outputs) > 0):  # written so that a NaN fails too
         raise ValueError("output times must be strictly increasing")
-    if outputs[0] < 0 or outputs[-1] > path.horizon * (1 + 1e-12):
-        raise ValueError("output times must lie within the path horizon")
+    horizon = path.horizon
+    if not (outputs.size and outputs[0] >= 0 and outputs[-1] <= horizon * (1 + 1e-12)):
+        raise ValueError(f"need one or more output times, all within the path horizon {horizon}")
     if path.n_channels != flux.n_channels:
         raise ValueError("path and flux channel counts differ")
 
     state = CellState(grid, np.array(u0, dtype=float), 0.0)
     slabs: list[Slab] | None = [] if config.record_slabs else None
-
-    def _collect(slab: Slab) -> None:
-        if slabs is not None:
-            slabs.append(slab)
-        if collect is not None:
-            collect(slab)
-
-    sink = _collect if (config.record_slabs or collect is not None) else None
-    times, states = [], []
-    i_out = 0
-    if abs(outputs[0]) <= _TIME_ATOL:
-        times.append(0.0)
-        states.append(CellState(grid, state.u.copy(), 0.0))
-        i_out = 1
-
-    for k in range(path.n_segments):
-        if i_out == outputs.size:
-            break  # nothing is solved past the last output
-        t_k1 = path.knots[k + 1]
-        fseg = SegmentFlux(flux, path.slope(k))
-        while i_out < outputs.size and state.t < t_k1 - _TIME_ATOL:
-            # march to the next output or to the knot, whichever comes first
-            target = min(outputs[i_out], t_k1)
-            state = solve_segment(state, fseg, target - state.t, config, sink)
-            if outputs[i_out] <= t_k1:
-                times.append(float(target))
-                states.append(CellState(grid, state.u.copy(), state.t))
-                i_out += 1
-        if i_out < outputs.size and abs(outputs[i_out] - t_k1) <= _TIME_ATOL and state.t >= t_k1 - _TIME_ATOL:
-            # output exactly at the knot, already reached
-            times.append(float(outputs[i_out]))
-            states.append(CellState(grid, state.u.copy(), state.t))
-            i_out += 1
-    if i_out < outputs.size:
-        raise RuntimeError(f"failed to reach outputs {outputs[i_out:]}")
-    return Trajectory(grid, np.asarray(times), states, slabs if config.record_slabs else None)
+    sink = collect
+    if slabs is not None:
+        sink = slabs.append if collect is None else lambda slab: (slabs.append(slab), collect(slab))
+    states = []
+    k, fseg = 0, None
+    for t_out in outputs:
+        while state.t < min(t_out, horizon) - _TIME_ATOL:
+            while state.t >= path.knots[k + 1] - _TIME_ATOL:
+                k, fseg = k + 1, None
+            if fseg is None:
+                fseg = SegmentFlux(flux, path.slope(k))
+            state = solve_segment(state, fseg, min(t_out, path.knots[k + 1]) - state.t, config, sink)
+        states.append(CellState(grid, state.u.copy(), state.t))
+    return Trajectory(grid, outputs, states, slabs)
 
 
 def burgers_riemann_exact(u_l: float, u_r: float, x, t: float) -> np.ndarray:

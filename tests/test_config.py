@@ -166,8 +166,9 @@ class TestPathBuilders:
         assert ident.eval(1.5)[0] == pytest.approx(1.5)
         mono = build_path("monomial:2,8", 0, 1.0, 1)
         assert mono.eval(0.5)[0] == pytest.approx(0.25)
-        with pytest.raises(ValueError, match="single-channel"):
-            build_path("tent", 0, 1.0, 2)
+        for name in ("tent", "identity", "monomial:2,8"):
+            with pytest.raises(ValueError, match=f"^{name.partition(':')[0]} path is single-channel$"):
+                build_path(name, 0, 1.0, 2)
 
     def test_file(self, tmp_path):
         f = tmp_path / "w.csv"

@@ -476,6 +476,34 @@ class TestCli:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "fast"])
+    def test_bad_linear_rate_names_the_source_key(self, tmp_path, capsys, rate):
+        """A linear rate that is not a finite number is rejected before the solve, by key and rate."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"source = linear:{rate}\n")
+        out = tmp_path / "out"
+        code = main(["semilinear-demo", "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"config error: source = linear:{rate}: "
+                       f"the linear rate must be a finite number, got '{rate}'\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["single", "suite"])
+    def test_numerical_breakdown_exits_2(self, tmp_path, capsys, command):
+        """A RuntimeError inside a run (here the logistic front quadrature failing at a long
+        horizon) prints one `run error` line, not a traceback, and leaves no run directory."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("horizon = 6\nn_cells = 40\n")
+        out = tmp_path / "out"
+        argv = ["semilinear-demo"] if command == "single" else ["suite", "semilinear-demo"]
+        code = main(argv + ["--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("run error: front position quadrature did not converge")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["single", "suite"])
     @pytest.mark.parametrize("key", ["datum", "path"])
     def test_missing_input_file_exits_2(self, tmp_path, capsys, command, key):

@@ -252,10 +252,18 @@ class TestDirectSolve:
         assert np.all(u[x > 1.25] == 0.0)
         assert 0.0 < shock_position(traj.states[-1]) < 0.5
 
-    def test_outputs_validated(self):
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_validated(self, horizon):
         grid = Grid1D(-0.5, 1.5, 50, "outflow")
-        with pytest.raises(ValueError, match="outputs"):
-            direct_semilinear_solve(burgers(), zero_source(), grid, 1.0, outputs=[0.5, 1.0])
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            direct_semilinear_solve(burgers(), zero_source(), grid, horizon)
+
+    def test_snapshots_at_eleven_equal_times(self):
+        """0 and ten equal steps to the horizon, each state at its label exactly."""
+        grid = Grid1D(-0.5, 1.5, 50, "outflow")
+        traj = direct_semilinear_solve(burgers(), logistic_source(), grid, 0.7)
+        assert np.array_equal(traj.times, np.linspace(0.0, 0.7, 11))
+        assert [s.t for s in traj.states] == traj.times.tolist()
 
 
 class TestShockPosition:

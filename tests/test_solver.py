@@ -1,10 +1,13 @@
 """Finite-volume scheme: stability invariants and exact-solution oracles."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rough_scl.fluxes import FluxModel, SegmentFlux, builtin, from_spec
-from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path, tent_path
+from rough_scl.paths import PiecewiseLinearPath, brownian_sample, dyadic_refine, identity_path, tent_path
 from rough_scl.solver import (
+    _TIME_ATOL,
     CellState,
     CFLError,
     Grid1D,
@@ -224,6 +227,138 @@ class TestSolvePath:
         traj = solve_path(u0, flux, path, [2.0], grid, cfg)
         cs = {tuple(np.round(s.c, 12)) for s in traj.slabs}
         assert cs == {(1.0, -0.5), (-0.5, 1.0)}
+
+
+def _cursor_march(u0, flux, path, outputs, grid, config):
+    """The march `solve_path` had before its one landing rule: a per-segment output
+    cursor with its own branches for an output at t = 0 and for one on a knot.
+    Kept as the reference the landing rule must match bitwise when no output lies
+    within `_TIME_ATOL` of another output or of a knot without being equal to it."""
+    outputs = np.atleast_1d(np.asarray(outputs, dtype=float))
+    state = CellState(grid, np.array(u0, dtype=float), 0.0)
+    slabs, times, states, i_out = [], [], [], 0
+    if abs(outputs[0]) <= _TIME_ATOL:
+        times.append(0.0)
+        states.append(CellState(grid, state.u.copy(), 0.0))
+        i_out = 1
+    for k in range(path.n_segments):
+        if i_out == outputs.size:
+            break
+        t_k1 = path.knots[k + 1]
+        fseg = SegmentFlux(flux, path.slope(k))
+        while i_out < outputs.size and state.t < t_k1 - _TIME_ATOL:
+            target = min(outputs[i_out], t_k1)
+            state = solve_segment(state, fseg, target - state.t, config, slabs.append)
+            if outputs[i_out] <= t_k1:
+                times.append(float(target))
+                states.append(CellState(grid, state.u.copy(), state.t))
+                i_out += 1
+        if i_out < outputs.size and abs(outputs[i_out] - t_k1) <= _TIME_ATOL and state.t >= t_k1 - _TIME_ATOL:
+            times.append(float(outputs[i_out]))
+            states.append(CellState(grid, state.u.copy(), state.t))
+            i_out += 1
+    if i_out < outputs.size:
+        raise RuntimeError(f"failed to reach outputs {outputs[i_out:]}")
+    return np.asarray(times), states, slabs
+
+
+@st.composite
+def march_cases(draw):
+    """A Brownian, dyadic or random-knot driver on 1-2 channels, a random datum, both
+    schemes and both boundary rules, and outputs drawn from 0, the knots and [0, T]."""
+    n_channels = draw(st.integers(1, 2))
+    horizon = draw(st.sampled_from([0.3, 1.0, 2.5]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["brownian", "dyadic", "random-knot"]))
+    if kind == "brownian":
+        path = brownian_sample(seed, horizon, draw(st.integers(1, 8)), n_channels)
+    elif kind == "dyadic":
+        path = brownian_sample(seed, horizon, 1, n_channels)
+        for level in range(1, draw(st.integers(1, 3)) + 1):
+            path = dyadic_refine(path, seed, level)
+    else:
+        inner = draw(st.lists(st.floats(0.0, horizon, exclude_min=True, exclude_max=True),
+                              max_size=6, unique=True))
+        knots = np.array([0.0, *sorted(inner), horizon])
+        assume(np.all(np.diff(knots) > 1e-6))
+        steps = rng.normal(0.0, 1.0, (knots.size - 1, n_channels)) * np.sqrt(np.diff(knots))[:, None]
+        path = PiecewiseLinearPath(knots, np.vstack([np.zeros((1, n_channels)), np.cumsum(steps, axis=0)]))
+    knots = path.knots.tolist()
+    picks = draw(st.lists(st.one_of(st.just(0.0), st.sampled_from(knots), st.floats(0.0, horizon)),
+                          min_size=1, max_size=6, unique=True))
+    outputs = np.array(sorted(picks))
+    gaps = np.abs(np.subtract.outer(outputs, np.concatenate([outputs, knots])))
+    assume(not np.any((gaps > 0.0) & (gaps <= _TIME_ATOL)))
+    grid = Grid1D(-1.0, 1.0, draw(st.integers(8, 24)), draw(st.sampled_from(["periodic", "outflow"])))
+    flux = from_spec("burgers" if n_channels == 1 else "burgers;cubic", (-1.5, 1.5))
+    config = SolverConfig(scheme=draw(st.sampled_from(["engquist_osher", "godunov_convex"])))
+    return rng.uniform(-1.0, 1.0, grid.n_cells), flux, path, outputs, grid, config
+
+
+class TestLandingRule:
+    """`solve_path` reaches each output by one rule: step while the state is more
+    than `_TIME_ATOL` short of it, a knot within `_TIME_ATOL` counting as passed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(march_cases())
+    def test_bitwise_equal_to_the_cursor_march(self, case):
+        u0, flux, path, outputs, grid, config = case
+        slabs = []
+        traj = solve_path(u0, flux, path, outputs, grid, config, collect=slabs.append)
+        times, states, ref_slabs = _cursor_march(u0, flux, path, outputs, grid, config)
+        assert traj.times.tobytes() == times.tobytes()
+        assert [(s.t, s.u.tobytes()) for s in traj.states] == [(s.t, s.u.tobytes()) for s in states]
+        assert len(slabs) == len(ref_slabs)
+        for a, b in zip(slabs, ref_slabs):
+            assert (a.t0, a.dt, a.scheme) == (b.t0, b.dt, b.scheme)
+            assert a.c.tobytes() == b.c.tobytes()
+            assert a.u0.tobytes() == b.u0.tobytes() and a.u1.tobytes() == b.u1.tobytes()
+
+    @pytest.mark.parametrize("first", [0.0, 0.3])
+    def test_near_duplicate_output_takes_no_step(self, first):
+        """An output within `_TIME_ATOL` after the state snapshots it, keeping its own label."""
+        grid = Grid1D(-1.0, 1.0, 40, "periodic")
+        u0 = np.where(grid.centers < 0.0, 1.0, 0.0)
+        outputs = [first, first + 5e-13, 0.6]
+        slabs, lone = [], []
+        traj = solve_path(u0, burgers(), identity_path(1.0), outputs, grid, collect=slabs.append)
+        solve_path(u0, burgers(), identity_path(1.0), [first, 0.6], grid, collect=lone.append)
+        assert len(slabs) == len(lone)
+        assert traj.times.tolist() == outputs
+        assert traj.states[0].t == traj.states[1].t == first
+        assert np.array_equal(traj.states[0].u, traj.states[1].u)
+
+    def test_output_just_past_a_long_horizon_lands_on_it(self):
+        """For T > 1 the validation admits outputs up to T (1 + 1e-12), more than
+        `_TIME_ATOL` past T: the march stops at T and snapshots there."""
+        grid = Grid1D(-1.0, 1.0, 40, "periodic")
+        u0 = np.where(grid.centers < 0.0, 0.5, -0.5)
+        path = brownian_sample(3, 4.0, 4)
+        past = 4.0 * (1 + 1e-12)
+        assert past - 4.0 > _TIME_ATOL
+        traj = solve_path(u0, burgers(), path, [1.0, past], grid)
+        at_horizon = solve_path(u0, burgers(), path, [1.0, 4.0], grid)
+        assert traj.times.tolist() == [1.0, past]
+        assert traj.states[-1].t == 4.0
+        assert np.array_equal(traj.states[-1].u, at_horizon.states[-1].u)
+        with pytest.raises(ValueError, match="within the path horizon"):
+            solve_path(u0, burgers(), path, [1.0, 4.0 * (1 + 3e-12)], grid)
+
+    @pytest.mark.parametrize("outputs", [[], [np.nan], [0.1, np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]])
+    def test_empty_or_non_finite_outputs_rejected(self, outputs):
+        """A NaN output would otherwise fail every landing comparison and snapshot the datum."""
+        grid = Grid1D(-1.0, 1.0, 20, "periodic")
+        with pytest.raises(ValueError, match="output times"):
+            solve_path(np.zeros(20), burgers(), identity_path(1.0), outputs, grid)
+
+    def test_times_do_not_alias_outputs(self):
+        grid = Grid1D(-1.0, 1.0, 20, "periodic")
+        outputs = np.array([0.0, 0.5])
+        traj = solve_path(np.zeros(20), burgers(), identity_path(1.0), outputs, grid)
+        assert not np.shares_memory(traj.times, outputs)
+        outputs[0] = 0.25
+        assert traj.times.tolist() == [0.0, 0.5]
 
 
 class TestStepCounting:
