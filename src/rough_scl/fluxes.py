@@ -22,14 +22,15 @@ driver segment, so both avoid numpy's per-call wrappers.  F, F' and each
 channel's A, a and a' are evaluated by `_horner`, the recurrence
 c0 = c[-i] + c0 * x of `numpy.polynomial.polynomial.polyval` in its own
 operation order, so every finite value is bitwise equal to polyval's; the
-set-up writes F' = polyder(F), the degree-1 root of F' and the node tables out
-directly; states in one node interval (every Burgers 1/0 solve) read that
-interval's entries as scalars.
+set-up builds F, F' = polyder(F), the degree-1 root of F' and the node tables
+on Python floats in numpy's operation order; states in one node interval (every
+Burgers 1/0 solve) read that interval's entries as scalars.
 """
 from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -80,23 +81,24 @@ def builtin(name: str) -> Channel:
 def _horner(c, x):
     """`npp.polyval(x, c)` for ascending coefficients `c` and finite float `x`.
 
-    Same recurrence and operation order, c0 = c[-i] + c0 * x.  polyval's start
-    c[-1] + x * 0 is the scalar c[-1] for finite x unless c[-1] is -0.0 (then
-    its sign follows x's), so the scalar start is taken wherever it is exact.
+    Same recurrence and operation order, c0 = c[-i] + c0 * x (added in place).
+    polyval's start c[-1] + x * 0 is the scalar c[-1] for finite x unless c[-1]
+    is -0.0 (then its sign follows x's), so the scalar start is taken where exact.
     """
     y = c[-1]
     if len(c) == 1 or (y == 0.0 and math.copysign(1.0, y) < 0.0):
         y = y + x * 0
     for ci in c[-2::-1]:
-        y = ci + y * x
+        y = y * x
+        y += ci
     return y
 
 
-def _real_roots(coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _real_roots(coeffs, lo: float, hi: float) -> np.ndarray:
     """Real roots of a polynomial (ascending coeffs) inside (lo, hi)."""
     # Drop leading zeros and, from degree 2, a leading c_n so small that some c_k / c_n
     # overflows (`polyroots` would raise on it): the roots it adds lie beyond 1e308.
-    c = coeffs.tolist()
+    c = [float(x) for x in coeffs]
     while c and (c[-1] == 0.0 or len(c) > 2 and max(map(abs, c[:-1])) / abs(c[-1]) == math.inf):
         c.pop()
     if len(c) <= 1:
@@ -104,7 +106,7 @@ def _real_roots(coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if len(c) == 2:  # npp.polyroots' own degree-1 root
         r = -c[0] / c[1]
         return np.array([r]) if lo < r < hi else np.empty(0)
-    r = npp.polyroots(coeffs[:len(c)])
+    r = npp.polyroots(c)
     r = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))].real
     r = np.unique(r[(r > lo) & (r < hi)])
     if r.size > 1:
@@ -158,9 +160,9 @@ def from_spec(spec: str, u_range: tuple[float, float]) -> FluxModel:
 class SegmentFlux:
     """Frozen polynomial F = sum_i c_i A_i for one linear driver segment.
 
-    Caches the breakpoints, the real roots of F' on hull(u_range, 0), the
-    sign of F' between them and the values of F there, so that P, N and both
-    numerical fluxes are exact in closed form.
+    Built once per segment: max_speed, F and F', the breakpoints (the real roots
+    of F' on hull(u_range, 0)), the sign of F' between them, the values of F and
+    the one-sided sums there, so that P, N and both numerical fluxes are exact.
     """
 
     def __init__(self, flux: FluxModel, c) -> None:
@@ -173,17 +175,18 @@ class SegmentFlux:
         hi = max(flux.u_range[1], 0.0)
         pad = 1e-9 * (hi - lo)
         self._lo, self._hi = lo - pad, hi + pad
+        self._v_lo, self._v_hi = flux.u_range[0] - 1e-9, flux.u_range[1] + 1e-9
         self.max_speed = float(np.dot(np.abs(c), flux.lip_a))
-        coeffs = np.zeros(max(len(ch.coeffs) for ch in flux.channels))
-        for ci, ch in zip(c, flux.channels):
-            coeffs[: len(ch.coeffs)] += ci * ch.coeffs
-        # npp.polyder(coeffs): j * c_j, or c_0 * 0 for a constant
-        dcoeffs = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else coeffs[:1] * 0
+        # Python floats in numpy's order: `coeffs[:n] += ci * ch.coeffs`, polyder's j * c_j or c_0 * 0
+        coeffs = [0.0] * max(len(ch.coeffs) for ch in flux.channels)
+        for ci, ch in zip(c.tolist(), flux.channels):
+            coeffs[: len(ch.coeffs)] = [s + ci * a for s, a in zip(coeffs, ch.coeffs.tolist())]
+        dcoeffs = [cj * j for j, cj in enumerate(coeffs) if j] or [coeffs[0] * 0]
         self.breakpoints = _real_roots(dcoeffs, self._lo, self._hi)
-        # Python floats: `_horner` multiplies an array by them fastest, `bisect` finds an interval
+        # `_horner` multiplies an array by Python floats fastest, `bisect` finds an interval
         self._bp = tuple(self.breakpoints.tolist())
-        self._coeffs = tuple(coeffs.tolist())
-        self._dcoeffs = tuple(dcoeffs.tolist())
+        self._coeffs = tuple(coeffs)
+        self._dcoeffs = tuple(dcoeffs)
         self._build_tables()
 
     # -- raw evaluations ---------------------------------------------------
@@ -197,21 +200,22 @@ class SegmentFlux:
     # -- sign structure ----------------------------------------------------
 
     def _build_tables(self) -> None:
-        k = self.breakpoints.size
-        nodes = np.empty(k + 2)
-        nodes[0], nodes[1:-1], nodes[-1] = self._lo, self.breakpoints, self._hi
-        sign = np.sign(_horner(self._dcoeffs, 0.5 * (nodes[:-1] + nodes[1:])))
-        self._rising, self._falling = sign > 0, sign < 0
-        f = self._f_nodes = _horner(self._coeffs, nodes)
-        seg = f[1:] - f[:-1]  # exact int of F' over each interval
-        self._pos_cum, self._neg_cum = np.zeros(k + 2), np.zeros(k + 2)
-        np.cumsum(np.where(self._rising, seg, 0.0), out=self._pos_cum[1:])
-        np.cumsum(np.where(self._falling, seg, 0.0), out=self._neg_cum[1:])
-        # `_one_sided_raw` at u = 0, on Python scalars
-        i = int(self.breakpoints.searchsorted(0.0, "right"))
+        nodes = [self._lo, *self._bp, self._hi]
+        d = [_horner(self._dcoeffs, 0.5 * (a + b)) for a, b in zip(nodes, nodes[1:])]
+        rising, falling = [x > 0 for x in d], [x < 0 for x in d]
+        f = [_horner(self._coeffs, x) for x in nodes]
+        seg = [fb - fa for fa, fb in zip(f, f[1:])]  # exact int of F' over each interval
+        # `accumulate` starts from the first term, as np.cumsum does, so a -0.0 survives
+        pos, neg = ([0.0, *accumulate(s if k else 0.0 for s, k in zip(seg, keep))]
+                    for keep in (rising, falling))
+        self._tables = f, pos, rising  # read as scalars by `interface_flux`
+        arrays = map(np.array, (f, pos, neg, rising, falling))
+        self._f_nodes, self._pos_cum, self._neg_cum, self._rising, self._falling = arrays
+        # `_one_sided_raw` at u = 0
+        i = bisect.bisect_right(self._bp, 0.0)
         part = _horner(self._coeffs, 0.0) - f[i]
-        self._pos_at_zero = self._pos_cum[i] + (part if self._rising[i] else 0.0)
-        self._neg_at_zero = self._neg_cum[i] + (part if self._falling[i] else 0.0)
+        self._pos_at_zero = pos[i] + (part if rising[i] else 0.0)
+        self._neg_at_zero = neg[i] + (part if falling[i] else 0.0)
 
     def _one_sided_raw(self, u, positive: bool):
         """Cumulative int from self._lo to u of (F')^+/-, vectorized.
@@ -242,12 +246,13 @@ class SegmentFlux:
         integral from the bottom node.  "godunov_convex" is the exact Godunov
         flux for any F: min F on [u_l, u_r], or max F on [u_r, u_l], taken at
         both ends and the breakpoints between them (F is monotone in between).
-        With no breakpoint in (min v, max v] both read one node interval's entries.
+        With no breakpoint in (min v, max v] both read one node interval's entries,
+        as scalars; only F(v), min v and max v are computed per call.
         """
         v = np.asarray(v, dtype=float)
-        lo, hi = self.flux.u_range
-        v_min, v_max = v.min(), v.max()
-        if not (lo - 1e-9 <= v_min and v_max <= hi + 1e-9):  # a NaN fails too
+        v_min, v_max = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)
+        if not (self._v_lo <= v_min and v_max <= self._v_hi):  # a NaN fails too
+            lo, hi = self.flux.u_range
             raise ValueError(f"state outside certified u_range [{lo}, {hi}]")
         fv = _horner(self._coeffs, v)
         i = bisect.bisect_right(self._bp, v_min)  # `searchsorted(v_min, "right")`
@@ -255,7 +260,10 @@ class SegmentFlux:
         if scheme == "engquist_osher":
             # `_one_sided_raw(v, True)` on the F(v) in hand, inline: the step's hot path
             if one:
-                p = self._pos_cum[i] + (fv - self._f_nodes[i] if self._rising[i] else np.zeros_like(fv))
+                f, pos, rising = self._tables
+                if not rising[i]:  # P~ = c + 0.0 (c = pos[i]); (c + 0.0) + (F - (c + 0.0)) is c + (F - c)
+                    return pos[i] + (fv[..., 1:] - pos[i])
+                p = pos[i] + (fv - f[i])
             else:
                 idx = self.breakpoints.searchsorted(v, "right")
                 p = self._pos_cum[idx] + np.where(self._rising[idx], fv - self._f_nodes[idx], 0.0)
@@ -266,7 +274,7 @@ class SegmentFlux:
         s = np.where(u_l <= u_r, 1.0, -1.0)  # a max is the min of -F
         lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
         below, above = (None, None) if one else (np.minimum(u_l, u_r), np.maximum(u_l, u_r))
-        for b, fb in zip(self._bp, self._f_nodes[1:-1].tolist()):
+        for b, fb in zip(self._bp, self._tables[0][1:-1]):
             if not (b <= v_min or v_max <= b):  # else no interval holds b (none does if `one`)
                 np.minimum(lowest, s * fb, out=lowest, where=(below < b) & (b < above))
         return s * lowest

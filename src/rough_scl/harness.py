@@ -34,7 +34,7 @@ from .paths import (
 )
 from .semilinear import MISMATCH_DOMAIN, linear_source, logistic_source, mismatch_report, zero_source
 from .smooth import bump_datum, bump_weight
-from .solver import Grid1D, SolverConfig, l1_distance, solve_path
+from .solver import _TIME_ATOL, Grid1D, SolverConfig, l1_distance, solve_path
 
 ENV_OUT = "ROUGH_SCL_OUT"
 CONTRACTION_TOL = 1e-10
@@ -262,7 +262,10 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
         times = [np.asarray([0.0, horizon])]
         for _, sol in plan:
             times.append(np.linspace(*sol.window, 17))
-        outputs = np.unique(np.concatenate(times))
+        outputs = []  # sorted, each more than _TIME_ATOL past the one kept before it
+        for t in np.unique(np.concatenate(times)).tolist():
+            if not outputs or t - outputs[-1] > _TIME_ATOL:
+                outputs.append(t)
         traj = solve_path(u0, exp.flux, path, outputs, exp.grid, exp.solver)
         u_inf = float(np.max(np.abs(u0)))
         weight = bump_weight(0.0, u_inf + 1.0)

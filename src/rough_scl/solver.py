@@ -11,6 +11,7 @@ interface fluxes from `SegmentFlux.interface_flux`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,11 +52,14 @@ class Grid1D:
     def length(self) -> float:
         return self.x_hi - self.x_lo
 
+    @cached_property
+    def _pad_index(self) -> np.ndarray:
+        i = np.arange(-1, self.n_cells + 1)
+        return i % self.n_cells if self.bc == "periodic" else i.clip(0, self.n_cells - 1)
+
     def pad(self, a: np.ndarray) -> np.ndarray:
-        """`a` with one ghost cell per side along axis 0: wrapped (periodic) or repeated (outflow)."""
-        if self.bc == "periodic":
-            return np.concatenate([a[-1:], a, a[:1]])
-        return np.concatenate([a[:1], a, a[-1:]])
+        """A copy of `a` (n_cells rows), one ghost row per side: wrapped (periodic) or repeated (outflow)."""
+        return a[self._pad_index]
 
 
 @dataclass
@@ -144,7 +148,7 @@ def step(state: CellState, fseg: SegmentFlux, dt: float, config: SolverConfig = 
     A negative dt would run the scheme backward, which is anti-diffusive and
     breaks the maximum principle; dt = 0 is allowed.  The state is padded by
     `Grid1D.pad`, so the n + 1 interface fluxes come from one call and their
-    differences (`np.diff`, written out) are the n cell updates.
+    differences are the n cell updates, in one buffer; what is fixed per segment is in `fseg`.
     """
     grid = state.grid
     dx = grid.dx
@@ -153,7 +157,12 @@ def step(state: CellState, fseg: SegmentFlux, dt: float, config: SolverConfig = 
     if fseg.max_speed > 0.0 and dt > config.cfl * dx / fseg.max_speed * (1.0 + 1e-9):
         raise CFLError(f"dt={dt:.3e} exceeds cfl*dx/max_speed={config.cfl * dx / fseg.max_speed:.3e}")
     fh = fseg.interface_flux(grid.pad(state.u), config.scheme)
-    return CellState(grid, state.u - (dt / dx) * (fh[1:] - fh[:-1]), state.t + dt)
+    u = np.subtract(fh[1:], fh[:-1])
+    np.multiply(dt / dx, u, out=u)
+    np.subtract(state.u, u, out=u)
+    new = object.__new__(CellState)  # `u` is a float array of the grid's shape: skip the validation
+    new.grid, new.u, new.t = grid, u, state.t + dt
+    return new
 
 
 def solve_segment(

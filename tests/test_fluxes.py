@@ -1,11 +1,13 @@
 """Flux channels, certified bounds, and exact one-sided integrals."""
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rough_scl.fluxes import Channel, FluxModel, SegmentFlux, _horner, builtin, from_spec
+from rough_scl.fluxes import Channel, FluxModel, SegmentFlux, _horner, _real_roots, builtin, from_spec
 
 
 SCHEMES = ("engquist_osher", "godunov_convex")
@@ -444,6 +446,63 @@ class TestOneInterval:
         inner = np.nextafter(b0, b1), np.nextafter(b1, b0)
         self.check(fs, ref, self.states(rng, *inner, inner), -1.5 if b0 > -1.5 else 1.5)
         self.check(fs, ref, rng.uniform(*inner, (3, 17)), 1.5)  # batched along the last axis
+
+
+def earlier_set_up(flux, c):
+    """`SegmentFlux`'s set-up in its earlier numpy form: coefficient arrays, the
+    sign of F' at the interval midpoints and `np.cumsum` into preallocated tables."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    lo, hi = min(flux.u_range[0], 0.0), max(flux.u_range[1], 0.0)
+    pad = 1e-9 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+    coeffs = np.zeros(max(len(ch.coeffs) for ch in flux.channels))
+    for ci, ch in zip(c, flux.channels):
+        coeffs[: len(ch.coeffs)] += ci * ch.coeffs
+    dcoeffs = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else coeffs[:1] * 0
+    bp = _real_roots(dcoeffs, lo, hi)
+    k = bp.size
+    nodes = np.empty(k + 2)
+    nodes[0], nodes[1:-1], nodes[-1] = lo, bp, hi
+    sign = np.sign(npp.polyval(0.5 * (nodes[:-1] + nodes[1:]), dcoeffs))
+    rising, falling = sign > 0, sign < 0
+    f = npp.polyval(nodes, coeffs)
+    seg = f[1:] - f[:-1]
+    pos, neg = np.zeros(k + 2), np.zeros(k + 2)
+    np.cumsum(np.where(rising, seg, 0.0), out=pos[1:])
+    np.cumsum(np.where(falling, seg, 0.0), out=neg[1:])
+    i = int(bp.searchsorted(0.0, "right"))
+    part = npp.polyval(0.0, coeffs) - f[i]
+    return {"_coeffs": coeffs, "_dcoeffs": dcoeffs, "breakpoints": bp, "_f_nodes": f,
+            "_pos_cum": pos, "_neg_cum": neg, "_rising": rising, "_falling": falling,
+            "_pos_at_zero": pos[i] + (part if rising[i] else 0.0),
+            "_neg_at_zero": neg[i] + (part if falling[i] else 0.0)}
+
+
+class TestSetUpMatchesEarlierForm:
+    """The set-up on Python floats gives every coefficient and table entry of the
+    earlier numpy form, bit for bit."""
+
+    @pytest.mark.parametrize("spec, c", [
+        ("burgers", [0.0]),  # zero slope: F = 0, no breakpoint
+        ("burgers;cubic", [-0.0, 0.0]),
+        ("burgers", [0.7]),  # F' = c u: a root at u = 0
+        ("burgers", [-1.3]),
+        ("poly:-0.0,1;poly:-1", [0.6, 0.4]),  # a -0.0 channel coefficient, F' constant
+        ("poly:-1", [0.5]),  # F constant, F' = [-0.0]
+        ("burgers;cubic", [0.8, -1.1]),
+        ("cubic;poly:0,1,-0.5", [1.0, 0.3]),
+        ("poly:0.1,-0.3,0.2,0.5,-0.25,0.15", [0.9]),
+    ])
+    def test_tables(self, spec, c):
+        flux = from_spec(spec, (-1.5, 1.5))
+        fs = SegmentFlux(flux, c)
+        for name, want in earlier_set_up(flux, c).items():
+            assert_bitwise(np.asarray(getattr(fs, name)), want)
+
+    def test_signed_zeros_reach_the_coefficients(self):
+        """The cases above do hold a -0.0: F' = [-0.0] for a negative constant F."""
+        fs = SegmentFlux(from_spec("poly:-1", (-1.5, 1.5)), [0.5])
+        assert fs._dcoeffs == (0.0,) and math.copysign(1.0, fs._dcoeffs[0]) < 0.0
 
 
 class TestRealRootsOverflow:

@@ -30,6 +30,7 @@ from rough_scl.harness import (
     suite_cfg,
 )
 from rough_scl.paths import identity_path
+from rough_scl.solver import _TIME_ATOL
 
 
 def tiny(**over):
@@ -195,6 +196,21 @@ class TestKineticAndDissipative:
         assert report["n_windows"] == 1
         assert report["min_h"] > 0.0
         assert (run_dir / "windows.csv").exists()
+
+    def test_dissipative_outputs_more_than_time_atol_apart(self, tmp_path, monkeypatch):
+        """At seed 3 two window edges of the second path lie 5.6e-17 apart; only
+        the first reaches `solve_path`."""
+        gaps = []
+        solve = harness.solve_path
+
+        def spy(u0, flux, path, outputs, *args, **kwargs):
+            gaps.append(float(np.min(np.diff(outputs))))
+            return solve(u0, flux, path, outputs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_path", spy)
+        cfg = load_config(None, {"experiment": "dissipative-check", "seed": 3, "n_seeds": 2})
+        execute("dissipative-check", cfg, tmp_path)
+        assert len(gaps) == 2 and min(gaps) > _TIME_ATOL
 
     @pytest.mark.parametrize("key", ["n_seeds", "n_data", "n_anchors"])
     def test_dissipative_check_rejects_zero_counts(self, tmp_path, monkeypatch, key):

@@ -1,5 +1,6 @@
 """Finite-volume scheme: stability invariants and exact-solution oracles."""
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -391,6 +392,141 @@ class TestStepCounting:
         solve_path(u0, from_spec("burgers;cubic", (-1.5, 1.5)), path, outputs, grid, collect=slabs.append)
         assert calls["step"] == len(slabs) > 16
         assert calls["set_up"] == int(np.sum(path.knots[:-1] < outputs[-1])) == 12
+
+
+def earlier_pad(grid, a):
+    """`Grid1D.pad` in its concatenate form."""
+    if grid.bc == "periodic":
+        return np.concatenate([a[-1:], a, a[:1]])
+    return np.concatenate([a[:1], a, a[-1:]])
+
+
+def earlier_interface_flux(fs, v, scheme):
+    """`SegmentFlux.interface_flux` in its earlier form: `v.min()`/`v.max()`, bounds
+    formed per call, numpy-scalar table reads and a `zeros_like` table where F is
+    not rising on the one node interval."""
+    v = np.asarray(v, dtype=float)
+    lo, hi = fs.flux.u_range
+    v_min, v_max = v.min(), v.max()
+    if not (lo - 1e-9 <= v_min and v_max <= hi + 1e-9):
+        raise ValueError(f"state outside certified u_range [{lo}, {hi}]")
+    fv = npp.polyval(v, fs._coeffs)
+    i = int(fs.breakpoints.searchsorted(v_min, "right"))
+    one = i == int(fs.breakpoints.searchsorted(v_max, "right"))
+    if scheme == "engquist_osher":
+        if one:
+            p = fs._pos_cum[i] + (fv - fs._f_nodes[i] if fs._rising[i] else np.zeros_like(fv))
+        else:
+            idx = fs.breakpoints.searchsorted(v, "right")
+            p = fs._pos_cum[idx] + np.where(fs._rising[idx], fv - fs._f_nodes[idx], 0.0)
+        return p[..., :-1] + (fv - p)[..., 1:]
+    if scheme != "godunov_convex":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    u_l, u_r = v[..., :-1], v[..., 1:]
+    s = np.where(u_l <= u_r, 1.0, -1.0)
+    lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
+    below, above = (None, None) if one else (np.minimum(u_l, u_r), np.maximum(u_l, u_r))
+    for b, fb in zip(fs.breakpoints.tolist(), fs._f_nodes[1:-1].tolist()):
+        if not (b <= v_min or v_max <= b):
+            np.minimum(lowest, s * fb, out=lowest, where=(below < b) & (b < above))
+    return s * lowest
+
+
+def earlier_step(state, fseg, dt, config=SolverConfig()):
+    """`step` in its earlier form: three temporaries and a validated `CellState`."""
+    grid = state.grid
+    dx = grid.dx
+    if dt < 0:
+        raise ValueError(f"negative dt={dt:.3e}")
+    if fseg.max_speed > 0.0 and dt > config.cfl * dx / fseg.max_speed * (1.0 + 1e-9):
+        raise CFLError(f"dt={dt:.3e} exceeds cfl*dx/max_speed={config.cfl * dx / fseg.max_speed:.3e}")
+    fh = earlier_interface_flux(fseg, earlier_pad(grid, state.u), config.scheme)
+    return CellState(grid, state.u - (dt / dx) * (fh[1:] - fh[:-1]), state.t + dt)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, CFLError) as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    elif isinstance(want, CellState):
+        assert type(got) is CellState and got.grid is want.grid and got.t == want.t
+        assert type(got.u) is np.ndarray and got.u.dtype == want.u.dtype and got.u.shape == want.u.shape
+        assert got.u.tobytes() == want.u.tobytes()
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+FLUX_SPECS = ("burgers", "cubic", "poly:0.1,-0.3,0.2,0.5,-0.25,0.15", "burgers;cubic", "cubic;poly:0,1,-0.5")
+
+
+@st.composite
+def kernel_cases(draw):
+    """A segment flux and states spread over every node interval or kept in one,
+    with breakpoints, range ends and +-0.0 among them; sometimes with a NaN or an
+    out-of-range entry."""
+    spec = draw(st.sampled_from(FLUX_SPECS))
+    flux = from_spec(spec, (-1.5, 1.5))
+    slope = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
+    fs = SegmentFlux(flux, draw(st.lists(slope, min_size=flux.n_channels, max_size=flux.n_channels)))
+    nodes = [-1.5, *[b for b in fs.breakpoints.tolist() if -1.5 < b < 1.5], 1.5]
+    if draw(st.booleans()):  # one node interval [a, b), a node belonging to the interval above it
+        j = draw(st.integers(0, len(nodes) - 2))
+        a, b = nodes[j], nodes[j + 1]
+        special = [a, float(np.nextafter(b, a))] + ([0.0, -0.0] if a <= 0.0 < b else [])
+    else:
+        a, b = -1.5, 1.5
+        special = nodes + [0.0, -0.0]
+    value = st.one_of(st.sampled_from(special), st.floats(a, b).filter(lambda x: x < b or b == 1.5))
+    n = draw(st.integers(2, 24))
+    v = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    if draw(st.integers(0, 5)) == 0:
+        v[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, -1.6, 1.6]))
+    return fs, v
+
+
+class TestKernelsMatchEarlierForm:
+    """`step`, `Grid1D.pad` and `interface_flux` give the bits of their earlier
+    forms: the same values, the same rejections."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases(), st.sampled_from(["engquist_osher", "godunov_convex", "upwind"]))
+    def test_interface_flux(self, case, scheme):
+        fs, v = case
+        batch = np.stack([v, v[::-1], np.roll(v, 1)])  # fluxes along the last axis
+        for states in (v, batch):
+            same_outcome(outcome(fs.interface_flux, states, scheme),
+                         outcome(earlier_interface_flux, fs, states, scheme))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases(), st.sampled_from(["engquist_osher", "godunov_convex"]),
+           st.sampled_from(["periodic", "outflow"]), st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.1]))
+    def test_step(self, case, scheme, bc, dt_frac):
+        fs, v = case
+        grid = Grid1D(-1.0, 1.0, v.size, bc)
+        state = CellState(grid, v, 0.25)
+        config = SolverConfig(scheme=scheme)
+        dt = dt_frac * config.cfl * grid.dx / max(fs.max_speed, 1.0)
+        same_outcome(outcome(step, state, fs, dt, config), outcome(earlier_step, state, fs, dt, config))
+
+    @pytest.mark.parametrize("bc", ["periodic", "outflow"])
+    def test_pad_is_the_concatenate_rule_and_fresh(self, bc):
+        grid = Grid1D(0.0, 1.0, 5, bc)
+        rng = np.random.default_rng(7)
+        for a in (rng.normal(size=5), np.arange(5), rng.normal(size=(5, 3))):
+            before = a.copy()
+            got = grid.pad(a)
+            same_outcome(got, earlier_pad(grid, a))
+            got[...] = -1
+            same_outcome(a, before)
+            assert grid.pad(a) is not got
 
 
 class TestBrownianInvariants:
