@@ -23,7 +23,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "u_lo": (float, -2.0, "lower edge of the certified state range"),
     "u_hi": (float, 2.0, "upper edge of the certified state range"),
     "datum": (str, "riemann:1,0", "riemann:u_l,u_r[,x_jump] | bump:center,halfwidth,height | sign-step"),
-    "datum2": (str, "", "second datum for contraction runs, same grammar"),
+    "datum2": (str, "riemann:0.8,0", "second datum for contraction runs, same grammar"),
     "path": (str, "brownian:8", "brownian:n_segments | tent | identity | monomial:p,n_segments | file:csv"),
     "seed": (int, 0, "path seed (unsigned 64-bit)"),
     "horizon": (float, 1.0, "final time T"),

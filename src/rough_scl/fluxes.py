@@ -194,9 +194,6 @@ class SegmentFlux:
     def value(self, u):
         return _horner(self._coeffs, np.asarray(u, dtype=float))
 
-    def deriv(self, u):
-        return _horner(self._dcoeffs, np.asarray(u, dtype=float))
-
     # -- sign structure ----------------------------------------------------
 
     def _build_tables(self) -> None:

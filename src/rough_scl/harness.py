@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .characteristics import dissipative_check, local_solution
-from .config import build_datum, build_experiment, config_text, load_config
+from .config import _spec_args, build_datum, build_experiment, config_text, load_config
 from .fluxes import from_spec
 from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1
 from .paths import (
@@ -123,6 +123,11 @@ def _coarsen(u: np.ndarray) -> np.ndarray:
 
 def run_path_stability(cfg: dict, run_dir: Path) -> dict:
     exp = build_experiment(cfg)
+    fine_grid = Grid1D(exp.grid.x_lo, exp.grid.x_hi, 2 * exp.grid.n_cells, exp.grid.bc)
+    if _spec_args(cfg["datum"])[0] == "file":
+        raise ValueError(f"path-stability takes no file: datum: its Richardson check solves on "
+                         f"the doubled grid of {fine_grid.n_cells} cells, which a table cannot "
+                         "be resampled onto")
     eps_list = sorted((float(s) for s in str(cfg["epsilons"]).split(",")), reverse=True)
     for eps in eps_list:
         if not (math.isfinite(eps) and eps > 0.0):
@@ -141,7 +146,6 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
     monotone = bool(np.all(np.diff(errors) < 0.0))
 
     # Richardson check: the spatial error must sit well below the smallest E.
-    fine_grid = Grid1D(exp.grid.x_lo, exp.grid.x_hi, 2 * exp.grid.n_cells, exp.grid.bc)
     fine = solve_path(
         build_datum(cfg["datum"], fine_grid), exp.flux, path, exp.outputs, fine_grid, exp.solver
     )
@@ -466,8 +470,6 @@ def suite_cfg(cfg: dict, name: str) -> dict:
     """Per-experiment tweaks so every suite member has sane inputs."""
     out = dict(cfg)
     out["experiment"] = name
-    if name == "contraction" and not out.get("datum2"):
-        out["datum2"] = "riemann:0.8,0"
     if name == "semilinear-demo":
         out.update(flux="burgers", bc="outflow")  # what the demo runs, whatever the suite's config
     return out

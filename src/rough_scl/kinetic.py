@@ -39,6 +39,7 @@ from .smooth import Weight, bump_integral, bump_raw, bump_raw_pair
 from .solver import Grid1D, CellState, Slab, Trajectory
 
 TOL_M_FACTOR = 1e-8  # tol_m = factor * ||u0||_L2^2 / d_xi
+N_Y = 33  # points y at which `definition_residual` evaluates the residual
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,6 @@ class XiGrid:
     @property
     def centers(self) -> np.ndarray:
         return self.lo + (np.arange(self.n) + 0.5) * self.d_xi
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self.lo + np.arange(self.n + 1) * self.d_xi
 
 
 def chi_values(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
@@ -352,10 +349,10 @@ def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]
 
 
 def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[DefectField]:
-    """The dt-weighted mean defect over each reporting slab between snapshots.
+    """The dt-weighted mean defect over each output interval, one field per interval.
 
     Equals averaging `defect_from_slab` over the solver steps whose midpoint
-    lies in the slab (steps outside the snapshot span are left out), without
+    lies in the interval (steps outside the snapshot span are left out), without
     forming any per-step (n_cells x n_xi) field: each run of steps with one
     reporting slab and one `SegmentFlux` is reduced by occupation-time
     histograms, on the band of xi that each cell's stencil values sweep (see
@@ -367,29 +364,27 @@ def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[De
     steps must be chained, each one starting from the state the previous one
     ended in, as `solve_path` records them.  They must be Engquist-Osher
     steps, and `flux` must equal the flux they were made with; each is checked.
+    An output interval that holds no step's midpoint is rejected.
     """
     if traj.slabs is None:
         raise ValueError("trajectory was solved without record_slabs")
-    if traj.times.size < 2:
+    times = traj.times
+    if times.size < 2:
         raise ValueError("need at least two snapshots")
     slabs = traj.slabs
-    if not slabs:
-        return []
+    # interval k holds the steps with times[k] < midpoint <= times[k + 1]
+    cuts = np.searchsorted([s.t0 + 0.5 * s.dt for s in slabs], times, "right").tolist()
+    for k in range(times.size - 1):
+        if cuts[k] == cuts[k + 1]:
+            raise ValueError(f"no solver step between the outputs {float(times[k])} and "
+                             f"{float(times[k + 1])}")
     _check_steps(slabs, flux)
     u_abs = np.abs(slabs[-1].u1)  # running max of |u| over every recorded state
     for s in slabs:
         np.maximum(u_abs, np.abs(s.u0), out=u_abs)
     _check_xi_covers(xi, float(u_abs.max()))
-
-    edges = traj.times
-    mids = np.array([s.t0 + 0.5 * s.dt for s in slabs])
-    ks = (np.searchsorted(edges, mids) - 1).tolist()
-    out = []
-    for start, stop in _runs(ks):
-        k = ks[start]
-        if 0 <= k < edges.size - 1:
-            out.append(_reporting_defect(traj.grid, xi, float(edges[k]), slabs[start:stop]))
-    return out
+    return [_reporting_defect(traj.grid, xi, float(times[k]), slabs[cuts[k]:cuts[k + 1]])
+            for k in range(times.size - 1)]
 
 
 def tol_m(state0: CellState, xi: XiGrid) -> float:
@@ -481,15 +476,25 @@ def xi_lipschitz_increments(defects: list[DefectField], psi_xt: Callable) -> np.
 
 @dataclass(frozen=True)
 class KernelRho:
-    """rho_eta(z) = profile(z/eta)/eta with a smooth unit-mass profile on (-1,1).
-
-    `profile_pair` returns (profile, profile') at the same points from one
-    evaluation.
-    """
+    """rho_eta(z) = profile(z/eta)/eta, the profile being the smooth bump
+    normalized to unit mass, so it vanishes outside (-1, 1)."""
 
     width: float
-    profile: Callable[[np.ndarray], np.ndarray]
-    profile_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+    def __post_init__(self) -> None:
+        if not self.width > 0:
+            raise ValueError("kernel width must be positive")
+
+    @staticmethod
+    def profile(z):
+        return bump_raw(z) / bump_integral()
+
+    @staticmethod
+    def profile_pair(z):
+        """(profile, profile') at the same points from one evaluation."""
+        b, db = bump_raw_pair(z)
+        norm = bump_integral()
+        return b / norm, db / norm
 
     def rho(self, z):
         return self.profile(np.asarray(z, dtype=float) / self.width) / self.width
@@ -503,15 +508,8 @@ class KernelRho:
 
 
 def default_kernel(width: float) -> KernelRho:
-    if width <= 0:
-        raise ValueError("kernel width must be positive")
-    norm = bump_integral()
-
-    def pair(z):
-        b, db = bump_raw_pair(z)
-        return b / norm, db / norm
-
-    return KernelRho(width, lambda z: bump_raw(z) / norm, pair)
+    """The normalized bump kernel of half-width `width`."""
+    return KernelRho(width)
 
 
 def transport_shift(flux: FluxModel, path: PiecewiseLinearPath, xi, t: float) -> np.ndarray:
@@ -539,7 +537,6 @@ def definition_residual(
     flux: FluxModel,
     path: PiecewiseLinearPath,
     pairs: list[tuple[Weight, Weight]],
-    n_y: int = 33,
 ) -> list[float]:
     """Weak residual of the transported-kernel solution definition.
 
@@ -550,18 +547,17 @@ def definition_residual(
 
     with G(y, xi, t) = int chi rho dx and A'(xi) = sum_i a_i'(xi) W^i(t).  The
     time derivative lands on phi, the xi derivative on psi and rho.  Returns the
-    L1-in-y norm of R on the periodic domain, normalized by
-    ||psi||_inf ||phi||_inf ||u0||_L1.  (Integrating R dy instead would kill the
-    kernel entirely because rho has unit mass; the definition is a statement for
-    every y, so the norm over y is the meaningful scalar.)
+    L1-in-y norm of R on the periodic domain, sampled at N_Y equispaced y and
+    normalized by ||psi||_inf ||phi||_inf ||u0||_L1.  (Integrating R dy instead
+    would kill the kernel entirely because rho has unit mass; the definition is
+    a statement for every y, so the norm over y is the meaningful scalar.)
 
     G at each snapshot is evaluated once and shared by the two slabs meeting
     there, and rho and d_y rho at the midpoint come from one kernel
-    evaluation.  The kernel profile must vanish outside (-1, 1) (checked at
-    sampled points), so for each (xi, y) the x integrals run over the
-    ceil(2 eta / dx) + 2 periodic cells around y + shift(xi) only: a slab costs
-    two kernel evaluations at each of (active xi) * n_y * (2 eta / dx + 2)
-    points, not at each (x, xi, y) point.
+    evaluation.  The kernel profile vanishes outside (-1, 1), so for each
+    (xi, y) the x integrals run over the ceil(2 eta / dx) + 2 periodic cells
+    around y + shift(xi) only: a slab costs two kernel evaluations at each of
+    (active xi) * N_Y * (2 eta / dx + 2) points, not at each (x, xi, y) point.
     """
     grid = traj.grid
     if grid.bc != "periodic":
@@ -570,11 +566,6 @@ def definition_residual(
     length = grid.length
     if not kernel.width < 0.5 * length:
         raise ValueError("kernel width must be below half the domain length")
-    # the x sums skip the cells where |z| >= eta; elsewhere on the periodic
-    # domain |z| / eta reaches length / (2 eta)
-    far = np.linspace(1.0, max(2.0, 0.5 * length / kernel.width), 65)
-    if np.any(kernel.profile(np.concatenate([-far, far])) != 0.0):
-        raise ValueError("kernel profile must vanish outside (-1, 1)")
     for psi, phi in pairs:
         if psi.support[0] <= xi.lo or psi.support[1] >= xi.hi:
             raise ValueError("psi must be compactly supported inside the xi range")
@@ -591,14 +582,14 @@ def definition_residual(
     xa = xi.centers[active]
     a_stack = np.stack([ch.a(xa) for ch in flux.channels])
     ap_stack = np.stack([ch.a_prime(xa) for ch in flux.channels])
-    y = np.linspace(grid.x_lo, grid.x_hi, n_y, endpoint=False)
+    y = np.linspace(grid.x_lo, grid.x_hi, N_Y, endpoint=False)
     n, dx, eta = grid.n_cells, grid.dx, kernel.width
     n_win = int(np.ceil(2.0 * eta / dx)) + 2
     reach = (dx / eta) * np.arange(n_win)
     periodic = np.arange(n + n_win - 1) % n  # cell index read through a periodic extension
     # xi per chunk, for temporaries near 2^14 doubles (128 KB): on a 2-core VM
     # the kinetic benchmark's residuals ran twice as fast as with 1 MB ones
-    chunk = max(1, 2**14 // (n_y * n_win))
+    chunk = max(1, 2**14 // (N_Y * n_win))
 
     def window_sums(cols, shift, with_drho=False):
         """dx * sum_x cols[x, i] rho(y - x + shift[i]) for each active xi i and
@@ -610,7 +601,7 @@ def definition_residual(
         z_first = (s - (first + 0.5) * dx) / eta  # in [1, 1 + dx / eta)
         first = first.astype(np.intp) % n
         xi_at = np.arange(xa.size)[:, None]
-        out = np.empty((1 + with_drho, xa.size, n_y))
+        out = np.empty((1 + with_drho, xa.size, N_Y))
         for lo in range(0, xa.size, chunk):
             rows = slice(lo, lo + chunk)
             vals = windows[xi_at[rows], first[rows]]
@@ -626,7 +617,7 @@ def definition_residual(
         """G(y, xi) = int chi(u(x), xi) rho(y - x + shift(xi, t)) dx on the active xi."""
         return window_sums(chi_values(u, xa).astype(float), path.eval(t) @ a_stack)[0]
 
-    acc = [np.zeros(n_y) for _ in pairs]
+    acc = [np.zeros(N_Y) for _ in pairs]
     g0 = None  # G at the slab start: the previous slab's G at its end
     for k, d in enumerate(defects):
         t0, t1 = d.t0, d.t0 + d.duration
@@ -654,6 +645,6 @@ def definition_residual(
     u0_l1 = traj.states[0].l1()
     out = []
     for j, (psi, phi) in enumerate(pairs):
-        r_l1 = float(np.sum(np.abs(acc[j]))) * (length / n_y)
+        r_l1 = float(np.sum(np.abs(acc[j]))) * (length / N_Y)
         out.append(r_l1 / (psi.sup * phi.sup * u0_l1))
     return out

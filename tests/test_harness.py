@@ -33,6 +33,12 @@ from rough_scl.paths import identity_path
 from rough_scl.solver import _TIME_ATOL
 
 
+def write_datum_table(csv, n_cells):
+    """An x,u table on the cell centres of an n_cells grid on the default domain [-1, 1]."""
+    x = -1.0 + (np.arange(n_cells) + 0.5) * 2.0 / n_cells
+    csv.write_text("x,u\n" + "".join(f"{v!r},{math.sin(math.pi * v)!r}\n" for v in x.tolist()))
+
+
 def tiny(**over):
     base = {
         "n_cells": 100,
@@ -103,7 +109,12 @@ class TestContraction:
 
     def test_needs_datum2(self, tmp_path):
         with pytest.raises(ValueError, match="datum2"):
-            run_contraction(tiny(experiment="contraction"), tmp_path)
+            run_contraction(tiny(experiment="contraction", datum2=""), tmp_path)
+
+    def test_runs_at_its_defaults(self, tmp_path, capsys):
+        assert load_config(None)["datum2"] == "riemann:0.8,0"
+        assert main(["contraction", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("contraction: PASS")
 
 
 class TestPathStability:
@@ -128,6 +139,17 @@ class TestPathStability:
     def test_rejects_narrow_epsilon_span(self, tmp_path):
         cfg = tiny(experiment="path-stability", epsilons="0.2,0.1")
         with pytest.raises(ValueError, match="octaves"):
+            run_path_stability(cfg, tmp_path)
+
+    def test_rejects_file_datum_before_solving(self, tmp_path, monkeypatch):
+        """The Richardson check needs the datum on the doubled grid too; a table
+        matching the configured grid has no values there."""
+        csv = tmp_path / "u0.csv"
+        write_datum_table(csv, 100)
+        monkeypatch.setattr(harness, "solve_path", lambda *a, **k: pytest.fail("solved"))
+        cfg = tiny(experiment="path-stability", datum=f"file:{csv}")
+        with pytest.raises(ValueError, match="^path-stability takes no file: datum: its Richardson "
+                                             "check solves on the doubled grid of 200 cells"):
             run_path_stability(cfg, tmp_path)
 
     @pytest.mark.parametrize("bad", ["0", "-0.0125", "nan", "inf"])
@@ -477,12 +499,14 @@ class TestCli:
         ("path-stability", "n_outputs = 0\n"),
         ("path-stability", "epsilons = 0.2,0.1,0.05,0\n"),
         ("path-stability", "epsilons = 0.2,nan,0.05,0.025\n"),
+        ("path-stability", "datum = file:{tmp}/u0.csv\n"),
     ], ids=["kinetic-godunov", "semilinear-bogus-source", "bump-zero-width", "zero-outputs",
-            "zero-epsilon", "nan-epsilon"])
+            "zero-epsilon", "nan-epsilon", "file-datum"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line):
         """An experiment that rejects its config leaves no run directory behind."""
+        write_datum_table(tmp_path / "u0.csv", 400)  # on the default grid
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(line)
+        cfg.write_text(line.format(tmp=tmp_path))
         out = tmp_path / "out"
         argv = [experiment] if command == "single" else ["suite", experiment]
         code = main(argv + ["--out", str(out), "--config", str(cfg)])
