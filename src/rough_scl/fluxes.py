@@ -15,7 +15,11 @@ between them, so P, N and both numerical fluxes are exact in closed form from
 the values of F there.  `SegmentFlux.interface_flux` is the solver's one
 numerical-flux path, for the Engquist-Osher flux and the exact Godunov flux,
 which is right for concave and non-convex F too (a negative driver slope makes
-F concave).
+F concave).  When a step's states all lie in one node interval (every Burgers
+1/0 solve), F is monotone on them and the two schemes coincide: both are F at
+the upwind state, F(u_l) where F rises and F(u_r) where it falls or is flat.
+The node tables serve only states that straddle a breakpoint, Godunov's loop
+over the breakpoints and the kinetic integrals P and N.
 
 The solver calls `interface_flux` once per step and builds one SegmentFlux per
 driver segment, so both avoid numpy's per-call wrappers.  F, F' and each
@@ -23,8 +27,7 @@ channel's A, a and a' are evaluated by `_horner`, the recurrence
 c0 = c[-i] + c0 * x of `numpy.polynomial.polynomial.polyval` in its own
 operation order, so every finite value is bitwise equal to polyval's; the
 set-up builds F, F' = polyder(F), the degree-1 root of F' and the node tables
-on Python floats in numpy's operation order; states in one node interval (every
-Burgers 1/0 solve) read that interval's entries as scalars.
+on Python floats in numpy's operation order.
 """
 from __future__ import annotations
 
@@ -205,7 +208,7 @@ class SegmentFlux:
         # `accumulate` starts from the first term, as np.cumsum does, so a -0.0 survives
         pos, neg = ([0.0, *accumulate(s if k else 0.0 for s, k in zip(seg, keep))]
                     for keep in (rising, falling))
-        self._tables = f, pos, rising  # read as scalars by `interface_flux`
+        self._f_bp, self._rises = f[1:-1], rising  # read as scalars by `interface_flux`
         arrays = map(np.array, (f, pos, neg, rising, falling))
         self._f_nodes, self._pos_cum, self._neg_cum, self._rising, self._falling = arrays
         # `_one_sided_raw` at u = 0
@@ -238,40 +241,36 @@ class SegmentFlux:
     def interface_flux(self, v, scheme: str):
         """Flux at every interface of `v`, cell values padded by one ghost each end.
 
-        Works along the last axis and evaluates F(v) once.  "engquist_osher" is
-        F(0) + P(u_l) + N(u_r) = P~(u_l) + (F - P~)(u_r), P~ the one-sided
-        integral from the bottom node.  "godunov_convex" is the exact Godunov
-        flux for any F: min F on [u_l, u_r], or max F on [u_r, u_l], taken at
-        both ends and the breakpoints between them (F is monotone in between).
-        With no breakpoint in (min v, max v] both read one node interval's entries,
-        as scalars; only F(v), min v and max v are computed per call.
+        Works along the last axis and evaluates F(v) once.  With no breakpoint in
+        (min v, max v] F is monotone on every interface's states, and both schemes
+        are F at the upwind state: F(u_l) where F rises on that node interval,
+        F(u_r) where it falls or is flat; no node table is read.  Straddling states
+        take each scheme's general form.  "engquist_osher" is
+        F(0) + P(u_l) + N(u_r) = P~(u_l) + (F - P~)(u_r), P~ the one-sided integral
+        from the bottom node.  "godunov_convex" is the exact Godunov flux for any F:
+        min F on [u_l, u_r], or max F on [u_r, u_l], taken at both ends and the
+        breakpoints between them (F is monotone in between).
         """
         v = np.asarray(v, dtype=float)
         v_min, v_max = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)
         if not (self._v_lo <= v_min and v_max <= self._v_hi):  # a NaN fails too
             lo, hi = self.flux.u_range
             raise ValueError(f"state outside certified u_range [{lo}, {hi}]")
+        if scheme not in ("engquist_osher", "godunov_convex"):
+            raise ValueError(f"unknown scheme {scheme!r}")
         fv = _horner(self._coeffs, v)
         i = bisect.bisect_right(self._bp, v_min)  # `searchsorted(v_min, "right")`
-        one = i == bisect.bisect_right(self._bp, v_max)  # no breakpoint in (v_min, v_max]
+        if i == bisect.bisect_right(self._bp, v_max):  # no breakpoint in (v_min, v_max]
+            return fv[..., :-1] if self._rises[i] else fv[..., 1:]
         if scheme == "engquist_osher":
-            # `_one_sided_raw(v, True)` on the F(v) in hand, inline: the step's hot path
-            if one:
-                f, pos, rising = self._tables
-                if not rising[i]:  # P~ = c + 0.0 (c = pos[i]); (c + 0.0) + (F - (c + 0.0)) is c + (F - c)
-                    return pos[i] + (fv[..., 1:] - pos[i])
-                p = pos[i] + (fv - f[i])
-            else:
-                idx = self.breakpoints.searchsorted(v, "right")
-                p = self._pos_cum[idx] + np.where(self._rising[idx], fv - self._f_nodes[idx], 0.0)
+            idx = self.breakpoints.searchsorted(v, "right")
+            p = self._pos_cum[idx] + np.where(self._rising[idx], fv - self._f_nodes[idx], 0.0)
             return p[..., :-1] + (fv - p)[..., 1:]
-        if scheme != "godunov_convex":
-            raise ValueError(f"unknown scheme {scheme!r}")
         u_l, u_r = v[..., :-1], v[..., 1:]
         s = np.where(u_l <= u_r, 1.0, -1.0)  # a max is the min of -F
         lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
-        below, above = (None, None) if one else (np.minimum(u_l, u_r), np.maximum(u_l, u_r))
-        for b, fb in zip(self._bp, self._tables[0][1:-1]):
-            if not (b <= v_min or v_max <= b):  # else no interval holds b (none does if `one`)
+        below, above = np.minimum(u_l, u_r), np.maximum(u_l, u_r)
+        for b, fb in zip(self._bp, self._f_bp):
+            if not (b <= v_min or v_max <= b):  # else no interval holds b
                 np.minimum(lowest, s * fb, out=lowest, where=(below < b) & (b < above))
         return s * lowest

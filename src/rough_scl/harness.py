@@ -142,6 +142,9 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
         pert = solve_path(u0, exp.flux, _perturbed(path, eps), exp.outputs, exp.grid, exp.solver)
         errors.append(max(l1_distance(a, b) for a, b in zip(base.states, pert.states)))
     errors = np.asarray(errors)
+    if not np.any(errors):
+        raise ValueError(f"datum = {cfg['datum']}: no perturbed solution differs from the base one, "
+                         "so there is no error to fit a slope to (the datum does not feel the driver)")
     slope = float(np.polyfit(np.log(eps_list), np.log(errors), 1)[0])
     monotone = bool(np.all(np.diff(errors) < 0.0))
 

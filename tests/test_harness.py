@@ -176,6 +176,24 @@ class TestRefinement:
         with pytest.raises(ValueError, match="three levels"):
             run_refinement(cfg, tmp_path)
 
+    @pytest.mark.parametrize("scheme, atol", [("godunov_convex", 0.0), ("engquist_osher", 1e-15)])
+    def test_criterion_9_gaps_pinned(self, tmp_path, scheme, atol):
+        """Criterion 9's ladder (Burgers 1/0, seed 16), pinned from the form that
+        built one-interval fluxes from the node tables: Godunov keeps those bits,
+        and Engquist-Osher, F at the upwind state there, moves at roundoff only."""
+        cfg = load_config(None, {"experiment": "refine", "datum": "riemann:1,0", "u_lo": -0.5, "u_hi": 1.5,
+                                 "n_cells": 400, "seed": 16, "level_lo": 4, "level_hi": 10, "scheme": scheme})
+        pinned = {
+            "godunov_convex": ["0x1.cd94a30bd10eap-3", "0x1.4a0361a5df347p-4", "0x1.114b2eb4c7ea7p-4",
+                               "0x1.82bd75b853c03p-5", "0x1.5682f7085f4b8p-5", "0x1.0166fc4727672p-5"],
+            "engquist_osher": ["0x1.cd94a30bd10eap-3", "0x1.4a0361a5df352p-4", "0x1.114b2eb4c7eabp-4",
+                               "0x1.82bd75b853c03p-5", "0x1.5682f7085f4c8p-5", "0x1.0166fc4727656p-5"],
+        }[scheme]
+        gaps = run_refinement(cfg, tmp_path)["gaps"]
+        assert len(gaps) == len(pinned)
+        for got, want in zip(gaps, map(float.fromhex, pinned)):
+            assert abs(got - want) <= atol
+
 
 class TestKineticAndDissipative:
     def test_kinetic_check_small(self, tmp_path):
@@ -500,8 +518,10 @@ class TestCli:
         ("path-stability", "epsilons = 0.2,0.1,0.05,0\n"),
         ("path-stability", "epsilons = 0.2,nan,0.05,0.025\n"),
         ("path-stability", "datum = file:{tmp}/u0.csv\n"),
+        ("path-stability", "datum = riemann:0.5,0.5\n"),
     ], ids=["kinetic-godunov", "semilinear-bogus-source", "bump-zero-width", "zero-outputs",
-            "zero-epsilon", "nan-epsilon", "file-datum"])
+            "zero-epsilon", "nan-epsilon", "file-datum", "datum-feels-no-driver"])
+    @pytest.mark.filterwarnings("error")
     def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line):
         """An experiment that rejects its config leaves no run directory behind."""
         write_datum_table(tmp_path / "u0.csv", 400)  # on the default grid

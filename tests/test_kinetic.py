@@ -28,7 +28,7 @@ from rough_scl.kinetic import (
     xi_lipschitz_increments,
 )
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
-from rough_scl.smooth import bump_integral, bump_weight
+from rough_scl.smooth import bump_integral, bump_raw, bump_weight
 from rough_scl.solver import CellState, Grid1D, Slab, SolverConfig, Trajectory, solve_path
 
 
@@ -569,8 +569,9 @@ class TestKernel:
         assert np.allclose(k.drho(zz), fd, atol=1e-4)
 
     def test_bump_mass_from_fixed_rule(self):
-        # reference: tight adaptive quadrature of B on (-1, 1)
-        assert bump_integral() == pytest.approx(1.2069003224378765, rel=1e-14, abs=0.0)
+        """The literal is the 256-node Gauss-Legendre rule on B, bit for bit."""
+        z, w = np.polynomial.legendre.leggauss(256)
+        assert bump_integral() == float(bump_raw(z) @ w) == 1.2069003224378765
 
     def test_transport_shift_zero_path(self):
         flux = burgers()
