@@ -7,7 +7,8 @@ numbers, are printed as `failed:` lines under its FAIL line.  A config that
 fails to load, that an experiment rejects with ValueError, or that names a
 datum or path file that cannot be read prints `config error: ...` and exits 2;
 a numerical breakdown inside a run (a RuntimeError, such as a quadrature that
-does not converge) prints `run error: ...` and exits 2.  Neither leaves a run
+does not converge, or a NaN or infinity in the report or manifest, which are
+strict JSON) prints `run error: ...` and exits 2.  Neither leaves a run
 directory.
 The default output root is ./runs, overridable by the ROUGH_SCL_OUT variable.
 """

@@ -22,12 +22,18 @@ The node tables serve only states that straddle a breakpoint, Godunov's loop
 over the breakpoints and the kinetic integrals P and N.
 
 The solver calls `interface_flux` once per step and builds one SegmentFlux per
-driver segment, so both avoid numpy's per-call wrappers.  F, F' and each
-channel's A, a and a' are evaluated by `_horner`, the recurrence
-c0 = c[-i] + c0 * x of `numpy.polynomial.polynomial.polyval` in its own
-operation order, so every finite value is bitwise equal to polyval's; the
-set-up builds F, F' = polyder(F), the degree-1 root of F' and the node tables
-on Python floats in numpy's operation order.
+driver segment, so both avoid numpy's per-call wrappers.  F and each channel's
+A, a and a' are evaluated by `_horner` from a plan built once per polynomial
+(`_horner_plan`): the recurrence c0 = c[-i] + c0 * x of
+`numpy.polynomial.polynomial.polyval` in its own operation order, less each
+add of a coefficient +0.0, other than the last one (c_0), whose next
+coefficient is not -0.0.  Such an add can change only the sign of a zero; the
+next add, of a nonzero or a +0.0, gives the same bits from either zero, so
+every finite value stays bitwise equal to polyval's (Burgers' F takes 3
+whole-array operations, not 4).  The set-up builds F, F' = polyder(F), the
+degree-1 root of F' and the sign of F' on each node interval on Python floats
+in numpy's operation order; the node tables of F and of the one-sided sums are
+built on first use, since a one-interval step reads none of them.
 """
 from __future__ import annotations
 
@@ -52,17 +58,17 @@ class Channel:
             raise ValueError(f"polynomial degree {coeffs.size - 1} exceeds cap {MAX_POLY_DEGREE}")
         self.name = name
         self.coeffs = coeffs
-        # Python floats for `_horner`, computed once: a is called in every RK4 stage
-        self._c0, self._c1, self._c2 = (tuple(npp.polyder(coeffs, k).tolist()) for k in range(3))
+        # Horner plans, built once: a is called in every RK4 stage
+        self._A, self._a, self._a_prime = (_horner_plan(npp.polyder(coeffs, k).tolist()) for k in range(3))
 
     def A(self, u) -> np.ndarray:
-        return _horner(self._c0, np.asarray(u, dtype=float))
+        return _horner(self._A, np.asarray(u, dtype=float))
 
     def a(self, u) -> np.ndarray:
-        return _horner(self._c1, np.asarray(u, dtype=float))
+        return _horner(self._a, np.asarray(u, dtype=float))
 
     def a_prime(self, u) -> np.ndarray:
-        return _horner(self._c2, np.asarray(u, dtype=float))
+        return _horner(self._a_prime, np.asarray(u, dtype=float))
 
 
 def builtin(name: str) -> Channel:
@@ -81,19 +87,36 @@ def builtin(name: str) -> Channel:
     raise ValueError(f"unknown flux {name!r} (want burgers | cubic | poly:c0,c1,...)")
 
 
-def _horner(c, x):
-    """`npp.polyval(x, c)` for ascending coefficients `c` and finite float `x`.
+def _horner_plan(c) -> tuple:
+    """Ascending Python-float coefficients `c` with None for each add `_horner` may drop.
 
-    Same recurrence and operation order, c0 = c[-i] + c0 * x (added in place).
-    polyval's start c[-1] + x * 0 is the scalar c[-1] for finite x unless c[-1]
-    is -0.0 (then its sign follows x's), so the scalar start is taken where exact.
+    The add of c_j = +0.0 (0 < j < len(c) - 1) is dropped unless c_{j-1} is -0.0:
+    it can only turn a -0.0 into +0.0, a zero stays a zero under the multiply by
+    x, and adding a nonzero or a +0.0 next gives the same bits from either zero.
+    The last add (c_0) and the start (c[-1]) stay.
+    """
+    c = tuple(c)
+    negative_zero = [x == 0.0 and math.copysign(1.0, x) < 0.0 for x in c]
+    return tuple(None if 0 < j < len(c) - 1 and c[j] == 0.0 and not (negative_zero[j] or negative_zero[j - 1])
+                 else cj for j, cj in enumerate(c))
+
+
+def _horner(c, x):
+    """`npp.polyval(x, c)` for ascending coefficients `c` (or their `_horner_plan`)
+    and finite float `x`, bit for bit.
+
+    Same recurrence and operation order, c0 = c[-i] + c0 * x (in place), less
+    the adds a plan marks None.  polyval's start c[-1] + x * 0 is the scalar
+    c[-1] for finite x unless c[-1] is -0.0 (then its sign follows x's), so the
+    scalar start is taken where exact.
     """
     y = c[-1]
     if len(c) == 1 or (y == 0.0 and math.copysign(1.0, y) < 0.0):
         y = y + x * 0
     for ci in c[-2::-1]:
-        y = y * x
-        y += ci
+        y *= x  # in place once y is an array of our own
+        if ci is not None:
+            y += ci
     return y
 
 
@@ -111,11 +134,7 @@ def _real_roots(coeffs, lo: float, hi: float) -> np.ndarray:
         return np.array([r]) if lo < r < hi else np.empty(0)
     r = npp.polyroots(c)
     r = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))].real
-    r = np.unique(r[(r > lo) & (r < hi)])
-    if r.size > 1:
-        keep = np.concatenate([[True], np.diff(r) > 1e-12])
-        r = r[keep]
-    return r
+    return np.unique(r[(r > lo) & (r < hi)])  # strictly increasing, as `bisect` and the tables need
 
 
 class FluxModel:
@@ -163,10 +182,13 @@ def from_spec(spec: str, u_range: tuple[float, float]) -> FluxModel:
 class SegmentFlux:
     """Frozen polynomial F = sum_i c_i A_i for one linear driver segment.
 
-    Built once per segment: max_speed, F and F', the breakpoints (the real roots
-    of F' on hull(u_range, 0)), the sign of F' between them, the values of F and
-    the one-sided sums there, so that P, N and both numerical fluxes are exact.
+    Built once per segment: max_speed, F and F' with F's Horner plan, the
+    breakpoints (the real roots of F' on hull(u_range, 0)) and the sign of F'
+    between them.  The node tables, the values of F and the one-sided sums at the
+    nodes that make P, N and the straddling fluxes exact, are built on first use.
     """
+
+    _NODE_TABLES = ("_f_nodes", "_pos_cum", "_neg_cum", "_rising", "_falling", "_pos_at_zero", "_neg_at_zero")
 
     def __init__(self, flux: FluxModel, c) -> None:
         c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -186,36 +208,42 @@ class SegmentFlux:
             coeffs[: len(ch.coeffs)] = [s + ci * a for s, a in zip(coeffs, ch.coeffs.tolist())]
         dcoeffs = [cj * j for j, cj in enumerate(coeffs) if j] or [coeffs[0] * 0]
         self.breakpoints = _real_roots(dcoeffs, self._lo, self._hi)
-        # `_horner` multiplies an array by Python floats fastest, `bisect` finds an interval
+        # `bisect` finds a node interval in `_bp`, `_rises` says whether F rises on it
         self._bp = tuple(self.breakpoints.tolist())
         self._coeffs = tuple(coeffs)
         self._dcoeffs = tuple(dcoeffs)
+        self._plan = _horner_plan(coeffs)
+        nodes = (self._lo, *self._bp, self._hi)
+        d = [_horner(self._dcoeffs, 0.5 * (a + b)) for a, b in zip(nodes, nodes[1:])]
+        self._rises, self._falls = tuple([x > 0 for x in d]), tuple([x < 0 for x in d])
+
+    def __getattr__(self, name: str):
+        """The node tables, built on first use (a one-interval step reads none)."""
+        if name not in SegmentFlux._NODE_TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._build_tables()
+        return self.__dict__[name]
 
     # -- raw evaluations ---------------------------------------------------
 
     def value(self, u):
-        return _horner(self._coeffs, np.asarray(u, dtype=float))
+        return _horner(self._plan, np.asarray(u, dtype=float))
 
     # -- sign structure ----------------------------------------------------
 
     def _build_tables(self) -> None:
-        nodes = [self._lo, *self._bp, self._hi]
-        d = [_horner(self._dcoeffs, 0.5 * (a + b)) for a, b in zip(nodes, nodes[1:])]
-        rising, falling = [x > 0 for x in d], [x < 0 for x in d]
-        f = [_horner(self._coeffs, x) for x in nodes]
+        f = [_horner(self._plan, x) for x in (self._lo, *self._bp, self._hi)]
         seg = [fb - fa for fa, fb in zip(f, f[1:])]  # exact int of F' over each interval
         # `accumulate` starts from the first term, as np.cumsum does, so a -0.0 survives
         pos, neg = ([0.0, *accumulate(s if k else 0.0 for s, k in zip(seg, keep))]
-                    for keep in (rising, falling))
-        self._f_bp, self._rises = f[1:-1], rising  # read as scalars by `interface_flux`
-        arrays = map(np.array, (f, pos, neg, rising, falling))
+                    for keep in (self._rises, self._falls))
+        arrays = map(np.array, (f, pos, neg, self._rises, self._falls))
         self._f_nodes, self._pos_cum, self._neg_cum, self._rising, self._falling = arrays
         # `_one_sided_raw` at u = 0
         i = bisect.bisect_right(self._bp, 0.0)
-        part = _horner(self._coeffs, 0.0) - f[i]
-        self._pos_at_zero = pos[i] + (part if rising[i] else 0.0)
-        self._neg_at_zero = neg[i] + (part if falling[i] else 0.0)
+        part = _horner(self._plan, 0.0) - f[i]
+        self._pos_at_zero = pos[i] + (part if self._rises[i] else 0.0)
+        self._neg_at_zero = neg[i] + (part if self._falls[i] else 0.0)
 
     def _one_sided_raw(self, u, positive: bool):
         """Cumulative int from self._lo to u of (F')^+/-, vectorized.
@@ -251,14 +279,15 @@ class SegmentFlux:
         min F on [u_l, u_r], or max F on [u_r, u_l], taken at both ends and the
         breakpoints between them (F is monotone in between).
         """
-        v = np.asarray(v, dtype=float)
-        v_min, v_max = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)
+        # arguments by position: numpy's keyword parsing is a measurable share of a call on ~400 values
+        v = np.asarray(v, float)
+        v_min, v_max = np.minimum.reduce(v, None), np.maximum.reduce(v, None)  # over all axes
         if not (self._v_lo <= v_min and v_max <= self._v_hi):  # a NaN fails too
             lo, hi = self.flux.u_range
             raise ValueError(f"state outside certified u_range [{lo}, {hi}]")
         if scheme not in ("engquist_osher", "godunov_convex"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        fv = _horner(self._coeffs, v)
+        fv = _horner(self._plan, v)
         i = bisect.bisect_right(self._bp, v_min)  # `searchsorted(v_min, "right")`
         if i == bisect.bisect_right(self._bp, v_max):  # no breakpoint in (v_min, v_max]
             return fv[..., :-1] if self._rises[i] else fv[..., 1:]
@@ -270,7 +299,7 @@ class SegmentFlux:
         s = np.where(u_l <= u_r, 1.0, -1.0)  # a max is the min of -F
         lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
         below, above = np.minimum(u_l, u_r), np.maximum(u_l, u_r)
-        for b, fb in zip(self._bp, self._f_bp):
+        for b, fb in zip(self._bp, self._f_nodes[1:-1].tolist()):
             if not (b <= v_min or v_max <= b):  # else no interval holds b
                 np.minimum(lowest, s * fb, out=lowest, where=(below < b) & (b < above))
         return s * lowest

@@ -406,22 +406,46 @@ def execute(name: str, cfg: dict, out_root: str | Path | None = None) -> tuple[P
     t0 = time.perf_counter()
     try:
         report = EXPERIMENTS[name](cfg, run_dir)
+        duration = time.perf_counter() - t0
+        outputs = sorted(p.name for p in run_dir.iterdir() if p.suffix == ".csv")
+        manifest = {"run_id": run_id, "experiment": name, "config": dict(cfg), "seed": int(cfg["seed"]),
+                    "created": started, "duration_s": duration, "outputs": outputs, "version": __version__}
+        files = {"manifest.json": _json_text(manifest, "manifest.json"),
+                 "report.json": _json_text(report, "report.json"), "config.txt": config_text(cfg)}
     except BaseException:
-        shutil.rmtree(run_dir)  # a rejected config or a failed run leaves no directory
+        shutil.rmtree(run_dir)  # a rejected config, a failed run or a non-finite report leaves no directory
         raise
-    duration = time.perf_counter() - t0
-    outputs = sorted(p.name for p in run_dir.iterdir() if p.suffix == ".csv")
-    manifest = {"run_id": run_id, "experiment": name, "config": dict(cfg), "seed": int(cfg["seed"]),
-                "created": started, "duration_s": duration, "outputs": outputs, "version": __version__}
-    with open(run_dir / "manifest.json", "w", encoding="utf-8") as fp:
-        json.dump(manifest, fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    with open(run_dir / "report.json", "w", encoding="utf-8") as fp:
-        json.dump(report, fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    with open(run_dir / "config.txt", "w", encoding="utf-8") as fp:
-        fp.write(config_text(cfg))
+    for file_name, text in files.items():
+        (run_dir / file_name).write_text(text, encoding="utf-8")
     return run_dir, report
+
+
+def _json_text(obj, file_name: str) -> str:
+    """`obj` as strict, indented JSON text; a NaN or infinity raises RuntimeError naming its key."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        key = _non_finite_key(obj)
+        if key is None:
+            raise
+        raise RuntimeError(f"{file_name}: {key} is not a finite number") from None
+
+
+def _non_finite_key(obj, key: str = ""):
+    """Where the first NaN or infinity sits in nested dicts and lists, as `a.b[2]`; None if nowhere."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else key
+    if isinstance(obj, dict):
+        children = ((f"{key}.{k}" if key else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for child_key, value in children:
+        found = _non_finite_key(value, child_key)
+        if found is not None:
+            return found
+    return None
 
 
 def rerun_from_manifest(manifest_file: str | Path, out_root: str | Path | None = None) -> dict:
@@ -456,16 +480,15 @@ def run_suite(names: list[str], cfg: dict, out_root: str | Path | None = None) -
         for name in names:
             run_dir, report = execute(name, suite_cfg(cfg, name), suite_dir)
             results[name] = {"run_dir": str(run_dir), "pass": report.get("pass"), "report": report}
+        summary = {
+            "experiments": results,
+            "pass": bool(all(r["pass"] for r in results.values())) if results else True,
+        }
+        text = _json_text(summary, "suite report.json")
     except BaseException:
         shutil.rmtree(suite_dir)  # no partial suite without its report
         raise
-    summary = {
-        "experiments": results,
-        "pass": bool(all(r["pass"] for r in results.values())) if results else True,
-    }
-    with open(suite_dir / "report.json", "w", encoding="utf-8") as fp:
-        json.dump(summary, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    (suite_dir / "report.json").write_text(text, encoding="utf-8")
     return suite_dir, summary
 
 

@@ -10,6 +10,7 @@ interface fluxes from `SegmentFlux.interface_flux`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,7 +41,7 @@ class Grid1D:
         if self.bc not in ("periodic", "outflow"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return (self.x_hi - self.x_lo) / self.n_cells
 
@@ -158,8 +159,8 @@ def step(state: CellState, fseg: SegmentFlux, dt: float, config: SolverConfig = 
         raise CFLError(f"dt={dt:.3e} exceeds cfl*dx/max_speed={config.cfl * dx / fseg.max_speed:.3e}")
     fh = fseg.interface_flux(grid.pad(state.u), config.scheme)
     u = np.subtract(fh[1:], fh[:-1])
-    np.multiply(dt / dx, u, out=u)
-    np.subtract(state.u, u, out=u)
+    u *= dt / dx
+    np.subtract(state.u, u, u)  # in place, `out` given by position as keywords cost time
     new = object.__new__(CellState)  # `u` is a float array of the grid's shape: skip the validation
     new.grid, new.u, new.t = grid, u, state.t + dt
     return new
@@ -190,10 +191,8 @@ def solve_segment(
             collect(Slab(state.t, duration, fseg, config.scheme, state.u, out.u))
         return out
     dt_max = config.cfl * state.grid.dx / fseg.max_speed
-    n_steps = max(1, int(np.ceil(duration / dt_max - 1e-12)))
-    t0 = state.t
-    for k in range(n_steps):
-        target = t_end if k == n_steps - 1 else t0 + (k + 1) * dt_max
+    t0, n_steps = state.t, max(1, math.ceil(duration / dt_max - 1e-12))
+    for target in [*(t0 + k * dt_max for k in range(1, n_steps)), t_end]:
         dt = target - state.t
         new = step(state, fseg, dt, config)
         new.t = target
@@ -235,14 +234,15 @@ def solve_path(
     if slabs is not None:
         sink = slabs.append if collect is None else lambda slab: (slabs.append(slab), collect(slab))
     states = []
+    knots, slopes = path.knots.tolist(), path.slopes()  # one slope row per segment, as `path.slope(k)`
     k, fseg = 0, None
-    for t_out in outputs:
+    for t_out in outputs.tolist():
         while state.t < min(t_out, horizon) - _TIME_ATOL:
-            while state.t >= path.knots[k + 1] - _TIME_ATOL:
+            while state.t >= knots[k + 1] - _TIME_ATOL:
                 k, fseg = k + 1, None
             if fseg is None:
-                fseg = SegmentFlux(flux, path.slope(k))
-            state = solve_segment(state, fseg, min(t_out, path.knots[k + 1]) - state.t, config, sink)
+                fseg = SegmentFlux(flux, slopes[k])
+            state = solve_segment(state, fseg, min(t_out, knots[k + 1]) - state.t, config, sink)
         states.append(CellState(grid, state.u.copy(), state.t))
     return Trajectory(grid, outputs, states, slabs)
 

@@ -565,6 +565,21 @@ class TestCli:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["single", "suite"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_report_value_exits_2(self, tmp_path, capsys, monkeypatch, command, bad):
+        """Reports are strict JSON: a NaN or infinity is a run error naming its key, and no
+        run directory is kept."""
+        monkeypatch.setitem(harness.EXPERIMENTS, "solve",
+                            lambda cfg, run_dir: {"pass": True, "levels": {"gaps": [0.5, bad]}})
+        out = tmp_path / "out"
+        argv = ["solve"] if command == "single" else ["suite", "solve"]
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "run error: report.json: levels.gaps[1] is not a finite number\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["single", "suite"])
     @pytest.mark.parametrize("key", ["datum", "path"])
     def test_missing_input_file_exits_2(self, tmp_path, capsys, command, key):
         """A datum or path file that is not there is a config error, not a traceback."""

@@ -393,6 +393,37 @@ class TestStepCounting:
         assert calls["step"] == len(slabs) > 16
         assert calls["set_up"] == int(np.sum(path.knots[:-1] < outputs[-1])) == 12
 
+    @pytest.mark.parametrize("scheme", ["engquist_osher", "godunov_convex"])
+    @pytest.mark.parametrize("bc", ["periodic", "outflow"])
+    def test_every_scheme_and_boundary_rule(self, monkeypatch, scheme, bc):
+        """One `step` call per emitted `Slab` on moving segments (a still segment emits
+        its `Slab` without a step) and one `SegmentFlux` per visited segment."""
+        import rough_scl.solver as solver_module
+
+        steps, set_ups = [], []
+        real_step, real_init = solver_module.step, SegmentFlux.__init__
+
+        def counted_step(state, fseg, *args, **kwargs):
+            steps.append(fseg)
+            return real_step(state, fseg, *args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            set_ups.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "step", counted_step)
+        monkeypatch.setattr(SegmentFlux, "__init__", counted_init)
+        grid = Grid1D(-1.0, 1.0, 48, bc)
+        path = PiecewiseLinearPath([0.0, 0.2, 0.45, 0.7, 1.0], [0.0, 0.3, 0.3, -0.2, 0.1])  # still on [0.2, 0.45]
+        u0 = np.where(np.abs(grid.centers) < 0.4, 0.9, -0.2)
+        slabs = []
+        solve_path(u0, burgers((-1.0, 1.0)), path, [0.1, 0.5, 0.9], grid, SolverConfig(scheme=scheme),
+                   collect=slabs.append)
+        moving = [slab for slab in slabs if slab.fseg.max_speed > 0.0]
+        assert len(moving) == len(slabs) - 1 > 12
+        assert [id(fseg) for fseg in steps] == [id(slab.fseg) for slab in moving]
+        assert len({id(slab.fseg) for slab in slabs}) == len(set_ups) == 4
+
 
 def earlier_pad(grid, a):
     """`Grid1D.pad` in its concatenate form."""
