@@ -19,7 +19,8 @@ F concave).  When a step's states all lie in one node interval (every Burgers
 1/0 solve), F is monotone on them and the two schemes coincide: both are F at
 the upwind state, F(u_l) where F rises and F(u_r) where it falls or is flat.
 The node tables serve only states that straddle a breakpoint, Godunov's loop
-over the breakpoints and the kinetic integrals P and N.
+over the breakpoints and the kinetic integrals P and N (`one_sided_integrals`:
+both from one node lookup and one evaluation of F).
 
 The solver calls `interface_flux` once per step and builds one SegmentFlux per
 driver segment, so both avoid numpy's per-call wrappers.  F and each channel's
@@ -239,32 +240,33 @@ class SegmentFlux:
                     for keep in (self._rises, self._falls))
         arrays = map(np.array, (f, pos, neg, self._rises, self._falls))
         self._f_nodes, self._pos_cum, self._neg_cum, self._rising, self._falling = arrays
-        # `_one_sided_raw` at u = 0
+        # the one-sided sums at u = 0, as `one_sided_integrals` forms them
         i = bisect.bisect_right(self._bp, 0.0)
         part = _horner(self._plan, 0.0) - f[i]
         self._pos_at_zero = pos[i] + (part if self._rises[i] else 0.0)
         self._neg_at_zero = neg[i] + (part if self._falls[i] else 0.0)
 
-    def _one_sided_raw(self, u, positive: bool):
-        """Cumulative int from self._lo to u of (F')^+/-, vectorized.
+    def one_sided_integrals(self, u):
+        """(P(u), N(u)), vectorized, from one node lookup and one evaluation of F.
 
-        Inside u's node interval F' keeps one sign, so the partial part is
-        F(u) - F(node).
+        Each is its cumulative sum from self._lo to u's node plus, where F' has
+        that sign on u's node interval, the partial part F(u) - F(node) (F' keeps
+        one sign inside the interval), less its value at u = 0.
         """
         u = np.asarray(u, dtype=float)
         idx = np.searchsorted(self.breakpoints, u, side="right")  # node interval of u
         part = self.value(u) - self._f_nodes[idx]
-        base = (self._pos_cum if positive else self._neg_cum)[idx]
-        sign_ok = (self._rising if positive else self._falling)[idx]
-        return base + np.where(sign_ok, part, 0.0)
+        p = self._pos_cum[idx] + np.where(self._rising[idx], part, 0.0)
+        n = self._neg_cum[idx] + np.where(self._falling[idx], part, 0.0)
+        return p - self._pos_at_zero, n - self._neg_at_zero
 
     def pos_integral(self, u):
         """P(u) = int_0^u max(F'(s), 0) ds."""
-        return self._one_sided_raw(u, True) - self._pos_at_zero
+        return self.one_sided_integrals(u)[0]
 
     def neg_integral(self, u):
         """N(u) = int_0^u min(F'(s), 0) ds."""
-        return self._one_sided_raw(u, False) - self._neg_at_zero
+        return self.one_sided_integrals(u)[1]
 
     def interface_flux(self, v, scheme: str):
         """Flux at every interface of `v`, cell values padded by one ghost each end.

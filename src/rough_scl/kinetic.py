@@ -20,15 +20,18 @@ it sits among the xi centres and its one-sided flux integrals, so per-cell
 occupation times (histograms of dt and of dt * P(u), dt * N(u) over the xi
 bins) and their cumulative sums give it exactly, computed only on the band of
 xi that each cell's stencil values sweep (m is 0 below it and the
-conservation residual above it).  The module then checks the a priori bounds,
-the L1 identity, and the transported-kernel formulation of the solution
-concept, whose x integrals run only over the cells where the kernel is nonzero.
+conservation residual above it); a piece (a run of steps under one
+`SegmentFlux`) stacks its chained states once and takes P and N from one node
+lookup.  The module then checks the a priori bounds, the L1 identity, and the
+transported-kernel formulation of the solution concept, whose x integrals run
+only over the cells where the kernel is nonzero; the last two reject fields
+that do not pair with the trajectory's output intervals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -176,11 +179,17 @@ def check_scheme(scheme: str) -> None:
 
 
 def _check_steps(slabs: Sequence[Slab], flux: FluxModel | None = None) -> None:
-    """The extraction's preconditions: positive durations, Engquist-Osher steps
+    """The extraction's preconditions: positive durations, chained steps (each
+    starting from the state the previous one ended in), Engquist-Osher steps
     (`check_scheme`) and, when given, `flux` equal to the steps' flux, with the
     same u_range and channel coefficients."""
     if min(s.dt for s in slabs) <= 0:
         raise ValueError("slab duration must be positive")
+    for k in range(1, len(slabs)):
+        u0, u1 = slabs[k].u0, slabs[k - 1].u1
+        if u0 is not u1 and not np.array_equal(u0, u1):
+            raise ValueError(f"step {k} (t0 = {slabs[k].t0}) does not start from the state "
+                             f"step {k - 1} ended in: the steps are not chained")
     for scheme in dict.fromkeys(s.scheme for s in slabs):
         check_scheme(scheme)
     if flux is None:
@@ -206,12 +215,11 @@ def defect_from_slab(slab: Slab, grid: Grid1D, xi: XiGrid) -> DefectField:
     _check_xi_covers(xi, max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1)))))
     fseg = slab.fseg
     xc = xi.centers
-    p_xi, n_xi = fseg.pos_integral(xc), fseg.neg_integral(xc)
+    p_xi, n_xi = fseg.one_sided_integrals(xc)
 
     x0 = _chi_cumulative(u0[:, None], xc)
     x1 = _chi_cumulative(u1[:, None], xc)
-    p_u0 = fseg.pos_integral(u0)
-    n_u0 = fseg.neg_integral(u0)
+    p_u0, n_u0 = fseg.one_sided_integrals(u0)
     a_pos = _one_sided_cumulative(u0, p_xi, p_u0, xc)
     b_neg = _one_sided_cumulative(u0, n_xi, n_u0, xc)
     m = (x1 - x0) / slab.dt + _upwind_difference(grid, a_pos, b_neg) / grid.dx
@@ -252,7 +260,7 @@ def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]) -> DefectField:
-    """The dt-weighted mean of `defect_from_slab` over consecutive solver steps.
+    """The dt-weighted mean of `defect_from_slab` over consecutive, chained solver steps.
 
     The one-sided cumulative of a step is A_u(xi) = G(min(u, xi)) - [xi < 0] G(xi)
     (G = P or N); the second term is the same in every cell, so the neighbour
@@ -305,10 +313,11 @@ def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]
     cons = np.zeros(n)
     for start, stop in _runs([id(s.fseg) for s in steps]):
         fseg = steps[start].fseg
-        u0 = np.stack([s.u0 for s in steps[start:stop]], axis=1)  # (cells, steps)
-        u1 = np.stack([s.u1 for s in steps[start:stop]], axis=1)
+        # the chained states of the piece, (cells, steps + 1): each step's u0 and the last u1
+        u = np.stack([s.u0 for s in steps[start:stop]] + [steps[stop - 1].u1], axis=1)
+        u0, u1 = u[:, :-1], u[:, 1:]
         dt = np.array([s.dt for s in steps[start:stop]])
-        p_u, n_u = fseg.pos_integral(u0), fseg.neg_integral(u0)
+        p_u, n_u = fseg.one_sided_integrals(u0)
         cons += ((u1 - u0) + dt * (_upwind_difference(grid, p_u, n_u) / grid.dx)).sum(axis=1)
         bins = np.searchsorted(xc, u0, side="right")
         bin_lo = bins.min(axis=1)
@@ -320,7 +329,7 @@ def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]
         sums_w = _below_sums(cells, np.broadcast_to(dt, u0.shape), n, width).ravel()
         below_w = sums_w[at]
         above_w = sums_w[total] - below_w
-        g_xis = (fseg.pos_integral(xc)[cols], fseg.neg_integral(xc)[cols])
+        g_xis = [g[cols] for g in fseg.one_sided_integrals(xc)]
         for g_xi, g_u, under, over in zip(g_xis, (p_u, n_u), (under_p, under_n), (over_p, over_n)):
             sums_g = _below_sums(cells, dt * g_u, n, width).ravel()
             below_g = sums_g[at]
@@ -433,8 +442,20 @@ def check_kf_bounds(defects: list[DefectField], state0: CellState) -> dict:
     return report
 
 
+def _check_paired(traj: Trajectory, defects: list[DefectField]) -> None:
+    """Field k must be the defect over [times[k], times[k + 1]] on the trajectory's grid."""
+    if len(defects) != len(traj.states) - 1:
+        raise ValueError(f"{len(defects)} defect fields for {len(traj.states) - 1} output intervals")
+    for k, d in enumerate(defects):
+        if d.grid != traj.grid or d.t0 != traj.times[k]:
+            raise ValueError(f"defect field {k} (t0 = {d.t0} on {d.grid}) is not the field of the "
+                             f"output interval from {float(traj.times[k])} on {traj.grid}")
+
+
 def check_unpr1(traj: Trajectory, defects: list[DefectField]) -> dict:
-    """Per-slab residual of d/dt ||u||_L1 = -2 int m(x, 0) dx."""
+    """Per-slab residual of d/dt ||u||_L1 = -2 int m(x, 0) dx; field k must be the
+    defect over the output interval [times[k], times[k + 1]] of `traj`."""
+    _check_paired(traj, defects)
     lhs, rhs = [], []
     for k, d in enumerate(defects):
         u0, u1 = traj.states[k], traj.states[k + 1]
@@ -454,21 +475,6 @@ def check_unpr1(traj: Trajectory, defects: list[DefectField]) -> dict:
         "scale": scale,
         "max_relative": float(resid.max() / scale),
     }
-
-
-def xi_lipschitz_increments(defects: list[DefectField], psi_xt: Callable) -> np.ndarray:
-    """Increments of Q(xi) = sum_slabs int psi(x,t) m dx dt per unit xi.
-
-    psi is taken at each slab's midpoint time.  Returns
-    |Q(xi_{i+1}) - Q(xi_i)| / d_xi; the a priori bound is
-    (sup |D_{x,t} psi| + sup |psi(., 0)|) * ||u0||_L1.
-    """
-    xi = defects[0].xi
-    q = np.zeros(xi.n)
-    for d in defects:
-        w = psi_xt(d.grid.centers, d.t0 + 0.5 * d.duration)
-        q += d.duration * d.grid.dx * (w @ d.values)
-    return np.abs(np.diff(q)) / xi.d_xi
 
 
 # -- transported kernel and the solution-definition residual ----------------
@@ -496,38 +502,10 @@ class KernelRho:
         norm = bump_integral()
         return b / norm, db / norm
 
-    def rho(self, z):
-        return self.profile(np.asarray(z, dtype=float) / self.width) / self.width
-
-    def drho(self, z):
-        return self.rho_and_drho(z)[1]
-
-    def rho_and_drho(self, z):
-        p, dp = self.profile_pair(np.asarray(z, dtype=float) / self.width)
-        return p / self.width, dp / self.width**2
-
 
 def default_kernel(width: float) -> KernelRho:
     """The normalized bump kernel of half-width `width`."""
     return KernelRho(width)
-
-
-def transport_shift(flux: FluxModel, path: PiecewiseLinearPath, xi, t: float) -> np.ndarray:
-    """sum_i a_i(xi) W^i(t): the kernel center offset at level xi and time t."""
-    w = path.eval(t)
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
-    for wi, ch in zip(np.atleast_1d(w), flux.channels):
-        out = out + wi * ch.a(xi)
-    return out
-
-
-def rho_eval(
-    kernel: KernelRho, y, x, xi, t: float, path: PiecewiseLinearPath, flux: FluxModel
-) -> np.ndarray:
-    """rho(y, x, xi, t) = rho_eta(y - x + sum_i a_i(xi) W^i(t))."""
-    shift = transport_shift(flux, path, xi, t)
-    return kernel.rho(np.asarray(y, dtype=float) - np.asarray(x, dtype=float) + shift)
 
 
 def definition_residual(
@@ -562,6 +540,7 @@ def definition_residual(
     grid = traj.grid
     if grid.bc != "periodic":
         raise ValueError("definition residual is implemented on periodic domains")
+    _check_paired(traj, defects)
     xi = defects[0].xi
     length = grid.length
     if not kernel.width < 0.5 * length:
@@ -595,7 +574,7 @@ def definition_residual(
         """dx * sum_x cols[x, i] rho(y - x + shift[i]) for each active xi i and
         each y (and the same with d_y rho), over the window of cells where rho
         can be nonzero."""
-        windows = sliding_window_view(cols[periodic].T, n_win, axis=1)
+        windows = sliding_window_view(np.ascontiguousarray(cols[periodic].T), n_win, axis=1)
         s = (y[None, :] + shift[:, None]) - grid.x_lo  # kernel centre from x_lo
         first = np.floor((s - eta) / dx - 0.5)  # the window's first cell
         z_first = (s - (first + 0.5) * dx) / eta  # in [1, 1 + dx / eta)

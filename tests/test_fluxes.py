@@ -1,5 +1,6 @@
 """Flux channels, certified bounds, and exact one-sided integrals."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -18,6 +19,8 @@ from rough_scl.fluxes import (
     builtin,
     from_spec,
 )
+
+from reference import FLUX_SPECS
 
 
 SCHEMES = ("engquist_osher", "godunov_convex")
@@ -385,6 +388,42 @@ class TestKernelsMatchNumpyReference:
             for c in reference_slopes(flux.n_channels, rng):
                 degrees.add(np.trim_zeros(NumpyReference(flux, c).dcoeffs, "b").size - 1)
         assert {-1, 1, 2, 4} <= degrees
+
+
+@st.composite
+def integral_cases(draw):
+    """A flux, slopes drawn with +-0.0 and subnormals among their components, and
+    1-D or 2-D states with the breakpoints, the range ends and +-0.0."""
+    flux = from_spec(draw(st.sampled_from(FLUX_SPECS)), (-1.5, 1.5))
+    slope = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585e-313, 1.0, -1.0]),
+                      st.floats(-2.0, 2.0))
+    c = draw(st.lists(slope, min_size=flux.n_channels, max_size=flux.n_channels))
+    special = [-1.5, 1.5, 0.0, -0.0, *SegmentFlux(flux, c).breakpoints.tolist()]
+    value = st.one_of(st.sampled_from(special), st.floats(-1.5, 1.5))
+    shape = draw(st.sampled_from([(draw(st.integers(1, 24)),), (draw(st.integers(1, 4)), draw(st.integers(1, 9)))]))
+    u = np.array(draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    return flux, c, u
+
+
+class TestOneSidedIntegrals:
+    """P and N from one node lookup are bitwise `NumpyReference.one_sided`, run on
+    the segment flux's own tables (the test above checks those against the numpy
+    form's; a subnormal slope would make `npp.polyroots` overflow there)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(integral_cases())
+    @example((from_spec("burgers;cubic", (-1.5, 1.5)), [1.0, 2.2250738585e-313],
+              np.array([[0.0, -0.0, 1.5], [-1.5, 0.25, -0.75]])))
+    def test_pair_is_the_numpy_form(self, case):
+        flux, c, u = case
+        fs = SegmentFlux(flux, c)
+        tables = SimpleNamespace(breakpoints=fs.breakpoints, value=fs.value, f_nodes=fs._f_nodes,
+                                 pos_cum=fs._pos_cum, neg_cum=fs._neg_cum,
+                                 rising=fs._rising, falling=fs._falling)
+        p, n = fs.one_sided_integrals(u)
+        for got, positive in ((p, True), (n, False)):
+            at_zero = NumpyReference.one_sided(tables, np.asarray(0.0), positive)
+            assert_bitwise(got, NumpyReference.one_sided(tables, u, positive) - at_zero)
 
 
 class TestDoubleRootOfFPrime:

@@ -22,14 +22,13 @@ from rough_scl.kinetic import (
     default_kernel,
     defect_from_slab,
     definition_residual,
-    rho_eval,
     tol_m,
-    transport_shift,
-    xi_lipschitz_increments,
 )
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
-from rough_scl.smooth import bump_integral, bump_raw, bump_weight
+from rough_scl.smooth import bump_integral, bump_raw, bump_raw_pair, bump_weight
 from rough_scl.solver import CellState, Grid1D, Slab, SolverConfig, Trajectory, solve_path
+
+from reference import drho, masked_bump_raw, masked_bump_raw_pair, rho, rho_eval, transport_shift
 
 
 def burgers(rng=(-2.0, 2.0)):
@@ -149,6 +148,23 @@ class TestPreconditions:
             accumulate_defects(traj, from_spec("burgers;cubic", (-1.05, 1.05)), xi)
         with pytest.raises(ValueError, match="'godunov_convex'.*engquist_osher"):
             defect_from_slab(traj.slabs[0], traj.grid, xi)
+
+    def test_unchained_steps_rejected(self):
+        """Each step must start from the state the previous one ended in: the
+        pieces stack their states once and read u1 from the next step's u0."""
+        grid = Grid1D(-1.0, 1.0, 8, "periodic")
+        flux = burgers()
+        fseg = SegmentFlux(flux, [1.0])
+        rng = np.random.default_rng(5)
+        a, b, c, d = (rng.uniform(-0.5, 0.5, 8) for _ in range(4))
+        traj = Trajectory(grid, np.array([0.0, 0.1]), [CellState(grid, a, 0.0)],
+                          [Slab(0.0, 0.05, fseg, "engquist_osher", a, b),
+                           Slab(0.05, 0.05, fseg, "engquist_osher", c, d)])
+        with pytest.raises(ValueError, match=r"^step 1 \(t0 = 0\.05\) does not start from the state "
+                                             r"step 0 ended in"):
+            accumulate_defects(traj, flux, XiGrid(-1.0, 1.0, 20))
+        chained = replace(traj, slabs=[traj.slabs[0], replace(traj.slabs[1], u0=b.copy())])
+        assert len(accumulate_defects(chained, flux, XiGrid(-1.0, 1.0, 20))) == 1  # equal copies pass
 
     def test_equal_consecutive_slopes_split_at_the_knot(self):
         """W = t on 16 segments: each segment has slope 1 but its own flux, so the
@@ -539,15 +555,57 @@ class TestL1Identity:
         assert np.abs(rep["rhs"]).max() <= 1e-12
 
 
+class TestPairing:
+    """`check_unpr1` and `definition_residual` take field k as the defect over
+    the output interval [times[k], times[k + 1]] of the trajectory."""
+
+    def fields_and_traj(self, field_outputs, traj_outputs, n_cells=32):
+        grid = Grid1D(-1.0, 1.0, 32, "periodic")
+        u0 = np.where(np.abs(grid.centers + 0.25) < 0.4, 0.8, 0.0)
+        flux = burgers((-0.5, 1.5))
+        cfg = SolverConfig(record_slabs=True)
+        xi = XiGrid(-1.5, 1.5, 40)
+        fields = accumulate_defects(solve_path(u0, flux, identity_path(1.0), field_outputs, grid, cfg),
+                                    flux, xi)
+        other = Grid1D(-1.0, 1.0, n_cells, "periodic")
+        u0 = np.where(np.abs(other.centers + 0.25) < 0.4, 0.8, 0.0)
+        return fields, solve_path(u0, flux, identity_path(1.0), traj_outputs, other, cfg), flux
+
+    def residual(self, traj, fields, flux):
+        pairs = [(bump_weight(0.4, 0.35), bump_weight(0.5, 0.3))]
+        return definition_residual(traj, fields, default_kernel(0.3), flux, identity_path(1.0), pairs)
+
+    @pytest.mark.parametrize("field_outputs, traj_outputs, n_cells, message", [
+        ([0.0, 0.25, 1.0], [0.0, 0.5, 1.0], 32,
+         r"^defect field 1 \(t0 = 0\.25 on Grid1D\(.*\) is not the field of the output interval from 0\.5 on"),
+        ([0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0], 32, r"^2 defect fields for 3 output intervals$"),
+        ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], 16,
+         r"^defect field 0 \(t0 = 0\.0 on Grid1D\(.*n_cells=32.*n_cells=16"),
+    ], ids=["other-outputs", "other-count", "other-grid"])
+    def test_mismatch_rejected(self, field_outputs, traj_outputs, n_cells, message):
+        fields, traj, flux = self.fields_and_traj(field_outputs, traj_outputs, n_cells)
+        with pytest.raises(ValueError, match=message):
+            check_unpr1(traj, fields)
+        with pytest.raises(ValueError, match=message):
+            self.residual(traj, fields, flux)
+
+    def test_paired_fields_accepted(self):
+        fields, traj, flux = self.fields_and_traj([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+        assert check_unpr1(traj, fields)["lhs"].shape == (2,)
+        assert self.residual(traj, fields, flux)[0] > 0.0
+
+
 class TestXiRegularity:
     def test_increment_bound(self):
+        """Q(xi) = sum over slabs of int psi m dx dt with psi = 1 is the summed
+        xi-line mass; its increments per unit xi are at most ||u0||_L1 (the
+        a priori bound sup|psi| ||u0||_1, the derivative term 0)."""
         traj = shock_traj()
         xi = XiGrid(-1.5, 1.5, 150)
         defects = accumulate_defects(traj, burgers((-0.5, 1.5)), xi)
-        psi = lambda x, t: np.ones_like(x)
-        inc = xi_lipschitz_increments(defects, psi)
-        bound = traj.states[0].l1()  # sup|psi| * ||u0||_1, derivative term 0
-        assert inc.max() <= bound + 1e-10
+        q = np.sum([d.xi_line_mass() for d in defects], axis=0)
+        inc = np.abs(np.diff(q)) / xi.d_xi
+        assert inc.max() <= traj.states[0].l1() + 1e-10
 
 
 class TestKernel:
@@ -559,14 +617,40 @@ class TestKernel:
     def test_bump_kernel_mass_and_support(self):
         k = default_kernel(0.25)
         z = np.linspace(-0.5, 0.5, 2001)
-        mass = np.trapezoid(k.rho(z), z)
+        mass = np.trapezoid(rho(k, z), z)
         assert mass == pytest.approx(1.0, abs=1e-6)
-        assert k.rho(np.array([0.26, -0.3]))[0] == 0.0
+        assert rho(k, np.array([0.26, -0.3]))[0] == 0.0
         # derivative consistent with FD
         h = 1e-6
         zz = np.linspace(-0.2, 0.2, 11)
-        fd = (k.rho(zz + h) - k.rho(zz - h)) / (2 * h)
-        assert np.allclose(k.drho(zz), fd, atol=1e-4)
+        fd = (rho(k, zz + h) - rho(k, zz - h)) / (2 * h)
+        assert np.allclose(drho(k, zz), fd, atol=1e-4)
+
+    @pytest.mark.parametrize("fill, inside", [((-0.999, 0.999), 0.976), ((-3.0, 3.0), 0.337)],
+                             ids=["mostly-inside", "mostly-outside"])
+    def test_bump_is_the_masked_form(self, fill, inside):
+        """Bit for bit, signs of zeros included, with no warning escaping, with
+        most points inside (-1, 1) or most outside: at +-0, on and next to +-1,
+        just outside +-1 where exp overflows, at +-inf and NaN, and where exp
+        underflows to a subnormal or 0."""
+        tiny = np.sqrt(1.0 - 1.0 / 721.0)  # B = exp(-720), a subnormal
+        edge = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+                np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 1.0001, -1.0001, 1e200,
+                np.inf, -np.inf, np.nan, tiny, -tiny, np.sqrt(1.0 - 1.0 / 800.0), 0.99999999]
+        assert 0.0 < masked_bump_raw(tiny) < np.finfo(float).tiny
+        assert masked_bump_raw(np.nextafter(1.0, 0.0)) == 0.0
+        z = np.concatenate([edge, np.linspace(*fill, 401)])
+        assert np.mean(np.abs(z) < 1.0) == pytest.approx(inside, abs=0.01)
+        for zz in (z, z.reshape(1, -1, 1), z[::-1][:, None]):
+            assert_identical(bump_raw(zz), masked_bump_raw(zz))
+            for got, want in zip(bump_raw_pair(zz), masked_bump_raw_pair(zz)):
+                assert_identical(got, want)
+
+    @pytest.mark.parametrize("z", [0.5, -0.0, 1.0, np.nan])
+    def test_bump_of_a_scalar_is_the_masked_form(self, z):
+        assert_identical(np.asarray(bump_raw(z)), masked_bump_raw(z))
+        for got, want in zip(bump_raw_pair(z), masked_bump_raw_pair(z)):
+            assert_identical(np.asarray(got), want)
 
     def test_bump_mass_from_fixed_rule(self):
         """The literal is the 256-node Gauss-Legendre rule on B, bit for bit."""
@@ -585,24 +669,24 @@ class TestKernel:
         k = default_kernel(0.25)
         # a(xi) = xi for burgers: shift = xi * W(t) = 0.3 * 0.5
         v = rho_eval(k, 0.0, 0.15, np.array([0.3]), 0.5, path, flux)
-        assert v[0] == pytest.approx(k.rho(np.array([0.0]))[0])
+        assert v[0] == pytest.approx(rho(k, np.array([0.0]))[0])
 
 
 def brute_force_residual(traj, defects, kernel, flux, path, pairs, n_y):
-    """The definition residual summed term by term from `rho_eval` and
-    `transport_shift`, with the periodic images of the kernel summed."""
+    """The definition residual summed term by term from the reference `rho_eval`
+    and `transport_shift`, with the periodic images of the kernel summed."""
     grid, xi = traj.grid, defects[0].xi
     x, xc, dx, length = grid.centers, xi.centers, grid.dx, grid.length
     y = np.linspace(grid.x_lo, grid.x_hi, n_y, endpoint=False)
     images = range(-4, 5)
 
-    def rho(i, t):  # (x, y)
+    def rho_at(i, t):  # (x, y)
         return sum(rho_eval(kernel, y[None, :] + n * length, x[:, None], xc[i], t, path, flux)
                    for n in images)
 
-    def drho(i, t):
+    def drho_at(i, t):
         shift = transport_shift(flux, path, xc[i:i + 1], t)[0]
-        return sum(kernel.drho(y[None, :] + n * length - x[:, None] + shift) for n in images)
+        return sum(drho(kernel, y[None, :] + n * length - x[:, None] + shift) for n in images)
 
     out = []
     for psi, phi in pairs:
@@ -615,10 +699,10 @@ def brute_force_residual(traj, defects, kernel, flux, path, pairs, n_y):
             w = path.eval(tm)
             for i in range(xi.n):
                 a_prime = sum(wc * ch.a_prime(xc[i]) for wc, ch in zip(w, flux.channels))
-                g0 = dx * chi0[:, i] @ rho(i, t0)
-                g1 = dx * chi1[:, i] @ rho(i, t1)
-                h = dx * d.values[:, i] @ rho(i, tm)
-                hd = dx * d.values[:, i] @ drho(i, tm)
+                g0 = dx * chi0[:, i] @ rho_at(i, t0)
+                g1 = dx * chi1[:, i] @ rho_at(i, t1)
+                h = dx * d.values[:, i] @ rho_at(i, tm)
+                hd = dx * d.values[:, i] @ drho_at(i, tm)
                 r -= (phi.value(t1) - phi.value(t0)) * xi.d_xi * psi.value(xc[i]) * 0.5 * (g0 + g1)
                 r += phi.value(tm) * d.duration * xi.d_xi * (
                     psi.deriv(xc[i]) * h + psi.value(xc[i]) * a_prime * hd
@@ -643,19 +727,41 @@ class TestResidualOracle:
         ceil(2 eta / dx) + 2 = 25 cells wraps past the whole periodic domain."""
         self.check(monkeypatch, [(0.12, 0.07), (0.2, 0.08), (0.15, 0.14)], 0.95)
 
-    def check(self, monkeypatch, phis, eta):
-        grid = Grid1D(-1.0, 1.0, 24, "periodic")
+    @pytest.mark.parametrize("n_cells, inside", [(96, 0.929), (24, 0.72)],
+                             ids=["96-cells", "24-cells"])
+    def test_masked_bump_gives_the_same_bits(self, monkeypatch, n_cells, inside):
+        """The bump against the masked form it replaced, in the residual: on 96
+        cells 93% of each kernel window lies inside (-1, 1), on 24 cells 72%."""
+        args = self.problem([(0.12, 0.07), (0.2, 0.08), (0.15, 0.14)], 0.3, n_cells)
+        monkeypatch.setattr(kinetic, "N_Y", 5)
+        shares = []
+        for name in ("bump_raw", "bump_raw_pair"):
+            def spy(z, f=getattr(kinetic, name)):
+                shares.append(np.mean(np.abs(z) < 1.0))
+                return f(z)
+            monkeypatch.setattr(kinetic, name, spy)
+        got = definition_residual(*args)
+        assert shares and np.allclose(shares, inside, atol=1e-3)
+        monkeypatch.setattr(kinetic, "bump_raw", masked_bump_raw)
+        monkeypatch.setattr(kinetic, "bump_raw_pair", masked_bump_raw_pair)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in definition_residual(*args)]
+
+    def problem(self, phis, eta, n_cells=24):
+        grid = Grid1D(-1.0, 1.0, n_cells, "periodic")
         flux = from_spec("burgers;cubic", (-1.05, 1.05))
         path = brownian_sample(5, 0.3, 4, 2)
         traj = solve_path(step_datum(grid, 11), flux, path, [0.0, 0.1, 0.2, 0.3], grid,
                           SolverConfig(record_slabs=True))
         defects = accumulate_defects(traj, flux, XiGrid(-1.5, 1.5, 12))
-        kernel = default_kernel(eta)
         psis = [(0.3, 0.6), (-0.4, 0.5), (0.0, 1.2)]
         pairs = [(bump_weight(*psi), bump_weight(*phi)) for psi, phi in zip(psis, phis)]
+        return traj, defects, default_kernel(eta), flux, path, pairs
+
+    def check(self, monkeypatch, phis, eta):
+        args = self.problem(phis, eta)
         monkeypatch.setattr(kinetic, "N_Y", 5)
-        got = definition_residual(traj, defects, kernel, flux, path, pairs)
-        want = brute_force_residual(traj, defects, kernel, flux, path, pairs, 5)
+        got = definition_residual(*args)
+        want = brute_force_residual(*args, 5)
         assert min(want) > 1e-3
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 

@@ -21,6 +21,8 @@ from rough_scl.solver import (
     step,
 )
 
+from reference import FLUX_SPECS
+
 
 def burgers(rng=(-2.0, 2.0)):
     return FluxModel([builtin("burgers")], rng)
@@ -495,9 +497,6 @@ def same_outcome(got, want):
     else:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-
-
-FLUX_SPECS = ("burgers", "cubic", "poly:0.1,-0.3,0.2,0.5,-0.25,0.15", "burgers;cubic", "cubic;poly:0,1,-0.5")
 
 
 @st.composite
