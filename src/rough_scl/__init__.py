@@ -41,7 +41,6 @@ from .kinetic import (
     check_kf_bounds,
     check_unpr1,
     default_kernel,
-    defect_from_slab,
     definition_residual,
 )
 from .smooth import SmoothDatum, Weight, bump_datum, bump_weight

@@ -7,6 +7,7 @@ the command line (`--config file` plus overrides) and the manifest snapshot.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,13 @@ def _file_arg(args: list[str]) -> str:
     return args[0]
 
 
+def _finite_args(spec: str, args: list[str]) -> list[float]:
+    values = [float(a) for a in args]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{spec}: every argument must be a finite number")
+    return values
+
+
 def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
     """Cell-center samples of a named initial datum."""
     name, args = _spec_args(spec)
@@ -139,13 +147,12 @@ def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
     if name == "riemann":
         if len(args) not in (2, 3):
             raise ValueError("riemann takes u_l,u_r[,x_jump]")
-        u_l, u_r = float(args[0]), float(args[1])
-        jump = float(args[2]) if len(args) == 3 else 0.0
+        u_l, u_r, jump = (_finite_args(spec, args) + [0.0])[:3]
         return np.where(x < jump, u_l, u_r)
     if name == "bump":
         if len(args) != 3:
             raise ValueError("bump takes center,halfwidth,height")
-        center, halfwidth, height = map(float, args)
+        center, halfwidth, height = _finite_args(spec, args)
         return bump_datum(center, halfwidth, height).value(x) + 0.0  # + 0.0: no -0 in the CSVs
     if name == "sign-step":
         return np.where(x < 0.0, 1.0, -1.0)
@@ -168,6 +175,8 @@ def build_path(
     spec: str, seed: int, horizon: float, n_channels: int
 ) -> paths.PiecewiseLinearPath:
     """Named driver path on [0, horizon]."""
+    if not 0.0 < horizon < math.inf:  # a NaN fails too
+        raise ValueError(f"horizon = {horizon}: the horizon must be positive and finite")
     name, args = _spec_args(spec)
     if name == "brownian":
         n_seg = int(args[0]) if args else 8
@@ -180,6 +189,8 @@ def build_path(
         return paths.identity_path(horizon)
     if name == "monomial":
         p = float(args[0]) if args else 2.0
+        if not 0.0 <= p < math.inf:
+            raise ValueError(f"path = {spec}: the power must be a finite number >= 0, got {p}")
         n_seg = int(args[1]) if len(args) > 1 else 64
         knots = np.linspace(0.0, horizon, n_seg + 1)
         return paths.PiecewiseLinearPath(knots, knots**p)

@@ -49,7 +49,7 @@ MAX_POLY_DEGREE = 8
 
 
 class Channel:
-    """One polynomial flux A, given by ascending coefficients, with a = A' and a'."""
+    """One polynomial flux A, given by finite ascending coefficients, with a = A' and a'."""
 
     def __init__(self, name: str, coeffs) -> None:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -57,13 +57,14 @@ class Channel:
             raise ValueError(f"channel {name!r}: coefficients must be a non-empty 1-D sequence")
         if coeffs.size - 1 > MAX_POLY_DEGREE:
             raise ValueError(f"polynomial degree {coeffs.size - 1} exceeds cap {MAX_POLY_DEGREE}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"channel {name!r}: coefficients must be finite, got {coeffs.tolist()}")
         self.name = name
         self.coeffs = coeffs
-        # Horner plans, built once: a is called in every RK4 stage
-        self._A, self._a, self._a_prime = (_horner_plan(npp.polyder(coeffs, k).tolist()) for k in range(3))
-
-    def A(self, u) -> np.ndarray:
-        return _horner(self._A, np.asarray(u, dtype=float))
+        # Horner plans, built once: a is called in every RK4 stage.  A derivative
+        # coefficient may overflow; `FluxModel` rejects the bound that follows.
+        with np.errstate(over="ignore"):
+            self._a, self._a_prime = (_horner_plan(npp.polyder(coeffs, k).tolist()) for k in (1, 2))
 
     def a(self, u) -> np.ndarray:
         return _horner(self._a, np.asarray(u, dtype=float))
@@ -145,11 +146,17 @@ class FluxModel:
         lo, hi = float(u_range[0]), float(u_range[1])
         if not lo < hi:
             raise ValueError(f"empty u_range {u_range}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"u_range [{lo}, {hi}] must have finite ends")
         if not channels:
             raise ValueError("need at least one channel")
         self.channels = list(channels)
         self.u_range = (lo, hi)
         self.lip_a = np.array([self._certified_sup(ch) for ch in channels])
+        for ch, lip in zip(self.channels, self.lip_a.tolist()):
+            if not math.isfinite(lip):
+                raise ValueError(f"channel {ch.name!r}: the certified bound of |a| on u_range "
+                                 f"[{lo}, {hi}] is {lip}, not a finite number")
         self._validate()
 
     @property
@@ -157,10 +164,17 @@ class FluxModel:
         return len(self.channels)
 
     def _certified_sup(self, ch: Channel) -> float:
-        """Exact sup of |a|: extrema sit at the endpoints or at real roots of a'."""
+        """Exact sup of |a|: extrema sit at the endpoints or at real roots of a'.
+
+        A bound that overflows comes back inf or NaN, for the caller to reject.
+        """
         lo, hi = self.u_range
-        pts = np.concatenate([[lo, hi], _real_roots(npp.polyder(ch.coeffs, 2), lo, hi)])
-        return float(np.max(np.abs(ch.a(pts))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = npp.polyder(ch.coeffs, 2)
+            if not np.all(np.isfinite(d2)):
+                return math.inf
+            pts = np.concatenate([[lo, hi], _real_roots(d2, lo, hi)])
+            return float(np.max(np.abs(ch.a(pts))))
 
     def _validate(self) -> None:
         """Sampled |a| stays within the bound, which catches a root that

@@ -7,13 +7,14 @@ of the projection is the nonnegative measure m in
 
     d chi + F'(xi) chi_x dt = m_xi dt.
 
-`defect_from_slab` extracts m in closed form from one `Slab`, the step record
-the solver emits (t0, dt, its flux and scheme, u0, u1): the cumulative integrals
+The m of one step follows in closed form from its `Slab`, the step record the
+solver emits (t0, dt, its flux and scheme, u0, u1): the cumulative integrals
 of chi and of the one-sided flux derivatives are exact, sub-cell, so m >= 0
 holds to roundoff and the conservation residual at the top of the xi range
 telescopes to machine zero.  Neighbour differences take the solver's ghost
 cells from `Grid1D.pad`, so both layers apply one boundary rule.
-`accumulate_defects` returns the same m averaged over each reporting slab
+`accumulate_defects` returns that m averaged over each reporting slab
+(the per-step form is the tests' reference, in tests/reference.py)
 without forming it per step: the chi part telescopes to the slab's end
 states, and the transport part depends on each cell value only through where
 it sits among the xi centres and its one-sided flux integrals, so per-cell
@@ -96,23 +97,6 @@ def _chi_tail(u: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.sign(u) * (np.clip(xi, l, h) - h)
 
 
-def _one_sided_cumulative(
-    u: np.ndarray, g_xi: np.ndarray, g_u: np.ndarray, xi_centers: np.ndarray
-) -> np.ndarray:
-    """int_{-inf}^{xi} (F')^{+/-}(z) chi(u_j, z) dz from the antiderivative G = P or N.
-
-    g_xi = G at xi_centers, g_u = G at the cell values; G(0) = 0 by construction.
-    """
-    l = np.minimum(u, 0.0)[:, None]
-    h = np.maximum(u, 0.0)[:, None]
-    s = np.sign(u)[:, None]
-    g_l = np.where(u >= 0.0, 0.0, g_u)[:, None]
-    g_h = np.where(u >= 0.0, g_u, 0.0)[:, None]
-    xi = xi_centers[None, :]
-    mid = np.where(xi < l, g_l, np.where(xi > h, g_h, g_xi[None, :]))
-    return s * (mid - g_l)
-
-
 def _upwind_difference(grid: Grid1D, p: np.ndarray, n: np.ndarray) -> np.ndarray:
     """(p_j - p_{j-1}) + (n_{j+1} - n_j) along axis 0, neighbours from `Grid1D.pad`.
 
@@ -178,11 +162,11 @@ def check_scheme(scheme: str) -> None:
                          "kinetic form of the engquist_osher step only")
 
 
-def _check_steps(slabs: Sequence[Slab], flux: FluxModel | None = None) -> None:
+def _check_steps(slabs: Sequence[Slab], flux: FluxModel) -> None:
     """The extraction's preconditions: positive durations, chained steps (each
     starting from the state the previous one ended in), Engquist-Osher steps
-    (`check_scheme`) and, when given, `flux` equal to the steps' flux, with the
-    same u_range and channel coefficients."""
+    (`check_scheme`) and `flux` equal to the steps' flux, with the same u_range
+    and channel coefficients."""
     if min(s.dt for s in slabs) <= 0:
         raise ValueError("slab duration must be positive")
     for k in range(1, len(slabs)):
@@ -192,39 +176,10 @@ def _check_steps(slabs: Sequence[Slab], flux: FluxModel | None = None) -> None:
                              f"step {k - 1} ended in: the steps are not chained")
     for scheme in dict.fromkeys(s.scheme for s in slabs):
         check_scheme(scheme)
-    if flux is None:
-        return
     want = (flux.u_range, [ch.coeffs.tolist() for ch in flux.channels])
     for made in {id(s.fseg.flux): s.fseg.flux for s in slabs}.values():
         if (made.u_range, [ch.coeffs.tolist() for ch in made.channels]) != want:
             raise ValueError("flux differs from the flux the steps were made with")
-
-
-def defect_from_slab(slab: Slab, grid: Grid1D, xi: XiGrid) -> DefectField:
-    """Extract the defect rate of one solver step under its own frozen flux.
-
-    The accumulation over zeta runs from xi_lo upward with the same upwind
-    splitting as the solver step: cumulative of (chi(u1) - chi(u0))/dt plus
-    the difference of the one-sided interface integrals, all exact in xi.
-    The step must be Engquist-Osher's; the xi grid must cover max(|u0|, |u1|) plus one cell.
-    """
-    _check_steps([slab])
-    u0, u1 = slab.u0, slab.u1
-    if u0.shape != (grid.n_cells,) or u1.shape != (grid.n_cells,):
-        raise ValueError(f"slab states of shape {u0.shape}, {u1.shape} do not match the grid")
-    _check_xi_covers(xi, max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1)))))
-    fseg = slab.fseg
-    xc = xi.centers
-    p_xi, n_xi = fseg.one_sided_integrals(xc)
-
-    x0 = _chi_cumulative(u0[:, None], xc)
-    x1 = _chi_cumulative(u1[:, None], xc)
-    p_u0, n_u0 = fseg.one_sided_integrals(u0)
-    a_pos = _one_sided_cumulative(u0, p_xi, p_u0, xc)
-    b_neg = _one_sided_cumulative(u0, n_xi, n_u0, xc)
-    m = (x1 - x0) / slab.dt + _upwind_difference(grid, a_pos, b_neg) / grid.dx
-    cons = (u1 - u0) / slab.dt + _upwind_difference(grid, p_u0, n_u0) / grid.dx
-    return DefectField(grid, xi, slab.t0, slab.dt, m, cons)
 
 
 def _runs(keys: list) -> list[tuple[int, int]]:
@@ -260,7 +215,7 @@ def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]) -> DefectField:
-    """The dt-weighted mean of `defect_from_slab` over consecutive, chained solver steps.
+    """The dt-weighted mean of the per-step defect over consecutive, chained solver steps.
 
     The one-sided cumulative of a step is A_u(xi) = G(min(u, xi)) - [xi < 0] G(xi)
     (G = P or N); the second term is the same in every cell, so the neighbour
@@ -360,7 +315,7 @@ def _reporting_defect(grid: Grid1D, xi: XiGrid, t0: float, steps: Sequence[Slab]
 def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[DefectField]:
     """The dt-weighted mean defect over each output interval, one field per interval.
 
-    Equals averaging `defect_from_slab` over the solver steps whose midpoint
+    Equals averaging the per-step defect over the solver steps whose midpoint
     lies in the interval (steps outside the snapshot span are left out), without
     forming any per-step (n_cells x n_xi) field: each run of steps with one
     reporting slab and one `SegmentFlux` is reduced by occupation-time

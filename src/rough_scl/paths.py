@@ -75,13 +75,6 @@ class PiecewiseLinearPath:
             out[..., i] = np.interp(t_arr, self.knots, self.values[:, i])
         return out
 
-    def slope(self, k: int) -> np.ndarray:
-        """Constant slope vector of segment k."""
-        if not 0 <= k < self.n_segments:
-            raise IndexError(f"segment index {k} out of range")
-        dt = self.knots[k + 1] - self.knots[k]
-        return (self.values[k + 1] - self.values[k]) / dt
-
     def slopes(self) -> np.ndarray:
         """All segment slopes, shape (K, M)."""
         return np.diff(self.values, axis=0) / np.diff(self.knots)[:, None]

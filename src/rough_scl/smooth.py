@@ -8,6 +8,7 @@ rule, which converges fast because B is flat at the endpoints.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,8 +68,10 @@ class Weight:
 
 def bump_weight(center: float, halfwidth: float, height: float = 1.0) -> Weight:
     """height * B((x - center)/halfwidth); sup = height at the center."""
-    if halfwidth <= 0:
-        raise ValueError("halfwidth must be positive")
+    if not 0.0 < halfwidth < math.inf:  # a NaN fails too
+        raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
 
     def value(x):
         return height * bump_raw((np.asarray(x, dtype=float) - center) / halfwidth)

@@ -36,6 +36,8 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not self.x_lo < self.x_hi:
             raise ValueError("empty domain")
+        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
+            raise ValueError(f"domain edges x_lo = {self.x_lo} and x_hi = {self.x_hi} must be finite")
         if self.n_cells < 2:
             raise ValueError("need at least two cells")
         if self.bc not in ("periodic", "outflow"):
@@ -112,8 +114,8 @@ class SolverConfig:
 class Slab:
     """One solver step: u0 at t0 to u1 at t0 + dt by `scheme` under its segment's frozen flux.
 
-    `solve_segment` emits one per step; `kinetic.defect_from_slab` reads the
-    defect m of the step from it.
+    `solve_segment` emits one per step; the kinetic layer reads the defect m of
+    the steps from them (`kinetic.accumulate_defects`).
     """
 
     t0: float
@@ -234,7 +236,7 @@ def solve_path(
     if slabs is not None:
         sink = slabs.append if collect is None else lambda slab: (slabs.append(slab), collect(slab))
     states = []
-    knots, slopes = path.knots.tolist(), path.slopes()  # one slope row per segment, as `path.slope(k)`
+    knots, slopes = path.knots.tolist(), path.slopes()  # one slope row per segment
     k, fseg = 0, None
     for t_out in outputs.tolist():
         while state.t < min(t_out, horizon) - _TIME_ATOL:

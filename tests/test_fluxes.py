@@ -1,6 +1,5 @@
 """Flux channels, certified bounds, and exact one-sided integrals."""
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -15,12 +14,11 @@ from rough_scl.fluxes import (
     SegmentFlux,
     _horner,
     _horner_plan,
-    _real_roots,
     builtin,
     from_spec,
 )
 
-from reference import FLUX_SPECS
+from reference import FLUX_SPECS, NumpyReference, assert_bitwise, outcome, same_outcome, segment_flux_cases
 
 
 SCHEMES = ("engquist_osher", "godunov_convex")
@@ -39,20 +37,20 @@ class TestBuiltins:
     def test_burgers_values(self):
         ch = builtin("burgers")
         u = np.array([-1.0, 0.0, 2.0])
-        assert np.allclose(ch.A(u), [0.5, 0.0, 2.0])
+        assert np.allclose(npp.polyval(u, ch.coeffs), [0.5, 0.0, 2.0])
         assert np.allclose(ch.a(u), u)
         assert np.allclose(ch.a_prime(u), 1.0)
 
     def test_cubic_values(self):
         ch = builtin("cubic")
         u = np.array([-1.0, 0.5, 2.0])
-        assert np.allclose(ch.A(u), u**3 / 3.0)
+        assert np.allclose(npp.polyval(u, ch.coeffs), u**3 / 3.0)
         assert np.allclose(ch.a(u), u**2)
         assert np.allclose(ch.a_prime(u), 2.0 * u)
 
     def test_poly_spec(self):
         ch = builtin("poly:0,0,0.5")
-        assert np.allclose(ch.A(np.array([3.0])), 4.5)
+        assert np.allclose(npp.polyval(3.0, ch.coeffs), 4.5)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -82,7 +80,7 @@ class TestFromSpec:
     def test_poly_commas_survive(self):
         flux = from_spec("poly:0,0,0.5;cubic", (-1.0, 1.0))
         assert flux.n_channels == 2
-        assert np.allclose(flux.channels[0].A(np.array([2.0])), 2.0)
+        assert np.allclose(npp.polyval(2.0, flux.channels[0].coeffs), 2.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -275,67 +273,6 @@ class TestReparametrization:
         assert np.allclose(2.0 * f1.neg_integral(u), f2.neg_integral(u), atol=1e-11)
 
 
-class NumpyReference:
-    """`SegmentFlux` written with numpy's polynomial wrappers, `np.diff` and a
-    plain Godunov loop: the operation order the lean kernels must keep."""
-
-    def __init__(self, flux, c):
-        lo, hi = min(flux.u_range[0], 0.0), max(flux.u_range[1], 0.0)
-        pad = 1e-9 * (hi - lo)
-        lo, hi = lo - pad, hi + pad
-        self.coeffs = np.zeros(max(len(ch.coeffs) for ch in flux.channels))
-        for ci, ch in zip(c, flux.channels):
-            self.coeffs[: len(ch.coeffs)] += ci * ch.coeffs
-        self.dcoeffs = npp.polyder(self.coeffs)
-        r = np.empty(0)
-        trimmed = np.trim_zeros(self.dcoeffs, "b")
-        if trimmed.size > 1:
-            r = npp.polyroots(trimmed)
-            r = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))].real
-            r = np.unique(r[(r > lo) & (r < hi)])
-        self.breakpoints = r
-        nodes = np.concatenate([[lo], r, [hi]])
-        sign = np.sign(self.deriv(0.5 * (nodes[:-1] + nodes[1:])))
-        self.rising, self.falling = sign > 0, sign < 0
-        self.f_nodes = self.value(nodes)
-        seg = np.diff(self.f_nodes)
-        self.pos_cum = np.concatenate([[0.0], np.cumsum(np.where(self.rising, seg, 0.0))])
-        self.neg_cum = np.concatenate([[0.0], np.cumsum(np.where(self.falling, seg, 0.0))])
-        self.pos_at_zero = self.one_sided(np.asarray(0.0), True)
-        self.neg_at_zero = self.one_sided(np.asarray(0.0), False)
-
-    def value(self, u):
-        return npp.polyval(np.asarray(u, dtype=float), self.coeffs)
-
-    def deriv(self, u):
-        return npp.polyval(np.asarray(u, dtype=float), self.dcoeffs)
-
-    def one_sided(self, u, positive, fu=None):
-        idx = np.searchsorted(self.breakpoints, u, side="right")
-        part = (self.value(u) if fu is None else fu) - self.f_nodes[idx]
-        base = (self.pos_cum if positive else self.neg_cum)[idx]
-        return base + np.where((self.rising if positive else self.falling)[idx], part, 0.0)
-
-    def interface_flux(self, v, scheme):
-        fv = self.value(v)
-        if scheme == "engquist_osher":
-            p = self.one_sided(v, True, fv)
-            return p[..., :-1] + (fv - p)[..., 1:]
-        u_l, u_r = v[..., :-1], v[..., 1:]
-        s = np.where(u_l <= u_r, 1.0, -1.0)
-        lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
-        below, above = np.minimum(u_l, u_r), np.maximum(u_l, u_r)
-        for b, fb in zip(self.breakpoints, self.f_nodes[1:-1]):
-            lowest = np.where((below < b) & (b < above), np.minimum(lowest, s * fb), lowest)
-        return s * lowest
-
-
-def assert_bitwise(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
 # F' has degree 1 with a root off 0 for the fourth spec; the cubic term of the
 # last spec cancels when both slopes are equal.
 REFERENCE_SPECS = ("burgers", "burgers;cubic", "poly:0.1,-0.3,0.2,0.5,-0.25,0.15",
@@ -354,30 +291,30 @@ def reference_slopes(n_channels, rng):
     return out
 
 
+# Signed zeros in the slopes and the channel coefficients, and F' = [-0.0] for a negative constant F
+SIGNED_ZERO_CASES = [
+    ("burgers", [0.0]),  # zero slope: F = 0, no breakpoint
+    ("burgers;cubic", [-0.0, 0.0]),
+    ("burgers", [0.7]),  # F' = c u: a root at u = 0
+    ("burgers", [-1.3]),
+    ("poly:-0.0,1;poly:-1", [0.6, 0.4]),  # a -0.0 channel coefficient, F' constant
+    ("poly:-1", [0.5]),  # F constant, F' = [-0.0]
+    ("burgers;cubic", [0.8, -1.1]),
+    ("cubic;poly:0,1,-0.5", [1.0, 0.3]),
+    ("poly:0.1,-0.3,0.2,0.5,-0.25,0.15", [0.9]),
+]
+
+
 class TestKernelsMatchNumpyReference:
-    """Every table and value of `SegmentFlux` is bitwise that of the numpy form."""
+    """Every coefficient, table and value of `SegmentFlux` is bitwise that of the
+    numpy form, and `interface_flux` rejects what it rejects."""
 
     @pytest.mark.parametrize("spec", REFERENCE_SPECS)
     def test_tables_values_integrals_and_fluxes(self, spec):
         flux = from_spec(spec, (-1.5, 1.5))
         rng = np.random.default_rng(sum(map(ord, spec)))
-        for c in reference_slopes(flux.n_channels, rng):
-            fs, ref = SegmentFlux(flux, c), NumpyReference(flux, c)
-            assert_bitwise(fs.breakpoints, ref.breakpoints)
-            assert_bitwise(fs._f_nodes, ref.f_nodes)
-            assert_bitwise(fs._pos_cum, ref.pos_cum)
-            assert_bitwise(fs._neg_cum, ref.neg_cum)
-            assert_bitwise(fs._rising, ref.rising)
-            assert_bitwise(fs._falling, ref.falling)
-            # states on the range ends, at 0 and on every breakpoint, then random
-            special = np.concatenate([[-1.5, 0.0, 1.5], ref.breakpoints[np.abs(ref.breakpoints) <= 1.5]])
-            for v in (np.concatenate([special, rng.uniform(-1.5, 1.5, 402)]),
-                      rng.uniform(-1.5, 1.5, (3, 17))):
-                assert_bitwise(fs.value(v), ref.value(v))
-                assert_bitwise(fs.pos_integral(v), ref.one_sided(v, True) - ref.pos_at_zero)
-                assert_bitwise(fs.neg_integral(v), ref.one_sided(v, False) - ref.neg_at_zero)
-                for scheme in SCHEMES:
-                    assert_bitwise(fs.interface_flux(v, scheme), ref.interface_flux(v, scheme))
+        for c in reference_slopes(flux.n_channels, rng):  # these keep the numpy form's bits in one interval too
+            check_against_reference(flux, c, rng, exact=True)
 
     def test_degree_one_root_cases_are_covered(self):
         """The slopes above reach the closed-form degree-1 root and the general one."""
@@ -388,6 +325,71 @@ class TestKernelsMatchNumpyReference:
             for c in reference_slopes(flux.n_channels, rng):
                 degrees.add(np.trim_zeros(NumpyReference(flux, c).dcoeffs, "b").size - 1)
         assert {-1, 1, 2, 4} <= degrees
+
+    @settings(max_examples=150, deadline=None)
+    @given(segment_flux_cases(), st.sampled_from(["engquist_osher", "godunov_convex", "upwind"]))
+    @example((SegmentFlux(from_spec("burgers;cubic", (-1.5, 1.5)), [0.8, -1.1]), np.array([0.2, 1.6, -0.4])),
+             "engquist_osher")
+    @example((SegmentFlux(from_spec("burgers", (-1.5, 1.5)), [-0.7]), np.array([0.2, -1.6, 0.3])),
+             "godunov_convex")
+    def test_interface_flux(self, case, scheme):
+        """Random states, a NaN or an out-of-range state among them, and an unknown
+        scheme.  The numpy form runs on the segment flux's own tables: a subnormal
+        slope would make its `npp.polyroots` overflow."""
+        fs, v = case
+        ref = NumpyReference.on_tables(fs)
+        for states in (v, np.stack([v, v[::-1], np.roll(v, 1)])):  # fluxes along the last axis
+            check_interface_flux(fs, ref, states, scheme)
+
+
+class TestSetUpMatchesEarlierForm:
+    """The set-up on Python floats gives every coefficient and table entry of the
+    numpy form bit for bit, for signed zeros in the slopes and the coefficients."""
+
+    @pytest.mark.parametrize("spec, c", SIGNED_ZERO_CASES)
+    def test_tables(self, spec, c):
+        check_against_reference(from_spec(spec, (-1.5, 1.5)), c, np.random.default_rng(sum(map(ord, spec))))
+
+    def test_signed_zeros_reach_the_coefficients(self):
+        """The cases above do hold a -0.0: F' = [-0.0] for a negative constant F."""
+        fs = SegmentFlux(from_spec("poly:-1", (-1.5, 1.5)), [0.5])
+        assert fs._dcoeffs == (0.0,) and math.copysign(1.0, fs._dcoeffs[0]) < 0.0
+
+
+def check_against_reference(flux, c, rng, exact=False):
+    """`SegmentFlux(flux, c)` against `NumpyReference(flux, c)`: coefficients and tables bit
+    for bit, then values, one-sided integrals and interface fluxes on states from `rng`."""
+    fs, ref = SegmentFlux(flux, c), NumpyReference(flux, c)
+    assert_bitwise(np.array(fs._coeffs), ref.coeffs)
+    assert_bitwise(np.array(fs._dcoeffs), ref.dcoeffs)
+    assert_bitwise(fs.breakpoints, ref.breakpoints)
+    for name in ("f_nodes", "pos_cum", "neg_cum", "rising", "falling", "pos_at_zero", "neg_at_zero"):
+        assert_bitwise(getattr(fs, "_" + name), getattr(ref, name))
+    # states on the range ends, at 0 and on every breakpoint, then random
+    special = np.concatenate([[-1.5, 0.0, 1.5], ref.breakpoints[np.abs(ref.breakpoints) <= 1.5]])
+    for v in (np.concatenate([special, rng.uniform(-1.5, 1.5, 402)]), rng.uniform(-1.5, 1.5, (3, 17))):
+        assert_bitwise(fs.value(v), ref.value(v))
+        assert_bitwise(fs.pos_integral(v), ref.one_sided(v, True) - ref.pos_at_zero)
+        assert_bitwise(fs.neg_integral(v), ref.one_sided(v, False) - ref.neg_at_zero)
+        for scheme in SCHEMES:
+            check_interface_flux(fs, ref, v, scheme, exact)
+
+
+def check_interface_flux(fs, ref, v, scheme, exact=False):
+    """`fs.interface_flux` against the numpy form `ref`: the same rejection, or the same bits
+    where the states straddle a breakpoint.  States in one node interval give F at the upwind
+    state bit for bit, within `roundoff_scale` of the numpy form, or with its bits if `exact`."""
+    got, want = outcome(fs.interface_flux, v, scheme), outcome(ref.interface_flux, v, scheme)
+    i = fs.breakpoints.searchsorted(v.min(), "right")
+    if isinstance(want, tuple) or i != fs.breakpoints.searchsorted(v.max(), "right"):
+        same_outcome(got, want)
+        return
+    fv = fs.value(v)
+    assert_bitwise(got, fv[..., :-1] if fs._rising[i] else fv[..., 1:])
+    if exact:
+        assert_bitwise(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= roundoff_scale(fs)
 
 
 @st.composite
@@ -417,13 +419,10 @@ class TestOneSidedIntegrals:
     def test_pair_is_the_numpy_form(self, case):
         flux, c, u = case
         fs = SegmentFlux(flux, c)
-        tables = SimpleNamespace(breakpoints=fs.breakpoints, value=fs.value, f_nodes=fs._f_nodes,
-                                 pos_cum=fs._pos_cum, neg_cum=fs._neg_cum,
-                                 rising=fs._rising, falling=fs._falling)
+        ref = NumpyReference.on_tables(fs)
         p, n = fs.one_sided_integrals(u)
-        for got, positive in ((p, True), (n, False)):
-            at_zero = NumpyReference.one_sided(tables, np.asarray(0.0), positive)
-            assert_bitwise(got, NumpyReference.one_sided(tables, u, positive) - at_zero)
+        assert_bitwise(p, ref.one_sided(u, True) - ref.pos_at_zero)
+        assert_bitwise(n, ref.one_sided(u, False) - ref.neg_at_zero)
 
 
 class TestDoubleRootOfFPrime:
@@ -448,16 +447,8 @@ class TestDoubleRootOfFPrime:
             assert_bitwise(fs.value(v), ref.value(v))
             assert_bitwise(fs.pos_integral(v), ref.one_sided(v, True) - ref.pos_at_zero)
             assert_bitwise(fs.neg_integral(v), ref.one_sided(v, False) - ref.neg_at_zero)
-            i = fs.breakpoints.searchsorted(v.min(), "right")
-            one = i == fs.breakpoints.searchsorted(v.max(), "right")
             for scheme in SCHEMES:
-                got, want = fs.interface_flux(v, scheme), ref.interface_flux(v, scheme)
-                if one:  # F at the upwind state, as `TestOneInterval` checks
-                    upwind = fs.value(v)[..., :-1] if fs._rises[i] else fs.value(v)[..., 1:]
-                    assert_bitwise(got, upwind)
-                    assert np.max(np.abs(got - want)) <= roundoff_scale(fs)
-                else:
-                    assert_bitwise(got, want)
+                check_interface_flux(fs, ref, v, scheme)
 
 
 def roundoff_scale(fs):
@@ -483,14 +474,11 @@ class TestOneInterval:
         assert np.searchsorted(bp, v.min(), "right") == i
         assert np.searchsorted(bp, far, "right") != i
         assert lo <= far <= hi
-        fv = fs.value(v)
-        upwind = fv[..., :-1] if fs._rising[i] else fv[..., 1:]
         for scheme in SCHEMES:
+            check_interface_flux(fs, ref, v, scheme)
             got = fs.interface_flux(v, scheme)
-            assert_bitwise(got, upwind)
             general = fs.interface_flux(np.concatenate([v, np.full(v.shape[:-1] + (1,), far)], axis=-1), scheme)
-            for want in (general[..., :-1], ref.interface_flux(v, scheme)):
-                assert np.max(np.abs(got - want)) <= roundoff_scale(fs)
+            assert np.max(np.abs(got - general[..., :-1])) <= roundoff_scale(fs)
             if scheme in exact:
                 assert_bitwise(got, general[..., :-1])
 
@@ -544,63 +532,6 @@ class TestOneInterval:
         self.check(fs, ref, rng.uniform(*inner, (3, 17)), 1.5)  # batched along the last axis
 
 
-def earlier_set_up(flux, c):
-    """`SegmentFlux`'s set-up in its earlier numpy form: coefficient arrays, the
-    sign of F' at the interval midpoints and `np.cumsum` into preallocated tables."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    lo, hi = min(flux.u_range[0], 0.0), max(flux.u_range[1], 0.0)
-    pad = 1e-9 * (hi - lo)
-    lo, hi = lo - pad, hi + pad
-    coeffs = np.zeros(max(len(ch.coeffs) for ch in flux.channels))
-    for ci, ch in zip(c, flux.channels):
-        coeffs[: len(ch.coeffs)] += ci * ch.coeffs
-    dcoeffs = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else coeffs[:1] * 0
-    bp = _real_roots(dcoeffs, lo, hi)
-    k = bp.size
-    nodes = np.empty(k + 2)
-    nodes[0], nodes[1:-1], nodes[-1] = lo, bp, hi
-    sign = np.sign(npp.polyval(0.5 * (nodes[:-1] + nodes[1:]), dcoeffs))
-    rising, falling = sign > 0, sign < 0
-    f = npp.polyval(nodes, coeffs)
-    seg = f[1:] - f[:-1]
-    pos, neg = np.zeros(k + 2), np.zeros(k + 2)
-    np.cumsum(np.where(rising, seg, 0.0), out=pos[1:])
-    np.cumsum(np.where(falling, seg, 0.0), out=neg[1:])
-    i = int(bp.searchsorted(0.0, "right"))
-    part = npp.polyval(0.0, coeffs) - f[i]
-    return {"_coeffs": coeffs, "_dcoeffs": dcoeffs, "breakpoints": bp, "_f_nodes": f,
-            "_pos_cum": pos, "_neg_cum": neg, "_rising": rising, "_falling": falling,
-            "_pos_at_zero": pos[i] + (part if rising[i] else 0.0),
-            "_neg_at_zero": neg[i] + (part if falling[i] else 0.0)}
-
-
-class TestSetUpMatchesEarlierForm:
-    """The set-up on Python floats gives every coefficient and table entry of the
-    earlier numpy form, bit for bit."""
-
-    @pytest.mark.parametrize("spec, c", [
-        ("burgers", [0.0]),  # zero slope: F = 0, no breakpoint
-        ("burgers;cubic", [-0.0, 0.0]),
-        ("burgers", [0.7]),  # F' = c u: a root at u = 0
-        ("burgers", [-1.3]),
-        ("poly:-0.0,1;poly:-1", [0.6, 0.4]),  # a -0.0 channel coefficient, F' constant
-        ("poly:-1", [0.5]),  # F constant, F' = [-0.0]
-        ("burgers;cubic", [0.8, -1.1]),
-        ("cubic;poly:0,1,-0.5", [1.0, 0.3]),
-        ("poly:0.1,-0.3,0.2,0.5,-0.25,0.15", [0.9]),
-    ])
-    def test_tables(self, spec, c):
-        flux = from_spec(spec, (-1.5, 1.5))
-        fs = SegmentFlux(flux, c)
-        for name, want in earlier_set_up(flux, c).items():
-            assert_bitwise(np.asarray(getattr(fs, name)), want)
-
-    def test_signed_zeros_reach_the_coefficients(self):
-        """The cases above do hold a -0.0: F' = [-0.0] for a negative constant F."""
-        fs = SegmentFlux(from_spec("poly:-1", (-1.5, 1.5)), [0.5])
-        assert fs._dcoeffs == (0.0,) and math.copysign(1.0, fs._dcoeffs[0]) < 0.0
-
-
 class TestRealRootsOverflow:
     """A leading coefficient whose companion ratios overflow is dropped."""
 
@@ -640,10 +571,10 @@ def test_horner_is_polyval_on_finite_values(c):
 @pytest.mark.parametrize("spec", ["burgers", "cubic", "poly:0.3,-1,0.25,-0", "poly:0,-0,-0", "poly:2",
                                   "poly:1,-0", "poly:-0.5,0.1,0,0,0,0,0,0,1e-3"])
 def test_channel_evaluators_are_polyval(spec):
-    """A, a and a' through `_horner` on the coefficient tuples give polyval's bits on A, A' and A''."""
+    """a and a' through `_horner` on the coefficient tuples give polyval's bits on A' and A''."""
     ch = builtin(spec)
     x = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0, -1e-300, 1e30])
-    for k, f in enumerate((ch.A, ch.a, ch.a_prime)):
+    for k, f in enumerate((ch.a, ch.a_prime), start=1):
         c = npp.polyder(ch.coeffs, k)
         assert_bitwise(f(x), npp.polyval(x, c))
         assert_bitwise(f(x[4]), npp.polyval(x[4], c))
@@ -675,7 +606,7 @@ class TestHornerPlan:
         for c in (tuple(coeffs), _horner_plan(coeffs)):
             assert_bitwise(_horner(c, x), npp.polyval(x, np.array(coeffs)))
         ch = Channel("plan", coeffs)
-        for k, f in enumerate((ch.A, ch.a, ch.a_prime)):
+        for k, f in enumerate((ch.a, ch.a_prime), start=1):
             assert_bitwise(f(x), npp.polyval(x, npp.polyder(ch.coeffs, k)))
 
     @settings(max_examples=200, deadline=None)

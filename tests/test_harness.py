@@ -510,30 +510,50 @@ class TestCli:
         assert "unknown experiments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["single", "suite"])
-    @pytest.mark.parametrize("experiment, line", [
-        ("kinetic-check", "scheme = godunov_convex\n"),
-        ("semilinear-demo", "source = bogus\n"),
-        ("solve", "datum = bump:0,0,1\n"),
-        ("path-stability", "n_outputs = 0\n"),
-        ("path-stability", "epsilons = 0.2,0.1,0.05,0\n"),
-        ("path-stability", "epsilons = 0.2,nan,0.05,0.025\n"),
-        ("path-stability", "datum = file:{tmp}/u0.csv\n"),
-        ("path-stability", "datum = riemann:0.5,0.5\n"),
-    ], ids=["kinetic-godunov", "semilinear-bogus-source", "bump-zero-width", "zero-outputs",
-            "zero-epsilon", "nan-epsilon", "file-datum", "datum-feels-no-driver"])
+    @pytest.mark.parametrize("experiment, line, names", [
+        pytest.param("kinetic-check", "scheme = godunov_convex\n", "'godunov_convex'", id="kinetic-godunov"),
+        pytest.param("semilinear-demo", "source = bogus\n", "'bogus'", id="semilinear-bogus-source"),
+        pytest.param("solve", "datum = bump:0,0,1\n", "halfwidth", id="bump-zero-width"),
+        pytest.param("path-stability", "n_outputs = 0\n", "n_outputs", id="zero-outputs"),
+        pytest.param("path-stability", "epsilons = 0.2,0.1,0.05,0\n", "epsilons", id="zero-epsilon"),
+        pytest.param("path-stability", "epsilons = 0.2,nan,0.05,0.025\n", "epsilons", id="nan-epsilon"),
+        pytest.param("path-stability", "datum = file:{tmp}/u0.csv\n", "datum", id="file-datum"),
+        pytest.param("path-stability", "datum = riemann:0.5,0.5\n", "riemann:0.5,0.5", id="datum-feels-no-driver"),
+        pytest.param("solve", "u_hi = inf\nn_cells = 32\n", "u_range [-2.0, inf]", id="inf-u-hi"),
+        pytest.param("semilinear-demo", "u_hi = inf\nn_cells = 32\n", "u_range [-2.0, inf]",
+                     id="semilinear-inf-u-hi"),
+        pytest.param("solve", "flux = poly:0,0,1e308\nn_cells = 32\n", "'poly:0,0,1e308'", id="overflowing-bound"),
+        pytest.param("solve", "flux = poly:0,nan\nn_cells = 32\n", "'poly:0,nan'", id="nan-coefficient"),
+        pytest.param("solve", "datum = bump:0,nan,0.5\nn_cells = 32\n", "bump:0,nan,0.5", id="bump-nan-width"),
+        pytest.param("solve", "datum = bump:nan,0.3,0.5\nn_cells = 32\n", "bump:nan,0.3,0.5", id="bump-nan-center"),
+        pytest.param("solve", "datum = bump:0,inf,0.5\nn_cells = 32\n", "bump:0,inf,0.5", id="bump-inf-width"),
+        pytest.param("solve", "datum = riemann:1,0,nan\nn_cells = 32\n", "riemann:1,0,nan", id="riemann-nan-jump"),
+        pytest.param("solve", "x_hi = inf\nn_cells = 32\n", "x_hi = inf", id="inf-x-hi"),
+        pytest.param("solve", "horizon = inf\nn_cells = 32\n", "horizon = inf", id="inf-horizon"),
+        pytest.param("solve", "path = monomial:-1,8\nn_cells = 32\n", "path = monomial:-1,8", id="negative-power"),
+    ])
     @pytest.mark.filterwarnings("error")
-    def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line):
-        """An experiment that rejects its config leaves no run directory behind."""
+    def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line, names):
+        """An experiment that rejects its config prints one `config error` line naming
+        the key or the spec, and leaves no run directory behind.  With an infinite
+        u_hi, semilinear-demo once took dt = 0 steps forever, so it runs in a fresh
+        process with a timeout."""
         write_datum_table(tmp_path / "u0.csv", 400)  # on the default grid
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(line.format(tmp=tmp_path))
         out = tmp_path / "out"
         argv = [experiment] if command == "single" else ["suite", experiment]
-        code = main(argv + ["--out", str(out), "--config", str(cfg)])
-        err = capsys.readouterr().err
+        argv += ["--out", str(out), "--config", str(cfg)]
+        if experiment == "semilinear-demo" and "u_hi" in line:
+            env = dict(os.environ, PYTHONPATH=str(Path(rough_scl.__file__).resolve().parents[1]))
+            run = subprocess.run([sys.executable, "-W", "error", "-m", "rough_scl.cli", *argv], env=env,
+                                 capture_output=True, text=True, timeout=30)
+            code, err = run.returncode, run.stderr
+        else:
+            code, err = main(argv), capsys.readouterr().err
         assert code == 2
-        assert err.startswith("config error: ")
-        assert "Traceback" not in err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert names in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "fast"])

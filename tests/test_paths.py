@@ -53,8 +53,7 @@ class TestPiecewiseLinearPath:
 
     def test_slopes_and_increment(self):
         p = PiecewiseLinearPath([0.0, 1.0, 3.0], [[0.0], [2.0], [-2.0]])
-        assert p.slope(0)[0] == 2.0
-        assert p.slope(1)[0] == -2.0
+        assert p.slopes()[:, 0].tolist() == [2.0, -2.0]
         assert p.increment(0.5, 2.0)[0] == pytest.approx(-1.0)
 
     def test_multichannel_shape(self):

@@ -8,7 +8,6 @@ import rough_scl.semilinear as semilinear
 from rough_scl.fluxes import FluxModel, builtin
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
 from rough_scl.semilinear import (
-    ODE_STEP_PER_UNIT_DRIVER,
     FlowMap,
     _rk4,
     SourceTerm,
@@ -24,6 +23,8 @@ from rough_scl.semilinear import (
     zero_source,
 )
 from rough_scl.solver import CellState, Grid1D
+
+from reference import assert_bitwise, parent_rk4
 
 # Logistic flow Psi(v; t) = v e^t / (1 - v + v e^t); closed-form anchors.
 LOGISTIC_SPEED_AT_1 = math.e * (math.e - 2.0) / (math.e - 1.0) ** 2
@@ -300,27 +301,6 @@ class TestMismatch:
             assert abs(r["gap"]) <= 2.0 * dx + 1e-5
 
 
-def parent_rk4(field, y, tau):
-    """`_rk4` as it was before it formed its sums in place: the bitwise reference."""
-    if tau == 0.0:
-        return y
-    n = max(1, int(np.ceil(abs(tau) / ODE_STEP_PER_UNIT_DRIVER)))
-    h = tau / n
-    for _ in range(n):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
-def assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()  # signs of zeros included
-
-
 # Both signs, whole and fractional multiples of the 1e-3 step, one step and many.
 TAUS = (0.0123, -0.00731, 0.5, -0.2501, 1e-4, -3.7e-6, 0.001, -0.002)
 
@@ -345,12 +325,12 @@ class TestRk4MatchesParent:
         before = y.copy()
         for tau, w in zip(TAUS, want):
             call, returned = self.watched(field)
-            assert_same_bits(_rk4(call, y, tau), w)
-            assert_same_bits(y, before)
+            assert_bitwise(_rk4(call, y, tau), w)
+            assert_bitwise(y, before)
             if watch_returns:
                 assert returned
                 for k, copy in returned:
-                    assert_same_bits(k, copy)
+                    assert_bitwise(k, copy)
 
     @pytest.mark.parametrize("source", [logistic_source(), linear_source(0.7), linear_source(-1.3),
                                         zero_source()], ids=lambda s: s.name)
@@ -364,7 +344,7 @@ class TestRk4MatchesParent:
             got = source_ode_step(logistic_source(), 0.3, tau)
             want = parent_rk4(logistic_source().phi, np.asarray(0.3), tau)
             assert type(got) is type(want)
-            assert_same_bits(got, want)
+            assert_bitwise(got, want)
 
     @pytest.mark.parametrize("spec", ["burgers", "cubic", "poly:0.3,-1,0.25,-0", "poly:0,-0,-0"])
     def test_front_field(self, spec, monkeypatch):
@@ -386,9 +366,9 @@ class TestRk4MatchesParent:
         rng = np.random.default_rng(2)
         y = np.stack([np.concatenate([[0.0, -0.0, 1.0, -0.5], rng.uniform(-0.5, 1.5, 30)]),
                       rng.uniform(-1.0, 1.0, 34)])
-        assert_same_bits(front_field(y), stacked(y))
+        assert_bitwise(front_field(y), stacked(y))
         for tau in TAUS:
-            assert_same_bits(_rk4(front_field, y, tau), parent_rk4(stacked, y, tau))
+            assert_bitwise(_rk4(front_field, y, tau), parent_rk4(stacked, y, tau))
 
     def test_identity_field(self):
         """`lambda u: u` returns its argument: the caller's y at the first stage."""
@@ -399,4 +379,4 @@ class TestRk4MatchesParent:
     def test_shared_constant_field(self):
         shared = np.array([0.5, -0.0, 2.0, -1.0, 0.0])
         self.check(lambda u: shared, np.array([1.0, 0.0, -0.0, 3.0, -2.0]))
-        assert_same_bits(shared, np.array([0.5, -0.0, 2.0, -1.0, 0.0]))
+        assert_bitwise(shared, np.array([0.5, -0.0, 2.0, -1.0, 0.0]))

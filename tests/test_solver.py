@@ -1,6 +1,5 @@
 """Finite-volume scheme: stability invariants and exact-solution oracles."""
 import numpy as np
-import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,8 @@ from rough_scl.solver import (
     step,
 )
 
-from reference import FLUX_SPECS
+from reference import (_cursor_march, assert_bitwise, earlier_pad, earlier_step, outcome, same_outcome,
+                       segment_flux_cases)
 
 
 def burgers(rng=(-2.0, 2.0)):
@@ -232,39 +232,6 @@ class TestSolvePath:
         assert cs == {(1.0, -0.5), (-0.5, 1.0)}
 
 
-def _cursor_march(u0, flux, path, outputs, grid, config):
-    """The march `solve_path` had before its one landing rule: a per-segment output
-    cursor with its own branches for an output at t = 0 and for one on a knot.
-    Kept as the reference the landing rule must match bitwise when no output lies
-    within `_TIME_ATOL` of another output or of a knot without being equal to it."""
-    outputs = np.atleast_1d(np.asarray(outputs, dtype=float))
-    state = CellState(grid, np.array(u0, dtype=float), 0.0)
-    slabs, times, states, i_out = [], [], [], 0
-    if abs(outputs[0]) <= _TIME_ATOL:
-        times.append(0.0)
-        states.append(CellState(grid, state.u.copy(), 0.0))
-        i_out = 1
-    for k in range(path.n_segments):
-        if i_out == outputs.size:
-            break
-        t_k1 = path.knots[k + 1]
-        fseg = SegmentFlux(flux, path.slope(k))
-        while i_out < outputs.size and state.t < t_k1 - _TIME_ATOL:
-            target = min(outputs[i_out], t_k1)
-            state = solve_segment(state, fseg, target - state.t, config, slabs.append)
-            if outputs[i_out] <= t_k1:
-                times.append(float(target))
-                states.append(CellState(grid, state.u.copy(), state.t))
-                i_out += 1
-        if i_out < outputs.size and abs(outputs[i_out] - t_k1) <= _TIME_ATOL and state.t >= t_k1 - _TIME_ATOL:
-            times.append(float(outputs[i_out]))
-            states.append(CellState(grid, state.u.copy(), state.t))
-            i_out += 1
-    if i_out < outputs.size:
-        raise RuntimeError(f"failed to reach outputs {outputs[i_out:]}")
-    return np.asarray(times), states, slabs
-
-
 @st.composite
 def march_cases(draw):
     """A Brownian, dyadic or random-knot driver on 1-2 channels, a random datum, both
@@ -427,129 +394,12 @@ class TestStepCounting:
         assert len({id(slab.fseg) for slab in slabs}) == len(set_ups) == 4
 
 
-def earlier_pad(grid, a):
-    """`Grid1D.pad` in its concatenate form."""
-    if grid.bc == "periodic":
-        return np.concatenate([a[-1:], a, a[:1]])
-    return np.concatenate([a[:1], a, a[-1:]])
-
-
-def earlier_interface_flux(fs, v, scheme):
-    """`SegmentFlux.interface_flux` in its earlier form: `v.min()`/`v.max()`, bounds
-    formed per call, numpy-scalar table reads and a `zeros_like` table where F is
-    not rising on the one node interval."""
-    v = np.asarray(v, dtype=float)
-    lo, hi = fs.flux.u_range
-    v_min, v_max = v.min(), v.max()
-    if not (lo - 1e-9 <= v_min and v_max <= hi + 1e-9):
-        raise ValueError(f"state outside certified u_range [{lo}, {hi}]")
-    fv = npp.polyval(v, fs._coeffs)
-    i = int(fs.breakpoints.searchsorted(v_min, "right"))
-    one = i == int(fs.breakpoints.searchsorted(v_max, "right"))
-    if scheme == "engquist_osher":
-        if one:
-            p = fs._pos_cum[i] + (fv - fs._f_nodes[i] if fs._rising[i] else np.zeros_like(fv))
-        else:
-            idx = fs.breakpoints.searchsorted(v, "right")
-            p = fs._pos_cum[idx] + np.where(fs._rising[idx], fv - fs._f_nodes[idx], 0.0)
-        return p[..., :-1] + (fv - p)[..., 1:]
-    if scheme != "godunov_convex":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    u_l, u_r = v[..., :-1], v[..., 1:]
-    s = np.where(u_l <= u_r, 1.0, -1.0)
-    lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
-    below, above = (None, None) if one else (np.minimum(u_l, u_r), np.maximum(u_l, u_r))
-    for b, fb in zip(fs.breakpoints.tolist(), fs._f_nodes[1:-1].tolist()):
-        if not (b <= v_min or v_max <= b):
-            np.minimum(lowest, s * fb, out=lowest, where=(below < b) & (b < above))
-    return s * lowest
-
-
-def earlier_step(state, fseg, dt, config=SolverConfig()):
-    """`step` in its earlier form: three temporaries and a validated `CellState`.
-    The fluxes are `interface_flux`'s, which `test_interface_flux` compares with
-    their earlier form."""
-    grid = state.grid
-    dx = grid.dx
-    if dt < 0:
-        raise ValueError(f"negative dt={dt:.3e}")
-    if fseg.max_speed > 0.0 and dt > config.cfl * dx / fseg.max_speed * (1.0 + 1e-9):
-        raise CFLError(f"dt={dt:.3e} exceeds cfl*dx/max_speed={config.cfl * dx / fseg.max_speed:.3e}")
-    fh = fseg.interface_flux(earlier_pad(grid, state.u), config.scheme)
-    return CellState(grid, state.u - (dt / dx) * (fh[1:] - fh[:-1]), state.t + dt)
-
-
-def outcome(fn, *args):
-    """What a call returns, or the type and message of what it raises."""
-    try:
-        return fn(*args)
-    except (ValueError, CFLError) as exc:
-        return type(exc), str(exc)
-
-
-def same_outcome(got, want):
-    if isinstance(want, tuple):
-        assert got == want
-    elif isinstance(want, CellState):
-        assert type(got) is CellState and got.grid is want.grid and got.t == want.t
-        assert type(got.u) is np.ndarray and got.u.dtype == want.u.dtype and got.u.shape == want.u.shape
-        assert got.u.tobytes() == want.u.tobytes()
-    else:
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-@st.composite
-def kernel_cases(draw):
-    """A segment flux and states spread over every node interval or kept in one,
-    with breakpoints, range ends and +-0.0 among them; sometimes with a NaN or an
-    out-of-range entry."""
-    spec = draw(st.sampled_from(FLUX_SPECS))
-    flux = from_spec(spec, (-1.5, 1.5))
-    slope = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
-    fs = SegmentFlux(flux, draw(st.lists(slope, min_size=flux.n_channels, max_size=flux.n_channels)))
-    nodes = [-1.5, *[b for b in fs.breakpoints.tolist() if -1.5 < b < 1.5], 1.5]
-    if draw(st.booleans()):  # one node interval [a, b), a node belonging to the interval above it
-        j = draw(st.integers(0, len(nodes) - 2))
-        a, b = nodes[j], nodes[j + 1]
-        special = [a, float(np.nextafter(b, a))] + ([0.0, -0.0] if a <= 0.0 < b else [])
-    else:
-        a, b = -1.5, 1.5
-        special = nodes + [0.0, -0.0]
-    value = st.one_of(st.sampled_from(special), st.floats(a, b).filter(lambda x: x < b or b == 1.5))
-    n = draw(st.integers(2, 24))
-    v = np.array(draw(st.lists(value, min_size=n, max_size=n)))
-    if draw(st.integers(0, 5)) == 0:
-        v[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, -1.6, 1.6]))
-    return fs, v
-
-
 class TestKernelsMatchEarlierForm:
-    """`step`, `Grid1D.pad` and `interface_flux` give the bits of their earlier
-    forms: the same values, the same rejections."""
+    """`step` and `Grid1D.pad` give the bits of their earlier forms: the same
+    values, the same rejections."""
 
     @settings(max_examples=150, deadline=None)
-    @given(kernel_cases(), st.sampled_from(["engquist_osher", "godunov_convex", "upwind"]))
-    def test_interface_flux(self, case, scheme):
-        """The same rejections, and the same bits for states that straddle a
-        breakpoint.  States in one node interval give F at the upwind state bit for
-        bit, within 4 eps max(1, |node tables|) of the earlier form."""
-        fs, v = case
-        batch = np.stack([v, v[::-1], np.roll(v, 1)])  # fluxes along the last axis
-        tol = 4.0 * np.finfo(float).eps * max(1.0, *(float(np.max(np.abs(t)))
-                                                     for t in (fs._f_nodes, fs._pos_cum, fs._neg_cum)))
-        for states in (v, batch):
-            got, want = outcome(fs.interface_flux, states, scheme), outcome(earlier_interface_flux, fs, states, scheme)
-            i = fs.breakpoints.searchsorted(states.min(), "right")
-            if isinstance(want, tuple) or i != fs.breakpoints.searchsorted(states.max(), "right"):
-                same_outcome(got, want)
-                continue
-            fv = fs.value(states)
-            same_outcome(got, fv[..., :-1] if fs._rising[i] else fv[..., 1:])
-            assert np.max(np.abs(got - want)) <= tol
-
-    @settings(max_examples=150, deadline=None)
-    @given(kernel_cases(), st.sampled_from(["engquist_osher", "godunov_convex"]),
+    @given(segment_flux_cases(), st.sampled_from(["engquist_osher", "godunov_convex"]),
            st.sampled_from(["periodic", "outflow"]), st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.1]))
     def test_step(self, case, scheme, bc, dt_frac):
         fs, v = case
@@ -566,9 +416,9 @@ class TestKernelsMatchEarlierForm:
         for a in (rng.normal(size=5), np.arange(5), rng.normal(size=(5, 3))):
             before = a.copy()
             got = grid.pad(a)
-            same_outcome(got, earlier_pad(grid, a))
+            assert_bitwise(got, earlier_pad(grid, a))
             got[...] = -1
-            same_outcome(a, before)
+            assert_bitwise(a, before)
             assert grid.pad(a) is not got
 
 
