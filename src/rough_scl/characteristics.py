@@ -78,7 +78,8 @@ def window(
 
     The window (t0 - h, t0 + h) is always intersected with the path domain
     [0, T], so h is at most the larger one-sided horizon max(t0, T - t0).
-    J is checked on N_PROBE points of the support.  It is affine in W, hence
+    J comes from one `characteristic_flow` call on N_PROBE points of the
+    support, at t0 and at the knots on both sides.  It is affine in W, hence
     linear in t between path knots, so each side's edge has a closed form:
     walk the knots outward from t0 to the first one where min J < J_FLOOR; on
     the segment before it the edge is the earliest per-point linear crossing.
@@ -89,22 +90,19 @@ def window(
     if path.n_channels != flux.n_channels:
         raise ValueError("path and flux channel counts differ")
     x0 = np.linspace(datum.support[0], datum.support[1], N_PROBE)
-    phi = datum.value(x0)
-    dphi = datum.deriv(x0)
-    g = np.array([ch.a_prime(phi) * dphi for ch in flux.channels])
-    w0 = path.eval(t0)
+    right, left = path.knots[path.knots > t0], path.knots[path.knots < t0][::-1]
+    times = np.concatenate([[t0], right, left])
+    _, jac = characteristic_flow(datum, path, flux, t0, times, x0)
     h = max(t0, horizon - t0)
-    for side in (path.knots[path.knots > t0], path.knots[path.knots < t0][::-1]):
-        times = np.concatenate([[t0], side])
-        jac = 1.0 + (path.eval(times) - w0) @ g  # J at t0, then at each knot outward
-        below = np.flatnonzero(jac.min(axis=1) < J_FLOOR)
+    for side in (np.r_[0, 1:1 + right.size], np.r_[0, 1 + right.size:times.size]):  # rows: t0, knots outward
+        below = np.flatnonzero(jac[side].min(axis=1) < J_FLOOR)
         if below.size == 0:
             continue
         k = below[0]  # never 0: J(t0) = 1 exactly, above J_FLOOR, so h > 0
-        ja, jb = jac[k - 1], jac[k]
+        (ta, tb), (ja, jb) = times[side[k - 1:k + 1]], jac[side[k - 1:k + 1]]
         cross = jb < J_FLOOR
         frac = np.min((ja[cross] - J_FLOOR) / (ja[cross] - jb[cross]))
-        h = min(h, abs(times[k - 1] - t0) + frac * abs(times[k] - times[k - 1]))
+        h = min(h, abs(ta - t0) + frac * abs(tb - ta))
     return float(h)
 
 
@@ -122,12 +120,11 @@ class LocalSmoothSolution:
     def window(self) -> tuple[float, float]:
         return (max(0.0, self.t0 - self.h), min(self.path.horizon, self.t0 + self.h))
 
-    def _require_inside(self, t: np.ndarray) -> None:
+    def in_window(self, t: np.ndarray) -> np.ndarray:
+        """Which of the times t lie in the validity window, to a slack of 1e-12 * max(1, T)."""
         lo, hi = self.window
         slack = 1e-12 * max(1.0, self.path.horizon)
-        outside = ~((lo - slack <= t) & (t <= hi + slack))
-        if np.any(outside):
-            raise ValueError(f"time {t[outside][0]} outside the validity window [{lo}, {hi}]")
+        return (lo - slack <= t) & (t <= hi + slack)
 
     def evaluate(self, x, t: float | np.ndarray) -> np.ndarray:
         """Psi(x, t) = phi(x0(x, t)); zero outside the transported support.
@@ -145,7 +142,10 @@ class LocalSmoothSolution:
         residual above 1e-8 * support width.
         """
         t = np.asarray(t, dtype=float)
-        self._require_inside(t)
+        outside = ~self.in_window(t)
+        if np.any(outside):
+            lo, hi = self.window
+            raise ValueError(f"time {t[outside][0]} outside the validity window [{lo}, {hi}]")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xs = x.ravel()
         s_lo, s_hi = self.datum.support
@@ -194,8 +194,7 @@ def dissipative_check(
     Psi at all of those snapshots comes from one batched `evaluate` call.
     """
     w_lo, w_hi = sol.window
-    slack = 1e-12 * max(1.0, sol.path.horizon)
-    mask = (traj.times >= w_lo - slack) & (traj.times <= w_hi + slack)
+    mask = sol.in_window(traj.times)
     times = traj.times[mask]
     if times.size < 2:
         raise ValueError(

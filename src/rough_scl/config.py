@@ -14,6 +14,7 @@ import numpy as np
 
 from . import paths
 from .fluxes import FluxModel, from_spec
+from .semilinear import SourceTerm, linear_source, logistic_source, zero_source
 from .smooth import bump_datum
 from .solver import Grid1D, SolverConfig
 
@@ -193,7 +194,11 @@ def build_path(
             raise ValueError(f"path = {spec}: the power must be a finite number >= 0, got {p}")
         n_seg = int(args[1]) if len(args) > 1 else 64
         knots = np.linspace(0.0, horizon, n_seg + 1)
-        return paths.PiecewiseLinearPath(knots, knots**p)
+        with np.errstate(over="ignore"):
+            values = knots**p
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"path = {spec}: t**{p} overflows at the horizon {horizon}")
+        return paths.PiecewiseLinearPath(knots, values)
     if name == "file":
         with open(_file_arg(args), "r", encoding="utf-8") as fp:
             path = paths.read_csv(fp)
@@ -201,3 +206,22 @@ def build_path(
             raise ValueError(f"path file has {path.n_channels} channels, need {n_channels}")
         return path
     raise ValueError(f"unknown path spec {spec!r}")
+
+
+def build_source(spec: str) -> tuple[SourceTerm, float | None]:
+    """Named semilinear source and its linear rate lam (None for the logistic source)."""
+    name, args = _spec_args(spec)
+    if name == "logistic":
+        return logistic_source(), None
+    if name == "linear":
+        rate = ",".join(args)
+        try:
+            lam = float(rate or 0.0)
+        except ValueError:
+            lam = math.nan
+        if not math.isfinite(lam):
+            raise ValueError(f"source = {spec}: the linear rate must be a finite number, got {rate!r}")
+        return linear_source(lam), lam
+    if name == "zero":
+        return zero_source(), 0.0
+    raise ValueError(f"unknown source spec {spec!r}")

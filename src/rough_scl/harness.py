@@ -8,6 +8,7 @@ are printed with %.17g).
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -21,9 +22,8 @@ import numpy as np
 
 from . import __version__
 from .characteristics import dissipative_check, local_solution
-from .config import _spec_args, build_datum, build_experiment, config_text, load_config
-from .fluxes import from_spec
-from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1
+from .config import _spec_args, build_datum, build_experiment, build_source, config_text, load_config
+from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1, check_xi_covers
 from .paths import (
     PathSeed,
     PiecewiseLinearPath,
@@ -32,9 +32,9 @@ from .paths import (
     sup_distance,
     write_csv,
 )
-from .semilinear import MISMATCH_DOMAIN, linear_source, logistic_source, mismatch_report, zero_source
+from .semilinear import MISMATCH_DOMAIN, mismatch_report
 from .smooth import bump_datum, bump_weight
-from .solver import _TIME_ATOL, Grid1D, SolverConfig, l1_distance, solve_path
+from .solver import _TIME_ATOL, Grid1D, l1_distance, solve_path
 
 ENV_OUT = "ROUGH_SCL_OUT"
 CONTRACTION_TOL = 1e-10
@@ -93,9 +93,10 @@ def run_contraction(cfg: dict, run_dir: Path) -> dict:
     exp = build_experiment(cfg)
     if not cfg.get("datum2"):
         raise ValueError("contraction needs the datum2 key")
+    u1, u2 = exp.datum(), exp.datum(cfg["datum2"])
     path = exp.path()
-    t1 = solve_path(exp.datum(), exp.flux, path, exp.outputs, exp.grid, exp.solver)
-    t2 = solve_path(exp.datum(cfg["datum2"]), exp.flux, path, exp.outputs, exp.grid, exp.solver)
+    t1 = solve_path(u1, exp.flux, path, exp.outputs, exp.grid, exp.solver)
+    t2 = solve_path(u2, exp.flux, path, exp.outputs, exp.grid, exp.solver)
     dist = np.array([l1_distance(a, b) for a, b in zip(t1.states, t2.states)])
     write_table(run_dir, "contraction.csv", "t,distance", [t1.times, dist])
     growth = float(np.max(np.diff(dist))) if dist.size > 1 else 0.0
@@ -192,6 +193,9 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
         max(l1_distance(a, b) for a, b in zip(t0.states, t1.states))
         for t0, t1 in zip(trajs[:-1], trajs[1:])
     ])
+    if not d[0] > 0.0:
+        raise ValueError(f"datum = {cfg['datum']}: the solutions on levels {lo} and {lo + 1} are equal, so "
+                         "there is no first gap to compare with (the datum does not feel the driver)")
     path_dist = np.array([
         sup_distance(p, q) for p, q in zip(level_paths[:-1], level_paths[1:])
     ])
@@ -216,10 +220,11 @@ def run_kinetic_check(cfg: dict, run_dir: Path) -> dict:
     exp = build_experiment(cfg)
     check_scheme(exp.solver.scheme)  # before solving: the extraction needs EO steps
     solver = dataclasses.replace(exp.solver, record_slabs=True)
-    path = exp.path()
     u0 = exp.datum()
-    traj = solve_path(u0, exp.flux, path, exp.outputs, exp.grid, solver)
     xi = XiGrid(float(cfg["xi_lo"]), float(cfg["xi_hi"]), int(cfg["n_xi"]))
+    check_xi_covers(xi, float(np.max(np.abs(u0))))
+    path = exp.path()
+    traj = solve_path(u0, exp.flux, path, exp.outputs, exp.grid, solver)
     defects = accumulate_defects(traj, exp.flux, xi)
     kf = check_kf_bounds(defects, traj.states[0])
     unpr = check_unpr1(traj, defects)
@@ -303,25 +308,6 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
     ])
 
 
-def _source_from_spec(spec: str):
-    """The source and its linear rate lam (None for the logistic source)."""
-    name, _, arg = str(spec).partition(":")
-    name = name.strip().lower()
-    if name == "logistic":
-        return logistic_source(), None
-    if name == "linear":
-        try:
-            lam = float(arg or 0.0)
-        except ValueError:
-            lam = math.nan
-        if not math.isfinite(lam):
-            raise ValueError(f"source = {spec}: the linear rate must be a finite number, got {arg.strip()!r}")
-        return linear_source(lam), lam
-    if name == "zero":
-        return zero_source(), 0.0
-    raise ValueError(f"unknown source spec {spec!r}")
-
-
 def _linear_front(lam: float, horizon: float) -> float:
     """Shock of the 1/0 step under u_t + (u^2/2)_x = lam u: speed e^{lam t} / 2, so at
     T it sits at expm1(lam T) / (2 lam), T/2 at lam = 0."""
@@ -341,12 +327,17 @@ def run_semilinear_demo(cfg: dict, run_dir: Path) -> dict:
     """Burgers on the MISMATCH_DOMAIN outflow grid with driver W(t) = t."""
     if cfg["flux"].strip().lower() != "burgers":
         raise ValueError(f"semilinear-demo is defined for flux = burgers, got flux = {cfg['flux']!r}")
-    source, lam = _source_from_spec(cfg["source"])
-    flux = from_spec("burgers", (float(cfg["u_lo"]), float(cfg["u_hi"])))
-    solver = SolverConfig(cfl=float(cfg["cfl"]), scheme=cfg["scheme"])
-    horizon = float(cfg["horizon"])
-    n_cells = int(cfg["n_cells"])
-    rows = mismatch_report(source, flux, horizon, n_cells, config=solver)
+    exp = build_experiment(cfg)
+    source, lam = build_source(cfg["source"])
+    horizon, n_cells = exp.horizon, exp.grid.n_cells
+    # The direct solve's states lie between 0 and the flowed 1, which only a linear source moves, to
+    # e^(lam t) at most; checked here, as a state outside the certified range would stop the solve.
+    u_lo, u_hi = exp.flux.u_range
+    growth = max(lam or 0.0, 0.0) * horizon
+    if not (u_lo <= 0.0 and u_hi >= 1.0 and growth <= math.log(u_hi)):
+        top = "1" if growth == 0.0 else f"e^(lam T) = e^{growth:.6g}"
+        raise ValueError(f"u_range [{u_lo}, {u_hi}] must hold the demo's states, from 0 to {top}")
+    rows = mismatch_report(source, exp.flux, horizon, n_cells, config=exp.solver)
     write_table(
         run_dir, "mismatch.csv", "t,x_transform,x_direct,gap",
         [[r["t"] for r in rows], [r["x_transform"] for r in rows],
@@ -394,27 +385,34 @@ EXPERIMENTS = {
 # -- manifests and orchestration ---------------------------------------------
 
 
+@contextlib.contextmanager
+def _fresh_dir(out_root: str | Path | None, prefix: str):
+    """A new `<prefix>-<time>-<id>` directory under the output root, removed if the block raises:
+    a rejected config, a failed run or a non-finite report leaves no directory."""
+    root = Path(out_root) if out_root is not None else output_root()
+    run_dir = root / f"{prefix}-{time.strftime('%Y%m%d-%H%M%S')}-{uuid.uuid4().hex[:8]}"
+    run_dir.mkdir(parents=True, exist_ok=False)
+    try:
+        yield run_dir
+    except BaseException:
+        shutil.rmtree(run_dir)
+        raise
+
+
 def execute(name: str, cfg: dict, out_root: str | Path | None = None) -> tuple[Path, dict]:
     """Run one named experiment in a fresh run directory; write manifest + report."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
-    root = Path(out_root) if out_root is not None else output_root()
-    run_id = f"{name}-{time.strftime('%Y%m%d-%H%M%S')}-{uuid.uuid4().hex[:8]}"
-    run_dir = root / run_id
-    run_dir.mkdir(parents=True, exist_ok=False)
-    started = time.strftime("%Y-%m-%dT%H:%M:%S")
-    t0 = time.perf_counter()
-    try:
+    with _fresh_dir(out_root, name) as run_dir:
+        started = time.strftime("%Y-%m-%dT%H:%M:%S")
+        t0 = time.perf_counter()
         report = EXPERIMENTS[name](cfg, run_dir)
         duration = time.perf_counter() - t0
         outputs = sorted(p.name for p in run_dir.iterdir() if p.suffix == ".csv")
-        manifest = {"run_id": run_id, "experiment": name, "config": dict(cfg), "seed": int(cfg["seed"]),
+        manifest = {"run_id": run_dir.name, "experiment": name, "config": dict(cfg), "seed": int(cfg["seed"]),
                     "created": started, "duration_s": duration, "outputs": outputs, "version": __version__}
         files = {"manifest.json": _json_text(manifest, "manifest.json"),
                  "report.json": _json_text(report, "report.json"), "config.txt": config_text(cfg)}
-    except BaseException:
-        shutil.rmtree(run_dir)  # a rejected config, a failed run or a non-finite report leaves no directory
-        raise
     for file_name, text in files.items():
         (run_dir / file_name).write_text(text, encoding="utf-8")
     return run_dir, report
@@ -471,12 +469,8 @@ def rerun_from_manifest(manifest_file: str | Path, out_root: str | Path | None =
 
 def run_suite(names: list[str], cfg: dict, out_root: str | Path | None = None) -> tuple[Path, dict]:
     """Run the named experiments one after another and merge their gate results."""
-    root = Path(out_root) if out_root is not None else output_root()
-    suite_id = f"suite-{time.strftime('%Y%m%d-%H%M%S')}-{uuid.uuid4().hex[:8]}"
-    suite_dir = root / suite_id
-    suite_dir.mkdir(parents=True, exist_ok=False)
     results: dict[str, dict] = {}
-    try:
+    with _fresh_dir(out_root, "suite") as suite_dir:  # no partial suite without its report
         for name in names:
             run_dir, report = execute(name, suite_cfg(cfg, name), suite_dir)
             results[name] = {"run_dir": str(run_dir), "pass": report.get("pass"), "report": report}
@@ -485,9 +479,6 @@ def run_suite(names: list[str], cfg: dict, out_root: str | Path | None = None) -
             "pass": bool(all(r["pass"] for r in results.values())) if results else True,
         }
         text = _json_text(summary, "suite report.json")
-    except BaseException:
-        shutil.rmtree(suite_dir)  # no partial suite without its report
-        raise
     (suite_dir / "report.json").write_text(text, encoding="utf-8")
     return suite_dir, summary
 

@@ -30,6 +30,7 @@ that do not pair with the trajectory's output intervals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -53,6 +54,8 @@ class XiGrid:
     n: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"xi range [{self.lo}, {self.hi}]: both edges must be finite")
         if not self.lo < self.hi:
             raise ValueError("empty xi range")
         if self.n < 4:
@@ -76,7 +79,9 @@ def chi_values(u: np.ndarray, xi_centers: np.ndarray) -> np.ndarray:
     return plus.astype(np.int8) - minus.astype(np.int8)
 
 
-def _check_xi_covers(xi: XiGrid, u_inf: float) -> None:
+def check_xi_covers(xi: XiGrid, u_inf: float) -> None:
+    """Raise unless the xi grid reaches one cell past +-u_inf; a caller can check its datum
+    before solving, since a monotone scheme keeps every state within sup|u0|."""
     if xi.lo > -u_inf - xi.d_xi or xi.hi < u_inf + xi.d_xi:
         raise ValueError(
             f"xi range [{xi.lo}, {xi.hi}] does not cover data range +-{u_inf} plus one cell"
@@ -346,7 +351,7 @@ def accumulate_defects(traj: Trajectory, flux: FluxModel, xi: XiGrid) -> list[De
     u_abs = np.abs(slabs[-1].u1)  # running max of |u| over every recorded state
     for s in slabs:
         np.maximum(u_abs, np.abs(s.u0), out=u_abs)
-    _check_xi_covers(xi, float(u_abs.max()))
+    check_xi_covers(xi, float(u_abs.max()))
     return [_reporting_defect(traj.grid, xi, float(times[k]), slabs[cuts[k]:cuts[k + 1]])
             for k in range(times.size - 1)]
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fluxes import Channel, FluxModel, SegmentFlux
 from .paths import PiecewiseLinearPath, identity_path
-from .solver import _TIME_ATOL, CellState, Grid1D, SolverConfig, Trajectory, step
+from .solver import _TIME_ATOL, CellState, Grid1D, SolverConfig, Trajectory, _check_step_count, step
 
 ODE_STEP_PER_UNIT_DRIVER = 1e-3
 QUAD_TOL = 1e-9
@@ -221,6 +221,7 @@ def direct_semilinear_solve(
     if fseg.max_speed <= 0.0:
         raise ValueError("flux has no transport on the certified range")
     dt_max = config.cfl * grid.dx / fseg.max_speed
+    _check_step_count(horizon * fseg.max_speed / (config.cfl * grid.dx), fseg.max_speed, grid.dx)
     outputs = np.linspace(0.0, horizon, 11)
     state = CellState(grid, np.where(grid.centers < 0.0, 1.0, 0.0), 0.0)
     states = []

@@ -20,6 +20,10 @@ from .fluxes import FluxModel, SegmentFlux
 from .paths import PiecewiseLinearPath, identity_path
 
 _TIME_ATOL = 1e-12
+# Far above the largest march in tier-1, the suite and the benchmark (36,487 steps, kinetic-check
+# on brownian:8192): so many steps take minutes even on a tiny grid, while a huge but finite speed
+# bound, such as u_hi = 1e300, asks for about 1e300 of them, a run that would never end.
+MAX_STEPS = 10**7
 
 
 class CFLError(RuntimeError):
@@ -145,6 +149,13 @@ class Trajectory:
         return self.states[k]
 
 
+def _check_step_count(n_steps: float, max_speed: float, dx: float) -> None:
+    """Refuse, before its first step, a march of more than MAX_STEPS steps (a NaN count too)."""
+    if not n_steps <= MAX_STEPS:
+        raise ValueError(f"speed bound {max_speed:.3g} with dx = {dx:.3g} needs {n_steps:.3g} solver steps, "
+                         f"more than the cap of {MAX_STEPS}")
+
+
 def step(state: CellState, fseg: SegmentFlux, dt: float, config: SolverConfig = SolverConfig()) -> CellState:
     """One explicit step; refuses a negative dt and dt above cfl * dx / max_speed.
 
@@ -219,7 +230,10 @@ def solve_path(
     (or of the horizon, for an output admitted past it), solve the segment that
     holds the state up to the output or its knot, a knot within `_TIME_ATOL`
     counting as passed; then snapshot, labelled with the output.  The march
-    ends at the last output; `Trajectory.times` is a copy of `outputs`.
+    ends at the last output; `Trajectory.times` is a copy of `outputs`.  Before
+    the first step, ceil(span * max_speed / (cfl dx)) steps are counted on each
+    segment the march enters, and ValueError is raised if they total more than
+    MAX_STEPS.
     """
     outputs = np.array(outputs, dtype=float, ndmin=1)
     if not np.all(np.diff(outputs) > 0):  # written so that a NaN fails too
@@ -230,13 +244,20 @@ def solve_path(
     if path.n_channels != flux.n_channels:
         raise ValueError("path and flux channel counts differ")
 
+    knots, slopes = path.knots.tolist(), path.slopes()  # one slope row per segment
+    span = np.minimum(path.knots[1:], min(outputs[-1], horizon)) - path.knots[:-1]
+    live = span > 0.0  # the segments the march enters
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, which the cap refuses
+        speeds = np.abs(slopes[live]) @ flux.lip_a  # their `SegmentFlux.max_speed`
+        n_steps = float(np.sum(np.ceil(span[live] * speeds / (config.cfl * grid.dx))))
+    _check_step_count(n_steps, float(np.max(speeds, initial=0.0)), grid.dx)
+
     state = CellState(grid, np.array(u0, dtype=float), 0.0)
     slabs: list[Slab] | None = [] if config.record_slabs else None
     sink = collect
     if slabs is not None:
         sink = slabs.append if collect is None else lambda slab: (slabs.append(slab), collect(slab))
     states = []
-    knots, slopes = path.knots.tolist(), path.slopes()  # one slope row per segment
     k, fseg = 0, None
     for t_out in outputs.tolist():
         while state.t < min(t_out, horizon) - _TIME_ATOL:

@@ -303,6 +303,11 @@ class TestDissipative:
     @pytest.mark.parametrize("n_snapshots", [17, 65])
     def test_flow_calls_per_window_fixed(self, monkeypatch, n_snapshots):
         """One batched inversion per window: table, 3 Newton steps, residual."""
+        grid = Grid1D(-2.0, 2.0, 100, "periodic")
+        path = identity_path(0.5)
+        traj = solve_path(np.where(np.abs(grid.centers) < 0.5, 1.0, 0.0), burgers(), path,
+                          np.linspace(0.0, 0.5, n_snapshots), grid)
+        sol = local_solution(bump_datum(0.5, 0.4, 0.5), path, burgers(), 0.25)
         calls = []
         real = chars.characteristic_flow
 
@@ -311,11 +316,6 @@ class TestDissipative:
             return real(*args)
 
         monkeypatch.setattr(chars, "characteristic_flow", counted)
-        grid = Grid1D(-2.0, 2.0, 100, "periodic")
-        path = identity_path(0.5)
-        traj = solve_path(np.where(np.abs(grid.centers) < 0.5, 1.0, 0.0), burgers(), path,
-                          np.linspace(0.0, 0.5, n_snapshots), grid)
-        sol = local_solution(bump_datum(0.5, 0.4, 0.5), path, burgers(), 0.25)
         rep = dissipative_check(traj, sol, bump_weight(0.0, 1.5))
         assert len(rep["times"]) >= 4
         assert len(calls) == 5

@@ -1,16 +1,24 @@
 """Experiment harness: run functions, manifests, suite, and the CLI."""
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import rough_scl
 import rough_scl.semilinear as semilinear
+import rough_scl.solver as solver
 from rough_scl.cli import main
 from rough_scl.config import load_config
 from rough_scl import harness
@@ -37,6 +45,47 @@ def write_datum_table(csv, n_cells):
     """An x,u table on the cell centres of an n_cells grid on the default domain [-1, 1]."""
     x = -1.0 + (np.arange(n_cells) + 0.5) * 2.0 / n_cells
     csv.write_text("x,u\n" + "".join(f"{v!r},{math.sin(math.pi * v)!r}\n" for v in x.tolist()))
+
+
+@contextlib.contextmanager
+def counting_steps():
+    """Count the solver steps taken inside the block, by `solve_path` and by the semilinear
+    splitting solver (each calls `step` through its module global); a step that refuses its
+    input, such as a state outside the certified range, is not taken."""
+    steps, real = [], solver.step
+
+    def counted(*args, **kwargs):
+        new = real(*args, **kwargs)
+        steps.append(None)
+        return new
+
+    with mock.patch.object(solver, "step", counted), mock.patch.object(semilinear, "step", counted):
+        yield steps
+
+
+# `python -c` source: the CLI with solver steps counted, their number printed as the last stdout line.
+COUNTING_CLI = """
+import sys
+import rough_scl.semilinear as semilinear, rough_scl.solver as solver
+from rough_scl.cli import main
+steps, real = [], solver.step
+def counted(*args, **kwargs):
+    new = real(*args, **kwargs)
+    steps.append(None)
+    return new
+solver.step = semilinear.step = counted
+code = main(sys.argv[1:])
+print(len(steps))
+sys.exit(code)
+"""
+
+
+# The config errors that come after solving, as the rejection has to see the solutions.
+NEEDS_THE_SOLUTIONS = (
+    "does not feel the driver",  # path-stability: no perturbed solve differs; refine: no first gap
+)
+# Configs whose run once stepped for ever, under a huge or infinite speed bound.
+STEPPED_FOR_EVER = ("1e300", "poly:0,1e308")
 
 
 def tiny(**over):
@@ -531,30 +580,48 @@ class TestCli:
         pytest.param("solve", "x_hi = inf\nn_cells = 32\n", "x_hi = inf", id="inf-x-hi"),
         pytest.param("solve", "horizon = inf\nn_cells = 32\n", "horizon = inf", id="inf-horizon"),
         pytest.param("solve", "path = monomial:-1,8\nn_cells = 32\n", "path = monomial:-1,8", id="negative-power"),
+        pytest.param("solve", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n", "dx = 0.0625 needs",
+                     id="huge-bound"),
+        pytest.param("semilinear-demo", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n",
+                     "speed bound 1e+300 with dx = 0.0625", id="semilinear-huge-bound"),
+        pytest.param("solve", "u_hi = 1e300\nn_cells = 32\n", "dx = 0.0625 needs", id="huge-u-hi"),
+        pytest.param("semilinear-demo", "u_hi = 1e300\nn_cells = 32\n", "speed bound 1e+300 with dx = 0.0625",
+                     id="semilinear-huge-u-hi"),
+        pytest.param("solve", "flux = poly:0,1e308\nn_cells = 32\n", "speed bound inf with dx = 0.0625",
+                     id="huge-coefficient"),
+        pytest.param("contraction", "path = brownian:1024\nn_cells = 800\ndatum2 = riemann:1\n",
+                     "riemann takes", id="bad-datum2"),
+        pytest.param("kinetic-check", "datum = riemann:2,0\npath = brownian:1024\n",
+                     "does not cover data range +-2.0", id="xi-grid-short-of-datum"),
+        pytest.param("kinetic-check", "xi_hi = inf\n", "xi range [-1.5, inf]", id="inf-xi-hi"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line, names):
         """An experiment that rejects its config prints one `config error` line naming
-        the key or the spec, and leaves no run directory behind.  With an infinite
-        u_hi, semilinear-demo once took dt = 0 steps forever, so it runs in a fresh
-        process with a timeout."""
+        the key, the spec or the numbers at fault, leaves no run directory behind and,
+        unless the rejection needs the solutions, takes no solver step.  A huge or
+        infinite speed bound once made runs step forever, so those cases run in a
+        fresh process with a timeout."""
         write_datum_table(tmp_path / "u0.csv", 400)  # on the default grid
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(line.format(tmp=tmp_path))
         out = tmp_path / "out"
         argv = [experiment] if command == "single" else ["suite", experiment]
         argv += ["--out", str(out), "--config", str(cfg)]
-        if experiment == "semilinear-demo" and "u_hi" in line:
+        if any(s in line for s in STEPPED_FOR_EVER) or (experiment == "semilinear-demo" and "u_hi" in line):
             env = dict(os.environ, PYTHONPATH=str(Path(rough_scl.__file__).resolve().parents[1]))
-            run = subprocess.run([sys.executable, "-W", "error", "-m", "rough_scl.cli", *argv], env=env,
+            run = subprocess.run([sys.executable, "-W", "error", "-c", COUNTING_CLI, *argv], env=env,
                                  capture_output=True, text=True, timeout=30)
-            code, err = run.returncode, run.stderr
+            code, err, steps = run.returncode, run.stderr, int(run.stdout.split()[-1])
         else:
-            code, err = main(argv), capsys.readouterr().err
+            with counting_steps() as taken:
+                code = main(argv)
+            err, steps = capsys.readouterr().err, len(taken)
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert names in err
         assert list(out.iterdir()) == []
+        assert steps == 0 or any(reason in err for reason in NEEDS_THE_SOLUTIONS)
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "fast"])
     def test_bad_linear_rate_names_the_source_key(self, tmp_path, capsys, rate):
@@ -672,3 +739,107 @@ class TestCli:
                 "u_lo = -1.5\nu_hi = 1.5\n"
             )
         return str(f)
+
+
+EDGE_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e300")
+# key -> usual values on tiny grids and short horizons (repeats weight the draw)
+FUZZ_KEYS = {
+    "flux": ("burgers", "burgers", "cubic", "burgers;cubic", "poly:0,1", "poly:0.5,-1,0,0.2"),
+    "path": ("brownian:4", "tent", "identity", "monomial:2,4", "monomial:0.5,8"),
+    "bc": ("periodic", "outflow"),
+    "scheme": ("engquist_osher", "engquist_osher", "godunov_convex"),
+    "datum": ("riemann:1,0", "riemann:1,-1", "riemann:-0.5,0.5,0.2", "bump:0,0.4,0.8", "sign-step"),
+    "datum2": ("riemann:0.8,0", "bump:0.1,0.3,-0.5"),
+    "source": ("logistic", "linear:0.5", "zero"),
+    "seed": ("0", "3"),
+    "horizon": ("0.05", "0.2"),
+    "u_lo": ("-1.5",),
+    "u_hi": ("1.5",),
+    "x_lo": ("-1",),
+    "x_hi": ("1",),
+    "cfl": ("0.9", "0.5"),
+    "n_cells": ("8", "16"),
+    "n_outputs": ("2", "4"),
+    "xi_lo": ("-1.5",),
+    "xi_hi": ("1.5",),
+    "n_xi": ("16",),
+    "epsilons": ("0.2,0.1,0.05", "0.4,0.2,0.1,0.05"),
+    "level_lo": ("1",),
+    "level_hi": ("4",),
+    "n_seeds": ("1",),
+    "n_data": ("1",),
+    "n_anchors": ("1", "2"),
+}
+# key -> where an edge number goes: the whole value, or one argument of a spec
+EDGE_SLOTS = {key: ("{}",) for key in FUZZ_KEYS if key not in ("bc", "scheme")}
+EDGE_SLOTS.update({
+    "flux": ("poly:0,{}", "burgers;poly:{},1"),
+    "path": ("brownian:{}", "monomial:{},4", "monomial:2,{}"),
+    "datum": ("riemann:{},0", "riemann:1,0,{}", "bump:{},0.4,0.8", "bump:0,{},0.8", "bump:0,0.4,{}"),
+    "datum2": ("riemann:0.8,{}",),
+    "source": ("linear:{}",),
+    "epsilons": ("0.2,0.1,{}", "{},0.1,0.05"),
+})
+
+
+@st.composite
+def fuzz_configs(draw):
+    """(argv head, config text): one of the 7 experiments, alone or as a one-member suite,
+    with an edge number in up to two keys or spec arguments."""
+    experiment = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    cfg = {key: draw(st.sampled_from(values)) for key, values in FUZZ_KEYS.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(EDGE_SLOTS)), max_size=2, unique=True)):
+        cfg[key] = draw(st.sampled_from(EDGE_SLOTS[key])).format(draw(st.sampled_from(EDGE_NUMBERS)))
+    return fuzz_case([experiment] if draw(st.booleans()) else ["suite", experiment], **cfg)
+
+
+def fuzz_case(head: list, **over):
+    """A drawn value by hand: each key's first usual value, then `over`."""
+    cfg = {key: values[0] for key, values in FUZZ_KEYS.items()}
+    cfg.update(over)
+    return head, "".join(f"{key} = {value}\n" for key, value in cfg.items())
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fuzz_configs())
+    @example(fuzz_case(["solve"], u_hi="1e300"))  # stepped for ever
+    @example(fuzz_case(["semilinear-demo"], u_hi="1e300"))  # stepped for ever
+    @example(fuzz_case(["refine"], flux="poly:0,0"))  # every gap 0, final_vs_first 0/0 warned
+    @example(fuzz_case(["semilinear-demo"], source="linear:1e300"))  # the source overflowed
+    @example(fuzz_case(["solve"], horizon="1e300", path="monomial:2,4"))  # t**2 overflowed
+    @example(fuzz_case(["suite", "semilinear-demo"], u_hi="0"))  # the first step refused the 1 state
+    def test_cli_exits_cleanly(self, drawn):
+        """On any drawn config the CLI exits 0, 1 or 2 with no exception or warning escaping.
+        Exit 2 prints one `config error:` or `run error:` line and leaves no run directory,
+        and a config error comes before any solver step unless it is one of the rejections
+        that need the solutions; every report.json and manifest.json written is strict JSON."""
+        head, text = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
+            cfg.write_text(text)
+            err = io.StringIO()
+            with counting_steps() as taken, contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                code = main(head + ["--out", str(out), "--config", str(cfg)])
+            err = err.getvalue()
+            assert [str(w.message) for w in warned] == []
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert err.startswith(("config error: ", "run error: ")) and err.count("\n") == 1
+                assert not out.exists() or list(out.iterdir()) == []
+                if err.startswith("config error: ") and taken:
+                    assert any(reason in err for reason in NEEDS_THE_SOLUTIONS), err
+            else:
+                written = [*out.rglob("report.json"), *out.rglob("manifest.json")]
+                assert written
+                for file in written:
+                    _strict_json(file.read_text())
