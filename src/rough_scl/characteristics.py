@@ -12,15 +12,17 @@ forms: J is affine in W, hence linear in t between path knots, so the window
 edge solves a linear equation on one segment; and the increasing forward map
 is tabulated on the support and inverted by interpolation, then polished by
 Newton steps.  The inversion is batched over time: every snapshot of a window
-shares one (n_t x N_PROBE) table and one set of Newton steps over
-(n_t x n_x) points, so a window costs 5 flow evaluations whatever n_t is.  A
-table row that is not strictly increasing means characteristics crossed, and
-raises.  Against such local smooth solutions the scheme's output must
-dissipate:
+shares one (n_t x N_PROBE) table and one set of Newton steps, so a window
+costs 5 flow evaluations whatever n_t is.  The steps run only on the column
+range [first, last] of x that some snapshot's transported support covers;
+every other column is zero.  A table row that is not strictly increasing
+means characteristics crossed, and raises.  Against such local smooth
+solutions the scheme's output must dissipate:
 
     D(t) = int int psi(k) (u(x,t) - k - Psi(x,t))_+ dx dk
 
 is nonincreasing over the validity window for every nonnegative weight psi.
+D is taken at every snapshot of the window at once, from one stack of states.
 """
 from __future__ import annotations
 
@@ -132,14 +134,17 @@ class LocalSmoothSolution:
         t is one time, giving an array shaped like x, or a 1-D array of n_t
         times, giving one row per time.  All times are inverted in one batch:
         the forward map is tabulated on the N_PROBE points of the datum
-        support for every time at once (n_t x N_PROBE), each row is inverted
-        by linear interpolation, and 3 Newton steps with the exact Jacobian
-        plus the residual check run over all (n_t x n_x) points together, so
-        a call costs 5 characteristic_flow evaluations whatever n_t is.  The
-        table's end columns are the images of the support ends, outside which
-        Psi is zero.  A table row that is not strictly increasing means
-        characteristics have crossed and raises RuntimeError, as does a
-        residual above 1e-8 * support width.
+        support for every time at once (n_t x N_PROBE).  The table's end
+        columns are the images of the support ends, outside which Psi is
+        zero.  Only the range of x's columns from the first to the last that
+        some row's support covers is inverted: each row by linear
+        interpolation, then 3 Newton steps with the exact Jacobian, the
+        residual check and the datum over those (n_t x columns) points
+        together, so a call costs 5 characteristic_flow evaluations whatever
+        n_t is, each on the whole time array.  Every point keeps the bits of
+        inverting the whole (n_t x n_x) rectangle.  A table row that is not
+        strictly increasing means characteristics have crossed and raises
+        RuntimeError, as does a residual above 1e-8 * support width.
         """
         t = np.asarray(t, dtype=float)
         outside = ~self.in_window(t)
@@ -160,16 +165,18 @@ class LocalSmoothSolution:
             raise RuntimeError("characteristics crossed: the forward map is not increasing")
         inside = (xs > fs[:, :1]) & (xs < fs[:, -1:])
         out = np.zeros(inside.shape)
-        if np.any(inside):
-            xq = np.broadcast_to(xs, inside.shape)
-            x0 = np.array([np.interp(xs, row, s) for row in fs])
+        covered = np.flatnonzero(inside.any(axis=0))
+        if covered.size:
+            cols = slice(covered[0], covered[-1] + 1)
+            xq, inside = xs[cols], inside[:, cols]
+            x0 = np.array([np.interp(xq, row, s) for row in fs])
             for _ in range(3):
                 fx, jac = flow(x0)
                 x0 = np.clip(x0 - (fx - xq) / jac, s_lo, s_hi)
             fx, _ = flow(x0)
             if float(np.max(np.abs(fx - xq)[inside])) > 1e-8 * max(1.0, s_hi - s_lo):
                 raise RuntimeError("characteristic inversion failed inside the window")
-            out = np.where(inside, self.datum.value(x0), 0.0)
+            out[:, cols] = np.where(inside, self.datum.value(x0), 0.0)
         return out.reshape(t.shape + x.shape)
 
 
@@ -191,7 +198,9 @@ def dissipative_check(
 
     Checks D(t_{j+1}) <= D(t_j) + tol_D over the trajectory snapshots that fall
     in the validity window, with tol_D = DISSIPATIVE_C * (dx + spacing) * (1 + sup|u0|).
-    Psi at all of those snapshots comes from one batched `evaluate` call.
+    Psi at all of those snapshots comes from one batched `evaluate` call, and D
+    from one (snapshots x cells) stack: one `searchsorted` of u - Psi against the
+    levels k and one sum per row.
     """
     w_lo, w_hi = sol.window
     mask = sol.in_window(traj.times)
@@ -208,12 +217,9 @@ def dissipative_check(
     c0 = np.concatenate([[0.0], np.cumsum(psi_k)])
     c1 = np.concatenate([[0.0], np.cumsum(k * psi_k)])
     grid = traj.grid
-    psi = sol.evaluate(grid.centers, times)
-    d_vals = np.empty(times.size)
-    for j, i in enumerate(np.flatnonzero(mask)):
-        a = traj.states[i].u - psi[j]
-        below = np.searchsorted(k, a)
-        d_vals[j] = grid.dx * dk * float(np.sum(a * c0[below] - c1[below]))
+    a = np.stack([traj.states[i].u for i in np.flatnonzero(mask)]) - sol.evaluate(grid.centers, times)
+    below = np.searchsorted(k, a)
+    d_vals = grid.dx * dk * np.sum(a * c0[below] - c1[below], axis=1)
     spacing = float(np.max(np.diff(times)))
     u0_inf = float(np.max(np.abs(traj.states[0].u)))
     tol_d = DISSIPATIVE_C * (grid.dx + spacing) * (1.0 + u0_inf)

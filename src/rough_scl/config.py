@@ -14,7 +14,8 @@ import numpy as np
 
 from . import paths
 from .fluxes import FluxModel, from_spec
-from .semilinear import SourceTerm, linear_source, logistic_source, zero_source
+from .semilinear import (ODE_STEP_PER_UNIT_DRIVER, RK4_STABILITY_LIMIT, SourceTerm, linear_source,
+                         logistic_source, zero_source)
 from .smooth import bump_datum
 from .solver import Grid1D, SolverConfig
 
@@ -70,7 +71,8 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    """Defaults, then the file, then explicit overrides."""
+    """Defaults, then the file, then explicit overrides; a float key that is not finite
+    is rejected by name here, before any experiment reads it."""
     cfg = {k: spec[1] for k, spec in CONFIG_KEYS.items()}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fp:
@@ -81,6 +83,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown override {key!r}")
         cfg[key] = CONFIG_KEYS[key][0](value)
+    for key, value in cfg.items():
+        if CONFIG_KEYS[key][0] is float and not math.isfinite(value):
+            raise ValueError(f"{key} = {value}: not a finite number")
     return cfg
 
 
@@ -106,7 +111,14 @@ class Experiment:
         return np.linspace(0.0, self.horizon, int(self.cfg["n_outputs"]) + 1)
 
     def datum(self, spec: str | None = None) -> np.ndarray:
-        return build_datum(spec if spec is not None else self.cfg["datum"], self.grid)
+        """The datum on the grid; values outside the certified range, which the first step
+        would refuse, are rejected here, before any solve."""
+        spec = spec if spec is not None else self.cfg["datum"]
+        u0, (lo, hi) = build_datum(spec, self.grid), self.flux.u_range
+        if not lo <= u0.min() <= u0.max() <= hi:
+            raise ValueError(f"{spec}: the datum's values [{u0.min():g}, {u0.max():g}] leave the certified "
+                             f"u_range [{lo}, {hi}]")
+        return u0
 
     def path(self, seed: int | None = None) -> paths.PiecewiseLinearPath:
         used = int(self.cfg["seed"]) if seed is None else int(seed)
@@ -193,6 +205,8 @@ def build_path(
         if not 0.0 <= p < math.inf:
             raise ValueError(f"path = {spec}: the power must be a finite number >= 0, got {p}")
         n_seg = int(args[1]) if len(args) > 1 else 64
+        if n_seg < 1:
+            raise ValueError(f"path = {spec}: the segment count must be at least 1, got {n_seg}")
         knots = np.linspace(0.0, horizon, n_seg + 1)
         with np.errstate(over="ignore"):
             values = knots**p
@@ -221,6 +235,9 @@ def build_source(spec: str) -> tuple[SourceTerm, float | None]:
             lam = math.nan
         if not math.isfinite(lam):
             raise ValueError(f"source = {spec}: the linear rate must be a finite number, got {rate!r}")
+        if lam * ODE_STEP_PER_UNIT_DRIVER < RK4_STABILITY_LIMIT:
+            raise ValueError(f"source = {spec}: RK4 steps of {ODE_STEP_PER_UNIT_DRIVER:g} are unstable for "
+                             f"a rate below {RK4_STABILITY_LIMIT / ODE_STEP_PER_UNIT_DRIVER:.6g}")
         return linear_source(lam), lam
     if name == "zero":
         return zero_source(), 0.0

@@ -33,6 +33,7 @@ from .paths import PiecewiseLinearPath, identity_path
 from .solver import _TIME_ATOL, CellState, Grid1D, SolverConfig, Trajectory, _check_step_count, step
 
 ODE_STEP_PER_UNIT_DRIVER = 1e-3
+RK4_STABILITY_LIMIT = -2.785293563405282  # an RK4 step of y' = lam y grows no |y| for lam h in [this, 0]
 QUAD_TOL = 1e-9
 POSITION_TOL = 1e-6
 MISMATCH_DOMAIN = (-0.5, 1.5)  # outflow domain of the 1/0 front in `mismatch_report`
@@ -262,7 +263,8 @@ def mismatch_report(
     One flow-map sweep gives the transformed speed A~(1, t), the transformed
     front and the flowed end states Psi(1; t), Psi(0; t); the direct route runs
     the splitting solver and locates the crossing of their mean (1/2 when the
-    source fixes 0 and 1).
+    source fixes 0 and 1).  A direct state with no crossing of that level is a
+    RuntimeError: the two routes' source steps disagree, or the flowed states underflow.
     For the quadratic source the gap grows like int_0^1 Psi(w; t) dw - 1/2 > 0;
     for a linear source it is discretization error.
     """
@@ -277,7 +279,10 @@ def mismatch_report(
     rows = []
     for t, state, g, x_trans, level in zip(traj.times[1:], traj.states[1:], speed, x_transform,
                                            0.5 * (psi_l + psi_r)):
-        x_direct = shock_position(state, float(level))
+        try:
+            x_direct = shock_position(state, float(level))
+        except ValueError as exc:
+            raise RuntimeError(f"direct front at t = {t:.6g}, level {level:.3g}: {exc}") from None
         rows.append({
             "t": float(t),
             "speed": float(g),

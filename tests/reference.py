@@ -2,13 +2,15 @@
 
 Bit for bit where the form is an earlier operation order the kernel must keep
 (`NumpyReference`, `earlier_pad`, `earlier_step`, `_cursor_march`, `parent_rk4`,
-`dense_reporting_defect`, the masked bump), or to roundoff where it is the maths
+`dense_reporting_defect`, the masked bump, `full_rectangle_evaluate`,
+`per_snapshot_d`), or to roundoff where it is the maths
 written plainly (`defect_from_slab` per step, rho and the transport shift).
 """
 import numpy as np
 import numpy.polynomial.polynomial as npp
 from hypothesis import strategies as st
 
+import rough_scl.characteristics as chars
 from rough_scl.fluxes import SegmentFlux, from_spec
 from rough_scl.kinetic import DefectField, _chi_cumulative, _runs, _upwind_difference
 from rough_scl.semilinear import ODE_STEP_PER_UNIT_DRIVER
@@ -389,3 +391,49 @@ def rho_eval(kernel, y, x, xi, t, path, flux):
     """rho(y, x, xi, t) = rho_eta(y - x + sum_i a_i(xi) W^i(t))."""
     shift = transport_shift(flux, path, xi, t)
     return rho(kernel, np.asarray(y, dtype=float) - np.asarray(x, dtype=float) + shift)
+
+
+# -- characteristics: the local smooth solution and D(t) --------------------------
+
+
+def full_rectangle_evaluate(sol, x, t):
+    """`LocalSmoothSolution.evaluate` with the inversion, Newton steps, residual and datum
+    run on every (snapshot, column) point, the columns no support covers included."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = x.ravel()
+    s_lo, s_hi = sol.datum.support
+    s = np.linspace(s_lo, s_hi, chars.N_PROBE)
+
+    def flow(points):
+        return chars.characteristic_flow(sol.datum, sol.path, sol.flux, sol.t0, times, points)
+
+    fs, _ = flow(s)
+    inside = (xs > fs[:, :1]) & (xs < fs[:, -1:])
+    out = np.zeros(inside.shape)
+    if np.any(inside):
+        xq = np.broadcast_to(xs, inside.shape)
+        x0 = np.array([np.interp(xs, row, s) for row in fs])
+        for _ in range(3):
+            fx, jac = flow(x0)
+            x0 = np.clip(x0 - (fx - xq) / jac, s_lo, s_hi)
+        out = np.where(inside, sol.datum.value(x0), 0.0)
+    return out.reshape(np.shape(t) + x.shape)
+
+
+def per_snapshot_d(traj, sol, weight):
+    """D(t_j) of `dissipative_check`, one `searchsorted` and one sum per in-window snapshot."""
+    mask = sol.in_window(traj.times)
+    k_lo, k_hi = weight.support
+    dk = (k_hi - k_lo) / chars.N_K
+    k = k_lo + (np.arange(chars.N_K) + 0.5) * dk
+    psi_k = weight.value(k)
+    c0 = np.concatenate([[0.0], np.cumsum(psi_k)])
+    c1 = np.concatenate([[0.0], np.cumsum(k * psi_k)])
+    psi = sol.evaluate(traj.grid.centers, traj.times[mask])
+    d_vals = np.empty(psi.shape[0])
+    for j, i in enumerate(np.flatnonzero(mask)):
+        a = traj.states[i].u - psi[j]
+        below = np.searchsorted(k, a)
+        d_vals[j] = traj.grid.dx * dk * float(np.sum(a * c0[below] - c1[below]))
+    return d_vals

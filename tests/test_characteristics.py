@@ -17,6 +17,8 @@ from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path,
 from rough_scl.smooth import SmoothDatum, bump_datum, bump_weight
 from rough_scl.solver import Grid1D, SolverConfig, solve_path
 
+from reference import assert_bitwise, full_rectangle_evaluate, per_snapshot_d
+
 
 def burgers(rng=(-2.0, 2.0)):
     return FluxModel([builtin("burgers")], rng)
@@ -196,6 +198,45 @@ class TestBatchedEvaluate:
         assert np.count_nonzero(batch) > 0
         assert np.array_equal(batch, np.stack([sol.evaluate(x, t) for t in times]))
 
+    @pytest.mark.parametrize("case", ["brownian-1ch", "brownian-2ch", "identity"])
+    def test_column_range_equals_full_rectangle(self, case):
+        """Inverting only the columns some snapshot's support covers gives the bits of
+        inverting every (snapshot, column) point."""
+        sol = local_solution(*batch_cases()[case], self.T0)
+        times = np.linspace(*sol.window, 17)
+        x = np.linspace(-1.0, 1.0, 400)
+        assert_bitwise(sol.evaluate(x, times), full_rectangle_evaluate(sol, x, times))
+
+    def test_snapshot_covering_no_column(self):
+        """Under a(u) = 1 + u the support's ends move at speed 1, so at the window's
+        ends it covers one of two columns each and at the anchor neither."""
+        datum, path = bump_datum(0.0, 0.1, 0.3), identity_path(1.0)
+        sol = local_solution(datum, path, from_spec("poly:0,1,0.5", (-2.0, 2.0)), self.T0)
+        lo, hi = sol.window
+        x = np.array([-0.1 - 0.5 * sol.h, 0.1 + 0.5 * sol.h])
+        got = sol.evaluate(x, [lo, self.T0, hi])
+        assert np.count_nonzero(got, axis=1).tolist() == [1, 0, 1]
+        assert_bitwise(got, full_rectangle_evaluate(sol, x, [lo, self.T0, hi]))
+        far = np.array([2.0, 3.0])  # no snapshot covers any column
+        assert_bitwise(sol.evaluate(far, [lo, hi]), np.zeros((2, 2)))
+        assert_bitwise(sol.evaluate(far, [lo, hi]), full_rectangle_evaluate(sol, far, [lo, hi]))
+
+    def test_support_covering_every_column(self):
+        sol = local_solution(*batch_cases()["identity"], self.T0)
+        times = np.linspace(*sol.window, 9)
+        x = np.linspace(-0.3, 0.3, 25)  # inside the support [-0.5, 0.5], whose ends stay put
+        got = sol.evaluate(x, times)
+        assert np.all(got > 0.0)
+        assert_bitwise(got, full_rectangle_evaluate(sol, x, times))
+
+    def test_unsorted_x(self):
+        sol = local_solution(*batch_cases()["brownian-2ch"], self.T0)
+        times = np.linspace(*sol.window, 17)
+        x = np.random.default_rng(5).permutation(np.linspace(-1.0, 1.0, 400)).reshape(20, 20)
+        got = sol.evaluate(x, times)
+        assert got.shape == (17, 20, 20) and np.count_nonzero(got) > 0
+        assert_bitwise(got, full_rectangle_evaluate(sol, x, times))
+
     def test_scalar_time_keeps_shape_of_x(self):
         sol = local_solution(*batch_cases()["identity"], self.T0)
         x = np.linspace(-0.6, 0.6, 24)
@@ -272,21 +313,33 @@ class TestLocalSolution:
             sol.evaluate(np.zeros(3), 0.5)
 
 
+def shock_u0(x):
+    return np.where(np.abs(x) < 0.5, 1.0, 0.0)
+
+
 class TestDissipative:
-    def run_check(self, u0_fn, datum, t0=0.25, horizon=0.5, n_cells=200, weight=None):
-        grid = Grid1D(-2.0, 2.0, n_cells, "periodic")
-        flux = burgers()
-        path = identity_path(horizon)
-        u0 = u0_fn(grid.centers)
-        times = np.linspace(0.0, horizon, 33)
-        traj = solve_path(u0, flux, path, times, grid)
-        if weight is None:
-            weight = bump_weight(0.0, 1.5)
-        return dissipative_check(traj, local_solution(datum, path, flux, t0), weight)
+    def check_inputs(self, u0_fn, datum, t0=0.25, horizon=0.5, weight=None, case=None):
+        """Trajectory, local solution and weight: Burgers under W(t) = t, or a `batch_cases` case."""
+        grid = Grid1D(-2.0, 2.0, 200, "periodic")
+        _, path, flux = batch_cases()[case] if case else (None, identity_path(horizon), burgers())
+        traj = solve_path(u0_fn(grid.centers), flux, path, np.linspace(0.0, path.horizon, 33), grid)
+        return traj, local_solution(datum, path, flux, t0), weight or bump_weight(0.0, 1.5)
+
+    def run_check(self, u0_fn, datum, **kwargs):
+        return dissipative_check(*self.check_inputs(u0_fn, datum, **kwargs))
+
+    @pytest.mark.parametrize("datum, weight, case", [
+        (bump_datum(0.5, 0.4, 0.5), None, None),
+        (bump_datum(0.0, 0.4, 0.0), bump_weight(3.0, 0.5), None),
+        (bump_datum(0.0, 0.5, -0.3), None, "brownian-2ch"),
+    ])
+    def test_batched_d_equals_per_snapshot_loop(self, datum, weight, case):
+        inputs = self.check_inputs(shock_u0, datum, weight=weight, case=case, t0=0.5 if case else 0.25)
+        assert_bitwise(np.array(dissipative_check(*inputs)["D"]), per_snapshot_d(*inputs))
 
     def test_shock_data_passes(self):
         datum = bump_datum(0.5, 0.4, 0.5)
-        rep = self.run_check(lambda x: np.where(np.abs(x) < 0.5, 1.0, 0.0), datum)
+        rep = self.run_check(shock_u0, datum)
         assert rep["pass"]
         assert rep["h"] > 0
         assert len(rep["D"]) >= 2
@@ -296,7 +349,7 @@ class TestDissipative:
         Psi >= 0...  use Psi = 0 (zero datum) to make D identically zero."""
         datum = bump_datum(0.0, 0.4, 0.0)
         weight = bump_weight(3.0, 0.5)
-        rep = self.run_check(lambda x: np.where(np.abs(x) < 0.5, 1.0, 0.0), datum, weight=weight)
+        rep = self.run_check(shock_u0, datum, weight=weight)
         assert np.allclose(rep["D"], 0.0)
         assert rep["pass"]
 

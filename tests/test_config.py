@@ -7,10 +7,12 @@ from rough_scl.config import (
     build_datum,
     build_experiment,
     build_path,
+    build_source,
     config_text,
     load_config,
     parse_config_text,
 )
+from rough_scl.semilinear import ODE_STEP_PER_UNIT_DRIVER, RK4_STABILITY_LIMIT
 from rough_scl.smooth import bump_raw
 from rough_scl.solver import Grid1D
 
@@ -57,6 +59,16 @@ class TestParse:
     def test_unknown_override(self):
         with pytest.raises(ValueError, match="override"):
             load_config(None, {"n_cols": 1})
+
+    @pytest.mark.parametrize("key", sorted(k for k, spec in CONFIG_KEYS.items() if spec[0] is float))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_float_key_rejected_by_name(self, tmp_path, key, bad):
+        """From the file or an override, before any experiment reads the key."""
+        f = tmp_path / "c.txt"
+        f.write_text(f"{key} = {bad}\n")
+        for args in ((str(f), None), (None, {key: bad})):
+            with pytest.raises(ValueError, match=f"^{key} = {bad}: not a finite number$"):
+                load_config(*args)
 
     def test_text_round_trip(self):
         cfg = load_config(None, {"n_cells": 37, "flux": "cubic"})
@@ -187,6 +199,24 @@ class TestPathBuilders:
         with pytest.raises(ValueError, match="path spec"):
             build_path("ou:1", 0, 1.0, 1)
 
+    @pytest.mark.parametrize("spec", ["monomial:2,0", "monomial:2,-1"])
+    def test_monomial_needs_a_segment(self, spec):
+        with pytest.raises(ValueError, match=f"^path = {spec}: the segment count must be at least 1"):
+            build_path(spec, 0, 1.0, 1)
+
+
+class TestSource:
+    def test_rk4_stability_limit(self):
+        """A linear rate is kept while its 1e-3 RK4 steps are stable, and rejected by name below."""
+        lam = RK4_STABILITY_LIMIT / ODE_STEP_PER_UNIT_DRIVER
+        z = RK4_STABILITY_LIMIT
+        assert abs(1.0 + z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0) == pytest.approx(1.0, abs=1e-15)
+        assert build_source("linear:-2785")[1] == -2785.0
+        for rate in ("-2785.3", "-3000", "-1e300"):
+            with pytest.raises(ValueError, match=f"^source = linear:{rate}: RK4 steps of 0.001 are unstable "
+                                                 f"for a rate below {lam:.6g}$"):
+                build_source(f"linear:{rate}")
+
 
 class TestExperiment:
     def test_build(self):
@@ -198,6 +228,15 @@ class TestExperiment:
         assert exp.outputs[0] == 0.0 and exp.outputs[-1] == exp.horizon
         assert exp.datum().shape == (32,)
         assert exp.datum("riemann:0,1").max() == 1.0
+
+    @pytest.mark.parametrize("spec", ["riemann:0.8,3", "riemann:-1.6,0"])
+    def test_datum_outside_u_range_rejected(self, spec):
+        """The first step would refuse it, after a contraction run had solved its first datum."""
+        exp = build_experiment(load_config(None, {"u_lo": -1.5, "u_hi": 1.5, "n_cells": 8}))
+        with pytest.raises(ValueError, match=f"^{spec}: the datum's values .* leave the certified "
+                                             r"u_range \[-1.5, 1.5\]$"):
+            exp.datum(spec)
+        assert exp.datum("riemann:1.5,-1.5").max() == 1.5  # the range's edges are in it
 
     @pytest.mark.parametrize("n_outputs", [0, -2])
     def test_needs_one_output_interval(self, n_outputs):

@@ -301,6 +301,30 @@ class TestKineticAndDissipative:
         execute("dissipative-check", cfg, tmp_path)
         assert len(gaps) == 2 and min(gaps) > _TIME_ATOL
 
+    def test_dissipative_solve_ends_at_last_window_end(self, tmp_path, monkeypatch):
+        """No snapshot is taken past the windows: each path's solve stops at the latest window end,
+        here short of the horizon."""
+        sols, ends = [], []
+        solution, solve = harness.local_solution, harness.solve_path
+
+        def recording_solution(*args):
+            sols.append(solution(*args))
+            return sols[-1]
+
+        def spy(u0, flux, path, outputs, *args, **kwargs):
+            ends.append((max(outputs), max(sol.window[1] for sol in sols)))
+            sols.clear()
+            return solve(u0, flux, path, outputs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "local_solution", recording_solution)
+        monkeypatch.setattr(harness, "solve_path", spy)
+        cfg = load_config(None, {"experiment": "dissipative-check", "n_seeds": 2, "n_data": 2, "n_anchors": 1,
+                                 "datum": "riemann:1,0", "u_lo": -1.5, "u_hi": 1.5})
+        execute("dissipative-check", cfg, tmp_path)
+        assert len(ends) == 2
+        for last_output, last_end in ends:
+            assert last_output == last_end < cfg["horizon"]
+
     @pytest.mark.parametrize("key", ["n_seeds", "n_data", "n_anchors"])
     def test_dissipative_check_rejects_zero_counts(self, tmp_path, monkeypatch, key):
         """Each count must be at least 1; the message names the key, and nothing is solved."""
@@ -568,8 +592,8 @@ class TestCli:
         pytest.param("path-stability", "epsilons = 0.2,nan,0.05,0.025\n", "epsilons", id="nan-epsilon"),
         pytest.param("path-stability", "datum = file:{tmp}/u0.csv\n", "datum", id="file-datum"),
         pytest.param("path-stability", "datum = riemann:0.5,0.5\n", "riemann:0.5,0.5", id="datum-feels-no-driver"),
-        pytest.param("solve", "u_hi = inf\nn_cells = 32\n", "u_range [-2.0, inf]", id="inf-u-hi"),
-        pytest.param("semilinear-demo", "u_hi = inf\nn_cells = 32\n", "u_range [-2.0, inf]",
+        pytest.param("solve", "u_hi = inf\nn_cells = 32\n", "u_hi = inf", id="inf-u-hi"),
+        pytest.param("semilinear-demo", "u_hi = inf\nn_cells = 32\n", "u_hi = inf",
                      id="semilinear-inf-u-hi"),
         pytest.param("solve", "flux = poly:0,0,1e308\nn_cells = 32\n", "'poly:0,0,1e308'", id="overflowing-bound"),
         pytest.param("solve", "flux = poly:0,nan\nn_cells = 32\n", "'poly:0,nan'", id="nan-coefficient"),
@@ -593,7 +617,16 @@ class TestCli:
                      "riemann takes", id="bad-datum2"),
         pytest.param("kinetic-check", "datum = riemann:2,0\npath = brownian:1024\n",
                      "does not cover data range +-2.0", id="xi-grid-short-of-datum"),
-        pytest.param("kinetic-check", "xi_hi = inf\n", "xi range [-1.5, inf]", id="inf-xi-hi"),
+        pytest.param("kinetic-check", "xi_hi = inf\n", "xi_hi = inf", id="inf-xi-hi"),
+        pytest.param("solve", "xi_lo = nan\nn_cells = 32\n", "xi_lo = nan", id="nan-unread-key"),
+        pytest.param("semilinear-demo", "source = linear:-3000\n", "source = linear:-3000", id="unstable-rate"),
+        pytest.param("semilinear-demo", "source = linear:-1e300\n", "source = linear:-1e300",
+                     id="overflowing-rate"),
+        pytest.param("semilinear-demo", "horizon = 3\n", "horizon = 3.0", id="front-leaves-domain"),
+        pytest.param("contraction", "datum2 = riemann:0.8,3\n", "riemann:0.8,3", id="datum2-outside-u-range"),
+        pytest.param("solve", "path = monomial:2,-1\n", "path = monomial:2,-1", id="no-monomial-segment"),
+        pytest.param("semilinear-demo", "source = linear:0.5\nu_hi = 10\nhorizon = 2.2\n", "horizon = 2.2",
+                     id="linear-front-leaves-domain"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line, names):
@@ -620,7 +653,7 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert names in err
-        assert list(out.iterdir()) == []
+        assert not out.exists() or list(out.iterdir()) == []  # a float key is checked before the out root is made
         assert steps == 0 or any(reason in err for reason in NEEDS_THE_SOLUTIONS)
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "fast"])
@@ -637,11 +670,13 @@ class TestCli:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["single", "suite"])
-    def test_numerical_breakdown_exits_2(self, tmp_path, capsys, command):
-        """A RuntimeError inside a run (here the logistic front quadrature failing at a long
-        horizon) prints one `run error` line, not a traceback, and leaves no run directory."""
+    def test_numerical_breakdown_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        """A RuntimeError inside a run (here the front quadrature held to exact agreement of its
+        two rules, which differ by roundoff) prints one `run error` line, not a traceback, and
+        leaves no run directory."""
+        monkeypatch.setattr(semilinear, "POSITION_TOL", 0.0)
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("horizon = 6\nn_cells = 40\n")
+        cfg.write_text("n_cells = 40\n")
         out = tmp_path / "out"
         argv = ["semilinear-demo"] if command == "single" else ["suite", "semilinear-demo"]
         code = main(argv + ["--out", str(out), "--config", str(cfg)])
@@ -750,9 +785,9 @@ FUZZ_KEYS = {
     "scheme": ("engquist_osher", "engquist_osher", "godunov_convex"),
     "datum": ("riemann:1,0", "riemann:1,-1", "riemann:-0.5,0.5,0.2", "bump:0,0.4,0.8", "sign-step"),
     "datum2": ("riemann:0.8,0", "bump:0.1,0.3,-0.5"),
-    "source": ("logistic", "linear:0.5", "zero"),
+    "source": ("logistic", "linear:0.5", "zero", "linear:-2000", "linear:-3000", "linear:-1e300"),
     "seed": ("0", "3"),
-    "horizon": ("0.05", "0.2"),
+    "horizon": ("0.05", "0.2", "5"),
     "u_lo": ("-1.5",),
     "u_hi": ("1.5",),
     "x_lo": ("-1",),
@@ -800,6 +835,17 @@ def fuzz_case(head: list, **over):
     return head, "".join(f"{key} = {value}\n" for key, value in cfg.items())
 
 
+# Configs that once ran before failing, each now a config error before any solver step.
+PINNED_REJECTIONS = {
+    "nan-unread-key": fuzz_case(["solve"], xi_lo="nan"),  # solved, then refused by the manifest
+    "unstable-rate": fuzz_case(["semilinear-demo"], source="linear:-3000"),  # RK4 left u_range
+    "overflowing-rate": fuzz_case(["semilinear-demo"], source="linear:-1e300"),  # overflow warned
+    "front-leaves-domain": fuzz_case(["semilinear-demo"], horizon="3"),  # no level crossing found
+    "datum2-outside-u-range": fuzz_case(["contraction"], datum2="riemann:0.8,1e300"),  # after one solve
+    "no-monomial-segment": fuzz_case(["solve"], path="monomial:2,-1"),  # IndexError traceback
+}
+
+
 def _strict_json(text: str):
     def reject(constant):
         raise ValueError(f"{constant} is not strict JSON")
@@ -816,11 +862,27 @@ class TestConfigFuzz:
     @example(fuzz_case(["semilinear-demo"], source="linear:1e300"))  # the source overflowed
     @example(fuzz_case(["solve"], horizon="1e300", path="monomial:2,4"))  # t**2 overflowed
     @example(fuzz_case(["suite", "semilinear-demo"], u_hi="0"))  # the first step refused the 1 state
+    @example(PINNED_REJECTIONS["nan-unread-key"])
+    @example(PINNED_REJECTIONS["unstable-rate"])
+    @example(PINNED_REJECTIONS["overflowing-rate"])
+    @example(PINNED_REJECTIONS["front-leaves-domain"])
+    @example(PINNED_REJECTIONS["datum2-outside-u-range"])
+    @example(PINNED_REJECTIONS["no-monomial-segment"])
     def test_cli_exits_cleanly(self, drawn):
+        self.run_cli(drawn)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REJECTIONS))
+    def test_pinned_configs_rejected_before_any_step(self, name):
+        code, err, steps = self.run_cli(PINNED_REJECTIONS[name])
+        assert code == 2 and err.startswith("config error: ") and steps == 0
+
+    @staticmethod
+    def run_cli(drawn) -> tuple[int, str, int]:
         """On any drawn config the CLI exits 0, 1 or 2 with no exception or warning escaping.
         Exit 2 prints one `config error:` or `run error:` line and leaves no run directory,
         and a config error comes before any solver step unless it is one of the rejections
-        that need the solutions; every report.json and manifest.json written is strict JSON."""
+        that need the solutions; every report.json and manifest.json written is strict JSON.
+        Returns the exit code, stderr and the number of solver steps."""
         head, text = drawn
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
@@ -843,3 +905,4 @@ class TestConfigFuzz:
                 assert written
                 for file in written:
                     _strict_json(file.read_text())
+        return code, err, len(taken)

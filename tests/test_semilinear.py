@@ -294,6 +294,12 @@ class TestMismatch:
         assert final["x_transform"] == pytest.approx(TRANSFORMED_FRONT_AT_1, abs=1e-5)
         assert final["x_direct"] == pytest.approx(0.5, abs=2.0 * dx)
 
+    def test_no_direct_crossing_is_a_run_error(self):
+        """At rate -2000 the 1e-3 flow-map steps keep e^(lam t) far above the direct
+        state's finer steps, so the direct state never reaches the transform's level."""
+        with pytest.raises(RuntimeError, match=r"^direct front at t = 0.1, level 9.7e-49: no level crossing"):
+            mismatch_report(linear_source(-2000.0), burgers(), horizon=0.5, n_cells=40)
+
     def test_zero_source_gap_vanishes(self):
         rows = mismatch_report(zero_source(), burgers(), n_cells=200)
         dx = 2.0 / 200
