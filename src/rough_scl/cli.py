@@ -3,13 +3,14 @@
 One subcommand per experiment plus `suite`; every subcommand accepts
 `--config <file>` (flat key = value text), `--seed` and `--out`; a suite runs
 its members one after another.  The clauses a report failed, each with its
-numbers, are printed as `failed:` lines under its FAIL line.  A config that
-fails to load, that an experiment rejects with ValueError, or that names a
-datum or path file that cannot be read prints `config error: ...` and exits 2;
-a numerical breakdown inside a run (a RuntimeError, such as a quadrature that
-does not converge, or a NaN or infinity in the report or manifest, which are
-strict JSON) prints `run error: ...` and exits 2.  Neither leaves a run
-directory.
+numbers, are printed as `failed:` lines under its FAIL line.
+Exit status: 0 when the report passes, 1 when it fails, otherwise 2 from the one
+`except` in `main`.  A ValueError or OSError (a config that fails to load, a suite
+member that is not an experiment, a config that an experiment rejects, a datum or
+path file that cannot be read) prints `config error: ...`; a RuntimeError (a
+numerical breakdown inside a run, such as a quadrature that does not converge, or a
+NaN or infinity in the report or manifest, which are strict JSON) prints
+`run error: ...`.  Either is one stderr line and leaves no run directory.
 The default output root is ./runs, overridable by the ROUGH_SCL_OUT variable.
 """
 from __future__ import annotations
@@ -53,12 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
 _ERRORS = (ValueError, OSError, RuntimeError)
 
 
-def _error(exc: Exception) -> int:
-    kind = "run error" if isinstance(exc, RuntimeError) else "config error"
-    print(f"{kind}: {exc}", file=sys.stderr)
-    return 2
-
-
 def _print_failed(report: dict) -> None:
     for clause in report.get("failed_clauses", []):
         print(f"  failed: {clause}")
@@ -66,33 +61,28 @@ def _print_failed(report: dict) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"seed": args.seed}
-    if args.command != "suite":
-        overrides["experiment"] = args.command
+    suite = args.command == "suite"
+    overrides = {"seed": args.seed} if suite else {"seed": args.seed, "experiment": args.command}
     try:
         cfg = load_config(args.config, overrides)
-    except _ERRORS as exc:
-        return _error(exc)
-    if args.command == "suite":
-        names = args.experiments or list(DEFAULT_SUITE)
-        unknown = [n for n in names if n not in EXPERIMENTS]
-        if unknown:
-            print(f"unknown experiments: {unknown}", file=sys.stderr)
-            return 2
-        try:
+        if suite:
+            names = args.experiments or list(DEFAULT_SUITE)
+            unknown = [n for n in names if n not in EXPERIMENTS]
+            if unknown:
+                raise ValueError(f"unknown experiments: {unknown}")
             suite_dir, summary = run_suite(names, cfg, args.out)
-        except _ERRORS as exc:
-            return _error(exc)
+        else:
+            run_dir, report = execute(args.command, cfg, args.out)
+    except _ERRORS as exc:
+        print(f"{'run' if isinstance(exc, RuntimeError) else 'config'} error: {exc}", file=sys.stderr)
+        return 2
+    if suite:
         for name in names:
             res = summary["experiments"][name]
             print(f"{name}: {'PASS' if res['pass'] else 'FAIL'}  ({res['run_dir']})")
             _print_failed(res["report"])
         print(f"suite: {'PASS' if summary['pass'] else 'FAIL'}  ({suite_dir})")
         return 0 if summary["pass"] else 1
-    try:
-        run_dir, report = execute(args.command, cfg, args.out)
-    except _ERRORS as exc:
-        return _error(exc)
     ok = report.get("pass")
     print(f"{args.command}: {'PASS' if ok else 'FAIL'}  ({run_dir})")
     _print_failed(report)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import paths
+from . import paths, solver
 from .fluxes import FluxModel, from_spec
 from .semilinear import (ODE_STEP_PER_UNIT_DRIVER, RK4_STABILITY_LIMIT, SourceTerm, linear_source,
                          logistic_source, zero_source)
@@ -62,12 +62,24 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"line {ln}: unknown key {key!r}; known keys: {sorted(CONFIG_KEYS)}")
-        caster = CONFIG_KEYS[key][0]
         try:
-            out[key] = caster(value)
+            out[key] = _cast(key, value)
         except ValueError as exc:
-            raise ValueError(f"line {ln}: bad value for {key!r}: {exc}") from exc
+            raise ValueError(f"line {ln}: {exc}") from exc
     return out
+
+
+def _cast(key: str, value):
+    """`value` as the type of `key`; a bool, or a non-integral number for an int key, is refused by name."""
+    kind = CONFIG_KEYS[key][0]
+    try:
+        if kind is not str and isinstance(value, bool):
+            raise ValueError(f"{value} is not a number")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value} is not an integer")
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from exc
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
@@ -82,7 +94,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             continue
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown override {key!r}")
-        cfg[key] = CONFIG_KEYS[key][0](value)
+        cfg[key] = _cast(key, value)
     for key, value in cfg.items():
         if CONFIG_KEYS[key][0] is float and not math.isfinite(value):
             raise ValueError(f"{key} = {value}: not a finite number")
@@ -126,12 +138,31 @@ class Experiment:
 
 
 def build_experiment(cfg: dict) -> Experiment:
-    if int(cfg["n_outputs"]) < 1:
-        raise ValueError(f"n_outputs must be at least 1, got {cfg['n_outputs']}")
+    n_outputs = int(cfg["n_outputs"])
+    if n_outputs < 1:
+        raise ValueError(f"n_outputs must be at least 1, got {n_outputs}")
+    check_step_cap(f"n_outputs = {n_outputs}", n_outputs)
     flux = from_spec(cfg["flux"], (float(cfg["u_lo"]), float(cfg["u_hi"])))
     grid = Grid1D(float(cfg["x_lo"]), float(cfg["x_hi"]), int(cfg["n_cells"]), cfg["bc"])
     solver = SolverConfig(cfl=float(cfg["cfl"]), scheme=cfg["scheme"], record_slabs=False)
     return Experiment(cfg, flux, grid, solver)
+
+
+def check_step_cap(what: str, n: int) -> None:
+    """Refuse `what`, whose n pieces (segments, output intervals) each cost the march at least one
+    solver step, when n is above `solver.MAX_STEPS` (read through the module, so a test can lower
+    it), before anything of that size is allocated."""
+    if n > solver.MAX_STEPS:
+        raise ValueError(f"{what} asks for at least {n} solver steps, more than the cap of {solver.MAX_STEPS}")
+
+
+def _segment_count(spec: str, arg: str | None, default: int) -> int:
+    """A path spec's segment count: `arg`, or `default` when the spec gives none."""
+    n_seg = default if arg is None else int(arg)
+    if n_seg < 1:
+        raise ValueError(f"path = {spec}: the segment count must be at least 1, got {n_seg}")
+    check_step_cap(f"path = {spec}", n_seg)
+    return n_seg
 
 
 def _spec_args(spec: str) -> tuple[str, list[str]]:
@@ -192,7 +223,7 @@ def build_path(
         raise ValueError(f"horizon = {horizon}: the horizon must be positive and finite")
     name, args = _spec_args(spec)
     if name == "brownian":
-        n_seg = int(args[0]) if args else 8
+        n_seg = _segment_count(spec, args[0] if args else None, 8)
         return paths.brownian_sample(seed, horizon, n_seg, n_channels)
     if name in ("tent", "identity", "monomial") and n_channels != 1:
         raise ValueError(f"{name} path is single-channel")
@@ -204,9 +235,7 @@ def build_path(
         p = float(args[0]) if args else 2.0
         if not 0.0 <= p < math.inf:
             raise ValueError(f"path = {spec}: the power must be a finite number >= 0, got {p}")
-        n_seg = int(args[1]) if len(args) > 1 else 64
-        if n_seg < 1:
-            raise ValueError(f"path = {spec}: the segment count must be at least 1, got {n_seg}")
+        n_seg = _segment_count(spec, args[1] if len(args) > 1 else None, 64)
         knots = np.linspace(0.0, horizon, n_seg + 1)
         with np.errstate(over="ignore"):
             values = knots**p

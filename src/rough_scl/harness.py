@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .characteristics import dissipative_check, local_solution
-from .config import _spec_args, build_datum, build_experiment, build_source, config_text, load_config
+from .config import (_spec_args, build_datum, build_experiment, build_source, check_step_cap, config_text,
+                     load_config)
 from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1, check_xi_covers
 from .paths import (
     PathSeed,
@@ -179,8 +180,11 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
 def run_refinement(cfg: dict, run_dir: Path) -> dict:
     exp = build_experiment(cfg)
     lo, hi = int(cfg["level_lo"]), int(cfg["level_hi"])
+    if lo < 0:
+        raise ValueError(f"level_lo must be at least 0, got {lo}")
     if hi < lo + 3:
         raise ValueError("refinement needs at least three levels above the base")
+    check_step_cap(f"level_hi = {hi}", 2 ** min(hi, 64))  # the finest path's segments, not formed past 2**64
     seed = PathSeed(int(cfg["seed"]))
     level_paths = [brownian_sample(seed, exp.horizon, 2**lo, exp.flux.n_channels)]
     for level in range(lo + 1, hi + 1):

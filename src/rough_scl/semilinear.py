@@ -222,8 +222,8 @@ def direct_semilinear_solve(
     if fseg.max_speed <= 0.0:
         raise ValueError("flux has no transport on the certified range")
     dt_max = config.cfl * grid.dx / fseg.max_speed
-    _check_step_count(horizon * fseg.max_speed / (config.cfl * grid.dx), fseg.max_speed, grid.dx)
     outputs = np.linspace(0.0, horizon, 11)
+    _check_step_count(horizon * fseg.max_speed / (config.cfl * grid.dx) + outputs.size, fseg.max_speed, grid.dx)
     state = CellState(grid, np.where(grid.centers < 0.0, 1.0, 0.0), 0.0)
     states = []
     for target in outputs:

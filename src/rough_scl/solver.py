@@ -232,8 +232,9 @@ def solve_path(
     counting as passed; then snapshot, labelled with the output.  The march
     ends at the last output; `Trajectory.times` is a copy of `outputs`.  Before
     the first step, ceil(span * max_speed / (cfl dx)) steps are counted on each
-    segment the march enters, and ValueError is raised if they total more than
-    MAX_STEPS.
+    segment the march enters, plus one for each such segment and each output,
+    as the landing rule may add a step at every segment end and every output;
+    ValueError is raised if they total more than MAX_STEPS.
     """
     outputs = np.array(outputs, dtype=float, ndmin=1)
     if not np.all(np.diff(outputs) > 0):  # written so that a NaN fails too
@@ -249,7 +250,7 @@ def solve_path(
     live = span > 0.0  # the segments the march enters
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, which the cap refuses
         speeds = np.abs(slopes[live]) @ flux.lip_a  # their `SegmentFlux.max_speed`
-        n_steps = float(np.sum(np.ceil(span[live] * speeds / (config.cfl * grid.dx))))
+        n_steps = float(np.sum(np.ceil(span[live] * speeds / (config.cfl * grid.dx))) + live.sum() + outputs.size)
     _check_step_count(n_steps, float(np.max(speeds, initial=0.0)), grid.dx)
 
     state = CellState(grid, np.array(u0, dtype=float), 0.0)

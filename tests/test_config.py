@@ -1,7 +1,11 @@
 """Flat config grammar, datum/path builders, experiment assembly."""
+import re
+
 import numpy as np
 import pytest
 
+import rough_scl.paths as paths
+import rough_scl.solver as solver
 from rough_scl.config import (
     CONFIG_KEYS,
     build_datum,
@@ -69,6 +73,25 @@ class TestParse:
         for args in ((str(f), None), (None, {key: bad})):
             with pytest.raises(ValueError, match=f"^{key} = {bad}: not a finite number$"):
                 load_config(*args)
+
+    @pytest.mark.parametrize("key, value, why", [
+        ("n_cells", "abc", "invalid literal for int"),
+        ("seed", 1.5, "1.5 is not an integer"),
+        ("seed", float("inf"), "inf is not an integer"),
+        ("n_xi", True, "True is not a number"),
+        ("horizon", False, "False is not a number"),
+        ("cfl", "fast", "could not convert"),
+        ("n_outputs", [4], "int() argument"),
+    ])
+    def test_override_cast_names_the_key(self, key, value, why):
+        """A manifest's config goes through the overrides: a value that is not of the key's type,
+        a bool, or a non-integral number for an int key, is refused by key."""
+        with pytest.raises(ValueError, match=f"^bad value for '{key}': {re.escape(why)}"):
+            load_config(None, {key: value})
+
+    def test_integral_float_override_is_an_int(self):
+        cfg = load_config(None, {"n_cells": 64.0, "seed": 3})
+        assert cfg["n_cells"] == 64 and type(cfg["n_cells"]) is int
 
     def test_text_round_trip(self):
         cfg = load_config(None, {"n_cells": 37, "flux": "cubic"})
@@ -199,7 +222,20 @@ class TestPathBuilders:
         with pytest.raises(ValueError, match="path spec"):
             build_path("ou:1", 0, 1.0, 1)
 
-    @pytest.mark.parametrize("spec", ["monomial:2,0", "monomial:2,-1"])
+    @pytest.mark.parametrize("spec", ["brownian:101", "monomial:2,101"])
+    def test_segment_count_above_the_step_cap_rejected_before_sampling(self, monkeypatch, spec):
+        """Each segment costs the march a step, so a count above `solver.MAX_STEPS` is refused before
+        a path of that size is sampled; at the cap it is built."""
+        monkeypatch.setattr(solver, "MAX_STEPS", 100)
+        with monkeypatch.context() as m:
+            m.setattr(paths, "brownian_sample", lambda *a: pytest.fail("sampled"))
+            m.setattr(paths, "PiecewiseLinearPath", lambda *a: pytest.fail("built"))
+            with pytest.raises(ValueError, match=f"^path = {spec} asks for at least 101 solver steps, "
+                                                 "more than the cap of 100$"):
+                build_path(spec, 0, 1.0, 1)
+        assert build_path(spec.replace("101", "100"), 0, 1.0, 1).n_segments == 100
+
+    @pytest.mark.parametrize("spec", ["monomial:2,0", "monomial:2,-1", "brownian:0"])
     def test_monomial_needs_a_segment(self, spec):
         with pytest.raises(ValueError, match=f"^path = {spec}: the segment count must be at least 1"):
             build_path(spec, 0, 1.0, 1)
@@ -237,6 +273,15 @@ class TestExperiment:
                                              r"u_range \[-1.5, 1.5\]$"):
             exp.datum(spec)
         assert exp.datum("riemann:1.5,-1.5").max() == 1.5  # the range's edges are in it
+
+    def test_output_count_above_the_step_cap_rejected(self, monkeypatch):
+        """Each output interval costs the march a step: more than `solver.MAX_STEPS` of them are
+        refused before their times are laid out."""
+        monkeypatch.setattr(solver, "MAX_STEPS", 100)
+        with pytest.raises(ValueError, match="^n_outputs = 101 asks for at least 101 solver steps, "
+                                             "more than the cap of 100$"):
+            build_experiment(load_config(None, {"n_outputs": 101}))
+        assert build_experiment(load_config(None, {"n_outputs": 100})).outputs.size == 101
 
     @pytest.mark.parametrize("n_outputs", [0, -2])
     def test_needs_one_output_interval(self, n_outputs):

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -41,10 +43,10 @@ from rough_scl.paths import identity_path
 from rough_scl.solver import _TIME_ATOL
 
 
-def write_datum_table(csv, n_cells):
+def datum_table(n_cells) -> str:
     """An x,u table on the cell centres of an n_cells grid on the default domain [-1, 1]."""
     x = -1.0 + (np.arange(n_cells) + 0.5) * 2.0 / n_cells
-    csv.write_text("x,u\n" + "".join(f"{v!r},{math.sin(math.pi * v)!r}\n" for v in x.tolist()))
+    return "x,u\n" + "".join(f"{v!r},{math.sin(math.pi * v)!r}\n" for v in x.tolist())
 
 
 @contextlib.contextmanager
@@ -63,29 +65,153 @@ def counting_steps():
         yield steps
 
 
-# `python -c` source: the CLI with solver steps counted, their number printed as the last stdout line.
-COUNTING_CLI = """
-import sys
-import rough_scl.semilinear as semilinear, rough_scl.solver as solver
-from rough_scl.cli import main
-steps, real = [], solver.step
-def counted(*args, **kwargs):
-    new = real(*args, **kwargs)
-    steps.append(None)
-    return new
-solver.step = semilinear.step = counted
-code = main(sys.argv[1:])
-print(len(steps))
-sys.exit(code)
-"""
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail the test if the block still runs after `seconds`.  `pytest.fail` raises an exception that
+    `cli._ERRORS` does not catch (a TimeoutError is an OSError, which the CLI prints as a config error)."""
+    def fail(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # The config errors that come after solving, as the rejection has to see the solutions.
 NEEDS_THE_SOLUTIONS = (
     "does not feel the driver",  # path-stability: no perturbed solve differs; refine: no first gap
 )
-# Configs whose run once stepped for ever, under a huge or infinite speed bound.
-STEPPED_FOR_EVER = ("1e300", "poly:0,1e308")
+CLI_TIME_LIMIT = 30.0  # seconds; under a huge or infinite speed bound a run once stepped for ever
+# Datum tables written beside every config that `run_cli` runs
+TABLES = {
+    "u0.csv": datum_table(400),  # on the default grid
+    "off_grid.csv": "x,u\n" + "".join(f"{x},0.5\n" for x in np.linspace(5.0, 9.0, 4)),
+    "with_nan.csv": "x,u\n-0.75,0.5\n-0.25,0.5\n0.25,nan\n0.75,0.5\n",  # centres of 4 cells on [-1, 1]
+}
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def run_cli(head: list, text: str) -> tuple[int, str, int]:
+    """Run the CLI in process, with `text` as its config file, and check its exit contract: it exits
+    0, 1 or 2 with no exception or warning escaping, within CLI_TIME_LIMIT seconds.  Exit 2 prints one
+    `config error:` or `run error:` line and leaves no run directory, and a config error comes before
+    any solver step unless it is one of the rejections that need the solutions; every report.json and
+    manifest.json written is strict JSON.  `{tmp}` in `text` is the config's directory, which also
+    holds the TABLES.  Returns the exit code, stderr and the number of solver steps."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, table in TABLES.items():
+            (Path(tmp) / name).write_text(table)
+        cfg, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
+        cfg.write_text(text.replace("{tmp}", tmp))
+        out.mkdir()  # made here, as a rejection can come before the CLI makes it
+        err = io.StringIO()
+        with time_limit(CLI_TIME_LIMIT), counting_steps() as taken, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(head + ["--out", str(out), "--config", str(cfg)])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith(("config error: ", "run error: ")) and err.count("\n") == 1, err
+            assert list(out.iterdir()) == []
+            if err.startswith("config error: ") and taken:
+                assert any(reason in err for reason in NEEDS_THE_SOLUTIONS), err
+        else:
+            written = [*out.rglob("report.json"), *out.rglob("manifest.json")]
+            assert written
+            for file in written:
+                _strict_json(file.read_text())
+    return code, err, len(taken)
+
+
+# The one table of configs that the CLI rejects, by the test that runs them: row id -> (experiment,
+# config text, what its one `config error:` line holds: the whole line when it ends in a newline,
+# else a part of it, the key, spec or numbers at fault).
+REJECTED = {
+    # each alone and as a one-member suite
+    "rejected_config": {
+        "kinetic-godunov": ("kinetic-check", "scheme = godunov_convex\n", "'godunov_convex'"),
+        "semilinear-bogus-source": ("semilinear-demo", "source = bogus\n", "'bogus'"),
+        "bump-zero-width": ("solve", "datum = bump:0,0,1\n", "halfwidth"),
+        "zero-outputs": ("path-stability", "n_outputs = 0\n", "n_outputs"),
+        "zero-epsilon": ("path-stability", "epsilons = 0.2,0.1,0.05,0\n", "epsilons"),
+        "nan-epsilon": ("path-stability", "epsilons = 0.2,nan,0.05,0.025\n", "epsilons"),
+        "file-datum": ("path-stability", "datum = file:{tmp}/u0.csv\n", "datum"),
+        "datum-feels-no-driver": ("path-stability", "datum = riemann:0.5,0.5\n", "riemann:0.5,0.5"),
+        "inf-u-hi": ("solve", "u_hi = inf\nn_cells = 32\n", "u_hi = inf"),
+        "semilinear-inf-u-hi": ("semilinear-demo", "u_hi = inf\nn_cells = 32\n", "u_hi = inf"),
+        "overflowing-bound": ("solve", "flux = poly:0,0,1e308\nn_cells = 32\n", "'poly:0,0,1e308'"),
+        "nan-coefficient": ("solve", "flux = poly:0,nan\nn_cells = 32\n", "'poly:0,nan'"),
+        "bump-nan-width": ("solve", "datum = bump:0,nan,0.5\nn_cells = 32\n", "bump:0,nan,0.5"),
+        "bump-nan-center": ("solve", "datum = bump:nan,0.3,0.5\nn_cells = 32\n", "bump:nan,0.3,0.5"),
+        "bump-inf-width": ("solve", "datum = bump:0,inf,0.5\nn_cells = 32\n", "bump:0,inf,0.5"),
+        "riemann-nan-jump": ("solve", "datum = riemann:1,0,nan\nn_cells = 32\n", "riemann:1,0,nan"),
+        "inf-x-hi": ("solve", "x_hi = inf\nn_cells = 32\n", "x_hi = inf"),
+        "inf-horizon": ("solve", "horizon = inf\nn_cells = 32\n", "horizon = inf"),
+        "negative-power": ("solve", "path = monomial:-1,8\nn_cells = 32\n", "path = monomial:-1,8"),
+        "huge-bound": ("solve", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n", "dx = 0.0625 needs"),
+        "semilinear-huge-bound": ("semilinear-demo", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n",
+                                  "speed bound 1e+300 with dx = 0.0625"),
+        "huge-u-hi": ("solve", "u_hi = 1e300\nn_cells = 32\n", "dx = 0.0625 needs"),
+        "semilinear-huge-u-hi": ("semilinear-demo", "u_hi = 1e300\nn_cells = 32\n",
+                                 "speed bound 1e+300 with dx = 0.0625"),
+        "huge-coefficient": ("solve", "flux = poly:0,1e308\nn_cells = 32\n", "speed bound inf with dx = 0.0625"),
+        "bad-datum2": ("contraction", "path = brownian:1024\nn_cells = 800\ndatum2 = riemann:1\n", "riemann takes"),
+        "xi-grid-short-of-datum": ("kinetic-check", "datum = riemann:2,0\npath = brownian:1024\n",
+                                   "does not cover data range +-2.0"),
+        "inf-xi-hi": ("kinetic-check", "xi_hi = inf\n", "xi_hi = inf"),
+        # each of these once ran before failing
+        "nan-unread-key": ("solve", "xi_lo = nan\nn_cells = 32\n", "xi_lo = nan"),  # refused by the manifest
+        "unstable-rate": ("semilinear-demo", "source = linear:-3000\n", "source = linear:-3000"),  # left u_range
+        "overflowing-rate": ("semilinear-demo", "source = linear:-1e300\n", "source = linear:-1e300"),  # warned
+        "front-leaves-domain": ("semilinear-demo", "horizon = 3\n", "horizon = 3.0"),  # no level crossing
+        "datum2-outside-u-range": ("contraction", "datum2 = riemann:0.8,3\n", "riemann:0.8,3"),  # after one solve
+        "no-monomial-segment": ("solve", "path = monomial:2,-1\n", "path = monomial:2,-1"),  # IndexError
+        "linear-front-leaves-domain": ("semilinear-demo", "source = linear:0.5\nu_hi = 10\nhorizon = 2.2\n",
+                                       "horizon = 2.2"),
+    },
+    "missing_input_file": {  # each alone and as a one-member suite
+        key: ("solve", f"{key} = file:{{tmp}}/absent.csv\n", "absent.csv") for key in ("datum", "path")
+    },
+    "bad_linear_rate": {
+        rate: ("semilinear-demo", f"source = linear:{rate}\n",
+               f"config error: source = linear:{rate}: the linear rate must be a finite number, got '{rate}'\n")
+        for rate in ("nan", "inf", "-inf", "fast")
+    },
+    "semilinear_demo_flux_key": {  # the demo solves Burgers; another flux key was ignored
+        flux: ("semilinear-demo", f"flux = {flux}\n", f"flux = {flux!r}") for flux in ("cubic", "burgers;cubic")
+    },
+    "one_off": {
+        "datum-table-off-the-grid": ("solve", "n_cells = 4\ndatum = file:{tmp}/off_grid.csv\n", "x column"),
+        "datum-table-with-nan": ("solve", "n_cells = 4\ndatum = file:{tmp}/with_nan.csv\n", "not finite"),
+        "malformed-config": ("solve", "n_cols = 7\n", "unknown key 'n_cols'"),
+        "unknown-suite-member": ("warp", "", "config error: unknown experiments: ['warp']\n"),
+    },
+}
+
+
+def rejected_argv(row: tuple, command: str = "single") -> tuple[list, str]:
+    """(argv head, config text) of a row of REJECTED, run alone or as a one-member suite."""
+    experiment, text, _ = row
+    return [experiment] if command == "single" else ["suite", experiment], text
+
+
+def assert_rejected(row: tuple, command: str = "single") -> None:
+    """The row's config exits 2 with one `config error:` line holding the row's text; `run_cli` checks
+    the rest of the contract."""
+    code, err, _ = run_cli(*rejected_argv(row, command))
+    expected = row[2]
+    assert code == 2 and err.startswith("config error: "), err
+    assert err == expected if expected.endswith("\n") else expected in err, err
 
 
 def tiny(**over):
@@ -194,7 +320,7 @@ class TestPathStability:
         """The Richardson check needs the datum on the doubled grid too; a table
         matching the configured grid has no values there."""
         csv = tmp_path / "u0.csv"
-        write_datum_table(csv, 100)
+        csv.write_text(datum_table(100))
         monkeypatch.setattr(harness, "solve_path", lambda *a, **k: pytest.fail("solved"))
         cfg = tiny(experiment="path-stability", datum=f"file:{csv}")
         with pytest.raises(ValueError, match="^path-stability takes no file: datum: its Richardson "
@@ -223,6 +349,23 @@ class TestRefinement:
     def test_needs_three_levels(self, tmp_path):
         cfg = tiny(experiment="refine", level_lo=4, level_hi=6)
         with pytest.raises(ValueError, match="three levels"):
+            run_refinement(cfg, tmp_path)
+
+    @pytest.mark.parametrize("levels, message", [
+        pytest.param((-1, 4), "^level_lo must be at least 0, got -1$", id="negative-lo"),
+        pytest.param((2, 7), "^level_hi = 7 asks for at least 128 solver steps, more than the cap of 100$",
+                     id="hi-above-cap"),
+        pytest.param((2, 10**9), "^level_hi = 1000000000 asks for at least 18446744073709551616 solver steps",
+                     id="huge-hi"),  # 2**level_hi is not formed past 2**64
+    ])
+    def test_levels_checked_before_the_ladder(self, tmp_path, monkeypatch, levels, message):
+        """The finest path has 2**level_hi segments, each a solver step at least: above
+        `solver.MAX_STEPS` the ladder is refused before any level is sampled."""
+        monkeypatch.setattr(solver, "MAX_STEPS", 100)
+        monkeypatch.setattr(harness, "brownian_sample", lambda *a: pytest.fail("sampled"))
+        monkeypatch.setattr(harness, "dyadic_refine", lambda *a: pytest.fail("refined"))
+        cfg = tiny(experiment="refine", level_lo=levels[0], level_hi=levels[1])
+        with pytest.raises(ValueError, match=message):
             run_refinement(cfg, tmp_path)
 
     @pytest.mark.parametrize("scheme, atol", [("godunov_convex", 0.0), ("engquist_osher", 1e-15)])
@@ -577,193 +720,74 @@ class TestCli:
                              text=True, check=True).stdout
         assert out.strip() == "[]"
 
-    def test_unknown_suite_member(self, tmp_path, capsys):
-        code = main(["suite", "warp", "--out", str(tmp_path)])
-        assert code == 2
-        assert "unknown experiments" in capsys.readouterr().err
+    def test_unknown_suite_member(self):
+        assert_rejected(REJECTED["one_off"]["unknown-suite-member"], "suite")
 
     @pytest.mark.parametrize("command", ["single", "suite"])
-    @pytest.mark.parametrize("experiment, line, names", [
-        pytest.param("kinetic-check", "scheme = godunov_convex\n", "'godunov_convex'", id="kinetic-godunov"),
-        pytest.param("semilinear-demo", "source = bogus\n", "'bogus'", id="semilinear-bogus-source"),
-        pytest.param("solve", "datum = bump:0,0,1\n", "halfwidth", id="bump-zero-width"),
-        pytest.param("path-stability", "n_outputs = 0\n", "n_outputs", id="zero-outputs"),
-        pytest.param("path-stability", "epsilons = 0.2,0.1,0.05,0\n", "epsilons", id="zero-epsilon"),
-        pytest.param("path-stability", "epsilons = 0.2,nan,0.05,0.025\n", "epsilons", id="nan-epsilon"),
-        pytest.param("path-stability", "datum = file:{tmp}/u0.csv\n", "datum", id="file-datum"),
-        pytest.param("path-stability", "datum = riemann:0.5,0.5\n", "riemann:0.5,0.5", id="datum-feels-no-driver"),
-        pytest.param("solve", "u_hi = inf\nn_cells = 32\n", "u_hi = inf", id="inf-u-hi"),
-        pytest.param("semilinear-demo", "u_hi = inf\nn_cells = 32\n", "u_hi = inf",
-                     id="semilinear-inf-u-hi"),
-        pytest.param("solve", "flux = poly:0,0,1e308\nn_cells = 32\n", "'poly:0,0,1e308'", id="overflowing-bound"),
-        pytest.param("solve", "flux = poly:0,nan\nn_cells = 32\n", "'poly:0,nan'", id="nan-coefficient"),
-        pytest.param("solve", "datum = bump:0,nan,0.5\nn_cells = 32\n", "bump:0,nan,0.5", id="bump-nan-width"),
-        pytest.param("solve", "datum = bump:nan,0.3,0.5\nn_cells = 32\n", "bump:nan,0.3,0.5", id="bump-nan-center"),
-        pytest.param("solve", "datum = bump:0,inf,0.5\nn_cells = 32\n", "bump:0,inf,0.5", id="bump-inf-width"),
-        pytest.param("solve", "datum = riemann:1,0,nan\nn_cells = 32\n", "riemann:1,0,nan", id="riemann-nan-jump"),
-        pytest.param("solve", "x_hi = inf\nn_cells = 32\n", "x_hi = inf", id="inf-x-hi"),
-        pytest.param("solve", "horizon = inf\nn_cells = 32\n", "horizon = inf", id="inf-horizon"),
-        pytest.param("solve", "path = monomial:-1,8\nn_cells = 32\n", "path = monomial:-1,8", id="negative-power"),
-        pytest.param("solve", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n", "dx = 0.0625 needs",
-                     id="huge-bound"),
-        pytest.param("semilinear-demo", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n",
-                     "speed bound 1e+300 with dx = 0.0625", id="semilinear-huge-bound"),
-        pytest.param("solve", "u_hi = 1e300\nn_cells = 32\n", "dx = 0.0625 needs", id="huge-u-hi"),
-        pytest.param("semilinear-demo", "u_hi = 1e300\nn_cells = 32\n", "speed bound 1e+300 with dx = 0.0625",
-                     id="semilinear-huge-u-hi"),
-        pytest.param("solve", "flux = poly:0,1e308\nn_cells = 32\n", "speed bound inf with dx = 0.0625",
-                     id="huge-coefficient"),
-        pytest.param("contraction", "path = brownian:1024\nn_cells = 800\ndatum2 = riemann:1\n",
-                     "riemann takes", id="bad-datum2"),
-        pytest.param("kinetic-check", "datum = riemann:2,0\npath = brownian:1024\n",
-                     "does not cover data range +-2.0", id="xi-grid-short-of-datum"),
-        pytest.param("kinetic-check", "xi_hi = inf\n", "xi_hi = inf", id="inf-xi-hi"),
-        pytest.param("solve", "xi_lo = nan\nn_cells = 32\n", "xi_lo = nan", id="nan-unread-key"),
-        pytest.param("semilinear-demo", "source = linear:-3000\n", "source = linear:-3000", id="unstable-rate"),
-        pytest.param("semilinear-demo", "source = linear:-1e300\n", "source = linear:-1e300",
-                     id="overflowing-rate"),
-        pytest.param("semilinear-demo", "horizon = 3\n", "horizon = 3.0", id="front-leaves-domain"),
-        pytest.param("contraction", "datum2 = riemann:0.8,3\n", "riemann:0.8,3", id="datum2-outside-u-range"),
-        pytest.param("solve", "path = monomial:2,-1\n", "path = monomial:2,-1", id="no-monomial-segment"),
-        pytest.param("semilinear-demo", "source = linear:0.5\nu_hi = 10\nhorizon = 2.2\n", "horizon = 2.2",
-                     id="linear-front-leaves-domain"),
-    ])
-    @pytest.mark.filterwarnings("error")
-    def test_rejected_config_exits_2(self, tmp_path, capsys, command, experiment, line, names):
+    @pytest.mark.parametrize("name", REJECTED["rejected_config"])
+    def test_rejected_config_exits_2(self, command, name):
         """An experiment that rejects its config prints one `config error` line naming
         the key, the spec or the numbers at fault, leaves no run directory behind and,
-        unless the rejection needs the solutions, takes no solver step.  A huge or
-        infinite speed bound once made runs step forever, so those cases run in a
-        fresh process with a timeout."""
-        write_datum_table(tmp_path / "u0.csv", 400)  # on the default grid
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(line.format(tmp=tmp_path))
-        out = tmp_path / "out"
-        argv = [experiment] if command == "single" else ["suite", experiment]
-        argv += ["--out", str(out), "--config", str(cfg)]
-        if any(s in line for s in STEPPED_FOR_EVER) or (experiment == "semilinear-demo" and "u_hi" in line):
-            env = dict(os.environ, PYTHONPATH=str(Path(rough_scl.__file__).resolve().parents[1]))
-            run = subprocess.run([sys.executable, "-W", "error", "-c", COUNTING_CLI, *argv], env=env,
-                                 capture_output=True, text=True, timeout=30)
-            code, err, steps = run.returncode, run.stderr, int(run.stdout.split()[-1])
-        else:
-            with counting_steps() as taken:
-                code = main(argv)
-            err, steps = capsys.readouterr().err, len(taken)
-        assert code == 2
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert names in err
-        assert not out.exists() or list(out.iterdir()) == []  # a float key is checked before the out root is made
-        assert steps == 0 or any(reason in err for reason in NEEDS_THE_SOLUTIONS)
+        unless the rejection needs the solutions, takes no solver step."""
+        assert_rejected(REJECTED["rejected_config"][name], command)
 
-    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "fast"])
-    def test_bad_linear_rate_names_the_source_key(self, tmp_path, capsys, rate):
+    @pytest.mark.parametrize("rate", REJECTED["bad_linear_rate"])
+    def test_bad_linear_rate_names_the_source_key(self, rate):
         """A linear rate that is not a finite number is rejected before the solve, by key and rate."""
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"source = linear:{rate}\n")
-        out = tmp_path / "out"
-        code = main(["semilinear-demo", "--out", str(out), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == (f"config error: source = linear:{rate}: "
-                       f"the linear rate must be a finite number, got '{rate}'\n")
-        assert list(out.iterdir()) == []
+        assert_rejected(REJECTED["bad_linear_rate"][rate])
 
     @pytest.mark.parametrize("command", ["single", "suite"])
-    def test_numerical_breakdown_exits_2(self, tmp_path, capsys, monkeypatch, command):
+    def test_numerical_breakdown_exits_2(self, monkeypatch, command):
         """A RuntimeError inside a run (here the front quadrature held to exact agreement of its
         two rules, which differ by roundoff) prints one `run error` line, not a traceback, and
         leaves no run directory."""
         monkeypatch.setattr(semilinear, "POSITION_TOL", 0.0)
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("n_cells = 40\n")
-        out = tmp_path / "out"
-        argv = ["semilinear-demo"] if command == "single" else ["suite", "semilinear-demo"]
-        code = main(argv + ["--out", str(out), "--config", str(cfg)])
-        err = capsys.readouterr().err
+        code, err, _ = run_cli(["semilinear-demo"] if command == "single" else ["suite", "semilinear-demo"],
+                               "n_cells = 40\n")
         assert code == 2
         assert err.startswith("run error: front position quadrature did not converge")
-        assert err.count("\n") == 1
-        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["single", "suite"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_report_value_exits_2(self, tmp_path, capsys, monkeypatch, command, bad):
+    def test_non_finite_report_value_exits_2(self, monkeypatch, command, bad):
         """Reports are strict JSON: a NaN or infinity is a run error naming its key, and no
         run directory is kept."""
         monkeypatch.setitem(harness.EXPERIMENTS, "solve",
                             lambda cfg, run_dir: {"pass": True, "levels": {"gaps": [0.5, bad]}})
-        out = tmp_path / "out"
-        argv = ["solve"] if command == "single" else ["suite", "solve"]
-        code = main(argv + ["--out", str(out)])
-        err = capsys.readouterr().err
+        code, err, _ = run_cli(["solve"] if command == "single" else ["suite", "solve"], "")
         assert code == 2
         assert err == "run error: report.json: levels.gaps[1] is not a finite number\n"
-        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["single", "suite"])
-    @pytest.mark.parametrize("key", ["datum", "path"])
-    def test_missing_input_file_exits_2(self, tmp_path, capsys, command, key):
+    @pytest.mark.parametrize("key", REJECTED["missing_input_file"])
+    def test_missing_input_file_exits_2(self, command, key):
         """A datum or path file that is not there is a config error, not a traceback."""
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"{key} = file:{tmp_path / 'absent.csv'}\n")
-        out = tmp_path / "out"
-        argv = ["solve"] if command == "single" else ["suite", "solve"]
-        code = main(argv + ["--out", str(out), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: ")
-        assert "absent.csv" in err
-        assert list(out.iterdir()) == []
+        assert_rejected(REJECTED["missing_input_file"][key], command)
 
-    @pytest.mark.parametrize("flux", ["cubic", "burgers;cubic"])
-    def test_semilinear_demo_flux_key_exits_2(self, tmp_path, capsys, flux):
+    @pytest.mark.parametrize("flux", REJECTED["semilinear_demo_flux_key"])
+    def test_semilinear_demo_flux_key_exits_2(self, flux):
         """The demo solves Burgers; another flux key was ignored and the demo still passed."""
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"flux = {flux}\n")
-        out = tmp_path / "out"
-        code = main(["semilinear-demo", "--out", str(out), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: ") and f"flux = {flux!r}" in err
-        assert list(out.iterdir()) == []
+        assert_rejected(REJECTED["semilinear_demo_flux_key"][flux])
 
-    def test_datum_table_off_the_grid_exits_2(self, tmp_path, capsys):
+    def test_datum_table_off_the_grid_exits_2(self):
         """A datum table whose x column is not the grid's centres is a config error."""
-        table = tmp_path / "u.csv"
-        table.write_text("x,u\n" + "".join(f"{x},0.5\n" for x in np.linspace(5.0, 9.0, 4)))
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"n_cells = 4\ndatum = file:{table}\n")
-        out = tmp_path / "out"
-        code = main(["solve", "--out", str(out), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: ")
-        assert "x column" in err
-        assert list(out.iterdir()) == []
+        assert_rejected(REJECTED["one_off"]["datum-table-off-the-grid"])
 
-    def test_datum_table_with_nan_exits_2(self, tmp_path, capsys):
+    def test_datum_table_with_nan_exits_2(self):
         """A NaN in the u column is a config error, not a solve of all-NaN states."""
-        x = [-0.75, -0.25, 0.25, 0.75]  # the default domain's centres at n_cells = 4
-        u = ["0.5", "0.5", "nan", "0.5"]
-        table = tmp_path / "u.csv"
-        table.write_text("x,u\n" + "".join(f"{a},{v}\n" for a, v in zip(x, u)))
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"n_cells = 4\ndatum = file:{table}\n")
-        out = tmp_path / "out"
-        code = main(["solve", "--out", str(out), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: ")
-        assert "not finite" in err
-        assert list(out.iterdir()) == []
+        assert_rejected(REJECTED["one_off"]["datum-table-with-nan"])
 
-    def test_malformed_config_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("n_cols = 7\n")
-        code = main(["solve", "--out", str(tmp_path), "--config", str(bad)])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+    def test_malformed_config_exits_2(self):
+        assert_rejected(REJECTED["one_off"]["malformed-config"])
+
+    def test_time_limit_fails_a_run_that_does_not_end(self, monkeypatch):
+        """The guard's failure escapes the CLI's one `except`, where a TimeoutError would not."""
+        monkeypatch.setattr(sys.modules[__name__], "CLI_TIME_LIMIT", 0.05)
+        monkeypatch.setitem(harness.EXPERIMENTS, "solve", lambda cfg, run_dir: time.sleep(5.0))
+        started = time.perf_counter()
+        with pytest.raises(pytest.fail.Exception, match="still running after 0.05 s"):
+            run_cli(["solve"], "")
+        assert time.perf_counter() - started < 1.0
 
     @staticmethod
     def _cfg(tmp_path) -> str:
@@ -835,23 +859,6 @@ def fuzz_case(head: list, **over):
     return head, "".join(f"{key} = {value}\n" for key, value in cfg.items())
 
 
-# Configs that once ran before failing, each now a config error before any solver step.
-PINNED_REJECTIONS = {
-    "nan-unread-key": fuzz_case(["solve"], xi_lo="nan"),  # solved, then refused by the manifest
-    "unstable-rate": fuzz_case(["semilinear-demo"], source="linear:-3000"),  # RK4 left u_range
-    "overflowing-rate": fuzz_case(["semilinear-demo"], source="linear:-1e300"),  # overflow warned
-    "front-leaves-domain": fuzz_case(["semilinear-demo"], horizon="3"),  # no level crossing found
-    "datum2-outside-u-range": fuzz_case(["contraction"], datum2="riemann:0.8,1e300"),  # after one solve
-    "no-monomial-segment": fuzz_case(["solve"], path="monomial:2,-1"),  # IndexError traceback
-}
-
-
-def _strict_json(text: str):
-    def reject(constant):
-        raise ValueError(f"{constant} is not strict JSON")
-    return json.loads(text, parse_constant=reject)
-
-
 class TestConfigFuzz:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -862,47 +869,11 @@ class TestConfigFuzz:
     @example(fuzz_case(["semilinear-demo"], source="linear:1e300"))  # the source overflowed
     @example(fuzz_case(["solve"], horizon="1e300", path="monomial:2,4"))  # t**2 overflowed
     @example(fuzz_case(["suite", "semilinear-demo"], u_hi="0"))  # the first step refused the 1 state
-    @example(PINNED_REJECTIONS["nan-unread-key"])
-    @example(PINNED_REJECTIONS["unstable-rate"])
-    @example(PINNED_REJECTIONS["overflowing-rate"])
-    @example(PINNED_REJECTIONS["front-leaves-domain"])
-    @example(PINNED_REJECTIONS["datum2-outside-u-range"])
-    @example(PINNED_REJECTIONS["no-monomial-segment"])
+    @example(rejected_argv(REJECTED["rejected_config"]["nan-unread-key"]))
+    @example(rejected_argv(REJECTED["rejected_config"]["unstable-rate"]))
+    @example(rejected_argv(REJECTED["rejected_config"]["overflowing-rate"]))
+    @example(rejected_argv(REJECTED["rejected_config"]["front-leaves-domain"]))
+    @example(rejected_argv(REJECTED["rejected_config"]["datum2-outside-u-range"]))
+    @example(rejected_argv(REJECTED["rejected_config"]["no-monomial-segment"]))
     def test_cli_exits_cleanly(self, drawn):
-        self.run_cli(drawn)
-
-    @pytest.mark.parametrize("name", sorted(PINNED_REJECTIONS))
-    def test_pinned_configs_rejected_before_any_step(self, name):
-        code, err, steps = self.run_cli(PINNED_REJECTIONS[name])
-        assert code == 2 and err.startswith("config error: ") and steps == 0
-
-    @staticmethod
-    def run_cli(drawn) -> tuple[int, str, int]:
-        """On any drawn config the CLI exits 0, 1 or 2 with no exception or warning escaping.
-        Exit 2 prints one `config error:` or `run error:` line and leaves no run directory,
-        and a config error comes before any solver step unless it is one of the rejections
-        that need the solutions; every report.json and manifest.json written is strict JSON.
-        Returns the exit code, stderr and the number of solver steps."""
-        head, text = drawn
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
-            cfg.write_text(text)
-            err = io.StringIO()
-            with counting_steps() as taken, contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as warned:
-                warnings.simplefilter("always")
-                code = main(head + ["--out", str(out), "--config", str(cfg)])
-            err = err.getvalue()
-            assert [str(w.message) for w in warned] == []
-            assert code in (0, 1, 2)
-            if code == 2:
-                assert err.startswith(("config error: ", "run error: ")) and err.count("\n") == 1
-                assert not out.exists() or list(out.iterdir()) == []
-                if err.startswith("config error: ") and taken:
-                    assert any(reason in err for reason in NEEDS_THE_SOLUTIONS), err
-            else:
-                written = [*out.rglob("report.json"), *out.rglob("manifest.json")]
-                assert written
-                for file in written:
-                    _strict_json(file.read_text())
-        return code, err, len(taken)
+        run_cli(*drawn)

@@ -1,9 +1,12 @@
 """Finite-volume scheme: stability invariants and exact-solution oracles."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rough_scl.solver as solver
 from rough_scl.fluxes import FluxModel, SegmentFlux, builtin, from_spec
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, dyadic_refine, identity_path, tent_path
 from rough_scl.solver import (
@@ -273,9 +276,13 @@ class TestLandingRule:
     @settings(max_examples=60, deadline=None)
     @given(march_cases())
     def test_bitwise_equal_to_the_cursor_march(self, case):
+        """Bit for bit the cursor march, in no more steps than the count checked against the cap."""
         u0, flux, path, outputs, grid, config = case
-        slabs = []
-        traj = solve_path(u0, flux, path, outputs, grid, config, collect=slabs.append)
+        slabs, counts = [], []
+        check = solver._check_step_count
+        with mock.patch.object(solver, "_check_step_count", lambda n, *a: (counts.append(n), check(n, *a))):
+            traj = solve_path(u0, flux, path, outputs, grid, config, collect=slabs.append)
+        assert len(slabs) <= counts[0]
         times, states, ref_slabs = _cursor_march(u0, flux, path, outputs, grid, config)
         assert traj.times.tobytes() == times.tobytes()
         assert [(s.t, s.u.tobytes()) for s in traj.states] == [(s.t, s.u.tobytes()) for s in states]
@@ -314,6 +321,16 @@ class TestLandingRule:
         assert np.array_equal(traj.states[-1].u, at_horizon.states[-1].u)
         with pytest.raises(ValueError, match="within the path horizon"):
             solve_path(u0, burgers(), path, [1.0, 4.0 * (1 + 3e-12)], grid)
+
+    def test_step_cap_counts_the_landings(self, monkeypatch):
+        """Landing on dense outputs takes a step per output: at 8 cells, 1000 outputs take 1000 steps
+        where the speed alone asks for 18, so the cap is checked on both, before any step."""
+        monkeypatch.setattr(solver, "MAX_STEPS", 100)
+        grid = Grid1D(-1.0, 1.0, 8, "periodic")
+        u0, path = np.where(grid.centers < 0.0, 1.0, 0.0), brownian_sample(0, 1.0, 8)
+        monkeypatch.setattr(solver, "step", lambda *a, **k: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="solver steps, more than the cap of 100$"):
+            solve_path(u0, burgers(), path, np.linspace(0.0, 1.0, 1001), grid)
 
     @pytest.mark.parametrize("outputs", [[], [np.nan], [0.1, np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]])
     def test_empty_or_non_finite_outputs_rejected(self, outputs):
