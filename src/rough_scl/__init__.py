@@ -43,7 +43,7 @@ from .kinetic import (
     default_kernel,
     definition_residual,
 )
-from .smooth import SmoothDatum, Weight, bump_datum, bump_weight
+from .smooth import Weight, bump_weight
 from .characteristics import (
     LocalSmoothSolution,
     characteristic_flow,

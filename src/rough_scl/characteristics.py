@@ -1,8 +1,9 @@
 """Local smooth solutions by characteristics, and the dissipative inequality.
 
-From a smooth compactly supported datum phi anchored at time t0, the rough
-conservation law has a classical solution as long as characteristics do not
-cross: x(x0, t) = x0 + sum_i a_i(phi(x0)) (W^i(t) - W^i(t0)) with Jacobian
+From a smooth compactly supported datum phi (a `smooth.Weight`, which carries
+phi' and the support) anchored at time t0, the rough conservation law has a
+classical solution as long as characteristics do not cross:
+x(x0, t) = x0 + sum_i a_i(phi(x0)) (W^i(t) - W^i(t0)) with Jacobian
 
     J(x0, t) = 1 + sum_i a_i'(phi(x0)) phi'(x0) (W^i(t) - W^i(t0)).
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .fluxes import FluxModel
 from .paths import PiecewiseLinearPath
-from .smooth import SmoothDatum, Weight
+from .smooth import Weight
 from .solver import Trajectory
 
 J_FLOOR = 0.5
@@ -42,7 +43,7 @@ N_K = 200  # midpoint-rule levels k over the dissipative weight's support
 
 
 def characteristic_flow(
-    datum: SmoothDatum,
+    datum: Weight,
     path: PiecewiseLinearPath,
     flux: FluxModel,
     t0: float,
@@ -71,7 +72,7 @@ def characteristic_flow(
 
 
 def window(
-    datum: SmoothDatum,
+    datum: Weight,
     path: PiecewiseLinearPath,
     flux: FluxModel,
     t0: float,
@@ -112,7 +113,7 @@ def window(
 class LocalSmoothSolution:
     """Classical solution on (t0 - h, t0 + h) intersected with the path domain."""
 
-    datum: SmoothDatum
+    datum: Weight
     path: PiecewiseLinearPath
     flux: FluxModel
     t0: float
@@ -181,7 +182,7 @@ class LocalSmoothSolution:
 
 
 def local_solution(
-    datum: SmoothDatum,
+    datum: Weight,
     path: PiecewiseLinearPath,
     flux: FluxModel,
     t0: float,

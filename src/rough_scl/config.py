@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import paths, solver
+from . import paths
 from .fluxes import FluxModel, from_spec
 from .semilinear import (ODE_STEP_PER_UNIT_DRIVER, RK4_STABILITY_LIMIT, SourceTerm, linear_source,
                          logistic_source, zero_source)
-from .smooth import bump_datum
-from .solver import Grid1D, SolverConfig
+from .smooth import bump_weight
+from .solver import Grid1D, SolverConfig, check_step_cap
 
 # key -> (type, default, help)
 CONFIG_KEYS: dict[str, tuple] = {
@@ -141,19 +141,13 @@ def build_experiment(cfg: dict) -> Experiment:
     n_outputs = int(cfg["n_outputs"])
     if n_outputs < 1:
         raise ValueError(f"n_outputs must be at least 1, got {n_outputs}")
-    check_step_cap(f"n_outputs = {n_outputs}", n_outputs)
+    n_cells = int(cfg["n_cells"])
+    check_step_cap("n_outputs", n_outputs)
+    check_step_cap("n_cells", n_cells)
     flux = from_spec(cfg["flux"], (float(cfg["u_lo"]), float(cfg["u_hi"])))
-    grid = Grid1D(float(cfg["x_lo"]), float(cfg["x_hi"]), int(cfg["n_cells"]), cfg["bc"])
+    grid = Grid1D(float(cfg["x_lo"]), float(cfg["x_hi"]), n_cells, cfg["bc"])
     solver = SolverConfig(cfl=float(cfg["cfl"]), scheme=cfg["scheme"], record_slabs=False)
     return Experiment(cfg, flux, grid, solver)
-
-
-def check_step_cap(what: str, n: int) -> None:
-    """Refuse `what`, whose n pieces (segments, output intervals) each cost the march at least one
-    solver step, when n is above `solver.MAX_STEPS` (read through the module, so a test can lower
-    it), before anything of that size is allocated."""
-    if n > solver.MAX_STEPS:
-        raise ValueError(f"{what} asks for at least {n} solver steps, more than the cap of {solver.MAX_STEPS}")
 
 
 def _segment_count(spec: str, arg: str | None, default: int) -> int:
@@ -161,7 +155,7 @@ def _segment_count(spec: str, arg: str | None, default: int) -> int:
     n_seg = default if arg is None else int(arg)
     if n_seg < 1:
         raise ValueError(f"path = {spec}: the segment count must be at least 1, got {n_seg}")
-    check_step_cap(f"path = {spec}", n_seg)
+    check_step_cap(f"path = {spec}: the segment count", n_seg)
     return n_seg
 
 
@@ -197,11 +191,11 @@ def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
         if len(args) != 3:
             raise ValueError("bump takes center,halfwidth,height")
         center, halfwidth, height = _finite_args(spec, args)
-        return bump_datum(center, halfwidth, height).value(x) + 0.0  # + 0.0: no -0 in the CSVs
+        return bump_weight(center, halfwidth, height).value(x) + 0.0  # + 0.0: no -0 in the CSVs
     if name == "sign-step":
         return np.where(x < 0.0, 1.0, -1.0)
     if name == "file":
-        data = np.loadtxt(_file_arg(args), delimiter=",", skiprows=1, ndmin=2)
+        _, data = paths.read_table(_file_arg(args))
         if data.shape[0] != grid.n_cells:
             raise ValueError(f"table has {data.shape[0]} rows, grid has {grid.n_cells} cells")
         if data.shape[1] < 2:
@@ -243,8 +237,10 @@ def build_path(
             raise ValueError(f"path = {spec}: t**{p} overflows at the horizon {horizon}")
         return paths.PiecewiseLinearPath(knots, values)
     if name == "file":
-        with open(_file_arg(args), "r", encoding="utf-8") as fp:
-            path = paths.read_csv(fp)
+        header, data = paths.read_table(_file_arg(args))
+        if header[0] != "t":
+            raise ValueError("malformed path CSV header")
+        path = paths.PiecewiseLinearPath(data[:, 0], data[:, 1:])
         if path.n_channels != n_channels:
             raise ValueError(f"path file has {path.n_channels} channels, need {n_channels}")
         return path

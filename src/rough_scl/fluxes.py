@@ -225,7 +225,6 @@ class SegmentFlux:
         self.breakpoints = _real_roots(dcoeffs, self._lo, self._hi)
         # `bisect` finds a node interval in `_bp`, `_rises` says whether F rises on it
         self._bp = tuple(self.breakpoints.tolist())
-        self._coeffs = tuple(coeffs)
         self._dcoeffs = tuple(dcoeffs)
         self._plan = _horner_plan(coeffs)
         nodes = (self._lo, *self._bp, self._hi)

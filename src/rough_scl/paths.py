@@ -1,13 +1,18 @@
-"""Piecewise linear multi-channel time signals.
+"""Piecewise linear multi-channel time signals, and the package's one CSV table format.
 
 A driver signal W : [0, T] -> R^M is stored by its knots and knot values and
 interpolated linearly in between.  Everything downstream (solver segments,
 characteristics, kernel transports) only ever sees these paths, so exactness
 at knots and reproducible sampling matter more than generality.
+
+Every CSV the package writes or reads is one table format: a header line of
+column names, then rows of doubles at 17 significant digits (`write_table`,
+`read_table`).  A path is the table t,W1,...,WM and a datum the table x,u.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -145,21 +150,20 @@ def dyadic_refine(path: PiecewiseLinearPath, seed: PathSeed | int, level: int) -
     return PiecewiseLinearPath(knots, values)
 
 
-def write_csv(path: PiecewiseLinearPath, fp) -> None:
-    """CSV with header t,W1,...,WM to the open file `fp`, at full double precision
-    (17 significant digits)."""
-    fp.write(",".join(["t"] + [f"W{i + 1}" for i in range(path.n_channels)]) + "\n")
-    for t, row in zip(path.knots, path.values):
-        fp.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+def write_table(run_dir: Path, name: str, header: str, columns: list) -> None:
+    """`run_dir/name`: the `header` line, then one row per entry of the equal-length
+    `columns`, at full double precision (17 significant digits), so it reads back bit for bit."""
+    with open(Path(run_dir) / name, "w", encoding="utf-8") as fp:
+        fp.write(header + "\n")
+        for row in np.column_stack([np.asarray(c, dtype=float) for c in columns]):
+            fp.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def read_csv(fp) -> PiecewiseLinearPath:
-    """Inverse of write_csv, from the open file `fp`; round trips bit for bit."""
-    header = fp.readline().strip().split(",")
-    if not header or header[0] != "t":
-        raise ValueError("malformed path CSV header")
-    data = np.loadtxt(fp, delimiter=",", ndmin=2)
-    return PiecewiseLinearPath(data[:, 0], data[:, 1:])
+def read_table(file: str | Path) -> tuple[list[str], np.ndarray]:
+    """Inverse of `write_table`: the header's column names and the rows, one per line (2-D)."""
+    with open(file, "r", encoding="utf-8") as fp:
+        header = fp.readline().strip().split(",")
+        return header, np.loadtxt(fp, delimiter=",", ndmin=2)
 
 
 def tent_path(peak_time: float = 1.0, peak_value: float = 1.0, horizon: float = 2.0) -> PiecewiseLinearPath:

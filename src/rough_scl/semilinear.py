@@ -30,7 +30,7 @@ import numpy as np
 
 from .fluxes import Channel, FluxModel, SegmentFlux
 from .paths import PiecewiseLinearPath, identity_path
-from .solver import _TIME_ATOL, CellState, Grid1D, SolverConfig, Trajectory, _check_step_count, step
+from .solver import _TIME_ATOL, CellState, Grid1D, SolverConfig, Trajectory, check_step_cap, step
 
 ODE_STEP_PER_UNIT_DRIVER = 1e-3
 RK4_STABILITY_LIMIT = -2.785293563405282  # an RK4 step of y' = lam y grows no |y| for lam h in [this, 0]
@@ -223,7 +223,8 @@ def direct_semilinear_solve(
         raise ValueError("flux has no transport on the certified range")
     dt_max = config.cfl * grid.dx / fseg.max_speed
     outputs = np.linspace(0.0, horizon, 11)
-    _check_step_count(horizon * fseg.max_speed / (config.cfl * grid.dx) + outputs.size, fseg.max_speed, grid.dx)
+    check_step_cap(f"speed bound {fseg.max_speed:.3g} with dx = {grid.dx:.3g}: the step count",
+                   horizon * fseg.max_speed / (config.cfl * grid.dx) + outputs.size)
     state = CellState(grid, np.where(grid.centers < 0.0, 1.0, 0.0), 0.0)
     states = []
     for target in outputs:

@@ -1,10 +1,12 @@
 """Smooth compactly supported profiles shared by the verification modules.
 
-Everything is built from the reference bump B(z) = exp(1 - 1/(1 - z^2)) on
-(-1, 1), which is C-infinity, equals 1 at z = 0 and vanishes with all
-derivatives at the endpoints.  Derivatives are closed-form, no finite
-differencing anywhere, and the mass of B is the value of a fixed Gauss-Legendre
-rule, which converges fast because B is flat at the endpoints.
+One type, `Weight`, holds each of them: a test weight of the kinetic or
+dissipative checks, or the datum of a local smooth solution.  Everything is
+built from the reference bump B(z) = exp(1 - 1/(1 - z^2)) on (-1, 1), which is
+C-infinity, equals 1 at z = 0 and vanishes with all derivatives at the
+endpoints.  Derivatives are closed-form, no finite differencing anywhere, and
+the mass of B is the value of a fixed Gauss-Legendre rule, which converges fast
+because B is flat at the endpoints.
 """
 from __future__ import annotations
 
@@ -58,7 +60,9 @@ def bump_integral() -> float:
 
 @dataclass(frozen=True)
 class Weight:
-    """Smooth compactly supported scalar test weight with its derivative."""
+    """Smooth compactly supported scalar function with its closed-form derivative, its sup
+    and its support: a test weight, or the datum phi of a local smooth solution, which
+    vanishes outside `support`, the interval on which the characteristics probe it."""
 
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
@@ -83,17 +87,4 @@ def bump_weight(center: float, halfwidth: float, height: float = 1.0) -> Weight:
     return Weight(value, deriv, abs(height), (center - halfwidth, center + halfwidth))
 
 
-@dataclass(frozen=True)
-class SmoothDatum:
-    """Smooth initial datum phi with its closed-form derivative; phi vanishes
-    outside `support`, the interval on which the characteristics probe it."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
-
-
-def bump_datum(center: float, halfwidth: float, height: float) -> SmoothDatum:
-    """height * B((x - center)/halfwidth) as a datum."""
-    w = bump_weight(center, halfwidth, height)
-    return SmoothDatum(w.value, w.deriv, w.support)
+bump_datum = bump_weight  # the name the benchmark's workloads import

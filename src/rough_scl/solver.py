@@ -22,7 +22,8 @@ from .paths import PiecewiseLinearPath, identity_path
 _TIME_ATOL = 1e-12
 # Far above the largest march in tier-1, the suite and the benchmark (36,487 steps, kinetic-check
 # on brownian:8192): so many steps take minutes even on a tiny grid, while a huge but finite speed
-# bound, such as u_hi = 1e300, asks for about 1e300 of them, a run that would never end.
+# bound, such as u_hi = 1e300, asks for about 1e300 of them, a run that would never end.  It also
+# caps the cells, kept defect values and windows that a run builds (`check_step_cap`).
 MAX_STEPS = 10**7
 
 
@@ -149,11 +150,13 @@ class Trajectory:
         return self.states[k]
 
 
-def _check_step_count(n_steps: float, max_speed: float, dx: float) -> None:
-    """Refuse, before its first step, a march of more than MAX_STEPS steps (a NaN count too)."""
-    if not n_steps <= MAX_STEPS:
-        raise ValueError(f"speed bound {max_speed:.3g} with dx = {dx:.3g} needs {n_steps:.3g} solver steps, "
-                         f"more than the cap of {MAX_STEPS}")
+def check_step_cap(what: str, n: int | float) -> None:
+    """Refuse `what`, the count n of a march's solver steps or of the cells, values or windows a
+    run builds, when n is above MAX_STEPS (a NaN too), before anything of that size is built.
+    MAX_STEPS is read when called, so a test can lower it on this module."""
+    if not n <= MAX_STEPS:
+        count = f"{n:.10g}" if isinstance(n, float) else n
+        raise ValueError(f"{what} is {count}, more than the step cap of {MAX_STEPS}")
 
 
 def step(state: CellState, fseg: SegmentFlux, dt: float, config: SolverConfig = SolverConfig()) -> CellState:
@@ -251,7 +254,8 @@ def solve_path(
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, which the cap refuses
         speeds = np.abs(slopes[live]) @ flux.lip_a  # their `SegmentFlux.max_speed`
         n_steps = float(np.sum(np.ceil(span[live] * speeds / (config.cfl * grid.dx))) + live.sum() + outputs.size)
-    _check_step_count(n_steps, float(np.max(speeds, initial=0.0)), grid.dx)
+    check_step_cap(f"speed bound {np.max(speeds, initial=0.0):.3g} with dx = {grid.dx:.3g}: the step count",
+                   n_steps)
 
     state = CellState(grid, np.array(u0, dtype=float), 0.0)
     slabs: list[Slab] | None = [] if config.record_slabs else None

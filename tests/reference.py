@@ -26,6 +26,12 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def plan_coeffs(fs) -> np.ndarray:
+    """The ascending coefficients of a segment flux's F, from its Horner plan, in which None
+    stands for a dropped +0.0; every other entry, a -0.0 too, is the coefficient itself."""
+    return np.array([0.0 if c is None else c for c in fs._plan])
+
+
 def outcome(fn, *args):
     """What a call returns, or the type and message of what it raises."""
     try:
@@ -111,7 +117,7 @@ class NumpyReference:
         (a subnormal component); `__init__`'s tables are checked separately."""
         ref = cls.__new__(cls)
         ref.u_range = fs.flux.u_range
-        ref.coeffs, ref.breakpoints, ref.f_nodes = np.array(fs._coeffs), fs.breakpoints, fs._f_nodes
+        ref.coeffs, ref.breakpoints, ref.f_nodes = plan_coeffs(fs), fs.breakpoints, fs._f_nodes
         ref.pos_cum, ref.neg_cum, ref.rising, ref.falling = fs._pos_cum, fs._neg_cum, fs._rising, fs._falling
         ref.pos_at_zero, ref.neg_at_zero = (ref.one_sided(np.asarray(0.0), sign) for sign in (True, False))
         return ref

@@ -14,7 +14,7 @@ from rough_scl.characteristics import (
 )
 from rough_scl.fluxes import FluxModel, builtin, from_spec
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path, tent_path
-from rough_scl.smooth import SmoothDatum, bump_datum, bump_weight
+from rough_scl.smooth import Weight, bump_weight
 from rough_scl.solver import Grid1D, SolverConfig, solve_path
 
 from reference import assert_bitwise, full_rectangle_evaluate, per_snapshot_d
@@ -27,16 +27,17 @@ def burgers(rng=(-2.0, 2.0)):
 def linear_datum(slope=0.1, lo=-1.0, hi=1.0):
     """phi(x) = slope * x on [lo, hi]; not compactly supported, used only
     where the flow is probed strictly inside the support."""
-    return SmoothDatum(
+    return Weight(
         lambda x: slope * np.asarray(x, dtype=float),
         lambda x: slope * np.ones_like(np.asarray(x, dtype=float)),
+        abs(slope) * max(abs(lo), abs(hi)),
         (lo, hi),
     )
 
 
 class TestFlow:
     def test_identity_at_anchor(self):
-        datum = bump_datum(0.0, 0.5, 1.0)
+        datum = bump_weight(0.0, 0.5, 1.0)
         x0 = np.linspace(-0.4, 0.4, 11)
         x, jac = characteristic_flow(datum, identity_path(1.0), burgers(), 0.3, 0.3, x0)
         assert np.allclose(x, x0)
@@ -44,9 +45,10 @@ class TestFlow:
 
     def test_plateau_translates_rigidly(self):
         """Constant datum: a(phi) is constant, so x = x0 + a(c) dW and J = 1."""
-        datum = SmoothDatum(
+        datum = Weight(
             lambda x: 0.5 * np.ones_like(np.asarray(x, dtype=float)),
             lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            0.5,
             (-1.0, 1.0),
         )
         x0 = np.linspace(-0.5, 0.5, 7)
@@ -90,16 +92,17 @@ class TestFlow:
 
 class TestWindow:
     def test_flat_datum_gives_full_horizon(self):
-        datum = SmoothDatum(
+        datum = Weight(
             lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            0.0,
             (-1.0, 1.0),
         )
         h = window(datum, identity_path(1.0), burgers(), 0.25)
         assert h == pytest.approx(0.75)
 
     def test_frozen_path_gives_full_horizon(self):
-        datum = bump_datum(0.0, 0.5, 1.0)
+        datum = bump_weight(0.0, 0.5, 1.0)
         path = PiecewiseLinearPath(np.array([0.0, 1.0]), np.array([[0.0], [0.0]]))
         assert window(datum, path, burgers(), 0.5) == pytest.approx(0.5)
 
@@ -107,7 +110,7 @@ class TestWindow:
         """For W(t) = t the Jacobian 1 + (t - t0) (a'∘phi) phi' first hits 1/2
         at h = 1 / (2 max |phi'|), exactly where phi' is most negative.  For
         B(z) = exp(1 - 1/(1 - z^2)), max |B'| sits at z = 3^(-1/4)."""
-        datum = bump_datum(0.0, 0.5, 1.0)
+        datum = bump_weight(0.0, 0.5, 1.0)
         h = window(datum, identity_path(2.0), burgers(), 0.0)
         z = 3.0 ** -0.25
         sup_deriv = 2.0 * z / (1.0 - z * z) ** 2 * np.exp(1.0 - 1.0 / (1.0 - z * z)) / 0.5
@@ -116,17 +119,17 @@ class TestWindow:
 
     def test_window_shrinks_with_steeper_data(self):
         path = identity_path(2.0)
-        h1 = window(bump_datum(0.0, 0.5, 0.5), path, burgers(), 0.0)
-        h2 = window(bump_datum(0.0, 0.5, 1.5), path, burgers(), 0.0)
+        h1 = window(bump_weight(0.0, 0.5, 0.5), path, burgers(), 0.0)
+        h2 = window(bump_weight(0.0, 0.5, 1.5), path, burgers(), 0.0)
         assert h2 < h1
 
     def test_anchor_validation(self):
-        datum = bump_datum(0.0, 0.5, 1.0)
+        datum = bump_weight(0.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             window(datum, identity_path(1.0), burgers(), 1.5)
 
     def test_channel_mismatch_rejected(self):
-        datum = bump_datum(0.0, 0.5, 1.0)
+        datum = bump_weight(0.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="channel counts"):
             window(datum, brownian_sample(0, 1.0, 4, 2), burgers(), 0.5)
 
@@ -134,7 +137,7 @@ class TestWindow:
 def two_channel_case(seed):
     """burgers;cubic under a 16-segment two-channel Brownian path on [0, 1]."""
     flux = from_spec("burgers;cubic", (-2.0, 2.0))
-    return bump_datum(0.0, 0.5, 0.3), brownian_sample(seed, 1.0, 16, 2), flux
+    return bump_weight(0.0, 0.5, 0.3), brownian_sample(seed, 1.0, 16, 2), flux
 
 
 def probe_min_j(datum, path, flux, t0, times):
@@ -179,9 +182,9 @@ class TestBrownianWindow:
 
 def batch_cases():
     """The Brownian-window paths with one and two channels, and the identity path."""
-    one = (bump_datum(0.0, 0.5, 0.3), brownian_sample(1, 1.0, 16, 1), burgers())
+    one = (bump_weight(0.0, 0.5, 0.3), brownian_sample(1, 1.0, 16, 1), burgers())
     return {"brownian-1ch": one, "brownian-2ch": two_channel_case(1),
-            "identity": (bump_datum(0.0, 0.5, 0.5), identity_path(1.0), burgers())}
+            "identity": (bump_weight(0.0, 0.5, 0.5), identity_path(1.0), burgers())}
 
 
 class TestBatchedEvaluate:
@@ -210,7 +213,7 @@ class TestBatchedEvaluate:
     def test_snapshot_covering_no_column(self):
         """Under a(u) = 1 + u the support's ends move at speed 1, so at the window's
         ends it covers one of two columns each and at the anchor neither."""
-        datum, path = bump_datum(0.0, 0.1, 0.3), identity_path(1.0)
+        datum, path = bump_weight(0.0, 0.1, 0.3), identity_path(1.0)
         sol = local_solution(datum, path, from_spec("poly:0,1,0.5", (-2.0, 2.0)), self.T0)
         lo, hi = sol.window
         x = np.array([-0.1 - 0.5 * sol.h, 0.1 + 0.5 * sol.h])
@@ -256,7 +259,7 @@ class TestBatchedEvaluate:
     def test_crossed_characteristics_raise(self):
         """Past the crossing the forward table is not monotone, so np.interp cannot
         invert it; inside the window evaluation still succeeds."""
-        datum = bump_datum(0.0, 0.5, 0.5)
+        datum = bump_weight(0.0, 0.5, 0.5)
         path, flux = identity_path(3.0), FluxModel([builtin("burgers")], (-1.5, 1.5))
         sol = LocalSmoothSolution(datum, path, flux, 0.0, 3.0)
         h = window(datum, path, flux, 0.0)
@@ -272,7 +275,7 @@ class TestBatchedEvaluate:
 
 class TestLocalSolution:
     def test_forward_inverse_round_trip(self):
-        datum = bump_datum(0.0, 0.5, 0.8)
+        datum = bump_weight(0.0, 0.5, 0.8)
         path = tent_path()
         flux = burgers()
         sol = local_solution(datum, path, flux, 0.4)
@@ -285,7 +288,7 @@ class TestLocalSolution:
     def test_constant_along_characteristics_pde(self):
         """Inside one path segment the solution solves the frozen-flux PDE:
         FD residual u_t + c a(u) u_x = O(h^2) at interior points."""
-        datum = bump_datum(0.0, 0.6, 0.6)
+        datum = bump_weight(0.0, 0.6, 0.6)
         flux = burgers()
         path = identity_path(1.0)
         sol = local_solution(datum, path, flux, 0.0)
@@ -299,7 +302,7 @@ class TestLocalSolution:
         assert np.abs(resid).max() <= 1e-5
 
     def test_zero_outside_transported_support(self):
-        datum = bump_datum(0.0, 0.5, 0.8)
+        datum = bump_weight(0.0, 0.5, 0.8)
         sol = local_solution(datum, identity_path(1.0), burgers(), 0.0)
         t = 0.5 * sol.h
         (lo, hi), _ = characteristic_flow(datum, sol.path, sol.flux, 0.0, t, np.array(datum.support))
@@ -307,7 +310,7 @@ class TestLocalSolution:
         assert np.array_equal(out, np.zeros(2))
 
     def test_evaluate_outside_window_rejected(self):
-        datum = bump_datum(0.0, 0.5, 1.0)
+        datum = bump_weight(0.0, 0.5, 1.0)
         sol = LocalSmoothSolution(datum, identity_path(2.0), burgers(), 0.0, 0.1)
         with pytest.raises(ValueError):
             sol.evaluate(np.zeros(3), 0.5)
@@ -329,16 +332,16 @@ class TestDissipative:
         return dissipative_check(*self.check_inputs(u0_fn, datum, **kwargs))
 
     @pytest.mark.parametrize("datum, weight, case", [
-        (bump_datum(0.5, 0.4, 0.5), None, None),
-        (bump_datum(0.0, 0.4, 0.0), bump_weight(3.0, 0.5), None),
-        (bump_datum(0.0, 0.5, -0.3), None, "brownian-2ch"),
+        (bump_weight(0.5, 0.4, 0.5), None, None),
+        (bump_weight(0.0, 0.4, 0.0), bump_weight(3.0, 0.5), None),
+        (bump_weight(0.0, 0.5, -0.3), None, "brownian-2ch"),
     ])
     def test_batched_d_equals_per_snapshot_loop(self, datum, weight, case):
         inputs = self.check_inputs(shock_u0, datum, weight=weight, case=case, t0=0.5 if case else 0.25)
         assert_bitwise(np.array(dissipative_check(*inputs)["D"]), per_snapshot_d(*inputs))
 
     def test_shock_data_passes(self):
-        datum = bump_datum(0.5, 0.4, 0.5)
+        datum = bump_weight(0.5, 0.4, 0.5)
         rep = self.run_check(shock_u0, datum)
         assert rep["pass"]
         assert rep["h"] > 0
@@ -347,7 +350,7 @@ class TestDissipative:
     def test_weight_above_range_sees_nothing(self):
         """If psi is supported in k > sup u, then (u - k - Psi)_+ = 0 whenever
         Psi >= 0...  use Psi = 0 (zero datum) to make D identically zero."""
-        datum = bump_datum(0.0, 0.4, 0.0)
+        datum = bump_weight(0.0, 0.4, 0.0)
         weight = bump_weight(3.0, 0.5)
         rep = self.run_check(shock_u0, datum, weight=weight)
         assert np.allclose(rep["D"], 0.0)
@@ -360,7 +363,7 @@ class TestDissipative:
         path = identity_path(0.5)
         traj = solve_path(np.where(np.abs(grid.centers) < 0.5, 1.0, 0.0), burgers(), path,
                           np.linspace(0.0, 0.5, n_snapshots), grid)
-        sol = local_solution(bump_datum(0.5, 0.4, 0.5), path, burgers(), 0.25)
+        sol = local_solution(bump_weight(0.5, 0.4, 0.5), path, burgers(), 0.25)
         calls = []
         real = chars.characteristic_flow
 
@@ -380,6 +383,6 @@ class TestDissipative:
         path = identity_path(0.5)
         u0 = np.where(np.abs(grid.centers) < 0.5, 1.0, 0.0)
         traj = solve_path(u0, flux, path, [0.0, 0.5], grid)
-        datum = bump_datum(0.5, 0.3, 1.2)
+        datum = bump_weight(0.5, 0.3, 1.2)
         with pytest.raises(ValueError, match="snapshots inside"):
             dissipative_check(traj, local_solution(datum, path, flux, 0.25), bump_weight(0.0, 1.5))

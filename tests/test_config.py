@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import rough_scl.config as config
 import rough_scl.paths as paths
 import rough_scl.solver as solver
 from rough_scl.config import (
@@ -230,8 +231,8 @@ class TestPathBuilders:
         with monkeypatch.context() as m:
             m.setattr(paths, "brownian_sample", lambda *a: pytest.fail("sampled"))
             m.setattr(paths, "PiecewiseLinearPath", lambda *a: pytest.fail("built"))
-            with pytest.raises(ValueError, match=f"^path = {spec} asks for at least 101 solver steps, "
-                                                 "more than the cap of 100$"):
+            with pytest.raises(ValueError, match=f"^path = {spec}: the segment count is 101, "
+                                                 "more than the step cap of 100$"):
                 build_path(spec, 0, 1.0, 1)
         assert build_path(spec.replace("101", "100"), 0, 1.0, 1).n_segments == 100
 
@@ -278,10 +279,18 @@ class TestExperiment:
         """Each output interval costs the march a step: more than `solver.MAX_STEPS` of them are
         refused before their times are laid out."""
         monkeypatch.setattr(solver, "MAX_STEPS", 100)
-        with pytest.raises(ValueError, match="^n_outputs = 101 asks for at least 101 solver steps, "
-                                             "more than the cap of 100$"):
-            build_experiment(load_config(None, {"n_outputs": 101}))
-        assert build_experiment(load_config(None, {"n_outputs": 100})).outputs.size == 101
+        with pytest.raises(ValueError, match="^n_outputs is 101, more than the step cap of 100$"):
+            build_experiment(load_config(None, {"n_outputs": 101, "n_cells": 32}))
+        assert build_experiment(load_config(None, {"n_outputs": 100, "n_cells": 32})).outputs.size == 101
+
+    def test_cell_count_above_the_step_cap_rejected(self, monkeypatch):
+        """A grid of more than `solver.MAX_STEPS` cells is refused before it is built."""
+        monkeypatch.setattr(solver, "MAX_STEPS", 100)
+        with monkeypatch.context() as m:
+            m.setattr(config, "Grid1D", lambda *a: pytest.fail("built"))
+            with pytest.raises(ValueError, match="^n_cells is 101, more than the step cap of 100$"):
+                build_experiment(load_config(None, {"n_cells": 101}))
+        assert build_experiment(load_config(None, {"n_cells": 100})).grid.n_cells == 100
 
     @pytest.mark.parametrize("n_outputs", [0, -2])
     def test_needs_one_output_interval(self, n_outputs):

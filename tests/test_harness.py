@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rough_scl
+import rough_scl.config as config
 import rough_scl.semilinear as semilinear
 import rough_scl.solver as solver
 from rough_scl.cli import main
@@ -158,13 +159,21 @@ REJECTED = {
         "inf-x-hi": ("solve", "x_hi = inf\nn_cells = 32\n", "x_hi = inf"),
         "inf-horizon": ("solve", "horizon = inf\nn_cells = 32\n", "horizon = inf"),
         "negative-power": ("solve", "path = monomial:-1,8\nn_cells = 32\n", "path = monomial:-1,8"),
-        "huge-bound": ("solve", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n", "dx = 0.0625 needs"),
+        "huge-bound": ("solve", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n",
+                       "config error: speed bound 3.69e+300 with dx = 0.0625: the step count is "
+                       "2.609383224e+301, more than the step cap of 10000000\n"),
         "semilinear-huge-bound": ("semilinear-demo", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n",
-                                  "speed bound 1e+300 with dx = 0.0625"),
-        "huge-u-hi": ("solve", "u_hi = 1e300\nn_cells = 32\n", "dx = 0.0625 needs"),
+                                  "config error: speed bound 1e+300 with dx = 0.0625: the step count is "
+                                  "1.777777778e+301, more than the step cap of 10000000\n"),
+        "huge-u-hi": ("solve", "u_hi = 1e300\nn_cells = 32\n",
+                      "config error: speed bound 3.69e+300 with dx = 0.0625: the step count is "
+                      "2.609383224e+301, more than the step cap of 10000000\n"),
         "semilinear-huge-u-hi": ("semilinear-demo", "u_hi = 1e300\nn_cells = 32\n",
-                                 "speed bound 1e+300 with dx = 0.0625"),
-        "huge-coefficient": ("solve", "flux = poly:0,1e308\nn_cells = 32\n", "speed bound inf with dx = 0.0625"),
+                                 "config error: speed bound 1e+300 with dx = 0.0625: the step count is "
+                                 "1.777777778e+301, more than the step cap of 10000000\n"),
+        "huge-coefficient": ("solve", "flux = poly:0,1e308\nn_cells = 32\n",
+                             "config error: speed bound inf with dx = 0.0625: the step count is inf, more than the "
+                             "step cap of 10000000\n"),
         "bad-datum2": ("contraction", "path = brownian:1024\nn_cells = 800\ndatum2 = riemann:1\n", "riemann takes"),
         "xi-grid-short-of-datum": ("kinetic-check", "datum = riemann:2,0\npath = brownian:1024\n",
                                    "does not cover data range +-2.0"),
@@ -190,6 +199,15 @@ REJECTED = {
     "semilinear_demo_flux_key": {  # the demo solves Burgers; another flux key was ignored
         flux: ("semilinear-demo", f"flux = {flux}\n", f"flux = {flux!r}") for flux in ("cubic", "burgers;cubic")
     },
+    "over_the_cap": {  # each alone and as a one-member suite, under `solver.MAX_STEPS` = LOWERED_CAP
+        "cells": ("solve", "n_cells = 1001\n", "config error: n_cells is 1001, more than the step cap of 1000\n"),
+        "defect-values": ("kinetic-check", "n_cells = 32\nn_xi = 40\n",
+                          "config error: the defect value count n_outputs * n_cells * n_xi = 10 * 32 * 40 is "
+                          "12800, more than the step cap of 1000\n"),
+        "windows": ("dissipative-check", "n_cells = 32\nn_seeds = 10\nn_data = 10\nn_anchors = 11\n",
+                    "config error: the window count n_seeds * n_data * n_anchors = 10 * 10 * 11 is 1100, "
+                    "more than the step cap of 1000\n"),
+    },
     "one_off": {
         "datum-table-off-the-grid": ("solve", "n_cells = 4\ndatum = file:{tmp}/off_grid.csv\n", "x column"),
         "datum-table-with-nan": ("solve", "n_cells = 4\ndatum = file:{tmp}/with_nan.csv\n", "not finite"),
@@ -197,6 +215,9 @@ REJECTED = {
         "unknown-suite-member": ("warp", "", "config error: unknown experiments: ['warp']\n"),
     },
 }
+
+
+LOWERED_CAP = 1000  # `solver.MAX_STEPS` for the rows of REJECTED["over_the_cap"]
 
 
 def rejected_argv(row: tuple, command: str = "single") -> tuple[list, str]:
@@ -237,6 +258,18 @@ class TestRunSolve:
         names = {p.name for p in run_dir.iterdir()}
         assert {"manifest.json", "report.json", "config.txt", "path.csv", "invariants.csv"} <= names
         assert sum(n.startswith("state_") for n in names) == 5  # n_outputs + 1
+
+    @pytest.mark.parametrize("flux", ["burgers", "burgers;cubic"])
+    def test_outputs_read_back_as_inputs(self, tmp_path, flux):
+        """A run's path.csv and first state, given back as `file:` path and datum, give every state
+        byte for byte: the table is written and read in one format, bit for bit."""
+        first, _ = execute("solve", tiny(experiment="solve", flux=flux), tmp_path / "first")
+        again, _ = execute("solve", tiny(experiment="solve", flux=flux, path=f"file:{first}/path.csv",
+                                         datum=f"file:{first}/state_000.csv"), tmp_path / "again")
+        states = sorted(p.name for p in first.glob("state_*.csv"))
+        assert len(states) == 5
+        for name in ["path.csv", *states]:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_outflow_skips_mass_gate(self, tmp_path):
         cfg = tiny(experiment="solve", bc="outflow")
@@ -353,10 +386,10 @@ class TestRefinement:
 
     @pytest.mark.parametrize("levels, message", [
         pytest.param((-1, 4), "^level_lo must be at least 0, got -1$", id="negative-lo"),
-        pytest.param((2, 7), "^level_hi = 7 asks for at least 128 solver steps, more than the cap of 100$",
+        pytest.param((2, 7), "^level_hi = 7: the finest path's segment count is 128, more than the step cap of 100$",
                      id="hi-above-cap"),
-        pytest.param((2, 10**9), "^level_hi = 1000000000 asks for at least 18446744073709551616 solver steps",
-                     id="huge-hi"),  # 2**level_hi is not formed past 2**64
+        pytest.param((2, 10**9), "^level_hi = 1000000000: the finest path's segment count is inf, more than the "
+                     "step cap of 100$", id="huge-hi"),  # 2**level_hi past a double's range is not formed
     ])
     def test_levels_checked_before_the_ladder(self, tmp_path, monkeypatch, levels, message):
         """The finest path has 2**level_hi segments, each a solver step at least: above
@@ -730,6 +763,16 @@ class TestCli:
         the key, the spec or the numbers at fault, leaves no run directory behind and,
         unless the rejection needs the solutions, takes no solver step."""
         assert_rejected(REJECTED["rejected_config"][name], command)
+
+    @pytest.mark.parametrize("command", ["single", "suite"])
+    @pytest.mark.parametrize("name", REJECTED["over_the_cap"])
+    def test_count_over_the_cap_exits_2(self, monkeypatch, command, name):
+        """A count key, or a product of them, above `solver.MAX_STEPS` is refused by name before
+        anything of its size is built: no datum is built and no solver step is taken."""
+        monkeypatch.setattr(solver, "MAX_STEPS", LOWERED_CAP)
+        for module in (config, harness):
+            monkeypatch.setattr(module, "build_datum", lambda *a: pytest.fail("built a datum"))
+        assert_rejected(REJECTED["over_the_cap"][name], command)
 
     @pytest.mark.parametrize("rate", REJECTED["bad_linear_rate"])
     def test_bad_linear_rate_names_the_source_key(self, rate):

@@ -1,6 +1,4 @@
 """Path container, sampling, refinement, and persistence."""
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +10,10 @@ from rough_scl.paths import (
     brownian_sample,
     dyadic_refine,
     identity_path,
-    read_csv,
+    read_table,
     sup_distance,
     tent_path,
-    write_csv,
+    write_table,
 )
 
 
@@ -136,13 +134,12 @@ class TestSupDistance:
 
 
 class TestCsvRoundTrip:
-    def test_bitwise_round_trip(self):
+    def test_bitwise_round_trip(self, tmp_path):
         p = brownian_sample(11, 1.0, 16, 3)
-        buf = io.StringIO()
-        write_csv(p, buf)
-        q = read_csv(io.StringIO(buf.getvalue()))
-        assert np.array_equal(p.knots, q.knots)
-        assert np.array_equal(p.values, q.values)
+        write_table(tmp_path, "path.csv", "t,W1,W2,W3", [p.knots, *p.values.T])
+        header, rows = read_table(tmp_path / "path.csv")
+        assert header == ["t", "W1", "W2", "W3"]
+        assert rows.tobytes() == np.column_stack([p.knots, p.values]).tobytes()
 
 
 def test_tent_path_shape():

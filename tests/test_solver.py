@@ -279,8 +279,8 @@ class TestLandingRule:
         """Bit for bit the cursor march, in no more steps than the count checked against the cap."""
         u0, flux, path, outputs, grid, config = case
         slabs, counts = [], []
-        check = solver._check_step_count
-        with mock.patch.object(solver, "_check_step_count", lambda n, *a: (counts.append(n), check(n, *a))):
+        check = solver.check_step_cap
+        with mock.patch.object(solver, "check_step_cap", lambda what, n: (counts.append(n), check(what, n))):
             traj = solve_path(u0, flux, path, outputs, grid, config, collect=slabs.append)
         assert len(slabs) <= counts[0]
         times, states, ref_slabs = _cursor_march(u0, flux, path, outputs, grid, config)
@@ -329,8 +329,19 @@ class TestLandingRule:
         grid = Grid1D(-1.0, 1.0, 8, "periodic")
         u0, path = np.where(grid.centers < 0.0, 1.0, 0.0), brownian_sample(0, 1.0, 8)
         monkeypatch.setattr(solver, "step", lambda *a, **k: pytest.fail("stepped"))
-        with pytest.raises(ValueError, match="solver steps, more than the cap of 100$"):
+        with pytest.raises(ValueError, match=r"^speed bound 7\.38 with dx = 0\.25: the step count is 1027, "
+                                             "more than the step cap of 100$"):
             solve_path(u0, burgers(), path, np.linspace(0.0, 1.0, 1001), grid)
+
+    @pytest.mark.parametrize("n, shown", [(101, "101"), (10**30, str(10**30)), (100.5, "100.5"),
+                                          (float("inf"), "inf"), (float("nan"), "nan")])
+    def test_step_cap_refuses_a_count_above_it_or_nan(self, monkeypatch, n, shown):
+        """The one cap check: a count above `MAX_STEPS` (read on the module) or a NaN count is
+        refused by name and count, an integer count printed whole; a count at the cap passes."""
+        monkeypatch.setattr(solver, "MAX_STEPS", 100)
+        solver.check_step_cap("n_cells", 100)
+        with pytest.raises(ValueError, match=f"^n_cells is {shown}, more than the step cap of 100$"):
+            solver.check_step_cap("n_cells", n)
 
     @pytest.mark.parametrize("outputs", [[], [np.nan], [0.1, np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]])
     def test_empty_or_non_finite_outputs_rejected(self, outputs):
