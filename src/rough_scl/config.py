@@ -14,8 +14,7 @@ import numpy as np
 
 from . import paths
 from .fluxes import FluxModel, from_spec
-from .semilinear import (ODE_STEP_PER_UNIT_DRIVER, RK4_STABILITY_LIMIT, SourceTerm, linear_source,
-                         logistic_source, zero_source)
+from .semilinear import SourceTerm, linear_source, logistic_source, zero_source
 from .smooth import bump_weight
 from .solver import Grid1D, SolverConfig, check_step_cap
 
@@ -260,9 +259,6 @@ def build_source(spec: str) -> tuple[SourceTerm, float | None]:
             lam = math.nan
         if not math.isfinite(lam):
             raise ValueError(f"source = {spec}: the linear rate must be a finite number, got {rate!r}")
-        if lam * ODE_STEP_PER_UNIT_DRIVER < RK4_STABILITY_LIMIT:
-            raise ValueError(f"source = {spec}: RK4 steps of {ODE_STEP_PER_UNIT_DRIVER:g} are unstable for "
-                             f"a rate below {RK4_STABILITY_LIMIT / ODE_STEP_PER_UNIT_DRIVER:.6g}")
         return linear_source(lam), lam
     if name == "zero":
         return zero_source(), 0.0

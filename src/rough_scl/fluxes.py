@@ -61,7 +61,7 @@ class Channel:
             raise ValueError(f"channel {name!r}: coefficients must be finite, got {coeffs.tolist()}")
         self.name = name
         self.coeffs = coeffs
-        # Horner plans, built once: a is called in every RK4 stage.  A derivative
+        # Horner plans, built once: a is called at every characteristic and quadrature node.  A derivative
         # coefficient may overflow; `FluxModel` rejects the bound that follows.
         with np.errstate(over="ignore"):
             self._a, self._a_prime = (_horner_plan(npp.polyder(coeffs, k).tolist()) for k in (1, 2))

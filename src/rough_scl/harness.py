@@ -14,6 +14,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import time
 import uuid
 from pathlib import Path
@@ -340,6 +341,11 @@ def run_semilinear_demo(cfg: dict, run_dir: Path) -> dict:
     if not (u_lo <= 0.0 and u_hi >= 1.0 and growth <= math.log(u_hi)):
         top = "1" if growth == 0.0 else f"e^(lam T) = e^{growth:.6g}"
         raise ValueError(f"u_range [{u_lo}, {u_hi}] must hold the demo's states, from 0 to {top}")
+    # The flowed states are e^(lam t) times the datum's, so none may underflow to 0 by the horizon.
+    log_min = math.log(sys.float_info.min)
+    if lam is not None and lam * horizon < log_min:
+        raise ValueError(f"source = {cfg['source']}, horizon = {horizon}: e^(lam T) = e^{lam * horizon:.6g} "
+                         f"underflows below the smallest normal float, e^{log_min:.6g}")
     # The direct front is at T/2 for the logistic and zero sources, a linear front otherwise; the
     # level crossing is found only 2 dx inside MISMATCH_DOMAIN, so checked here before the solve.
     x_lo, x_hi = MISMATCH_DOMAIN

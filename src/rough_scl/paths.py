@@ -160,10 +160,14 @@ def write_table(run_dir: Path, name: str, header: str, columns: list) -> None:
 
 
 def read_table(file: str | Path) -> tuple[list[str], np.ndarray]:
-    """Inverse of `write_table`: the header's column names and the rows, one per line (2-D)."""
+    """Inverse of `write_table`: the header's column names and the rows, one per line (2-D).
+    ValueError naming the file if no row follows the header (blank and `#` lines are no rows)."""
     with open(file, "r", encoding="utf-8") as fp:
         header = fp.readline().strip().split(",")
-        return header, np.loadtxt(fp, delimiter=",", ndmin=2)
+        lines = fp.readlines()
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError(f"{file}: the table has no data rows after its header")
+    return header, np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
 def tent_path(peak_time: float = 1.0, peak_value: float = 1.0, horizon: float = 2.0) -> PiecewiseLinearPath:

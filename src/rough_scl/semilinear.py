@@ -7,11 +7,12 @@ conservation law for v with the time-dependent flux
     A~(v, t) = int_0^v A'(Psi(w; t)) dw.
 
 The driver has one channel, so Psi(v; t) = phi_{W~(t)}(v) with phi_s the
-time-s flow of u' = Phi(u) (W~(0) = 0).  One RK4 sweep in s through the
-driver's values at its knots and at the requested times gives Psi; carrying
-int_0^s A'(phi_sigma(w)) dsigma at fixed Gauss-Legendre nodes w in the same
-steps gives the front position in closed form on each driver segment.  The
-cost is O(range of W~ / 1e-3 + knots) RK4 steps, whatever the variation.
+time-s flow of u' = Phi(u) (W~(0) = 0).  Each source carries phi_s in closed
+form, so Psi is the flow evaluated at the driver's values at its knots and at
+the requested times, and the front position integrates its speed over each
+driver segment by Gauss-Legendre in the driver value.  The cost is
+O(knots + output times) evaluations at the quadrature nodes, whatever the
+driver's range or variation.
 
 For a linear source Psi(., t) is linear and the transformed and direct fronts
 coincide.  For the quadratic source Phi(u) = u(1 - u) and Burgers flux the
@@ -32,8 +33,6 @@ from .fluxes import Channel, FluxModel, SegmentFlux
 from .paths import PiecewiseLinearPath, identity_path
 from .solver import _TIME_ATOL, CellState, Grid1D, SolverConfig, Trajectory, check_step_cap, step
 
-ODE_STEP_PER_UNIT_DRIVER = 1e-3
-RK4_STABILITY_LIMIT = -2.785293563405282  # an RK4 step of y' = lam y grows no |y| for lam h in [this, 0]
 QUAD_TOL = 1e-9
 POSITION_TOL = 1e-6
 MISMATCH_DOMAIN = (-0.5, 1.5)  # outflow domain of the 1/0 front in `mismatch_report`
@@ -42,60 +41,48 @@ BLOW_UP = 100.0  # |Psi| above this means the source ODE has left the trusted ra
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Smooth scalar source Phi with a name for reports."""
+    """Smooth scalar source Phi with a name for reports, and its exact flow.
+
+    `flow(v, s)` is phi_s(v), the time-s solution of u' = Phi(u) from v, with v
+    broadcast against s; it is non-finite at or past a blow-up.
+    """
 
     name: str
     phi: Callable[[np.ndarray], np.ndarray]
+    flow: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _logistic_flow(v, s):
+    """v / (v + (1 - v) e^-s): 0 and 1 stay fixed bit for bit, v exactly at s = 0, and NaN
+    where the denominator is <= 0, past a blow-up."""
+    den = v + (1.0 - v) * np.exp(-s)
+    return np.where(s == 0.0, v, v / np.where(den > 0.0, den, np.nan))
 
 
 def logistic_source() -> SourceTerm:
-    return SourceTerm("logistic", lambda u: u * (1.0 - u))
+    return SourceTerm("logistic", lambda u: u * (1.0 - u), _logistic_flow)
 
 
 def linear_source(lam: float) -> SourceTerm:
-    return SourceTerm(f"linear:{lam:g}", lambda u: lam * u)
+    return SourceTerm(f"linear:{lam:g}", lambda u: lam * u, lambda v, s: v * np.exp(lam * s))
 
 
 def zero_source() -> SourceTerm:
-    return SourceTerm("zero", lambda u: np.zeros_like(np.asarray(u, dtype=float)))
-
-
-def _rk4(field: Callable, y: np.ndarray, tau: float) -> np.ndarray:
-    """Advance y' = field(y) by tau with classical RK4, step <= 1e-3.
-
-    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4) is formed in place in arrays allocated here, so
-    neither `y` nor an array the field made is written: a field may return its argument
-    (lambda u: u) or one shared array, but must not change an array it returned before."""
-    if tau == 0.0:
-        return y
-    n = max(1, int(np.ceil(abs(tau) / ODE_STEP_PER_UNIT_DRIVER)))
-    h = tau / n
-    hh, h6 = 0.5 * h, h / 6.0
-    stage, acc, two_k3 = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    for j in range(n):
-        k1 = field(y)
-        k2 = field(np.add(y, np.multiply(hh, k1, out=stage), out=stage))
-        np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
-        k3 = field(np.add(y, np.multiply(hh, k2, out=stage), out=stage))
-        np.add(acc, np.multiply(2.0, k3, out=two_k3), out=acc)
-        k4 = field(np.add(y, np.multiply(h, k3, out=stage), out=stage))
-        np.multiply(h6, np.add(acc, k4, out=acc), out=acc)
-        y = np.add(y, acc, out=y if j and y.ndim else None)  # in place once y is our own array
-    return y
+    return SourceTerm("zero", lambda u: np.zeros_like(np.asarray(u, dtype=float)),
+                      lambda v, s: np.broadcast_to(v, np.broadcast(v, s).shape).copy())
 
 
 def source_ode_step(source: SourceTerm, u: np.ndarray, tau: float) -> np.ndarray:
-    """Advance du/dt = Phi(u) by tau with classical RK4, step <= 1e-3."""
-    return _rk4(source.phi, np.asarray(u, dtype=float), tau)
+    """Advance du/dt = Phi(u) by tau: the source's exact flow."""
+    return source.flow(np.asarray(u, dtype=float), tau)
 
 
 @dataclass(frozen=True)
 class FlowMap:
     """Flow Psi(v; t) of dPsi = Phi(Psi) dW~ along a piecewise linear driver.
 
-    Psi(v; t) = phi_s(v) at s = W~(t) - W~(0), integrated in RK4 steps of at
-    most 1e-3 in s outward from s = 0 through the sorted driver values, once
-    upward and once downward, vectorized over v: O(range of W~ / 1e-3 + knots).
+    Psi(v; t) = phi_s(v) at s = W~(t) - W~(0), the source's closed-form flow at
+    the driver's values, vectorized over v: O((knots + times) * len(v)) evaluations.
     """
 
     source: SourceTerm
@@ -105,36 +92,31 @@ class FlowMap:
         if self.driver.n_channels != 1:
             raise ValueError("the transform driver is a single-channel path")
 
-    def _sweep(self, z, times, field: Callable):
-        """Flow z along y' = field(y) to W~ at 0, at `times` and at the knots before.
-
-        Returns the sorted times visited, s there and the states at s.  The guard
-        checks row 0, the flowed values: a scalar autonomous trajectory is
-        monotone in s, so at the knots it sees the largest |Psi| the path reaches.
-        """
+    def _levels(self, times):
+        """The sorted times visited, `times` and the knots before the last, and s = W~ - W~(0) there."""
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) < 0) or np.any(times < 0) or np.any(times > self.driver.horizon):
             raise ValueError("times must be ascending within the driver domain")
         taus = np.union1d(times, self.driver.restricted_knots(times[-1]))
-        s = self.driver.eval(taus)[:, 0] - self.driver.eval(0.0)[0]
-        levels = np.unique(s)
-        zero = int(np.searchsorted(levels, 0.0))
-        flowed = np.empty((levels.size,) + z.shape)
-        flowed[zero] = z
-        for leg in (range(zero + 1, levels.size), range(zero - 1, -1, -1)):
-            y, s_prev = z, 0.0
-            for i in leg:
-                y = _rk4(field, y, levels[i] - s_prev)
-                if not np.all(np.abs(y[0]) <= BLOW_UP):
-                    raise RuntimeError("flow map blew up; source ODE leaves the trusted range")
-                flowed[i], s_prev = y, levels[i]
-        return taus, s, flowed[np.searchsorted(levels, s)]
+        return taus, self.driver.eval(taus)[:, 0] - self.driver.eval(0.0)[0]
+
+    def _flowed(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """phi_s(v), one row per level s; RuntimeError if some |Psi| > BLOW_UP or is not finite.
+
+        A scalar autonomous flow is monotone in s, and a flow's denominators are too,
+        so the levels, which hold every knot where the driver turns, see the largest
+        |Psi| the path reaches and any blow-up it passes between them.
+        """
+        flowed = self.source.flow(v, s[:, None])
+        if not np.all(np.abs(flowed) <= BLOW_UP):
+            raise RuntimeError("flow map blew up; source ODE leaves the trusted range")
+        return flowed
 
     def psi_at_times(self, v, times) -> np.ndarray:
         """Psi(v; t) for every t in `times` (ascending), shape (len(times), len(v))."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        taus, _, flowed = self._sweep(v[None], times, self.source.phi)
-        return flowed[np.searchsorted(taus, times), 0]
+        taus, s = self._levels(times)
+        return self._flowed(v, s)[np.searchsorted(taus, times)]
 
     def psi(self, v, t: float) -> np.ndarray:
         return self.psi_at_times(v, [t])[0]
@@ -146,6 +128,7 @@ _GL_NODES, _GL_WEIGHTS = np.zeros(96), np.zeros((96, 2))
 _GL_NODES[:32], _GL_WEIGHTS[:32, 0] = np.polynomial.legendre.leggauss(32)
 _GL_NODES[32:], _GL_WEIGHTS[32:, 1] = np.polynomial.legendre.leggauss(64)
 _GL_NODES, _GL_WEIGHTS = 0.5 + 0.5 * _GL_NODES, 0.5 * _GL_WEIGHTS
+_GL_RULES = ((_GL_NODES[:32], _GL_WEIGHTS[:32, 0]), (_GL_NODES[32:], _GL_WEIGHTS[32:, 1]))
 
 
 def _converged(pair: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -178,28 +161,26 @@ def _front(channel: Channel, flow: FlowMap, times):
     speed's (32, 64)-node pair at `times`; RuntimeError if x's two rules differ by > POSITION_TOL.
 
     The speed is g(W~(tau)) = A~(1, tau), g(s) the mean of a(phi_s(w)) over w in [0, 1].
-    One sweep carries X(s) = int_0^s a(phi_sigma(w)) dsigma at the nodes, whose
-    mean G has G' = g; the driver is linear between visited times, so a step
-    integrates exactly to dtau (G(s1) - G(s0)) / ds.  Where |ds| <= 1e-5 that
-    quotient loses more to cancellation than the trapezoid dtau (g(s0) + g(s1)) / 2
-    errs, so the trapezoid is used there (exact where ds = 0).
+    The driver is linear between visited times, so a step from s0 by ds adds
+    dtau int_0^1 g(s0 + theta ds) dtheta, taken by the product of the theta and w
+    rules of each size (exact in theta where ds = 0).  The steps are taken one at a
+    time: O(knots + times) flow evaluations at the 32^2 + 64^2 nodes, and the memory
+    of one step.
     """
-    w = np.concatenate([[1.0, 0.0], _GL_NODES])
-    phi, a = flow.source.phi, channel.a
-    taus, s, flowed = flow._sweep(np.stack([w, np.zeros_like(w)]), times,  # rows phi(psi), a(psi)
-                                  lambda y: np.concatenate((phi(y[0]), a(y[0]))).reshape(y.shape))
-    psi, cum = flowed[:, 0], flowed[:, 1]
-    g, big_g = (y @ _GL_WEIGHTS for y in (a(psi[:, 2:]), cum[:, 2:]))
-    ds = np.diff(s)[:, None]
-    flat = np.abs(ds) <= 1e-5
-    mean = np.where(flat, 0.5 * (g[1:] + g[:-1]), np.diff(big_g, axis=0) / np.where(flat, 1.0, ds))
+    taus, s = flow._levels(times)
+    psi = flow._flowed(np.concatenate([[1.0, 0.0], _GL_NODES]), s)
+    g = channel.a(psi[:, 2:]) @ _GL_WEIGHTS
+    mean = np.empty((taus.size - 1, 2))
+    for i, (s0, ds) in enumerate(zip(s[:-1], np.diff(s))):
+        for r, (nodes, weights) in enumerate(_GL_RULES):
+            mean[i, r] = weights @ channel.a(flow.source.flow(nodes, s0 + ds * nodes[:, None])) @ weights
     x = np.concatenate([np.zeros((1, 2)), np.cumsum(np.diff(taus)[:, None] * mean, axis=0)])
     at = np.searchsorted(taus, times)
     return _converged(x[at], POSITION_TOL, "front position"), psi[at, 0], psi[at, 1], g[at]
 
 
 def transformed_shock_position(channel: Channel, flow: FlowMap, t: float) -> float:
-    """x(t) = int_0^t speed(tau) dtau of the transformed 1/0 front from 0, by one flow-map sweep."""
+    """x(t) = int_0^t speed(tau) dtau of the transformed 1/0 front from 0."""
     return float(_front(channel, flow, [t])[0][0])
 
 
@@ -212,9 +193,9 @@ def direct_semilinear_solve(
 ) -> Trajectory:
     """u_t + (A(u))_x = Phi(u) from the 1/0 step at x = 0, by Strang splitting.
 
-    Each step is half an RK4 source step, one monotone conservation step, and
-    another half source step.  Snapshots at 0 and ten equal steps to the
-    horizon are reached by the landing rule of `solve_path`.
+    Each step is half a source step by the source's exact flow, one monotone
+    conservation step, and another half source step.  Snapshots at 0 and ten
+    equal steps to the horizon are reached by the landing rule of `solve_path`.
     """
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
@@ -261,11 +242,11 @@ def mismatch_report(
 ) -> list[dict]:
     """Per-time table t, speed, x_transform, x_direct, gap for the 1/0 front at ten equal steps.
 
-    One flow-map sweep gives the transformed speed A~(1, t), the transformed
+    One `_front` call gives the transformed speed A~(1, t), the transformed
     front and the flowed end states Psi(1; t), Psi(0; t); the direct route runs
     the splitting solver and locates the crossing of their mean (1/2 when the
     source fixes 0 and 1).  A direct state with no crossing of that level is a
-    RuntimeError: the two routes' source steps disagree, or the flowed states underflow.
+    RuntimeError: the flowed states underflow, or the direct solve misses the level.
     For the quadratic source the gap grows like int_0^1 Psi(w; t) dw - 1/2 > 0;
     for a linear source it is discretization error.
     """

@@ -1,7 +1,7 @@
 """Reference forms shared by the tests, one per kernel, and the one bitwise check.
 
 Bit for bit where the form is an earlier operation order the kernel must keep
-(`NumpyReference`, `earlier_pad`, `earlier_step`, `_cursor_march`, `parent_rk4`,
+(`NumpyReference`, `earlier_pad`, `earlier_step`, `_cursor_march`,
 `dense_reporting_defect`, the masked bump, `full_rectangle_evaluate`,
 `per_snapshot_d`), or to roundoff where it is the maths
 written plainly (`defect_from_slab` per step, rho and the transport shift).
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import rough_scl.characteristics as chars
 from rough_scl.fluxes import SegmentFlux, from_spec
 from rough_scl.kinetic import DefectField, _chi_cumulative, _runs, _upwind_difference
-from rough_scl.semilinear import ODE_STEP_PER_UNIT_DRIVER
 from rough_scl.solver import _TIME_ATOL, CellState, CFLError, SolverConfig, solve_segment
 
 FLUX_SPECS = ("burgers", "cubic", "poly:0.1,-0.3,0.2,0.5,-0.25,0.15", "burgers;cubic", "cubic;poly:0,1,-0.5")
@@ -209,24 +208,6 @@ def _cursor_march(u0, flux, path, outputs, grid, config):
     if i_out < outputs.size:
         raise RuntimeError(f"failed to reach outputs {outputs[i_out:]}")
     return np.asarray(times), states, slabs
-
-
-# -- semilinear -----------------------------------------------------------------
-
-
-def parent_rk4(field, y, tau):
-    """`_rk4` as it was before it formed its sums in place: the bitwise reference."""
-    if tau == 0.0:
-        return y
-    n = max(1, int(np.ceil(abs(tau) / ODE_STEP_PER_UNIT_DRIVER)))
-    h = tau / n
-    for _ in range(n):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
 
 
 # -- kinetic: the defect of one step, and the dense accumulation ----------------

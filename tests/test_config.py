@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rough_scl.config as config
+import rough_scl.harness as harness
 import rough_scl.paths as paths
 import rough_scl.solver as solver
 from rough_scl.config import (
@@ -17,7 +18,6 @@ from rough_scl.config import (
     load_config,
     parse_config_text,
 )
-from rough_scl.semilinear import ODE_STEP_PER_UNIT_DRIVER, RK4_STABILITY_LIMIT
 from rough_scl.smooth import bump_raw
 from rough_scl.solver import Grid1D
 
@@ -243,16 +243,24 @@ class TestPathBuilders:
 
 
 class TestSource:
-    def test_rk4_stability_limit(self):
-        """A linear rate is kept while its 1e-3 RK4 steps are stable, and rejected by name below."""
-        lam = RK4_STABILITY_LIMIT / ODE_STEP_PER_UNIT_DRIVER
-        z = RK4_STABILITY_LIMIT
-        assert abs(1.0 + z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0) == pytest.approx(1.0, abs=1e-15)
-        assert build_source("linear:-2785")[1] == -2785.0
-        for rate in ("-2785.3", "-3000", "-1e300"):
-            with pytest.raises(ValueError, match=f"^source = linear:{rate}: RK4 steps of 0.001 are unstable "
-                                                 f"for a rate below {lam:.6g}$"):
-                build_source(f"linear:{rate}")
+    def test_linear_rate_underflow_bound(self, tmp_path, monkeypatch):
+        """`build_source` keeps every finite rate; the demo refuses, before it solves, a rate whose
+        flowed left state e^(lam T) underflows below the smallest normal float (lam T < -708.4)."""
+        assert build_source("linear:-1e300")[1] == -1e300
+
+        class Solved(Exception):
+            pass
+
+        def solved(*args, **kwargs):
+            raise Solved
+        monkeypatch.setattr(harness, "mismatch_report", solved)
+        cfg = {"experiment": "semilinear-demo", "horizon": 1.0}
+        with pytest.raises(Solved):
+            harness.run_semilinear_demo(load_config(None, {**cfg, "source": "linear:-708"}), tmp_path)
+        with pytest.raises(ValueError, match=re.escape(
+                "source = linear:-709, horizon = 1.0: e^(lam T) = e^-709 underflows below the smallest "
+                "normal float, e^-708.396")):
+            harness.run_semilinear_demo(load_config(None, {**cfg, "source": "linear:-709"}), tmp_path)
 
 
 class TestExperiment:

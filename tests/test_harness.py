@@ -92,6 +92,7 @@ TABLES = {
     "u0.csv": datum_table(400),  # on the default grid
     "off_grid.csv": "x,u\n" + "".join(f"{x},0.5\n" for x in np.linspace(5.0, 9.0, 4)),
     "with_nan.csv": "x,u\n-0.75,0.5\n-0.25,0.5\n0.25,nan\n0.75,0.5\n",  # centres of 4 cells on [-1, 1]
+    "header_only.csv": "t,W1\n",
 }
 
 
@@ -182,6 +183,9 @@ REJECTED = {
         "nan-unread-key": ("solve", "xi_lo = nan\nn_cells = 32\n", "xi_lo = nan"),  # refused by the manifest
         "unstable-rate": ("semilinear-demo", "source = linear:-3000\n", "source = linear:-3000"),  # left u_range
         "overflowing-rate": ("semilinear-demo", "source = linear:-1e300\n", "source = linear:-1e300"),  # warned
+        "underflowing-rate": ("semilinear-demo", "source = linear:-1000\n", "source = linear:-1000"),  # run error
+        "datum-header-only": ("solve", "datum = file:{tmp}/header_only.csv\n", "header_only.csv"),  # warned
+        "path-header-only": ("solve", "path = file:{tmp}/header_only.csv\n", "header_only.csv"),  # warned
         "front-leaves-domain": ("semilinear-demo", "horizon = 3\n", "horizon = 3.0"),  # no level crossing
         "datum2-outside-u-range": ("contraction", "datum2 = riemann:0.8,3\n", "riemann:0.8,3"),  # after one solve
         "no-monomial-segment": ("solve", "path = monomial:2,-1\n", "path = monomial:2,-1"),  # IndexError
@@ -540,6 +544,18 @@ class TestSemilinearDemo:
         assert abs(report["x_direct"] - exact) <= 2.0 * report["dx"]
         assert abs(report["gap"]) <= 2.0 * report["dx"]
 
+    def test_fast_decay_passes(self, tmp_path):
+        """At rate -700 e^(lam T) stays above the smallest normal float, and at the defaults both
+        fronts land on the oracle (expm1(lam T) / (2 lam), about 7.1e-4)."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("source = linear:-700\n")
+        out = tmp_path / "out"
+        assert main(["semilinear-demo", "--out", str(out), "--config", str(cfg)]) == 0
+        report = json.loads(next(out.glob("*/report.json")).read_text())
+        assert report["pass"] and report["failed_clauses"] == []
+        assert report["front_oracle"] == pytest.approx(math.expm1(-700.0) / -1400.0, rel=1e-15)
+        assert abs(report["x_direct"] - report["front_oracle"]) <= 2.0 * report["dx"]
+
     def test_linear_front_gate_fails_off_the_oracle(self, tmp_path, monkeypatch):
         """The linear-source gate is live: a wrong oracle fails both front clauses."""
         monkeypatch.setattr(harness, "_linear_front", lambda lam, horizon: 0.25)
@@ -564,17 +580,17 @@ class TestSemilinearDemo:
         assert report["pass"] and report["failed_clauses"] == []
 
     def test_one_flow_map_sweep(self, tmp_path, monkeypatch):
-        """The report's speed at the horizon is the speed row of the front's sweep, the only one."""
-        sweeps = []
-        sweep = semilinear.FlowMap._sweep
+        """The report's speed at the horizon is the speed row of the front's one evaluation."""
+        fronts = []
+        front = semilinear._front
 
         def counted(*args):
-            sweeps.append(args)
-            return sweep(*args)
-        monkeypatch.setattr(semilinear.FlowMap, "_sweep", counted)
+            fronts.append(args)
+            return front(*args)
+        monkeypatch.setattr(semilinear, "_front", counted)
         cfg = tiny(experiment="semilinear-demo", n_cells=200)
         _, report = execute("semilinear-demo", cfg, tmp_path)
-        assert len(sweeps) == 1
+        assert len(fronts) == 1
         monkeypatch.undo()
         flow = semilinear.FlowMap(semilinear.logistic_source(), identity_path(0.5))
         speed = semilinear.transformed_shock_speed(builtin("burgers"), flow, 0.5)
@@ -789,6 +805,13 @@ class TestCli:
                                "n_cells = 40\n")
         assert code == 2
         assert err.startswith("run error: front position quadrature did not converge")
+
+    def test_flow_map_blow_up_exits_2(self):
+        """e^(lam T) = e^5 fits the u_range, and the front stays in the domain, but the flowed
+        state leaves the flow map's trusted range |Psi| <= 100: a run error after the solve."""
+        code, err, _ = run_cli(["semilinear-demo"], "source = linear:50\nu_hi = 200\nhorizon = 0.1\n")
+        assert code == 2
+        assert err == "run error: flow map blew up; source ODE leaves the trusted range\n"
 
     @pytest.mark.parametrize("command", ["single", "suite"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

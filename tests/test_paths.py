@@ -141,6 +141,13 @@ class TestCsvRoundTrip:
         assert header == ["t", "W1", "W2", "W3"]
         assert rows.tobytes() == np.column_stack([p.knots, p.values]).tobytes()
 
+    @pytest.mark.parametrize("body", ["", "\n  \n", "# no rows\n"])
+    def test_no_data_rows_rejected_by_file(self, tmp_path, body):
+        """A header with no rows is a ValueError naming the file, with no loadtxt warning."""
+        (tmp_path / "empty.csv").write_text("t,W1\n" + body)
+        with pytest.raises(ValueError, match="empty.csv: the table has no data rows after its header"):
+            read_table(tmp_path / "empty.csv")
+
 
 def test_tent_path_shape():
     p = tent_path(1.0, 1.0, 2.0)

@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-import rough_scl.semilinear as semilinear
 from rough_scl.fluxes import FluxModel, builtin
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
 from rough_scl.semilinear import (
     FlowMap,
-    _rk4,
     SourceTerm,
     direct_semilinear_solve,
     linear_source,
@@ -24,7 +22,7 @@ from rough_scl.semilinear import (
 )
 from rough_scl.solver import CellState, Grid1D
 
-from reference import assert_bitwise, parent_rk4
+from reference import assert_bitwise
 
 # Logistic flow Psi(v; t) = v e^t / (1 - v + v e^t); closed-form anchors.
 LOGISTIC_SPEED_AT_1 = math.e * (math.e - 2.0) / (math.e - 1.0) ** 2
@@ -69,6 +67,16 @@ def burgers(rng=(-0.5, 1.5)):
     return FluxModel([builtin("burgers")], rng)
 
 
+def _square_flow(v, s):
+    """v / (1 - v s), NaN where 1 - v s <= 0: u' = u^2 blows up at s = 1 / v."""
+    den = 1.0 - v * s
+    return v / np.where(den > 0.0, den, np.nan)
+
+
+SQUARE = SourceTerm("sq", lambda u: u * u, _square_flow)
+NAMED_SOURCES = [logistic_source(), linear_source(0.7), linear_source(-1.3), zero_source()]
+
+
 class TestSourceTerm:
     def test_logistic_positive_between_equilibria(self):
         src = logistic_source()
@@ -76,6 +84,48 @@ class TestSourceTerm:
         assert np.all(src.phi(v) > 0.0)
         assert src.phi(np.asarray(0.0)) == 0.0
         assert src.phi(np.asarray(1.0)) == 0.0
+
+
+# States on both sides of the logistic equilibria 0 and 1, with signed zeros.
+STATES = np.concatenate([[0.0, -0.0, 1.0, 0.5, -0.25, 1.25, 3.0, -3.0000000000000004],
+                         np.random.default_rng(1).uniform(-1.0, 2.0, 200)])
+
+
+class TestSourceFlow:
+    """Each source's closed-form flow against its definition Phi."""
+
+    @pytest.mark.parametrize("source", NAMED_SOURCES + [SQUARE], ids=lambda s: s.name)
+    def test_time_zero_is_the_identity(self, source):
+        assert_bitwise(source.flow(STATES, 0.0), STATES)
+        assert_bitwise(source.flow(STATES[None], np.zeros((3, 1))), np.tile(STATES, (3, 1)))
+
+    @pytest.mark.parametrize("source", NAMED_SOURCES, ids=lambda s: s.name)
+    def test_group_law(self, source):
+        """phi_b(phi_a(v)) = phi_{a+b}(v), within each state's existence interval."""
+        v = np.linspace(-0.2, 1.3, 31)
+        for a, b in ((0.3, -0.45), (-0.7, 0.2), (0.25, 0.5)):
+            assert np.max(np.abs(source.flow(source.flow(v, a), b) - source.flow(v, a + b))) <= 1e-13
+
+    @pytest.mark.parametrize("source", NAMED_SOURCES + [SQUARE], ids=lambda s: s.name)
+    def test_solves_the_source_ode(self, source):
+        """d/ds phi_s(v) = Phi(phi_s(v)), by central differences."""
+        v, h = np.linspace(-0.2, 1.3, 31), 1e-5
+        for s in (-0.4, 0.0, 0.35):
+            fd = (source.flow(v, s + h) - source.flow(v, s - h)) / (2.0 * h)
+            assert np.max(np.abs(fd - source.phi(source.flow(v, s)))) <= 1e-7
+
+    @pytest.mark.parametrize("s", [1.0, -1.0, 50.0, -50.0])
+    def test_logistic_keeps_its_equilibria(self, s):
+        assert_bitwise(logistic_source().flow(np.array([0.0, 1.0]), s), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("source, v, blow_up", [
+        (logistic_source(), 2.0, -math.log(2.0)), (logistic_source(), -1.0, math.log(2.0)),
+        (SQUARE, 2.0, 0.5), (SQUARE, -1.0, -1.0),
+    ], ids=["logistic-above-1", "logistic-below-0", "sq-positive", "sq-negative"])
+    def test_non_finite_past_a_blow_up(self, source, v, blow_up):
+        """Finite on the way to the blow-up time, non-finite at and past it."""
+        assert np.all(np.isfinite(source.flow(v, np.linspace(0.0, blow_up, 5, endpoint=False))))
+        assert not np.any(np.isfinite(source.flow(v, blow_up * np.array([1.0, 1.5, 4.0]))))
 
 
 class TestFlowMap:
@@ -134,19 +184,17 @@ class TestFlowMap:
 
     def test_blow_up_guard(self):
         # dy = y^2 dt from y=2 blows up at t = 0.5
-        src = SourceTerm("sq", lambda u: u * u)
-        flow = FlowMap(src, identity_path(1.0))
-        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="blew up"):
+        flow = FlowMap(SQUARE, identity_path(1.0))
+        with pytest.raises(RuntimeError, match="blew up"):
             flow.psi(np.array([2.0]), 0.9)
 
     def test_blow_up_guard_on_driver_excursion(self):
         """W~ climbs to 0.9 and returns to 0: Psi(2; 2) = 2 by W~ alone, but the
         path passed the blow-up at W~ = 0.5 on the way."""
-        src = SourceTerm("sq", lambda u: u * u)
         driver = PiecewiseLinearPath([0.0, 1.0, 2.0], [0.0, 0.9, 0.0])
-        flow = FlowMap(src, driver)
+        flow = FlowMap(SQUARE, driver)
         assert flow.psi(np.array([2.0]), 0.3)[0] == pytest.approx(2.0 / (1.0 - 2.0 * 0.27), abs=1e-9)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="blew up"):
+        with pytest.raises(RuntimeError, match="blew up"):
             flow.psi(np.array([2.0]), 2.0)
 
     def test_source_ode_step_linear_exact(self):
@@ -176,18 +224,17 @@ class TestTransformedFlux:
         s1 = transformed_shock_speed(builtin("burgers"), flow, 1.0)
         assert s1 == pytest.approx(LOGISTIC_SPEED_AT_1, abs=1e-8)
 
-    def test_shock_speed_flows_96_points(self, monkeypatch):
+    def test_shock_speed_flows_96_points(self):
         """The speed is A~(1, t): one row of the 32 + 64 nodes, and no A~(0, t) = 0 row."""
-        channel, flow = builtin("burgers"), FlowMap(logistic_source(), identity_path(1.0))
+        channel, source = builtin("burgers"), logistic_source()
         sizes = []
 
-        def spy(field, y, tau):
-            sizes.append(y.size)
-            return _rk4(field, y, tau)
-        monkeypatch.setattr(semilinear, "_rk4", spy)
-        speed = transformed_shock_speed(channel, flow, 1.0)
+        def spy(v, s):
+            sizes.append(np.size(v))
+            return source.flow(v, s)
+        speed = transformed_shock_speed(channel, FlowMap(SourceTerm("spy", source.phi, spy), identity_path(1.0)), 1.0)
         assert sizes == [96]
-        monkeypatch.undo()
+        flow = FlowMap(source, identity_path(1.0))
         assert abs(speed - transformed_flux(channel, flow, [1.0, 0.0], 1.0)[0]) <= 1e-15
 
     def test_front_position_exceeds_source_free_line(self):
@@ -295,9 +342,9 @@ class TestMismatch:
         assert final["x_direct"] == pytest.approx(0.5, abs=2.0 * dx)
 
     def test_no_direct_crossing_is_a_run_error(self):
-        """At rate -2000 the 1e-3 flow-map steps keep e^(lam t) far above the direct
-        state's finer steps, so the direct state never reaches the transform's level."""
-        with pytest.raises(RuntimeError, match=r"^direct front at t = 0.1, level 9.7e-49: no level crossing"):
+        """At rate -2000 the flowed left state e^(lam t) underflows to 0 by t = 0.4, so no
+        state crosses the transform's level there (the demo refuses such a rate first)."""
+        with pytest.raises(RuntimeError, match=r"^direct front at t = 0.4, level 0: no level crossing"):
             mismatch_report(linear_source(-2000.0), burgers(), horizon=0.5, n_cells=40)
 
     def test_zero_source_gap_vanishes(self):
@@ -305,84 +352,3 @@ class TestMismatch:
         dx = 2.0 / 200
         for r in rows:
             assert abs(r["gap"]) <= 2.0 * dx + 1e-5
-
-
-# Both signs, whole and fractional multiples of the 1e-3 step, one step and many.
-TAUS = (0.0123, -0.00731, 0.5, -0.2501, 1e-4, -3.7e-6, 0.001, -0.002)
-
-
-class TestRk4MatchesParent:
-    """The in-place RK4 gives the allocating one's bits, and writes neither into
-    its argument nor into an array the field returned."""
-
-    @staticmethod
-    def watched(field):
-        """`field`, recording each array it returns with a copy taken at return."""
-        returned = []
-
-        def call(y):
-            k = field(y)
-            returned.append((k, np.array(k, copy=True)))
-            return k
-        return call, returned
-
-    def check(self, field, y, watch_returns=True):
-        want = [parent_rk4(field, y, tau) for tau in TAUS]
-        before = y.copy()
-        for tau, w in zip(TAUS, want):
-            call, returned = self.watched(field)
-            assert_bitwise(_rk4(call, y, tau), w)
-            assert_bitwise(y, before)
-            if watch_returns:
-                assert returned
-                for k, copy in returned:
-                    assert_bitwise(k, copy)
-
-    @pytest.mark.parametrize("source", [logistic_source(), linear_source(0.7), linear_source(-1.3),
-                                        zero_source()], ids=lambda s: s.name)
-    def test_sources(self, source):
-        y = np.concatenate([[0.0, -0.0, 1.0, -1.0, 0.5], np.random.default_rng(1).uniform(-0.5, 1.5, 40)])
-        self.check(source.phi, y)
-        self.check(source.phi, y.reshape(5, 9))
-
-    def test_zero_dimensional_state(self):
-        for tau in TAUS + (0.0,):
-            got = source_ode_step(logistic_source(), 0.3, tau)
-            want = parent_rk4(logistic_source().phi, np.asarray(0.3), tau)
-            assert type(got) is type(want)
-            assert_bitwise(got, want)
-
-    @pytest.mark.parametrize("spec", ["burgers", "cubic", "poly:0.3,-1,0.25,-0", "poly:0,-0,-0"])
-    def test_front_field(self, spec, monkeypatch):
-        """`_front`'s field on its (2, n) state: rows phi(psi) and a(psi), as np.stack
-        and `Channel.a` gave them, then stepped like the parent's."""
-        channel = builtin(spec)
-        fields = []
-
-        def spy(field, y, tau):
-            fields.append(field)
-            return _rk4(field, y, tau)
-        monkeypatch.setattr(semilinear, "_rk4", spy)
-        source = logistic_source()
-        transformed_shock_position(channel, FlowMap(source, identity_path(0.01)), 0.01)
-        front_field = fields[0]
-
-        def stacked(y):
-            return np.stack([source.phi(y[0]), channel.a(y[0])])
-        rng = np.random.default_rng(2)
-        y = np.stack([np.concatenate([[0.0, -0.0, 1.0, -0.5], rng.uniform(-0.5, 1.5, 30)]),
-                      rng.uniform(-1.0, 1.0, 34)])
-        assert_bitwise(front_field(y), stacked(y))
-        for tau in TAUS:
-            assert_bitwise(_rk4(front_field, y, tau), parent_rk4(stacked, y, tau))
-
-    def test_identity_field(self):
-        """`lambda u: u` returns its argument: the caller's y at the first stage."""
-        y = np.array([0.0, -0.0, 1.0, -2.0, 0.25])
-        self.check(lambda u: u, y, watch_returns=False)
-        self.check(lambda u: u, np.stack([y, -y]), watch_returns=False)
-
-    def test_shared_constant_field(self):
-        shared = np.array([0.5, -0.0, 2.0, -1.0, 0.0])
-        self.check(lambda u: shared, np.array([1.0, 0.0, -0.0, 3.0, -2.0]))
-        assert_bitwise(shared, np.array([0.5, -0.0, 2.0, -1.0, 0.0]))
