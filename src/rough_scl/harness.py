@@ -465,16 +465,10 @@ def _non_finite_key(obj, key: str = ""):
 def rerun_from_manifest(manifest_file: str | Path, out_root: str | Path | None = None) -> dict:
     """Re-execute a recorded run and byte-compare every CSV output."""
     manifest_file = Path(manifest_file)
-    with open(manifest_file, "r", encoding="utf-8") as fp:
-        m = json.load(fp)
-    cfg = load_config(None, m["config"])
-    new_dir, report = execute(m["experiment"], cfg, out_root)
-    old_dir = manifest_file.parent
-    match = {}
-    for name in m["outputs"]:
-        old = (old_dir / name).read_bytes()
-        new = (new_dir / name).read_bytes()
-        match[name] = old == new
+    m = json.loads(manifest_file.read_text(encoding="utf-8"))
+    new_dir, report = execute(m["experiment"], load_config(None, m["config"]), out_root)
+    match = {name: (manifest_file.parent / name).read_bytes() == (new_dir / name).read_bytes()
+             for name in m["outputs"]}
     return {
         "run_dir": str(new_dir),
         "match": match,

@@ -37,6 +37,7 @@ QUAD_TOL = 1e-9
 POSITION_TOL = 1e-6
 MISMATCH_DOMAIN = (-0.5, 1.5)  # outflow domain of the 1/0 front in `mismatch_report`
 BLOW_UP = 100.0  # |Psi| above this means the source ODE has left the trusted range
+_LOG_MAX = float(np.log(np.finfo(float).max))  # e^-s overflows below s = -709.78
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,15 @@ class SourceTerm:
 
 
 def _logistic_flow(v, s):
-    """v / (v + (1 - v) e^-s): 0 and 1 stay fixed bit for bit, v exactly at s = 0, and NaN
-    where the denominator is <= 0, past a blow-up."""
-    den = v + (1.0 - v) * np.exp(-s)
-    return np.where(s == 0.0, v, v / np.where(den > 0.0, den, np.nan))
+    """v / (v + (1 - v) e^-s), NaN past a blow-up (denominator <= 0), and v itself at s = 0 and at
+    the equilibria 0 and 1 for every s: below s = -709.78 e^-s is held at the largest float, which
+    takes v in (0, 1) to at most 5.6e-309 v / (1 - v), and above s = 745.13 it is 0."""
+    den = np.asarray((1.0 - v) * np.exp(np.minimum(-s, _LOG_MAX)) + v)
+    den[den <= 0.0] = np.nan
+    np.divide(v, den, out=den)
+    np.copyto(den, v, where=s == 0.0)
+    np.copyto(den, v, where=v == 0.0)  # 0 / 0 where e^-s is 0
+    return den
 
 
 def logistic_source() -> SourceTerm:
@@ -193,9 +199,10 @@ def direct_semilinear_solve(
 ) -> Trajectory:
     """u_t + (A(u))_x = Phi(u) from the 1/0 step at x = 0, by Strang splitting.
 
-    Each step is half a source step by the source's exact flow, one monotone
-    conservation step, and another half source step.  Snapshots at 0 and ten
-    equal steps to the horizon are reached by the landing rule of `solve_path`.
+    The half source steps by the exact flow compose, phi_a phi_b = phi_(a+b): each monotone
+    conservation step of dt follows one flow by dt/2 plus the half of the step before it in
+    the output interval, and each snapshot one by the last step's half.  Snapshots at 0 and
+    ten equal steps to the horizon are reached by the landing rule of `solve_path`.
     """
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
@@ -209,12 +216,13 @@ def direct_semilinear_solve(
     state = CellState(grid, np.where(grid.centers < 0.0, 1.0, 0.0), 0.0)
     states = []
     for target in outputs:
+        lag = 0.0  # the half of the last step that the state has not yet flowed
         while state.t < target - _TIME_ATOL:
             dt = min(dt_max, target - state.t)
-            half = source_ode_step(source, state.u, 0.5 * dt)
-            moved = step(CellState(grid, half, state.t), fseg, dt, config)
-            full = source_ode_step(source, moved.u, 0.5 * dt)
-            state = CellState(grid, full, state.t + dt)
+            flowed = CellState(grid, source_ode_step(source, state.u, lag + 0.5 * dt), state.t)
+            state, lag = step(flowed, fseg, dt, config), 0.5 * dt
+        if lag:
+            state = CellState(grid, source_ode_step(source, state.u, lag), state.t)
         states.append(state)
     return Trajectory(grid, outputs, states, None)
 
@@ -265,11 +273,6 @@ def mismatch_report(
             x_direct = shock_position(state, float(level))
         except ValueError as exc:
             raise RuntimeError(f"direct front at t = {t:.6g}, level {level:.3g}: {exc}") from None
-        rows.append({
-            "t": float(t),
-            "speed": float(g),
-            "x_transform": float(x_trans),
-            "x_direct": x_direct,
-            "gap": float(x_trans) - x_direct,
-        })
+        rows.append({"t": float(t), "speed": float(g), "x_transform": float(x_trans), "x_direct": x_direct,
+                     "gap": float(x_trans) - x_direct})
     return rows

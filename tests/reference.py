@@ -3,8 +3,9 @@
 Bit for bit where the form is an earlier operation order the kernel must keep
 (`NumpyReference`, `earlier_pad`, `earlier_step`, `_cursor_march`,
 `dense_reporting_defect`, the masked bump, `full_rectangle_evaluate`,
-`per_snapshot_d`), or to roundoff where it is the maths
-written plainly (`defect_from_slab` per step, rho and the transport shift).
+`per_snapshot_d`, `earlier_logistic_flow`), or to roundoff where it is the maths
+written plainly (`defect_from_slab` per step, rho and the transport shift, the
+unfused `strang_semilinear_solve`).
 """
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import rough_scl.characteristics as chars
 from rough_scl.fluxes import SegmentFlux, from_spec
 from rough_scl.kinetic import DefectField, _chi_cumulative, _runs, _upwind_difference
-from rough_scl.solver import _TIME_ATOL, CellState, CFLError, SolverConfig, solve_segment
+from rough_scl.solver import _TIME_ATOL, CellState, CFLError, SolverConfig, solve_segment, step
 
 FLUX_SPECS = ("burgers", "cubic", "poly:0.1,-0.3,0.2,0.5,-0.25,0.15", "burgers;cubic", "cubic;poly:0,1,-0.5")
 
@@ -424,3 +425,30 @@ def per_snapshot_d(traj, sol, weight):
         below = np.searchsorted(k, a)
         d_vals[j] = traj.grid.dx * dk * float(np.sum(a * c0[below] - c1[below]))
     return d_vals
+
+
+# -- semilinear -------------------------------------------------------------------
+
+def earlier_logistic_flow(v, s):
+    """The logistic flow as written before e^-s was held finite: it overflows below s = -709.78."""
+    den = v + (1.0 - v) * np.exp(-s)
+    return np.where(s == 0.0, v, v / np.where(den > 0.0, den, np.nan))
+
+
+def strang_semilinear_solve(flux, source, grid, horizon, config=SolverConfig()):
+    """`direct_semilinear_solve` unfused: every conservation step between two half steps
+    of the source's flow.  The 11 snapshot states, and the steps of each output interval."""
+    fseg = SegmentFlux(flux, np.ones(flux.n_channels))
+    dt_max = config.cfl * grid.dx / fseg.max_speed
+    state = CellState(grid, np.where(grid.centers < 0.0, 1.0, 0.0), 0.0)
+    states, steps = [], []
+    for target in np.linspace(0.0, horizon, 11):
+        n = 0
+        while state.t < target - _TIME_ATOL:
+            dt = min(dt_max, target - state.t)
+            moved = step(CellState(grid, source.flow(state.u, 0.5 * dt), state.t), fseg, dt, config)
+            state = CellState(grid, source.flow(moved.u, 0.5 * dt), moved.t)
+            n += 1
+        states.append(state)
+        steps.append(n)
+    return states, steps

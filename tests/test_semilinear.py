@@ -1,12 +1,15 @@
 """Source-term flow map, transformed flux, and the front-position mismatch."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from rough_scl import semilinear
 from rough_scl.fluxes import FluxModel, builtin
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
 from rough_scl.semilinear import (
+    MISMATCH_DOMAIN,
     FlowMap,
     SourceTerm,
     direct_semilinear_solve,
@@ -22,7 +25,7 @@ from rough_scl.semilinear import (
 )
 from rough_scl.solver import CellState, Grid1D
 
-from reference import assert_bitwise
+from reference import assert_bitwise, earlier_logistic_flow, strang_semilinear_solve
 
 # Logistic flow Psi(v; t) = v e^t / (1 - v + v e^t); closed-form anchors.
 LOGISTIC_SPEED_AT_1 = math.e * (math.e - 2.0) / (math.e - 1.0) ** 2
@@ -114,9 +117,42 @@ class TestSourceFlow:
             fd = (source.flow(v, s + h) - source.flow(v, s - h)) / (2.0 * h)
             assert np.max(np.abs(fd - source.phi(source.flow(v, s)))) <= 1e-7
 
-    @pytest.mark.parametrize("s", [1.0, -1.0, 50.0, -50.0])
+    @pytest.mark.parametrize("s", [1.0, -1.0, 50.0, -50.0, 0.0, -720.0, -800.0, 800.0])
     def test_logistic_keeps_its_equilibria(self, s):
-        assert_bitwise(logistic_source().flow(np.array([0.0, 1.0]), s), np.array([0.0, 1.0]))
+        """For every finite s, past where e^-s overflows (s < -709.78) or is 0 (s > 745.13) too."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = logistic_source().flow(np.array([0.0, -0.0, 1.0]), s)
+        assert_bitwise(out, np.array([0.0, -0.0, 1.0]))
+
+    def test_logistic_is_the_earlier_form_where_that_is_finite(self):
+        """On s in [-700, 700], where the earlier form raised no warning, bit for bit: every
+        finite value, and NaN past each blow-up."""
+        s = np.linspace(-700.0, 700.0, 1401)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = earlier_logistic_flow(STATES, s)
+            got = logistic_source().flow(STATES, s)
+        assert np.isfinite(want).mean() > 0.5
+        assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("s", [-800.0, -720.0, -1.0, 0.0, 1.0, 800.0])
+    def test_logistic_keeps_the_unit_interval(self, s):
+        """States in [0, 1] stay ordered in [0, 1], with no warning, where the earlier form gave
+        NaN at 1 (s < -709.78) or at 0 (s > 745.13); in (0, 1) they go below 5.6e-309 v / (1 - v)
+        at s = -720 and -800, to 1 at s = 800; 1.5 and 2 have blown up below s = -ln 3."""
+        v = np.linspace(0.0, 1.0, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = logistic_source().flow(v, s)
+            past = logistic_source().flow(np.array([1.5, 2.0]), s)
+        assert out[0] == 0.0 and out[-1] == 1.0
+        assert np.all(np.diff(out) >= 0.0)
+        if s < -709.78:
+            assert np.all(out[1:-1] <= 5.6e-309 * v[1:-1] / (1.0 - v[1:-1]))
+        if s == 800.0:
+            assert np.all(out[1:] == 1.0)
+        assert np.all(np.isnan(past)) == (s < -math.log(3.0))
 
     @pytest.mark.parametrize("source, v, blow_up", [
         (logistic_source(), 2.0, -math.log(2.0)), (logistic_source(), -1.0, math.log(2.0)),
@@ -305,6 +341,46 @@ class TestDirectSolve:
         grid = Grid1D(-0.5, 1.5, 50, "outflow")
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             direct_semilinear_solve(burgers(), zero_source(), grid, horizon)
+
+    @pytest.mark.parametrize("n_cells", [400, 800])
+    @pytest.mark.parametrize("source, bound", [
+        (logistic_source(), 6e-14), (linear_source(0.3), 4e-11), (linear_source(-2.0), 1.5e-13), (zero_source(), 0.0),
+    ], ids=["logistic", "linear:0.3", "linear:-2", "zero"])
+    def test_fused_march_is_the_strang_march(self, source, bound, n_cells):
+        """One flow between two conservation steps moves the states by roundoff: max |du| over the
+        snapshots measured 6.4e-15, 4.9e-12 and 1.6e-14, and none for the zero source's copies."""
+        grid = Grid1D(*MISMATCH_DOMAIN, n_cells, "outflow")
+        traj = direct_semilinear_solve(burgers(), source, grid, 1.0)
+        want, _ = strang_semilinear_solve(burgers(), source, grid, 1.0)
+        assert [s.t for s in traj.states] == [s.t for s in want]
+        for got, ref in zip(traj.states, want):
+            if bound == 0.0:
+                assert_bitwise(got.u, ref.u)
+            assert np.max(np.abs(got.u - ref.u)) <= bound
+
+    @pytest.mark.parametrize("horizon", [1.0, 0.7])
+    def test_one_source_flow_per_step_and_per_snapshot(self, monkeypatch, horizon):
+        """The Strang march's conservation steps, and one source flow before each of them and one
+        at each snapshot reached by a step: steps + 10, against its 2 per step."""
+        calls = {"step": 0, "source_ode_step": 0}
+
+        def counted(name):
+            fn = getattr(semilinear, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+        for name in calls:
+            monkeypatch.setattr(semilinear, name, counted(name))
+        grid = Grid1D(*MISMATCH_DOMAIN, 400, "outflow")
+        traj = direct_semilinear_solve(burgers(), logistic_source(), grid, horizon)
+        _, steps = strang_semilinear_solve(burgers(), logistic_source(), grid, horizon)
+        assert calls["step"] == sum(steps)
+        assert calls["source_ode_step"] == sum(steps) + sum(n > 0 for n in steps) == sum(steps) + 10
+        times = np.linspace(0.0, horizon, 11)
+        assert np.array_equal(traj.times, times)
+        assert [s.t for s in traj.states] == times.tolist()
 
     def test_snapshots_at_eleven_equal_times(self):
         """0 and ten equal steps to the horizon, each state at its label exactly."""
