@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -124,10 +125,12 @@ def _horner(c, x):
 
 def _real_roots(coeffs, lo: float, hi: float) -> np.ndarray:
     """Real roots of a polynomial (ascending coeffs) inside (lo, hi)."""
-    # Drop leading zeros and, from degree 2, a leading c_n so small that some c_k / c_n
-    # overflows (`polyroots` would raise on it): the roots it adds lie beyond 1e308.
-    c = [float(x) for x in coeffs]
-    while c and (c[-1] == 0.0 or len(c) > 2 and max(map(abs, c[:-1])) / abs(c[-1]) == math.inf):
+    # Drop leading zeros, from degree 2 a leading c_n so small that some c_k / c_n overflows (`polyroots`
+    # would raise on it; its roots lie beyond 1e308), and a c_n with |c_n| r^(n-k) <= 2^-60 |c_k| for some
+    # k, r = max(|lo|, |hi|), under the others' roundoff on (lo, hi), where the companion matrix loses roots.
+    c, r = [float(x) for x in coeffs], max(abs(lo), abs(hi))
+    while c and (c[-1] == 0.0 or len(c) > 2 and max(map(abs, c[:-1])) / abs(c[-1]) == math.inf or any(
+            t <= 2.0**-60 * abs(ck) for ck, t in zip(c[-2::-1], accumulate(repeat(r), mul, initial=abs(c[-1]) * r)))):
         c.pop()
     if len(c) <= 1:
         return np.empty(0)

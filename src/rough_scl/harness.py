@@ -4,7 +4,10 @@ Every experiment is a function cfg -> report dict that also drops plot-ready
 CSV files into its run directory `runs/<id>/`.  A manifest records the config
 snapshot, seed, and output list; re-running a manifest reproduces every CSV
 byte for byte (all randomness flows through the seeded generators, and every
-table is written by `paths.write_table`, at 17 significant digits).
+table is written by `paths.write_table`, at 17 significant digits).  `solve`,
+`contraction`, `path-stability` and `refine` solve along the driver's
+irreducible legs where the flux lets them (`_legs`), and report the segments
+of each path solved beside the given one.
 """
 from __future__ import annotations
 
@@ -24,12 +27,14 @@ import numpy as np
 from . import __version__
 from .characteristics import dissipative_check, local_solution
 from .config import _spec_args, build_datum, build_experiment, build_source, config_text, load_config
+from .fluxes import _real_roots
 from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1, check_xi_covers
 from .paths import (
     PathSeed,
     PiecewiseLinearPath,
     brownian_sample,
     dyadic_refine,
+    reduced_path,
     sup_distance,
     write_table,
 )
@@ -54,13 +59,23 @@ def _verdict(report: dict, clauses: list[tuple[bool, str]]) -> dict:
     return report
 
 
+def _legs(exp, path: PiecewiseLinearPath, *data) -> PiecewiseLinearPath:
+    """`path` on its irreducible legs between the outputs (`reduced_path`) if one channel's A'' has no real
+    root inside the hull of the data's values, where the maximum principle keeps every state; else `path`."""
+    channel, *more = exp.flux.channels
+    a_prime_roots = _real_roots(np.polynomial.polynomial.polyder(channel.coeffs, 2),
+                                float(min(map(np.min, data))), float(max(map(np.max, data))))
+    return path if more or a_prime_roots.size else reduced_path(path, exp.outputs)
+
+
 # -- individual experiments --------------------------------------------------
 
 
 def run_solve(cfg: dict, run_dir: Path) -> dict:
     exp = build_experiment(cfg)
-    path = exp.path()
-    traj = solve_path(exp.datum(), exp.flux, path, exp.outputs, exp.grid, exp.solver)
+    path, u0 = exp.path(), exp.datum()
+    legs = _legs(exp, path, u0)
+    traj = solve_path(u0, exp.flux, legs, exp.outputs, exp.grid, exp.solver)
     write_table(run_dir, "path.csv", ",".join(["t"] + [f"W{i + 1}" for i in range(path.n_channels)]),
                 [path.knots, *path.values.T])
     for k, state in enumerate(traj.states):
@@ -75,7 +90,7 @@ def run_solve(cfg: dict, run_dir: Path) -> dict:
     tv_up = float(max(0.0, np.max(tv - tv[0])))
     overshoot = float(max(0.0, np.max(u_max) - u_max[0], u_min[0] - np.min(u_min)))
     report = {"times": traj.times.tolist(), "mass_drift": drift, "tv_increase": tv_up,
-              "max_principle_violation": overshoot}
+              "max_principle_violation": overshoot, "segments": [[path.n_segments, legs.n_segments]]}
     return _verdict(report, [
         (tv_up <= 1e-10, f"TV increase {tv_up:.3g} > 1e-10"),
         (overshoot <= 1e-12, f"maximum principle violated by {overshoot:.3g} > 1e-12"),
@@ -89,12 +104,14 @@ def run_contraction(cfg: dict, run_dir: Path) -> dict:
         raise ValueError("contraction needs the datum2 key")
     u1, u2 = exp.datum(), exp.datum(cfg["datum2"])
     path = exp.path()
-    t1 = solve_path(u1, exp.flux, path, exp.outputs, exp.grid, exp.solver)
-    t2 = solve_path(u2, exp.flux, path, exp.outputs, exp.grid, exp.solver)
+    legs = _legs(exp, path, u1, u2)  # one path for both, whose scheme solutions contract
+    t1 = solve_path(u1, exp.flux, legs, exp.outputs, exp.grid, exp.solver)
+    t2 = solve_path(u2, exp.flux, legs, exp.outputs, exp.grid, exp.solver)
     dist = np.array([l1_distance(a, b) for a, b in zip(t1.states, t2.states)])
     write_table(run_dir, "contraction.csv", "t,distance", [t1.times, dist])
     growth = float(np.max(np.diff(dist))) if dist.size > 1 else 0.0
-    report = {"distances": dist.tolist(), "max_growth": growth, "tolerance": CONTRACTION_TOL}
+    report = {"distances": dist.tolist(), "max_growth": growth, "tolerance": CONTRACTION_TOL,
+              "segments": [[path.n_segments, legs.n_segments]]}
     return _verdict(report, [(growth <= CONTRACTION_TOL,
                               f"L1 distance grew by {growth:.3g} > {CONTRACTION_TOL:.3g}")])
 
@@ -130,23 +147,24 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
     if len(eps_list) < 3 or eps_list[0] / eps_list[-1] < 7.9:
         raise ValueError("need epsilon values spanning at least three octaves")
     path = exp.path()
-    u0 = exp.datum()
-    base = solve_path(u0, exp.flux, path, exp.outputs, exp.grid, exp.solver)
+    u0, u0_fine = exp.datum(), build_datum(cfg["datum"], fine_grid)
+    given = [path, *(_perturbed(path, eps) for eps in eps_list)]
+    solved = [_legs(exp, p, u0, u0_fine) for p in given]  # the fine solve takes the base's legs
+    base = solve_path(u0, exp.flux, solved[0], exp.outputs, exp.grid, exp.solver)
     errors = []
-    for eps in eps_list:
-        pert = solve_path(u0, exp.flux, _perturbed(path, eps), exp.outputs, exp.grid, exp.solver)
+    for pert_path in solved[1:]:
+        pert = solve_path(u0, exp.flux, pert_path, exp.outputs, exp.grid, exp.solver)
         errors.append(max(l1_distance(a, b) for a, b in zip(base.states, pert.states)))
     errors = np.asarray(errors)
-    if not np.any(errors):
-        raise ValueError(f"datum = {cfg['datum']}: no perturbed solution differs from the base one, "
-                         "so there is no error to fit a slope to (the datum does not feel the driver)")
+    if not np.all(errors):  # also where a perturbation cancels in the driver's legs
+        raise ValueError(f"datum = {cfg['datum']}: the solution perturbed by eps = {eps_list[np.argmin(errors)]:g} "
+                         "equals the base one, so there is no error to fit a slope to (the datum does not "
+                         "feel the driver, or the perturbation cancels in its irreducible legs)")
     slope = float(np.polyfit(np.log(eps_list), np.log(errors), 1)[0])
     monotone = bool(np.all(np.diff(errors) < 0.0))
 
     # Richardson check: the spatial error must sit well below the smallest E.
-    fine = solve_path(
-        build_datum(cfg["datum"], fine_grid), exp.flux, path, exp.outputs, fine_grid, exp.solver
-    )
+    fine = solve_path(u0_fine, exp.flux, solved[0], exp.outputs, fine_grid, exp.solver)
     dx_error = max(
         exp.grid.dx * float(np.sum(np.abs(_coarsen(f.u) - c.u)))
         for f, c in zip(fine.states, base.states)
@@ -161,6 +179,7 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
         "monotone": monotone,
         "dx_error": dx_error,
         "richardson_ok": richardson_ok,
+        "segments": [[p.n_segments, q.n_segments] for p, q in zip(given, solved)],
     }
     return _verdict(report, [
         (STABILITY_SLOPE[0] <= slope <= STABILITY_SLOPE[1],
@@ -184,16 +203,17 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
     for level in range(lo + 1, hi + 1):
         level_paths.append(dyadic_refine(level_paths[-1], seed, level))
     u0 = exp.datum()
-    trajs = [
-        solve_path(u0, exp.flux, p, exp.outputs, exp.grid, exp.solver) for p in level_paths
-    ]
+    solved = [_legs(exp, p, u0) for p in level_paths]
+    trajs = [solve_path(u0, exp.flux, p, exp.outputs, exp.grid, exp.solver) for p in solved]
     d = np.array([
         max(l1_distance(a, b) for a, b in zip(t0.states, t1.states))
         for t0, t1 in zip(trajs[:-1], trajs[1:])
     ])
-    if not d[0] > 0.0:
-        raise ValueError(f"datum = {cfg['datum']}: the solutions on levels {lo} and {lo + 1} are equal, so "
-                         "there is no first gap to compare with (the datum does not feel the driver)")
+    if not np.all(d > 0.0):  # also where a refinement cancels in the driver's legs
+        k = lo + int(np.argmin(d > 0.0))
+        raise ValueError(f"datum = {cfg['datum']}: the solutions on levels {k} and {k + 1} are equal, so there "
+                         "is no gap to compare (the datum does not feel the driver, or the refinement cancels "
+                         "in its irreducible legs)")
     path_dist = np.array([
         sup_distance(p, q) for p, q in zip(level_paths[:-1], level_paths[1:])
     ])
@@ -207,6 +227,7 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
         "path_gaps": path_dist.tolist(),
         "strictly_decreasing": decreasing,
         "final_vs_first": float(d[-1] / d[0]),
+        "segments": [[p.n_segments, q.n_segments] for p, q in zip(level_paths, solved)],
     }
     return _verdict(report, [
         (decreasing, f"gaps not strictly decreasing: {_chain(d)} (rise at level {rises})"),

@@ -3,7 +3,8 @@
 A driver signal W : [0, T] -> R^M is stored by its knots and knot values and
 interpolated linearly in between.  Everything downstream (solver segments,
 characteristics, kernel transports) only ever sees these paths, so exactness
-at knots and reproducible sampling matter more than generality.
+at knots and reproducible sampling matter more than generality (`reduced_path`
+drops the oscillations that cancel in one convex channel's solution at given times).
 
 Every CSV the package writes or reads is one table format: a header line of
 column names, then rows of doubles at 17 significant digits (`write_table`,
@@ -148,6 +149,31 @@ def dyadic_refine(path: PiecewiseLinearPath, seed: PathSeed | int, level: int) -
     values[0::2] = path.values
     values[1::2] = mid_v
     return PiecewiseLinearPath(knots, values)
+
+
+def reduced_path(path: PiecewiseLinearPath, outputs) -> PiecewiseLinearPath:
+    """A one-channel `path` up to its last output, on its irreducible legs between the outputs.
+
+    Per output interval the knots where the path does not turn go, and a rainflow stack drops each
+    interior leg no longer than both neighbours: for one channel with a convex or concave flux on the
+    states, a leg of driver length s applies the entropy semigroup S(s), and S(b) S(-a) S(c) = S(b + c - a)
+    for a <= min(b, c).  Kept knots, at every output and extremum, keep their times and values."""
+    if path.n_channels != 1:
+        raise ValueError(f"reduction is single-channel only, the path has {path.n_channels} channels")
+    ends = np.union1d(0.0, np.minimum(outputs, path.horizon))
+    kept = [(0.0, path.values[0, 0])]
+    for a, b, w_b in zip(ends, ends[1:], path.eval(ends[1:])[:, 0].tolist()):
+        inside = slice(np.searchsorted(path.knots, a, "right"), np.searchsorted(path.knots, b))  # a < t < b
+        stack = [kept[-1]]
+        for t, w in [*zip(path.knots[inside].tolist(), path.values[inside, 0].tolist()), (b, w_b)]:
+            if len(stack) > 1 and (w - stack[-1][1]) * (stack[-1][1] - stack[-2][1]) >= 0.0:
+                stack.pop()  # the path runs on through it
+            stack.append((t, w))
+            while len(stack) > 3 and abs(stack[-2][1] - stack[-3][1]) <= min(
+                    abs(stack[-3][1] - stack[-4][1]), abs(stack[-1][1] - stack[-2][1])):
+                del stack[-3:-1]  # the leg between cancels
+        kept += stack[1:]
+    return PiecewiseLinearPath(*zip(*kept))
 
 
 def write_table(run_dir: Path, name: str, header: str, columns: list) -> None:

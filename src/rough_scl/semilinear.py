@@ -70,7 +70,14 @@ def logistic_source() -> SourceTerm:
 
 
 def linear_source(lam: float) -> SourceTerm:
-    return SourceTerm(f"linear:{lam:g}", lambda u: lam * u, lambda v, s: v * np.exp(lam * s))
+    """Phi(u) = lam u, whose flow v e^x, x = lam s, is taken as ((v e^y) e^y) e^y, y = min(x, 2000) / 3,
+    where e^x overflows: 0 and -0 stay fixed, and a value is infinite only where it overflows."""
+    def flow(v, s):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf past the largest float, as said above
+            e, y = np.exp(lam * s), np.exp(np.minimum(lam * s, 2000.0) / 3.0)
+            return np.where(np.isinf(e), v * y * y * y, v * e)
+
+    return SourceTerm(f"linear:{lam:g}", lambda u: lam * u, flow)
 
 
 def zero_source() -> SourceTerm:

@@ -333,6 +333,8 @@ class TestKernelsMatchNumpyReference:
              "engquist_osher")
     @example((SegmentFlux(from_spec("burgers", (-1.5, 1.5)), [-0.7]), np.array([0.2, -1.6, 0.3])),
              "godunov_convex")
+    @example((SegmentFlux(from_spec("cubic;poly:0,1,-0.5", (-1.5, 1.5)), [9.368970370668835e-164, 1.0]),
+              np.array([1.5, 1.0])), "godunov_convex")  # F' = 1 - u + 9.4e-164 u^2: its root 1 was lost
     def test_interface_flux(self, case, scheme):
         """Random states, a NaN or an out-of-range state among them, and an unknown
         scheme.  The numpy form runs on the segment flux's own tables: a subnormal
@@ -534,7 +536,18 @@ class TestOneInterval:
 
 
 class TestRealRootsOverflow:
-    """A leading coefficient whose companion ratios overflow is dropped."""
+    """A leading coefficient whose companion ratios overflow, or whose term is under the
+    roundoff of a lower one on the range, is dropped."""
+
+    @pytest.mark.parametrize("tiny", [9.368970370668835e-164, 1e-30, -1e-20])
+    def test_negligible_leading_term_keeps_the_root_inside(self, tiny):
+        """F' = 1 - u + tiny u^2: the companion matrix of the full polynomial put its root
+        near 1 at 0 (for 9.4e-164), and Godunov's one-interval flux then took F at 1.5."""
+        flux = from_spec("cubic;poly:0,1,-0.5", (-1.5, 1.5))
+        fs = SegmentFlux(flux, [tiny, 1.0])
+        assert_bitwise(fs.breakpoints, SegmentFlux(flux, [0.0, 1.0]).breakpoints)
+        assert fs.breakpoints.tolist() == [1.0]
+        assert fs.interface_flux(np.array([1.5, 1.0]), "godunov_convex").tolist() == [0.5]
 
     def test_subnormal_slope_component(self):
         """F' = u + 2.2e-313 u^2 made `polyroots` raise on an infinite companion

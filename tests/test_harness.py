@@ -84,7 +84,7 @@ def time_limit(seconds: float):
 
 # The config errors that come after solving, as the rejection has to see the solutions.
 NEEDS_THE_SOLUTIONS = (
-    "does not feel the driver",  # path-stability: no perturbed solve differs; refine: no first gap
+    "does not feel the driver",  # path-stability: a perturbed solve equals the base; refine: a zero gap
 )
 CLI_TIME_LIMIT = 30.0  # seconds; under a huge or infinite speed bound a run once stepped for ever
 # Datum tables written beside every config that `run_cli` runs
@@ -149,6 +149,20 @@ REJECTED = {
         "nan-epsilon": ("path-stability", "epsilons = 0.2,nan,0.05,0.025\n", "epsilons"),
         "file-datum": ("path-stability", "datum = file:{tmp}/u0.csv\n", "datum"),
         "datum-feels-no-driver": ("path-stability", "datum = riemann:0.5,0.5\n", "riemann:0.5,0.5"),
+        # the sine perturbation is 0 at the outputs 0, 0.5 and 1, and below eps = 1/(2 pi) the perturbed
+        # identity is monotone: its legs are the identity's, and so is the solution at the outputs
+        "perturbation-cancels": ("path-stability", "path = identity\nn_outputs = 2\n",
+                                 "the solution perturbed by eps = 0.1 equals the base one"),
+        # at seed 0 the level-1 midpoint lies between W(0) and W(1), so with one output both levels
+        # reduce to the one leg 0 -> W(1), and their solutions are equal
+        "refinement-cancels": ("refine", "n_outputs = 1\nlevel_lo = 0\nlevel_hi = 3\nn_cells = 32\n",
+                               "config error: datum = riemann:1,0: the solutions on levels 0 and 1 are equal, so "
+                               "there is no gap to compare (the datum does not feel the driver, or the refinement "
+                               "cancels in its irreducible legs)\n"),
+        # at seed 11 levels 1 and 2 reduce to the same legs, so the second gap is 0 (it read as a rise)
+        "deeper-refinement-cancels": ("refine",
+                                      "seed = 11\nn_outputs = 1\nlevel_lo = 0\nlevel_hi = 3\nn_cells = 32\n",
+                                      "the solutions on levels 1 and 2 are equal"),
         "inf-u-hi": ("solve", "u_hi = inf\nn_cells = 32\n", "u_hi = inf"),
         "semilinear-inf-u-hi": ("semilinear-demo", "u_hi = inf\nn_cells = 32\n", "u_hi = inf"),
         "overflowing-bound": ("solve", "flux = poly:0,0,1e308\nn_cells = 32\n", "'poly:0,0,1e308'"),
@@ -161,13 +175,13 @@ REJECTED = {
         "inf-horizon": ("solve", "horizon = inf\nn_cells = 32\n", "horizon = inf"),
         "negative-power": ("solve", "path = monomial:-1,8\nn_cells = 32\n", "path = monomial:-1,8"),
         "huge-bound": ("solve", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n",
-                       "config error: speed bound 3.69e+300 with dx = 0.0625: the step count is "
+                       "config error: speed bound 3.44e+300 with dx = 0.0625: the step count is "
                        "2.609383224e+301, more than the step cap of 10000000\n"),
         "semilinear-huge-bound": ("semilinear-demo", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n",
                                   "config error: speed bound 1e+300 with dx = 0.0625: the step count is "
                                   "1.777777778e+301, more than the step cap of 10000000\n"),
         "huge-u-hi": ("solve", "u_hi = 1e300\nn_cells = 32\n",
-                      "config error: speed bound 3.69e+300 with dx = 0.0625: the step count is "
+                      "config error: speed bound 3.44e+300 with dx = 0.0625: the step count is "
                       "2.609383224e+301, more than the step cap of 10000000\n"),
         "semilinear-huge-u-hi": ("semilinear-demo", "u_hi = 1e300\nn_cells = 32\n",
                                  "config error: speed bound 1e+300 with dx = 0.0625: the step count is "
@@ -407,21 +421,71 @@ class TestRefinement:
 
     @pytest.mark.parametrize("scheme, atol", [("godunov_convex", 0.0), ("engquist_osher", 1e-15)])
     def test_criterion_9_gaps_pinned(self, tmp_path, scheme, atol):
-        """Criterion 9's ladder (Burgers 1/0, seed 16), pinned from the form that
-        built one-interval fluxes from the node tables: Godunov keeps those bits,
-        and Engquist-Osher, F at the upwind state there, moves at roundoff only."""
+        """Criterion 9's ladder (Burgers 1/0, seed 16), solved along each level's irreducible
+        legs: every step's states lie in one node interval of F, where both schemes are F at the
+        upwind state; Godunov keeps these bits, and Engquist-Osher may move at roundoff only."""
         cfg = load_config(None, {"experiment": "refine", "datum": "riemann:1,0", "u_lo": -0.5, "u_hi": 1.5,
                                  "n_cells": 400, "seed": 16, "level_lo": 4, "level_hi": 10, "scheme": scheme})
-        pinned = {
-            "godunov_convex": ["0x1.cd94a30bd10eap-3", "0x1.4a0361a5df347p-4", "0x1.114b2eb4c7ea7p-4",
-                               "0x1.82bd75b853c03p-5", "0x1.5682f7085f4b8p-5", "0x1.0166fc4727672p-5"],
-            "engquist_osher": ["0x1.cd94a30bd10eap-3", "0x1.4a0361a5df352p-4", "0x1.114b2eb4c7eabp-4",
-                               "0x1.82bd75b853c03p-5", "0x1.5682f7085f4c8p-5", "0x1.0166fc4727656p-5"],
-        }[scheme]
-        gaps = run_refinement(cfg, tmp_path)["gaps"]
-        assert len(gaps) == len(pinned)
-        for got, want in zip(gaps, map(float.fromhex, pinned)):
+        pinned = ["0x1.cd94745d0d6f1p-3", "0x1.48f81d4afd9efp-4", "0x1.0d1bd7143bac6p-4",
+                  "0x1.74b4411d8b7e7p-5", "0x1.de48a1680ac47p-6", "0x1.1cc84bade4009p-6"]
+        report = run_refinement(cfg, tmp_path)
+        assert len(report["gaps"]) == len(pinned)
+        for got, want in zip(report["gaps"], map(float.fromhex, pinned)):
             assert abs(got - want) <= atol
+        assert report["segments"] == [[16, 15], [32, 23], [64, 33], [128, 36], [256, 45], [512, 55], [1024, 59]]
+
+
+class TestIrreducibleLegs:
+    """`solve`, `contraction`, `path-stability` and `refine` solve along the driver's irreducible
+    legs (`paths.reduced_path`) when one channel's A'' keeps one sign on the data's hull, and
+    record the segments of every path they solve beside the given one."""
+
+    @pytest.fixture
+    def solved_paths(self, monkeypatch):
+        """Every path `harness.solve_path` is handed."""
+        paths, solve = [], harness.solve_path
+
+        def spy(u0, flux, path, *args, **kwargs):
+            paths.append(path)
+            return solve(u0, flux, path, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_path", spy)
+        return paths
+
+    @pytest.mark.parametrize("name, over, pairs", [
+        ("solve", {}, [[64, 13]]),
+        ("contraction", {"datum2": "riemann:0.8,-0.2"}, [[64, 13]]),
+        ("path-stability", {"datum": "riemann:2,0", "u_hi": 2.5, "epsilons": "0.4,0.2,0.1,0.05"},
+         [[64, 13], [128, 9], [128, 13], [128, 13], [128, 11]]),  # base (and fine), then each eps
+        ("refine", {"level_lo": 2, "level_hi": 5}, [[4, 4], [8, 7], [16, 7], [32, 12]]),
+    ])
+    def test_segments_of_each_path_solved(self, tmp_path, solved_paths, name, over, pairs):
+        run_dir, report = execute(name, tiny(experiment=name, path="brownian:64", **over), tmp_path)
+        assert report["segments"] == pairs
+        solved = [p.n_segments for p in solved_paths]
+        assert sorted(set(solved)) == sorted({q for _, q in pairs})
+        if name == "solve":  # path.csv keeps the given path
+            assert len((run_dir / "path.csv").read_text().splitlines()) == 1 + 65
+
+    @pytest.mark.parametrize("name, over", [
+        ("solve", {"flux": "cubic", "datum": "sign-step"}),  # A'' = 2u changes sign inside [-1, 1]
+        ("contraction", {"flux": "cubic", "datum": "riemann:0.5,-0.2", "datum2": "riemann:1,0"}),
+        # A'' = 1 - u + 9.4e-164 u^2 changes sign at u = 1, a root that `_real_roots` must not lose
+        ("solve", {"flux": "poly:0,0,0.5,-0.16666666666666666,7.807475308890696e-165", "datum": "riemann:1.5,0"}),
+        ("solve", {"flux": "burgers;cubic"}),
+        ("refine", {"flux": "burgers;poly:0,1", "level_lo": 2, "level_hi": 5}),
+        ("kinetic-check", {"n_xi": 80}),
+        ("dissipative-check", {"n_seeds": 1, "n_data": 1, "n_anchors": 1, "datum": "riemann:0.5,0",
+                               "x_lo": -2.0, "x_hi": 2.0}),
+    ], ids=["cubic-sign-step", "cubic-contraction", "negligible-quartic-term", "two-channels", "two-channel-refine",
+            "kinetic-check", "dissipative-check"])
+    def test_given_path_solved_where_legs_may_not_cancel(self, tmp_path, monkeypatch, solved_paths, name, over):
+        """An inflection inside the data's hull, two channels, and the two experiments whose defect
+        fields and windows read the whole path: the given path itself is solved, so their CSVs are
+        those of the plain solve."""
+        monkeypatch.setattr(harness, "reduced_path", lambda *a: pytest.fail("reduced"))
+        execute(name, tiny(experiment=name, path="brownian:64", **over), tmp_path)
+        assert solved_paths
 
 
 class TestKineticAndDissipative:
@@ -744,12 +808,12 @@ class TestCli:
         """The default suite's two failing members say which clause failed, with its numbers."""
         if command == "single":
             code = main(["path-stability", "--out", str(tmp_path)])
-            name, clause = "path-stability", "failed: Richardson dx_error 9.78e-03 > errors[-1]/10 = 2.41e-03"
+            name, clause = "path-stability", "failed: Richardson dx_error 9.78e-03 > errors[-1]/10 = 2.42e-03"
         else:
             code = main(["suite", "refine", "--out", str(tmp_path)])
             name, clause = "refine", (
-                "failed: gaps not strictly decreasing: 0.166 -> 0.112 -> 0.133 -> 0.0536 -> 0.0265 "
-                "-> 0.0388 (rise at level 5->6, 8->9)"
+                "failed: gaps not strictly decreasing: 0.166 -> 0.112 -> 0.131 -> 0.0507 -> 0.0204 "
+                "-> 0.0187 (rise at level 5->6)"
             )
         lines = capsys.readouterr().out.splitlines()
         assert code == 1

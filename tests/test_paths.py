@@ -11,10 +11,13 @@ from rough_scl.paths import (
     dyadic_refine,
     identity_path,
     read_table,
+    reduced_path,
     sup_distance,
     tent_path,
     write_table,
 )
+
+from reference import assert_bitwise
 
 
 class TestPathSeed:
@@ -154,3 +157,91 @@ def test_tent_path_shape():
     assert p.eval(1.0)[0] == 1.0
     assert p.eval(2.0)[0] == 0.0
     assert p.eval(0.25)[0] == pytest.approx(0.25)
+
+
+def _legs(path, ends):
+    """Per output interval, the leg lengths |dW| of `path` between its knots."""
+    out = []
+    for a, b in zip(ends, ends[1:]):
+        inside = (path.knots >= a) & (path.knots <= b)
+        out.append(np.abs(np.diff(path.values[inside, 0])))
+    return out
+
+
+class TestReducedPath:
+    OUTPUTS = np.linspace(0.0, 1.0, 11)
+
+    @staticmethod
+    def ladder(seed: int, level: int = 10):
+        """Criterion 9's refine ladder: 16 Brownian segments, refined dyadically up to `level`."""
+        path = brownian_sample(seed, 1.0, 16)
+        for lv in range(5, level + 1):
+            path = dyadic_refine(path, seed, lv)
+        return path
+
+    def test_three_legs_cancel_to_one(self):
+        """0 -> 0.6 -> 0.3 -> 0.8: the leg of 0.3 is no longer than either neighbour."""
+        got = reduced_path(PiecewiseLinearPath([0.0, 0.4, 0.6, 1.0], [0.0, 0.6, 0.3, 0.8]), [1.0])
+        assert got.knots.tolist() == [0.0, 1.0] and got.values[:, 0].tolist() == [0.0, 0.8]
+
+    def test_irreducible_path_keeps_its_legs(self):
+        """0 -> 0.3 -> -0.3 -> 0.2: legs 0.3, 0.6, 0.5 rise, then fall."""
+        path = PiecewiseLinearPath([0.0, 0.4, 0.6, 1.0], [0.0, 0.3, -0.3, 0.2])
+        got = reduced_path(path, [0.5, 1.0])
+        assert got.knots.tolist() == [0.0, 0.4, 0.5, 0.6, 1.0]  # the output 0.5 is a knot
+        assert_bitwise(got.values, path.eval(got.knots))
+        got = reduced_path(path, [1.0])
+        assert_bitwise(got.knots, path.knots)
+        assert_bitwise(got.values, path.values)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_at_outputs_and_at_kept_knots(self, seed):
+        """Every output is a knot with the path's value there, bit for bit, and every other kept
+        knot is one of the path's, with its value; the path ends at the last output."""
+        path = self.ladder(seed)
+        outputs = np.sort(PathSeed(seed).rng(9).uniform(0.0, 0.9, 7))
+        got = reduced_path(path, outputs)
+        assert got.horizon == outputs[-1]
+        assert_bitwise(got.eval(outputs), path.eval(outputs))
+        others = ~np.isin(got.knots, np.append(outputs, 0.0))
+        assert np.all(np.isin(got.knots[others], path.knots))
+        assert_bitwise(got.values[others], path.eval(got.knots[others]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_legs_rise_then_fall_in_each_interval(self, seed):
+        """No interior leg is as short as both of its neighbours, and each kept knot inside an
+        interval turns the path."""
+        got = reduced_path(self.ladder(seed), self.OUTPUTS)
+        for legs in _legs(got, self.OUTPUTS):
+            peak = int(np.argmax(legs))
+            assert np.all(np.diff(legs[: peak + 1]) > 0.0) and np.all(np.diff(legs[peak:]) <= 0.0)
+            assert np.all(legs[1:-1] > 0.0)
+        steps = np.diff(got.values[:, 0])
+        inside = ~np.isin(got.knots[1:-1], self.OUTPUTS)
+        assert np.all((steps[:-1] * steps[1:])[inside] < 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reducing_twice_changes_nothing(self, seed):
+        once = reduced_path(self.ladder(seed), self.OUTPUTS)
+        twice = reduced_path(once, self.OUTPUTS)
+        assert_bitwise(twice.knots, once.knots)
+        assert_bitwise(twice.values, once.values)
+
+    def test_fewer_legs_and_less_variation(self):
+        """Criterion 9's level-10 path at seed 16: 1024 segments to 59, total variation down."""
+        path = self.ladder(16)
+        got = reduced_path(path, self.OUTPUTS)
+        assert (path.n_segments, got.n_segments) == (1024, 59)
+        assert np.abs(np.diff(got.values[:, 0])).sum() < 0.5 * np.abs(np.diff(path.values[:, 0])).sum()
+
+    def test_monotone_path_keeps_one_leg_per_interval(self):
+        """Flat stretches too: a nondecreasing path runs straight between its outputs."""
+        rises = np.abs(PathSeed(5).rng().normal(size=64)) * (np.arange(64) % 5 != 0)
+        path = PiecewiseLinearPath(np.linspace(0.0, 1.0, 65), np.append(0.0, np.cumsum(rises)))
+        got = reduced_path(path, self.OUTPUTS)
+        assert_bitwise(got.knots, self.OUTPUTS)
+        assert_bitwise(got.values, path.eval(self.OUTPUTS))
+
+    def test_rejects_two_channels(self):
+        with pytest.raises(ValueError, match="single-channel only"):
+            reduced_path(brownian_sample(0, 1.0, 8, 2), [1.0])

@@ -9,6 +9,7 @@ from rough_scl import semilinear
 from rough_scl.fluxes import FluxModel, builtin
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
 from rough_scl.semilinear import (
+    _LOG_MAX,
     MISMATCH_DOMAIN,
     FlowMap,
     SourceTerm,
@@ -25,7 +26,7 @@ from rough_scl.semilinear import (
 )
 from rough_scl.solver import CellState, Grid1D
 
-from reference import assert_bitwise, earlier_logistic_flow, strang_semilinear_solve
+from reference import assert_bitwise, earlier_linear_flow, earlier_logistic_flow, strang_semilinear_solve
 
 # Logistic flow Psi(v; t) = v e^t / (1 - v + v e^t); closed-form anchors.
 LOGISTIC_SPEED_AT_1 = math.e * (math.e - 2.0) / (math.e - 1.0) ** 2
@@ -153,6 +154,44 @@ class TestSourceFlow:
         if s == 800.0:
             assert np.all(out[1:] == 1.0)
         assert np.all(np.isnan(past)) == (s < -math.log(3.0))
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 3.5, 1e300])
+    @pytest.mark.parametrize("s", [0.0, 1.0, -800.0, 800.0, 1e5, -1e308, 1e308])
+    def test_linear_keeps_zero(self, lam, s):
+        """0 and -0 stay fixed for every finite s, past where e^(lam s) overflows too, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = linear_source(lam).flow(np.array([0.0, -0.0]), s)
+        assert_bitwise(out, np.array([0.0, -0.0]))
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 0.3])
+    def test_linear_is_the_earlier_form_where_that_is_finite(self, lam):
+        """On s in [-700, 700], bit for bit; the earlier form is finite there for these rates."""
+        s = np.linspace(-700.0, 700.0, 1401)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = earlier_linear_flow(lam, STATES, s)
+            got = linear_source(lam).flow(STATES, s)
+        assert np.all(np.isfinite(want))
+        assert_bitwise(got, want)
+
+    def test_linear_is_infinite_only_where_it_overflows(self):
+        """Past lam s = 709.78, v e^(lam s) is finite where it is below the largest float: within
+        1e-13 of e^(x/2) v e^(x/2); infinite, with v's sign, where log|v| + x is above log(max)."""
+        v = np.array([1e-300, -1e-300, 5e-324, 1e-10, -0.5, 1.0, 1e300, 0.0])[:, None]
+        x = np.array([709.0, 710.0, 800.0, 1000.0, 1400.0, 1700.0, 2500.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linear_source(1.0).flow(v, x)
+        log_size = np.log(np.abs(np.where(v == 0.0, 1.0, v))) + x
+        finite = (v == 0.0) | (log_size < _LOG_MAX - 1e-9)
+        assert np.all(np.isfinite(got) == finite) and np.all(np.isinf(got) == ~finite)
+        assert np.all(np.sign(got) == np.sign(v))
+        near = finite & (x < 1400.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = np.exp(x / 2.0)
+            want = (half * v) * half
+        assert np.all(np.abs(got[near] - want[near]) <= 1e-13 * np.abs(want[near]))
 
     @pytest.mark.parametrize("source, v, blow_up", [
         (logistic_source(), 2.0, -math.log(2.0)), (logistic_source(), -1.0, math.log(2.0)),

@@ -1,4 +1,5 @@
 """Finite-volume scheme: stability invariants and exact-solution oracles."""
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 import rough_scl.solver as solver
 from rough_scl.fluxes import FluxModel, SegmentFlux, builtin, from_spec
-from rough_scl.paths import PiecewiseLinearPath, brownian_sample, dyadic_refine, identity_path, tent_path
+from rough_scl.paths import (PiecewiseLinearPath, brownian_sample, dyadic_refine, identity_path, reduced_path,
+                             tent_path)
+from rough_scl.smooth import bump_weight
 from rough_scl.solver import (
     _TIME_ATOL,
     CellState,
@@ -23,8 +26,8 @@ from rough_scl.solver import (
     step,
 )
 
-from reference import (_cursor_march, assert_bitwise, earlier_pad, earlier_step, outcome, same_outcome,
-                       segment_flux_cases)
+from reference import (_cursor_march, assert_bitwise, burgers_riemann_path, earlier_pad, earlier_step, outcome,
+                       same_outcome, segment_flux_cases)
 
 
 def burgers(rng=(-2.0, 2.0)):
@@ -515,3 +518,96 @@ class TestQuarterTurnaroundOracle:
         traj = solve_path(u0, burgers((-0.5, 1.5)), tent_path(), [2.0], grid)
         gap = grid.dx * np.abs(traj.states[-1].u - u0).sum()
         assert gap == pytest.approx(0.25, abs=max(0.02, 5.0 * grid.dx))
+
+
+class TestBurgersRiemannAlongAPath:
+    """`reference.burgers_riemann_path`: exact cell averages along a driver."""
+
+    OUTFLOW = Grid1D(-1.0, 1.0, 400, "outflow")  # dx = 0.005: every wave edge below is a cell edge
+
+    @pytest.mark.parametrize("u_l, u_r", [(1.0, 0.0), (0.0, 1.0), (-0.5, 1.0), (1.0, -0.5)])
+    def test_is_burgers_riemann_exact_on_the_identity_path(self, u_l, u_r):
+        """At t = 0.5 each wave edge is a cell edge, so each cell average is the centre value."""
+        got = burgers_riemann_path(u_l, u_r, 0.0, identity_path(0.5), 0.5, self.OUTFLOW)
+        want = burgers_riemann_exact(u_l, u_r, self.OUTFLOW.centers, 0.5)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("u_l, u_r", [(1.0, 0.0), (0.0, 1.0)])
+    def test_nondecreasing_path_is_the_identity_at_its_value(self, u_l, u_r):
+        path = PiecewiseLinearPath([0.0, 0.2, 0.3, 0.7, 1.0], [0.0, 0.1, 0.1, 0.35, 0.5])
+        got = burgers_riemann_path(u_l, u_r, 0.0, path, 1.0, self.OUTFLOW)
+        want = burgers_riemann_exact(u_l, u_r, self.OUTFLOW.centers, 0.5)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_periodic_pair_on_the_identity_path(self):
+        """riemann:1,0 on periodic (-1, 1): a shock from 0 and a fan from the ends, apart."""
+        grid = Grid1D(-1.0, 1.0, 400, "periodic")
+        x = grid.centers
+        want = np.where(x < -0.25, burgers_riemann_exact(0.0, 1.0, x + 1.0, 0.5),
+                        burgers_riemann_exact(1.0, 0.0, x, 0.5))
+        got = burgers_riemann_path(1.0, 0.0, 0.0, identity_path(0.5), 0.5, grid)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("u_l, u_r", [(1.0, 0.0), (-0.5, 0.75)])
+    def test_mass_follows_the_boundary_fluxes(self, seed, u_l, u_r):
+        """On an outflow grid d/dt int u = -W'(t) (u_r^2 - u_l^2) / 2 while the waves stay inside,
+        whatever the path: every cell of a Brownian driver's fans, to roundoff."""
+        grid = Grid1D(-3.0, 3.0, 600, "outflow")
+        path = brownian_sample(seed, 1.0, 64)
+        for t in (0.3, 0.61, 1.0):
+            w = float(path.eval(t)[0])
+            u = burgers_riemann_path(u_l, u_r, 0.25, path, t, grid)
+            mass0 = u_l * 3.25 + u_r * 2.75
+            assert abs(grid.dx * u.sum() - (mass0 - w * (u_r**2 - u_l**2) / 2.0)) <= 1e-12
+            assert np.all((min(u_l, u_r) - 1e-12 <= u) & (u <= max(u_l, u_r) + 1e-12))
+
+    @pytest.mark.parametrize("grid, path, range_", [
+        (Grid1D(-1.0, 1.0, 40, "periodic"), identity_path(2.5), "[m, M] = [0, 2.5]"),
+        (Grid1D(-1.0, 1.0, 40, "periodic"), PiecewiseLinearPath([0.0, 0.5, 1.0], [0.0, -1.2, 0.9]),
+         "[m, M] = [-1.2, 0.9]"),
+        (Grid1D(-1.0, 1.0, 40, "outflow"), identity_path(3.0), "[m, M] = [0, 3]"),
+    ], ids=["periodic-forward", "periodic-range-2.1", "outflow-boundary"])
+    def test_raises_naming_the_range(self, grid, path, range_):
+        with pytest.raises(ValueError, match=f"driver range {re.escape(range_)}"):
+            burgers_riemann_path(1.0, 0.0, 0.0, path, path.horizon, grid)
+
+
+class TestIrreducibleLegs:
+    """For one convex channel the legs that `reduced_path` removes cancel in the exact solution:
+    the scheme along the full path converges to the scheme along the reduced one."""
+
+    def test_cancelled_leg_converges_at_first_order(self):
+        """0 -> 0.6 -> 0.3 -> 0.8 against 0 -> 0.8, Burgers on a bump, periodic (-1, 1): the L1
+        difference at T falls 3.96x and 3.99x per 4x refinement (1.19e-3 at 400 cells)."""
+        flux = burgers((-1.05, 1.05))
+        three = PiecewiseLinearPath([0.0, 0.4, 0.6, 1.0], [0.0, 0.6, 0.3, 0.8])
+        one = reduced_path(three, [1.0])
+        assert one.n_segments == 1
+        diffs = []
+        for n in (400, 1600, 6400):
+            grid = Grid1D(-1.0, 1.0, n, "periodic")
+            u0 = bump_weight(0.0, 0.5, 1.0).value(grid.centers)
+            a, b = (solve_path(u0, flux, p, [1.0], grid).states[0] for p in (three, one))
+            diffs.append(l1_distance(a, b))
+        assert diffs[0] <= 1.5e-3
+        assert all(3.6 <= x / y <= 4.4 for x, y in zip(diffs, diffs[1:])), diffs
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reduced_legs_are_closer_to_the_exact_solution(self, seed):
+        """Criterion 9's config (400 cells, riemann:1,0 on periodic (-1, 1), the level-10 path):
+        the largest L1 error over the outputs against the closed form falls from 0.107-0.171 along
+        the full path to 0.056-0.083 along its legs (seeds 0-7)."""
+        grid, flux = Grid1D(-1.0, 1.0, 400, "periodic"), burgers((-0.5, 1.5))
+        outputs = np.linspace(0.0, 1.0, 11)
+        path = brownian_sample(seed, 1.0, 16)
+        for level in range(5, 11):
+            path = dyadic_refine(path, seed, level)
+        u0 = np.where(grid.centers < 0.0, 1.0, 0.0)
+        exact = [burgers_riemann_path(1.0, 0.0, 0.0, path, t, grid) for t in outputs[1:]]
+        errors = []
+        for p in (path, reduced_path(path, outputs)):
+            states = solve_path(u0, flux, p, outputs, grid).states[1:]
+            errors.append(max(grid.dx * np.abs(s.u - e).sum() for s, e in zip(states, exact)))
+        assert errors[1] < errors[0], errors
+        assert errors[1] <= 0.09 and errors[0] >= 0.1, errors
