@@ -158,7 +158,8 @@ def _segment_count(spec: str, arg: str | None, default: int) -> int:
     return n_seg
 
 
-def _spec_args(spec: str) -> tuple[str, list[str]]:
+def spec_args(spec: str) -> tuple[str, list[str]]:
+    """A spec's lower-cased name and its stripped arguments: "Riemann:1, 0" -> ("riemann", ["1", "0"])."""
     name, _, rest = spec.partition(":")
     args = [a.strip() for a in rest.split(",")] if rest else []
     return name.strip().lower(), args
@@ -179,7 +180,7 @@ def _finite_args(spec: str, args: list[str]) -> list[float]:
 
 def build_datum(spec: str, grid: Grid1D) -> np.ndarray:
     """Cell-center samples of a named initial datum."""
-    name, args = _spec_args(spec)
+    name, args = spec_args(spec)
     x = grid.centers
     if name == "riemann":
         if len(args) not in (2, 3):
@@ -214,7 +215,7 @@ def build_path(
     """Named driver path on [0, horizon]."""
     if not 0.0 < horizon < math.inf:  # a NaN fails too
         raise ValueError(f"horizon = {horizon}: the horizon must be positive and finite")
-    name, args = _spec_args(spec)
+    name, args = spec_args(spec)
     if name == "brownian":
         n_seg = _segment_count(spec, args[0] if args else None, 8)
         return paths.brownian_sample(seed, horizon, n_seg, n_channels)
@@ -248,7 +249,7 @@ def build_path(
 
 def build_source(spec: str) -> tuple[SourceTerm, float | None]:
     """Named semilinear source and its linear rate lam (None for the logistic source)."""
-    name, args = _spec_args(spec)
+    name, args = spec_args(spec)
     if name == "logistic":
         return logistic_source(), None
     if name == "linear":

@@ -1,9 +1,9 @@
 """Flux models for multi-channel scalar conservation laws.
 
 Every channel is a polynomial A_i(u) = sum_k c_k u^k of degree at most
-MAX_POLY_DEGREE.  A FluxModel holds one per driver channel together with
-a certified sup bound for |a_i| = |A_i'| on the working range of u, taken
-exactly at the endpoints and the real roots of a_i'.  On a
+MAX_POLY_DEGREE.  A FluxModel holds one per driver channel together with a
+certified sup bound for |a_i| = |A_i'| on the working range of u, taken exactly
+at the endpoints and the real roots of a_i' (`Channel.inflections`).  On a
 linear piece of the driver with slope c the solver sees the frozen polynomial
 F(u) = sum_i c_i A_i(u); SegmentFlux packages F with the one-sided integrals
 
@@ -65,13 +65,19 @@ class Channel:
         # Horner plans, built once: a is called at every characteristic and quadrature node.  A derivative
         # coefficient may overflow; `FluxModel` rejects the bound that follows.
         with np.errstate(over="ignore"):
-            self._a, self._a_prime = (_horner_plan(npp.polyder(coeffs, k).tolist()) for k in (1, 2))
+            a_coeffs, self._a_prime_coeffs = npp.polyder(coeffs), npp.polyder(coeffs, 2)
+        self._a, self._a_prime = _horner_plan(a_coeffs.tolist()), _horner_plan(self._a_prime_coeffs.tolist())
 
     def a(self, u) -> np.ndarray:
         return _horner(self._a, np.asarray(u, dtype=float))
 
     def a_prime(self, u) -> np.ndarray:
         return _horner(self._a_prime, np.asarray(u, dtype=float))
+
+    def inflections(self, lo: float, hi: float) -> np.ndarray:
+        """The real roots of A'' = a' inside (lo, hi), strictly increasing (`_real_roots`); A'' has
+        finite coefficients, as in every channel of a `FluxModel`."""
+        return _real_roots(self._a_prime_coeffs, lo, hi)
 
 
 def builtin(name: str) -> Channel:
@@ -172,12 +178,10 @@ class FluxModel:
         A bound that overflows comes back inf or NaN, for the caller to reject.
         """
         lo, hi = self.u_range
+        if not np.all(np.isfinite(ch._a_prime_coeffs)):
+            return math.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            d2 = npp.polyder(ch.coeffs, 2)
-            if not np.all(np.isfinite(d2)):
-                return math.inf
-            pts = np.concatenate([[lo, hi], _real_roots(d2, lo, hi)])
-            return float(np.max(np.abs(ch.a(pts))))
+            return float(np.max(np.abs(ch.a(np.concatenate([[lo, hi], ch.inflections(lo, hi)])))))
 
     def _validate(self) -> None:
         """Sampled |a| stays within the bound, which catches a root that

@@ -4,10 +4,10 @@ Every experiment is a function cfg -> report dict that also drops plot-ready
 CSV files into its run directory `runs/<id>/`.  A manifest records the config
 snapshot, seed, and output list; re-running a manifest reproduces every CSV
 byte for byte (all randomness flows through the seeded generators, and every
-table is written by `paths.write_table`, at 17 significant digits).  `solve`,
-`contraction`, `path-stability` and `refine` solve along the driver's
-irreducible legs where the flux lets them (`_legs`), and report the segments
-of each path solved beside the given one.
+table is written by `paths.write_table`, at 17 significant digits).  `solve`, `contraction`,
+`path-stability` and `refine` solve along the driver's irreducible legs where the flux lets them
+(`_legs`: one channel, no `Channel.inflections` on the data's range), and report the segments of
+each path solved beside the given one; dissipative-check merges its windows' times by `distinct_times`.
 """
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from .characteristics import dissipative_check, local_solution
-from .config import _spec_args, build_datum, build_experiment, build_source, config_text, load_config
-from .fluxes import _real_roots
+from .config import build_datum, build_experiment, build_source, config_text, load_config, spec_args
 from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1, check_xi_covers
 from .paths import (
     PathSeed,
@@ -40,7 +39,7 @@ from .paths import (
 )
 from .semilinear import MISMATCH_DOMAIN, mismatch_report
 from .smooth import bump_weight
-from .solver import _TIME_ATOL, Grid1D, check_step_cap, l1_distance, solve_path
+from .solver import Grid1D, check_step_cap, distinct_times, l1_distance, solve_path
 
 ENV_OUT = "ROUGH_SCL_OUT"
 CONTRACTION_TOL = 1e-10
@@ -61,11 +60,11 @@ def _verdict(report: dict, clauses: list[tuple[bool, str]]) -> dict:
 
 def _legs(exp, path: PiecewiseLinearPath, *data) -> PiecewiseLinearPath:
     """`path` on its irreducible legs between the outputs (`reduced_path`) if one channel's A'' has no real
-    root inside the hull of the data's values, where the maximum principle keeps every state; else `path`."""
+    root (`Channel.inflections`) in the hull of the data's values, where the maximum principle keeps every
+    state; else `path`."""
     channel, *more = exp.flux.channels
-    a_prime_roots = _real_roots(np.polynomial.polynomial.polyder(channel.coeffs, 2),
-                                float(min(map(np.min, data))), float(max(map(np.max, data))))
-    return path if more or a_prime_roots.size else reduced_path(path, exp.outputs)
+    inflections = channel.inflections(float(min(map(np.min, data))), float(max(map(np.max, data))))
+    return path if more or inflections.size else reduced_path(path, exp.outputs)
 
 
 # -- individual experiments --------------------------------------------------
@@ -136,7 +135,7 @@ def _coarsen(u: np.ndarray) -> np.ndarray:
 def run_path_stability(cfg: dict, run_dir: Path) -> dict:
     exp = build_experiment(cfg)
     fine_grid = Grid1D(exp.grid.x_lo, exp.grid.x_hi, 2 * exp.grid.n_cells, exp.grid.bc)
-    if _spec_args(cfg["datum"])[0] == "file":
+    if spec_args(cfg["datum"])[0] == "file":
         raise ValueError(f"path-stability takes no file: datum: its Richardson check solves on "
                          f"the doubled grid of {fine_grid.n_cells} cells, which a table cannot "
                          "be resampled onto")
@@ -299,11 +298,7 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
         times = [np.asarray([0.0])]
         for _, sol in plan:
             times.append(np.linspace(*sol.window, 17))
-        outputs = []  # sorted, each more than _TIME_ATOL past the one kept before it
-        for t in np.unique(np.concatenate(times)).tolist():
-            if not outputs or t - outputs[-1] > _TIME_ATOL:
-                outputs.append(t)
-        traj = solve_path(u0, exp.flux, path, outputs, exp.grid, exp.solver)
+        traj = solve_path(u0, exp.flux, path, distinct_times(np.concatenate(times)), exp.grid, exp.solver)
         u_inf = float(np.max(np.abs(u0)))
         weight = bump_weight(0.0, u_inf + 1.0)
         for di, sol in plan:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .fluxes import Channel, FluxModel, SegmentFlux
 from .paths import PiecewiseLinearPath, identity_path
-from .solver import _TIME_ATOL, CellState, Grid1D, SolverConfig, Trajectory, check_step_cap, step
+from .solver import CellState, Grid1D, SolverConfig, Trajectory, check_step_cap, step, step_ends
 
 QUAD_TOL = 1e-9
 POSITION_TOL = 1e-6
@@ -206,28 +206,26 @@ def direct_semilinear_solve(
 ) -> Trajectory:
     """u_t + (A(u))_x = Phi(u) from the 1/0 step at x = 0, by Strang splitting.
 
-    The half source steps by the exact flow compose, phi_a phi_b = phi_(a+b): each monotone
-    conservation step of dt follows one flow by dt/2 plus the half of the step before it in
-    the output interval, and each snapshot one by the last step's half.  Snapshots at 0 and
-    ten equal steps to the horizon are reached by the landing rule of `solve_path`.
+    The half source steps by the exact flow compose, phi_a phi_b = phi_(a+b): each monotone conservation
+    step of dt follows one flow by dt/2 plus the half of the step before it in the output interval, and each
+    snapshot one by the last step's half.  The steps to the snapshots, at 0 and ten equal steps to the horizon,
+    end at `step_ends`, as in `solve_segment`: a flux that does not move takes one step per interval.
     """
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     fseg = SegmentFlux(flux, np.ones(flux.n_channels))
-    if fseg.max_speed <= 0.0:
-        raise ValueError("flux has no transport on the certified range")
-    dt_max = config.cfl * grid.dx / fseg.max_speed
     outputs = np.linspace(0.0, horizon, 11)
     check_step_cap(f"speed bound {fseg.max_speed:.3g} with dx = {grid.dx:.3g}: the step count",
                    horizon * fseg.max_speed / (config.cfl * grid.dx) + outputs.size)
     state = CellState(grid, np.where(grid.centers < 0.0, 1.0, 0.0), 0.0)
     states = []
-    for target in outputs:
+    for target in outputs.tolist():
         lag = 0.0  # the half of the last step that the state has not yet flowed
-        while state.t < target - _TIME_ATOL:
-            dt = min(dt_max, target - state.t)
+        for end in step_ends(state.t, target - state.t, fseg.max_speed, grid.dx, config.cfl):
+            dt = end - state.t
             flowed = CellState(grid, source_ode_step(source, state.u, lag + 0.5 * dt), state.t)
             state, lag = step(flowed, fseg, dt, config), 0.5 * dt
+            state.t = end
         if lag:
             state = CellState(grid, source_ode_step(source, state.u, lag), state.t)
         states.append(state)

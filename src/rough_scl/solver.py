@@ -1,12 +1,12 @@
 """First-order monotone finite-volume solver driven by piecewise linear signals.
 
-On each linear segment of the driver with slope vector c the equation freezes
-to u_t + F(u)_x = 0 with F = sum_i c_i A_i; the segment is advanced with an
-explicit monotone scheme (Engquist-Osher by default, or the exact Godunov flux)
-under a CFL constraint derived from the certified speed bound, and segments
-are chained at the knots.  Each step pads the state with one ghost cell per
-side (`Grid1D.pad`, the one boundary rule of the package) and takes all
-interface fluxes from `SegmentFlux.interface_flux`.
+On each linear segment of the driver with slope vector c the equation freezes to u_t + F(u)_x = 0
+with F = sum_i c_i A_i; the segment is advanced with an explicit monotone scheme (Engquist-Osher by
+default, or the exact Godunov flux) in steps that end at `step_ends`, the CFL limit of the certified
+speed bound (one step of the whole span where that bound is 0; the semilinear splitting march steps
+by the same rule), and segments are chained at the knots.  Each step pads the state with one ghost
+cell per side (`Grid1D.pad`, the one boundary rule of the package) and takes all interface fluxes
+from `SegmentFlux.interface_flux`.
 """
 from __future__ import annotations
 
@@ -182,6 +182,29 @@ def step(state: CellState, fseg: SegmentFlux, dt: float, config: SolverConfig = 
     return new
 
 
+def step_ends(t0: float, duration: float, speed: float, dx: float, cfl: float) -> list[float]:
+    """The end times of the steps that advance t0 by `duration` under the speed bound `speed`: steps of
+    dt_max = cfl * dx / speed, the last one cut to land on t0 + duration; one step if speed is 0, none
+    if duration is 0.  `solve_segment` and the semilinear splitting march both step along these."""
+    if duration == 0:
+        return []
+    if speed <= 0.0:  # the flux is constant in u on the certified range: one step, which moves nothing
+        return [t0 + duration]
+    dt_max = cfl * dx / speed
+    n_steps = max(1, math.ceil(duration / dt_max - 1e-12))
+    return [*(t0 + k * dt_max for k in range(1, n_steps)), t0 + duration]
+
+
+def distinct_times(times) -> list[float]:
+    """`times` sorted, less each one within `_TIME_ATOL` of the one kept before it: output times for
+    `solve_path`, whose landing rule would snapshot such a near duplicate without a step."""
+    kept: list[float] = []
+    for t in np.unique(times).tolist():
+        if not kept or t - kept[-1] > _TIME_ATOL:
+            kept.append(t)
+    return kept
+
+
 def solve_segment(
     state: CellState,
     fseg: SegmentFlux,
@@ -191,24 +214,13 @@ def solve_segment(
 ) -> CellState:
     """Advance by `duration` under the frozen flux `fseg` (slope `fseg.c`).
 
-    Steps use the largest admissible dt; the last one is truncated to land
-    exactly on the segment end.  `collect(slab)` is called with one `Slab`
-    per step.
+    One `step` to each of the `step_ends`: the largest admissible dt, the last
+    one truncated to land exactly on the segment end.  `collect(slab)` is
+    called with one `Slab` per step.
     """
     if duration < 0:
         raise ValueError("negative duration")
-    if duration == 0:
-        return state
-    t_end = state.t + duration
-    if fseg.max_speed <= 0.0:
-        # flux constant in u on the certified range: nothing moves
-        out = CellState(state.grid, state.u.copy(), t_end)
-        if collect is not None:
-            collect(Slab(state.t, duration, fseg, config.scheme, state.u, out.u))
-        return out
-    dt_max = config.cfl * state.grid.dx / fseg.max_speed
-    t0, n_steps = state.t, max(1, math.ceil(duration / dt_max - 1e-12))
-    for target in [*(t0 + k * dt_max for k in range(1, n_steps)), t_end]:
+    for target in step_ends(state.t, duration, fseg.max_speed, state.grid.dx, config.cfl):
         dt = target - state.t
         new = step(state, fseg, dt, config)
         new.t = target

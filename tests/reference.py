@@ -1,14 +1,17 @@
 """Reference forms shared by the tests, one per kernel, and the one bitwise check.
 
 Bit for bit where the form is an earlier operation order the kernel must keep
-(`NumpyReference`, `earlier_pad`, `earlier_step`, `_cursor_march`,
-`dense_reporting_defect`, the masked bump, `full_rectangle_evaluate`,
-`per_snapshot_d`, `earlier_logistic_flow`), or to roundoff where it is the maths
-written plainly (`defect_from_slab` per step, rho and the transport shift, the
-unfused `strang_semilinear_solve`, `earlier_linear_flow`).  `burgers_riemann_path`
-is a closed-form solution: exact cell averages of Burgers Riemann data along a
-one-channel piecewise linear driver.
+(`NumpyReference`, `earlier_pad`, `earlier_step`, `earlier_step_ends`,
+`_cursor_march`, `dense_reporting_defect`, the masked bump,
+`full_rectangle_evaluate`, `per_snapshot_d`, `earlier_logistic_flow`), or to
+roundoff where it is the maths written plainly (`defect_from_slab` per step,
+rho and the transport shift, the unfused `strang_semilinear_solve`,
+`earlier_linear_flow`).  `burgers_riemann_path` is a closed-form solution:
+exact cell averages of Burgers Riemann data along a one-channel piecewise
+linear driver.
 """
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 import rough_scl.characteristics as chars
 from rough_scl.fluxes import SegmentFlux, from_spec
 from rough_scl.kinetic import DefectField, _chi_cumulative, _runs, _upwind_difference
-from rough_scl.solver import _TIME_ATOL, CellState, CFLError, SolverConfig, solve_segment, step
+from rough_scl.solver import _TIME_ATOL, CellState, CFLError, SolverConfig, solve_segment, step, step_ends
 
 FLUX_SPECS = ("burgers", "cubic", "poly:0.1,-0.3,0.2,0.5,-0.25,0.15", "burgers;cubic", "cubic;poly:0,1,-0.5")
 
@@ -177,6 +180,19 @@ def earlier_step(state, fseg, dt, config=SolverConfig()):
         raise CFLError(f"dt={dt:.3e} exceeds cfl*dx/max_speed={config.cfl * dx / fseg.max_speed:.3e}")
     fh = fseg.interface_flux(earlier_pad(grid, state.u), config.scheme)
     return CellState(grid, state.u - (dt / dx) * (fh[1:] - fh[:-1]), state.t + dt)
+
+
+def earlier_step_ends(t0, duration, speed, dx, cfl):
+    """The step end times `solve_segment` computed inline before `step_ends` owned them: nothing for
+    a zero duration, one step to the end for a zero speed bound, else these two lines."""
+    if duration == 0:
+        return []
+    t_end = t0 + duration
+    if speed <= 0.0:
+        return [t_end]
+    dt_max = cfl * dx / speed
+    n_steps = max(1, math.ceil(duration / dt_max - 1e-12))
+    return [*(t0 + k * dt_max for k in range(1, n_steps)), t_end]
 
 
 def _cursor_march(u0, flux, path, outputs, grid, config):
@@ -512,19 +528,18 @@ def earlier_linear_flow(lam, v, s):
 
 
 def strang_semilinear_solve(flux, source, grid, horizon, config=SolverConfig()):
-    """`direct_semilinear_solve` unfused: every conservation step between two half steps
-    of the source's flow.  The 11 snapshot states, and the steps of each output interval."""
+    """`direct_semilinear_solve` unfused: every conservation step, to each of the `step_ends` of
+    its output interval, between two half steps of the source's flow.  The 11 snapshot states,
+    and the steps of each output interval."""
     fseg = SegmentFlux(flux, np.ones(flux.n_channels))
-    dt_max = config.cfl * grid.dx / fseg.max_speed
     state = CellState(grid, np.where(grid.centers < 0.0, 1.0, 0.0), 0.0)
     states, steps = [], []
-    for target in np.linspace(0.0, horizon, 11):
-        n = 0
-        while state.t < target - _TIME_ATOL:
-            dt = min(dt_max, target - state.t)
+    for target in np.linspace(0.0, horizon, 11).tolist():
+        ends = step_ends(state.t, target - state.t, fseg.max_speed, grid.dx, config.cfl)
+        for end in ends:
+            dt = end - state.t
             moved = step(CellState(grid, source.flow(state.u, 0.5 * dt), state.t), fseg, dt, config)
-            state = CellState(grid, source.flow(moved.u, 0.5 * dt), moved.t)
-            n += 1
+            state = CellState(grid, source.flow(moved.u, 0.5 * dt), end)
         states.append(state)
-        steps.append(n)
+        steps.append(len(ends))
     return states, steps

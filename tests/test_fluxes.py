@@ -14,6 +14,7 @@ from rough_scl.fluxes import (
     SegmentFlux,
     _horner,
     _horner_plan,
+    _real_roots,
     builtin,
     from_spec,
 )
@@ -103,6 +104,49 @@ class TestCertifiedBounds:
         # a(u) = u - u^3/3 from A = u^2/2 - u^4/12 has extrema at u = +-1
         flux = FluxModel([builtin("poly:0,0,0.5,0,-1/12".replace("1/12", str(1 / 12)))], (-2.0, 2.0))
         assert flux.lip_a[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+# Every flux spec the tier-1 tests, the harness and the benchmark build, for the bitwise bound check.
+TIER1_SPECS = (
+    "burgers", "cubic", "burgers;cubic", "cubic;burgers", "burgers;poly:0,0,0,0.3", "burgers;poly:0,1",
+    "burgers;poly:0.2,-0.7,0.25", "cubic;poly:0,0.1,0.2,-0.3333333333333333", "cubic;poly:0,1,-0.5",
+    "poly:-0.0,1;poly:-1", "poly:-0.5,0.1,0,0,0,0,0,0,1e-3", "poly:-1", "poly:0,-0,-0", "poly:0,0", "poly:0,0,0.5",
+    "poly:0,0,0.5,-0.16666666666666666,7.807475308890696e-165", f"poly:0,0,0.5,0,{-1 / 12}", "poly:0,0,0.5;cubic",
+    "poly:0,1", "poly:0,1,0,0;poly:0,0,0,1", "poly:0,1,0.5", "poly:0,1;burgers", "poly:0,1e308",
+    "poly:0.1,-0.3,0.2,0.5,-0.25,0.15", "poly:0.3,-1,0.25,-0", "poly:0.5,-1,0,0.2", "poly:1,-0", "poly:2",
+)
+
+
+class TestInflections:
+    """`Channel.inflections` is the one derivation of the roots of A'', for the certified bound and
+    for the harness's irreducible legs."""
+
+    def test_burgers_has_none_and_cubic_one(self):
+        assert builtin("burgers").inflections(-1.0, 1.0).size == 0
+        assert builtin("cubic").inflections(-1.0, 1.0).tolist() == [0.0]
+        assert builtin("cubic").inflections(0.0, 1.0).size == 0  # open interval
+
+    def test_both_roots_of_a_quartic(self):
+        """A = u^2/2 - u^4/12: A'' = 1 - u^2, roots -1 and 1."""
+        got = builtin(f"poly:0,0,0.5,0,{-1 / 12}").inflections(-2.0, 2.0)
+        assert got == pytest.approx([-1.0, 1.0], rel=1e-12)
+        assert builtin(f"poly:0,0,0.5,0,{-1 / 12}").inflections(-0.5, 2.0) == pytest.approx([1.0], rel=1e-12)
+
+    @pytest.mark.parametrize("spec", TIER1_SPECS)
+    def test_lip_a_is_the_earlier_form(self, spec):
+        """The bound as `_certified_sup` derived A'' itself, bit for bit."""
+        for lo, hi in [(-1.0, 1.0), (-2.0, 2.0), (-1.5, 1.5), (0.0, 1.0), (-0.3, 2.5)]:
+            want = []
+            for ch in (builtin(name) for name in spec.split(";")):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pts = np.concatenate([[lo, hi], _real_roots(npp.polyder(ch.coeffs, 2), lo, hi)])
+                    want.append(float(np.max(np.abs(ch.a(pts)))))
+            assert_bitwise(from_spec(spec, (lo, hi)).lip_a, np.array(want))
+
+    def test_overflowing_a_prime_still_refused(self):
+        """a = 1.5e308 u^2 is finite, A'' = 3e308 u overflows: the bound is inf, as before."""
+        with pytest.raises(ValueError, match="is inf, not a finite number"):
+            from_spec("poly:0,0,0,5e307", (-1.0, 1.0))
 
 
 class TestSegmentFluxExact:

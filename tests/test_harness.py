@@ -990,8 +990,7 @@ def fuzz_case(head: list, **over):
 
 
 class TestConfigFuzz:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(fuzz_configs())
     @example(fuzz_case(["solve"], u_hi="1e300"))  # stepped for ever
     @example(fuzz_case(["semilinear-demo"], u_hi="1e300"))  # stepped for ever

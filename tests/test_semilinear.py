@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rough_scl import semilinear
-from rough_scl.fluxes import FluxModel, builtin
+from rough_scl.fluxes import Channel, FluxModel, builtin
 from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path
 from rough_scl.semilinear import (
     _LOG_MAX,
@@ -420,6 +420,18 @@ class TestDirectSolve:
         times = np.linspace(0.0, horizon, 11)
         assert np.array_equal(traj.times, times)
         assert [s.t for s in traj.states] == times.tolist()
+
+    @pytest.mark.parametrize("source, bound", [(logistic_source(), 0.0), (linear_source(0.3), 4e-15)],
+                             ids=["logistic", "linear:0.3"])
+    def test_still_flux_gives_the_source_flow(self, source, bound):
+        """A flux that does not move takes one step per output interval, as a still segment does in
+        `solve_segment`: the state is the source's exact flow of the 1/0 step (measured 0 and 1.3e-15)."""
+        grid = Grid1D(*MISMATCH_DOMAIN, 40, "outflow")
+        traj = direct_semilinear_solve(FluxModel([Channel("still", [0.7])], (-1.0, 2.0)), source, grid, 1.0)
+        u0 = np.where(grid.centers < 0.0, 1.0, 0.0)
+        for t, state in zip(traj.times, traj.states):
+            assert state.t == t
+            assert np.max(np.abs(state.u - source.flow(u0, t))) <= bound
 
     def test_snapshots_at_eleven_equal_times(self):
         """0 and ten equal steps to the horizon, each state at its label exactly."""

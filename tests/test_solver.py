@@ -26,8 +26,8 @@ from rough_scl.solver import (
     step,
 )
 
-from reference import (_cursor_march, assert_bitwise, burgers_riemann_path, earlier_pad, earlier_step, outcome,
-                       same_outcome, segment_flux_cases)
+from reference import (_cursor_march, assert_bitwise, burgers_riemann_path, earlier_pad, earlier_step,
+                       earlier_step_ends, outcome, same_outcome, segment_flux_cases)
 
 
 def burgers(rng=(-2.0, 2.0)):
@@ -164,11 +164,42 @@ class TestRiemannOracles:
         assert err <= 5.0 * grid.dx
 
     def test_zero_slope_segment_is_identity(self):
+        """One ordinary step of the whole span, which moves nothing."""
         grid = Grid1D(-1.0, 1.0, 50, "periodic")
         u = np.sin(np.pi * grid.centers)
-        out = solve_segment(CellState(grid, u, 0.0), SegmentFlux(burgers(), [0.0]), 5.0)
+        slabs = []
+        out = solve_segment(CellState(grid, u, 0.0), SegmentFlux(burgers(), [0.0]), 5.0, collect=slabs.append)
         assert np.array_equal(out.u, u)
         assert out.t == pytest.approx(5.0)
+        assert [(slab.t0, slab.dt) for slab in slabs] == [(0.0, 5.0)]
+
+
+class TestStepEnds:
+    """`step_ends` owns the rule that cuts a span into CFL steps, for `solve_segment` and the
+    semilinear march alike; a still segment is one ordinary step of its span."""
+
+    @pytest.mark.parametrize("speed", [0.0, 1e-3, 0.5, 1.0, 3.7])
+    @pytest.mark.parametrize("t0", [0.0, 0.3, 1.0 / 3.0, 7.1])
+    def test_is_the_earlier_inline_rule(self, t0, speed):
+        dx, cfl = 2.0 / 48, 0.9
+        dt_max = cfl * dx / speed if speed else 0.0375
+        durations = [0.0, 1e-13, 0.01, 0.2, 1.0 / 3.0, 5.0]
+        for k in (1, 2, 3, 7, 40):
+            durations += [k * dt_max + e for e in (0.0, -1e-12, -3e-13, 3e-13, 1e-12)]
+        for duration in durations:
+            got = solver.step_ends(t0, duration, speed, dx, cfl)
+            want = earlier_step_ends(t0, duration, speed, dx, cfl)
+            assert_bitwise(np.array(got, dtype=float), np.array(want, dtype=float))
+
+    @pytest.mark.parametrize("path", [PiecewiseLinearPath([0.0, 1.0], [0.0, 0.0]), identity_path(1.0)],
+                             ids=["flat", "moving"])
+    @pytest.mark.parametrize("value", [np.nan, 5.0])
+    def test_state_outside_the_range_refused_on_every_path(self, path, value):
+        """Every step checks the range, a still segment's one step too: a NaN datum, or one above u_hi,
+        is refused along a flat path as along a moving one."""
+        grid = Grid1D(-1.0, 1.0, 16, "periodic")
+        with pytest.raises(ValueError, match="state outside certified u_range"):
+            solve_path(np.full(16, value), burgers((-1.0, 1.0)), path, [1.0], grid)
 
 
 class TestSolvePath:
@@ -385,7 +416,7 @@ class TestStepCounting:
         monkeypatch.setattr(SegmentFlux, "__init__", counted_init)
         grid = Grid1D(-1.0, 1.0, 64, "periodic")
         path = brownian_sample(5, 1.0, 16, 2)
-        assert np.all(np.any(path.slopes() != 0.0, axis=1))  # a still segment takes no step
+        assert np.all(np.any(path.slopes() != 0.0, axis=1))  # every segment moves
         u0 = np.where(grid.centers < 0.0, 0.8, -0.3)
         outputs = [0.1, 0.45, 0.7]  # off the knots; the march stops at 0.7
         slabs = []
@@ -396,8 +427,8 @@ class TestStepCounting:
     @pytest.mark.parametrize("scheme", ["engquist_osher", "godunov_convex"])
     @pytest.mark.parametrize("bc", ["periodic", "outflow"])
     def test_every_scheme_and_boundary_rule(self, monkeypatch, scheme, bc):
-        """One `step` call per emitted `Slab` on moving segments (a still segment emits
-        its `Slab` without a step) and one `SegmentFlux` per visited segment."""
+        """One `step` call per emitted `Slab`, the still segment's one step included (a still
+        segment is an ordinary step of its span), and one `SegmentFlux` per visited segment."""
         import rough_scl.solver as solver_module
 
         steps, set_ups = [], []
@@ -421,7 +452,7 @@ class TestStepCounting:
                    collect=slabs.append)
         moving = [slab for slab in slabs if slab.fseg.max_speed > 0.0]
         assert len(moving) == len(slabs) - 1 > 12
-        assert [id(fseg) for fseg in steps] == [id(slab.fseg) for slab in moving]
+        assert [id(fseg) for fseg in steps] == [id(slab.fseg) for slab in slabs]
         assert len({id(slab.fseg) for slab in slabs}) == len(set_ups) == 4
 
 
