@@ -45,7 +45,9 @@ class SourceTerm:
     """Smooth scalar source Phi with a name for reports, and its exact flow.
 
     `flow(v, s)` is phi_s(v), the time-s solution of u' = Phi(u) from v, with v
-    broadcast against s; it is non-finite at or past a blow-up.
+    broadcast against s; it is non-finite at or past a blow-up.  The splitting
+    solver calls it once per step with a scalar s, for which the named flows skip
+    the passes over v that s cannot need, with the bits of the array form.
     """
 
     name: str
@@ -56,12 +58,33 @@ class SourceTerm:
 def _logistic_flow(v, s):
     """v / (v + (1 - v) e^-s), NaN past a blow-up (denominator <= 0), and v itself at s = 0 and at
     the equilibria 0 and 1 for every s: below s = -709.78 e^-s is held at the largest float, which
-    takes v in (0, 1) to at most 5.6e-309 v / (1 - v), and above s = 745.13 it is 0."""
-    den = np.asarray((1.0 - v) * np.exp(np.minimum(-s, _LOG_MAX)) + v)
-    den[den <= 0.0] = np.nan
+    takes v in (0, 1) to at most 5.6e-309 v / (1 - v), and above s = 745.13 it is 0.
+
+    At s < 0 the overflow of (1 - v) e^-s to +-inf gives the limits -0 (v < 0) and NaN (v > 1), with
+    no warning.  A scalar s >= 0, or NaN, takes six passes over v: 1 - v, times e^-s, plus v, the
+    compare and NaN store where that is <= 0, and the division.  There e^-s <= 1 cannot overflow,
+    and at v = +-0 the denominator is e^-s, so v / den is v unless e^-s is 0 or NaN: only then does
+    the fix-up of v = 0 run.  s = 0 gives a copy of v; a negative s and an array of times take
+    every pass.
+    """
+    if getattr(s, "ndim", 0) or s < 0.0:
+        with np.errstate(over="ignore"):
+            den = np.asarray((1.0 - v) * np.exp(np.minimum(-s, _LOG_MAX)) + v)
+        den[den <= 0.0] = np.nan
+        np.divide(v, den, out=den)
+        np.copyto(den, v, where=s == 0.0)
+        np.copyto(den, v, where=v == 0.0)
+        return den
+    if s == 0.0:
+        return np.array(v, dtype=float)
+    e = np.exp(-s)
+    den = np.asarray(1.0 - v, dtype=float)
+    den *= e
+    den += v
+    np.copyto(den, np.nan, where=den <= 0.0)
     np.divide(v, den, out=den)
-    np.copyto(den, v, where=s == 0.0)
-    np.copyto(den, v, where=v == 0.0)  # 0 / 0 where e^-s is 0
+    if not e > 0.0:
+        np.copyto(den, v, where=v == 0.0)
     return den
 
 
@@ -70,11 +93,19 @@ def logistic_source() -> SourceTerm:
 
 
 def linear_source(lam: float) -> SourceTerm:
-    """Phi(u) = lam u, whose flow v e^x, x = lam s, is taken as ((v e^y) e^y) e^y, y = min(x, 2000) / 3,
-    where e^x overflows: 0 and -0 stay fixed, and a value is infinite only where it overflows."""
+    """Phi(u) = lam u, whose flow is v e^x, x = lam s.
+
+    A scalar x below log(largest float) = 709.78 takes one pass, v * e^x, which keeps 0 and -0
+    (a product past the largest float is inf, with numpy's overflow warning).  Otherwise it is
+    ((v e^y) e^y) e^y, y = min(x, 2000) / 3, where e^x overflows: 0 and -0 stay fixed, and a value
+    is infinite only where it overflows.
+    """
     def flow(v, s):
+        x = lam * s
+        if not getattr(x, "ndim", 0) and x < _LOG_MAX:
+            return v * np.exp(x)
         with np.errstate(over="ignore", invalid="ignore"):  # inf past the largest float, as said above
-            e, y = np.exp(lam * s), np.exp(np.minimum(lam * s, 2000.0) / 3.0)
+            e, y = np.exp(x), np.exp(np.minimum(x, 2000.0) / 3.0)
             return np.where(np.isinf(e), v * y * y * y, v * e)
 
     return SourceTerm(f"linear:{lam:g}", lambda u: lam * u, flow)

@@ -95,6 +95,13 @@ STATES = np.concatenate([[0.0, -0.0, 1.0, 0.5, -0.25, 1.25, 3.0, -3.000000000000
                          np.random.default_rng(1).uniform(-1.0, 2.0, 200)])
 
 
+def _assert_scalar_times_give_the_rows(source, s, rows):
+    """Each time in `s`, as a Python float and as np.float64, gives its row of the array form."""
+    for time, row in zip(s.tolist(), rows):
+        assert_bitwise(source.flow(STATES, time), row)
+        assert_bitwise(source.flow(STATES, np.float64(time)), row)
+
+
 class TestSourceFlow:
     """Each source's closed-form flow against its definition Phi."""
 
@@ -128,14 +135,36 @@ class TestSourceFlow:
 
     def test_logistic_is_the_earlier_form_where_that_is_finite(self):
         """On s in [-700, 700], where the earlier form raised no warning, bit for bit: every
-        finite value, and NaN past each blow-up."""
+        finite value, and NaN past each blow-up; each s as a scalar gives its row."""
         s = np.linspace(-700.0, 700.0, 1401)[:, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             want = earlier_logistic_flow(STATES, s)
             got = logistic_source().flow(STATES, s)
+            _assert_scalar_times_give_the_rows(logistic_source(), s[:, 0], got)
         assert np.isfinite(want).mean() > 0.5
         assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("source", [logistic_source(), linear_source(0.3), linear_source(-2.0)],
+                             ids=lambda s: s.name)
+    def test_scalar_time_is_the_array_row_at_the_edges(self, source):
+        """Signed zero, times that round e^-s to 1, the first s where e^-s is 0, and NaN: a scalar
+        time, which skips the fix-ups its value cannot need, gives the bits of the array form."""
+        s = np.array([-0.0, 1e-300, -1e-300, 745.5, 800.0, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = source.flow(STATES, s[:, None])
+            _assert_scalar_times_give_the_rows(source, s, rows)
+        assert_bitwise(rows[0], STATES)
+
+    @pytest.mark.parametrize("s", [-800.0, np.array([[-800.0]])], ids=["scalar", "array"])
+    def test_logistic_overflow_below_the_held_exponential_is_quiet(self, s):
+        """Below s = -709.78, (1 - v) e^-s overflows for v outside [0, 2]; the infinities give the
+        flow's limits, -0 below 0 and NaN (blown up) above 2, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = logistic_source().flow(np.array([-1.0, 3.0]), s)
+        assert_bitwise(np.reshape(out, -1), np.array([-0.0, np.nan]))
 
     @pytest.mark.parametrize("s", [-800.0, -720.0, -1.0, 0.0, 1.0, 800.0])
     def test_logistic_keeps_the_unit_interval(self, s):
@@ -166,12 +195,14 @@ class TestSourceFlow:
 
     @pytest.mark.parametrize("lam", [1.0, -1.0, 0.3])
     def test_linear_is_the_earlier_form_where_that_is_finite(self, lam):
-        """On s in [-700, 700], bit for bit; the earlier form is finite there for these rates."""
+        """On s in [-700, 700], bit for bit; the earlier form is finite there for these rates.
+        Each s as a scalar gives its row."""
         s = np.linspace(-700.0, 700.0, 1401)[:, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             want = earlier_linear_flow(lam, STATES, s)
             got = linear_source(lam).flow(STATES, s)
+            _assert_scalar_times_give_the_rows(linear_source(lam), s[:, 0], got)
         assert np.all(np.isfinite(want))
         assert_bitwise(got, want)
 
