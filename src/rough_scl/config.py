@@ -22,8 +22,10 @@ from .solver import Grid1D, SolverConfig, check_step_cap
 CONFIG_KEYS: dict[str, tuple] = {
     "experiment": (str, "solve", "experiment name for the manifest"),
     "flux": (str, "burgers", "semicolon-separated channels: burgers | cubic | poly:c0,c1,..."),
-    "u_lo": (float, -2.0, "lower edge of the certified state range"),
-    "u_hi": (float, 2.0, "upper edge of the certified state range"),
+    "u_lo": (float, -2.0, "lower edge of the envelope the data must lie in; each run certifies its flux on the "
+                          "data's hull"),
+    "u_hi": (float, 2.0, "upper edge of the envelope the data must lie in; each run certifies its flux on the "
+                         "data's hull"),
     "datum": (str, "riemann:1,0", "riemann:u_l,u_r[,x_jump] | bump:center,halfwidth,height | sign-step"),
     "datum2": (str, "riemann:0.8,0", "second datum for contraction runs, same grammar"),
     "path": (str, "brownian:8", "brownian:n_segments | tent | identity | monomial:p,n_segments | file:csv"),

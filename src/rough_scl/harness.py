@@ -4,10 +4,14 @@ Every experiment is a function cfg -> report dict that also drops plot-ready
 CSV files into its run directory `runs/<id>/`.  A manifest records the config
 snapshot, seed, and output list; re-running a manifest reproduces every CSV
 byte for byte (all randomness flows through the seeded generators, and every
-table is written by `paths.write_table`, at 17 significant digits).  `solve`, `contraction`,
-`path-stability` and `refine` solve along the driver's irreducible legs where the flux lets them
-(`_legs`: one channel, no `Channel.inflections` on the data's range), and report the segments of
-each path solved beside the given one; dissipative-check merges its windows' times by `distinct_times`.
+table is written by `paths.write_table`, at 17 significant digits).  Every solve is
+certified on the hull of the values its data take (`_certified`), where the maximum principle keeps
+every state, so its CFL steps are sized by the wave speeds the run can meet; `u_lo`/`u_hi` are only
+the envelope the data must lie in, and each report records the `certified_range` and its `lip_a`.
+`solve`, `contraction`, `path-stability` and `refine` solve along the driver's irreducible legs where
+the flux lets them (`_legs`: one channel, no `Channel.inflections` on the certified range), and report
+the segments of each path solved beside the given one; dissipative-check merges its windows' times by
+`distinct_times`.
 """
 from __future__ import annotations
 
@@ -26,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .characteristics import dissipative_check, local_solution
-from .config import build_datum, build_experiment, build_source, config_text, load_config, spec_args
+from .config import build_experiment, build_source, config_text, load_config, spec_args
+from .fluxes import FluxModel
 from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1, check_xi_covers
 from .paths import (
     PathSeed,
@@ -58,13 +63,23 @@ def _verdict(report: dict, clauses: list[tuple[bool, str]]) -> dict:
     return report
 
 
-def _legs(exp, path: PiecewiseLinearPath, *data) -> PiecewiseLinearPath:
-    """`path` on its irreducible legs between the outputs (`reduced_path`) if one channel's A'' has no real
-    root (`Channel.inflections`) in the hull of the data's values, where the maximum principle keeps every
-    state; else `path`."""
-    channel, *more = exp.flux.channels
-    inflections = channel.inflections(float(min(map(np.min, data))), float(max(map(np.max, data))))
-    return path if more or inflections.size else reduced_path(path, exp.outputs)
+def _certified(exp, *data) -> FluxModel:
+    """`exp.flux` certified on the hull of the data's values, which the maximum principle keeps every state
+    in, so that two data solved for one comparison share one range and one step sequence; `exp.flux`, on
+    the envelope [u_lo, u_hi], where the hull is one point."""
+    lo, hi = float(min(map(np.min, data))), float(max(map(np.max, data)))
+    return FluxModel(exp.flux.channels, (lo, hi)) if lo < hi else exp.flux
+
+
+def _certificate(flux: FluxModel) -> dict:
+    return {"certified_range": list(flux.u_range), "lip_a": flux.lip_a.tolist()}
+
+
+def _legs(exp, flux: FluxModel, path: PiecewiseLinearPath) -> PiecewiseLinearPath:
+    """`path` on its irreducible legs between the outputs (`reduced_path`) if `flux` has one channel whose A''
+    has no real root (`Channel.inflections`) on its certified range; else `path`."""
+    channel, *more = flux.channels
+    return path if more or channel.inflections(*flux.u_range).size else reduced_path(path, exp.outputs)
 
 
 # -- individual experiments --------------------------------------------------
@@ -73,8 +88,9 @@ def _legs(exp, path: PiecewiseLinearPath, *data) -> PiecewiseLinearPath:
 def run_solve(cfg: dict, run_dir: Path) -> dict:
     exp = build_experiment(cfg)
     path, u0 = exp.path(), exp.datum()
-    legs = _legs(exp, path, u0)
-    traj = solve_path(u0, exp.flux, legs, exp.outputs, exp.grid, exp.solver)
+    flux = _certified(exp, u0)
+    legs = _legs(exp, flux, path)
+    traj = solve_path(u0, flux, legs, exp.outputs, exp.grid, exp.solver)
     write_table(run_dir, "path.csv", ",".join(["t"] + [f"W{i + 1}" for i in range(path.n_channels)]),
                 [path.knots, *path.values.T])
     for k, state in enumerate(traj.states):
@@ -89,7 +105,8 @@ def run_solve(cfg: dict, run_dir: Path) -> dict:
     tv_up = float(max(0.0, np.max(tv - tv[0])))
     overshoot = float(max(0.0, np.max(u_max) - u_max[0], u_min[0] - np.min(u_min)))
     report = {"times": traj.times.tolist(), "mass_drift": drift, "tv_increase": tv_up,
-              "max_principle_violation": overshoot, "segments": [[path.n_segments, legs.n_segments]]}
+              "max_principle_violation": overshoot, "segments": [[path.n_segments, legs.n_segments]],
+              **_certificate(flux)}
     return _verdict(report, [
         (tv_up <= 1e-10, f"TV increase {tv_up:.3g} > 1e-10"),
         (overshoot <= 1e-12, f"maximum principle violated by {overshoot:.3g} > 1e-12"),
@@ -103,14 +120,15 @@ def run_contraction(cfg: dict, run_dir: Path) -> dict:
         raise ValueError("contraction needs the datum2 key")
     u1, u2 = exp.datum(), exp.datum(cfg["datum2"])
     path = exp.path()
-    legs = _legs(exp, path, u1, u2)  # one path for both, whose scheme solutions contract
-    t1 = solve_path(u1, exp.flux, legs, exp.outputs, exp.grid, exp.solver)
-    t2 = solve_path(u2, exp.flux, legs, exp.outputs, exp.grid, exp.solver)
+    flux = _certified(exp, u1, u2)  # one flux and one path for both, whose scheme solutions contract
+    legs = _legs(exp, flux, path)
+    t1 = solve_path(u1, flux, legs, exp.outputs, exp.grid, exp.solver)
+    t2 = solve_path(u2, flux, legs, exp.outputs, exp.grid, exp.solver)
     dist = np.array([l1_distance(a, b) for a, b in zip(t1.states, t2.states)])
     write_table(run_dir, "contraction.csv", "t,distance", [t1.times, dist])
     growth = float(np.max(np.diff(dist))) if dist.size > 1 else 0.0
     report = {"distances": dist.tolist(), "max_growth": growth, "tolerance": CONTRACTION_TOL,
-              "segments": [[path.n_segments, legs.n_segments]]}
+              "segments": [[path.n_segments, legs.n_segments]], **_certificate(flux)}
     return _verdict(report, [(growth <= CONTRACTION_TOL,
                               f"L1 distance grew by {growth:.3g} > {CONTRACTION_TOL:.3g}")])
 
@@ -146,13 +164,14 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
     if len(eps_list) < 3 or eps_list[0] / eps_list[-1] < 7.9:
         raise ValueError("need epsilon values spanning at least three octaves")
     path = exp.path()
-    u0, u0_fine = exp.datum(), build_datum(cfg["datum"], fine_grid)
+    u0, u0_fine = exp.datum(), dataclasses.replace(exp, grid=fine_grid).datum()  # both in the envelope
+    flux = _certified(exp, u0, u0_fine)
     given = [path, *(_perturbed(path, eps) for eps in eps_list)]
-    solved = [_legs(exp, p, u0, u0_fine) for p in given]  # the fine solve takes the base's legs
-    base = solve_path(u0, exp.flux, solved[0], exp.outputs, exp.grid, exp.solver)
+    solved = [_legs(exp, flux, p) for p in given]  # the fine solve takes the base's legs
+    base = solve_path(u0, flux, solved[0], exp.outputs, exp.grid, exp.solver)
     errors = []
     for pert_path in solved[1:]:
-        pert = solve_path(u0, exp.flux, pert_path, exp.outputs, exp.grid, exp.solver)
+        pert = solve_path(u0, flux, pert_path, exp.outputs, exp.grid, exp.solver)
         errors.append(max(l1_distance(a, b) for a, b in zip(base.states, pert.states)))
     errors = np.asarray(errors)
     if not np.all(errors):  # also where a perturbation cancels in the driver's legs
@@ -163,7 +182,7 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
     monotone = bool(np.all(np.diff(errors) < 0.0))
 
     # Richardson check: the spatial error must sit well below the smallest E.
-    fine = solve_path(u0_fine, exp.flux, solved[0], exp.outputs, fine_grid, exp.solver)
+    fine = solve_path(u0_fine, flux, solved[0], exp.outputs, fine_grid, exp.solver)
     dx_error = max(
         exp.grid.dx * float(np.sum(np.abs(_coarsen(f.u) - c.u)))
         for f, c in zip(fine.states, base.states)
@@ -179,6 +198,7 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
         "dx_error": dx_error,
         "richardson_ok": richardson_ok,
         "segments": [[p.n_segments, q.n_segments] for p, q in zip(given, solved)],
+        **_certificate(flux),
     }
     return _verdict(report, [
         (STABILITY_SLOPE[0] <= slope <= STABILITY_SLOPE[1],
@@ -202,8 +222,9 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
     for level in range(lo + 1, hi + 1):
         level_paths.append(dyadic_refine(level_paths[-1], seed, level))
     u0 = exp.datum()
-    solved = [_legs(exp, p, u0) for p in level_paths]
-    trajs = [solve_path(u0, exp.flux, p, exp.outputs, exp.grid, exp.solver) for p in solved]
+    flux = _certified(exp, u0)
+    solved = [_legs(exp, flux, p) for p in level_paths]
+    trajs = [solve_path(u0, flux, p, exp.outputs, exp.grid, exp.solver) for p in solved]
     d = np.array([
         max(l1_distance(a, b) for a, b in zip(t0.states, t1.states))
         for t0, t1 in zip(trajs[:-1], trajs[1:])
@@ -227,6 +248,7 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
         "strictly_decreasing": decreasing,
         "final_vs_first": float(d[-1] / d[0]),
         "segments": [[p.n_segments, q.n_segments] for p, q in zip(level_paths, solved)],
+        **_certificate(flux),
     }
     return _verdict(report, [
         (decreasing, f"gaps not strictly decreasing: {_chain(d)} (rise at level {rises})"),
@@ -244,9 +266,9 @@ def run_kinetic_check(cfg: dict, run_dir: Path) -> dict:
     u0 = exp.datum()
     xi = XiGrid(float(cfg["xi_lo"]), float(cfg["xi_hi"]), n_xi)
     check_xi_covers(xi, float(np.max(np.abs(u0))))
-    path = exp.path()
-    traj = solve_path(u0, exp.flux, path, exp.outputs, exp.grid, solver)
-    defects = accumulate_defects(traj, exp.flux, xi)
+    flux = _certified(exp, u0)
+    traj = solve_path(u0, flux, exp.path(), exp.outputs, exp.grid, solver)
+    defects = accumulate_defects(traj, flux, xi)
     kf = check_kf_bounds(defects, traj.states[0])
     unpr = check_unpr1(traj, defects)
     xi_mass = np.sum([d.xi_line_mass() for d in defects], axis=0)
@@ -255,7 +277,7 @@ def run_kinetic_check(cfg: dict, run_dir: Path) -> dict:
         run_dir, "l1_identity.csv", "t,lhs,rhs",
         [[d.t0 for d in defects], unpr["lhs"], unpr["rhs"]],
     )
-    report = dict(kf, unpr1_max_relative=unpr["max_relative"])
+    report = dict(kf, unpr1_max_relative=unpr["max_relative"], **_certificate(flux))
     return _verdict(report, [
         (kf["total_ok"], f"total m {kf['total_mass']:.3g} > {kf['bound_total']:.3g} + {kf['tol_total']:.3g}"),
         (kf["xi_ok"], f"max per-xi m {kf['xi_mass_max']:.3g} > {kf['bound_xi']:.3g} + {kf['tol_xi']:.3g}"),
@@ -277,6 +299,7 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
     check_step_cap(f"the window count n_seeds * n_data * n_anchors = {n_seeds} * {n_data} * {n_anchors}",
                    n_seeds * n_data * n_anchors)
     u0 = exp.datum()
+    flux = _certified(exp, u0)
     horizon = exp.horizon
     width = exp.grid.x_hi - exp.grid.x_lo
     windows = []
@@ -298,7 +321,7 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
         times = [np.asarray([0.0])]
         for _, sol in plan:
             times.append(np.linspace(*sol.window, 17))
-        traj = solve_path(u0, exp.flux, path, distinct_times(np.concatenate(times)), exp.grid, exp.solver)
+        traj = solve_path(u0, flux, path, distinct_times(np.concatenate(times)), exp.grid, exp.solver)
         u_inf = float(np.max(np.abs(u0)))
         weight = bump_weight(0.0, u_inf + 1.0)
         for di, sol in plan:
@@ -320,6 +343,7 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
             {k: w[k] for k in ("seed", "datum_index", "t0", "h", "max_violation", "tol_D", "pass")}
             for w in windows
         ],
+        **_certificate(flux),
     }
     return _verdict(report, [
         (w["pass"], f"D rises by {w['max_violation']:.3g} > tol_D {w['tol_D']:.3g} in the window at "
@@ -351,7 +375,7 @@ def run_semilinear_demo(cfg: dict, run_dir: Path) -> dict:
     source, lam = build_source(cfg["source"])
     horizon, n_cells = exp.horizon, exp.grid.n_cells
     # The direct solve's states lie between 0 and the flowed 1, which only a linear source moves, to
-    # e^(lam t) at most; checked here, as a state outside the certified range would stop the solve.
+    # e^(lam t) at most: the range its flux is certified on, which must lie in the envelope.
     u_lo, u_hi = exp.flux.u_range
     growth = max(lam or 0.0, 0.0) * horizon
     if not (u_lo <= 0.0 and u_hi >= 1.0 and growth <= math.log(u_hi)):
@@ -370,7 +394,8 @@ def run_semilinear_demo(cfg: dict, run_dir: Path) -> dict:
     if not x_lo + 2.0 * dx <= front <= x_hi - 2.0 * dx:
         raise ValueError(f"horizon = {horizon}: the direct front reaches x = {front:.6g}, outside the demo "
                          f"domain {list(MISMATCH_DOMAIN)} less its 2 dx = {2.0 * dx:.6g} margin")
-    rows = mismatch_report(source, exp.flux, horizon, n_cells, config=exp.solver)
+    flux = _certified(exp, [0.0, max(1.0, math.exp(growth))])  # the range checked above
+    rows = mismatch_report(source, flux, horizon, n_cells, config=exp.solver)
     write_table(
         run_dir, "mismatch.csv", "t,x_transform,x_direct,gap",
         [[r["t"] for r in rows], [r["x_transform"] for r in rows],
@@ -385,6 +410,7 @@ def run_semilinear_demo(cfg: dict, run_dir: Path) -> dict:
         "x_direct": last["x_direct"],
         "gap": last["gap"],
         "dx": dx,
+        **_certificate(flux),
     }
     if lam is not None:
         report["front_oracle"] = front

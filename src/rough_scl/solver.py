@@ -22,8 +22,8 @@ from .paths import PiecewiseLinearPath, identity_path
 _TIME_ATOL = 1e-12
 # Far above the largest march in tier-1, the suite and the benchmark (36,487 steps, kinetic-check
 # on brownian:8192): so many steps take minutes even on a tiny grid, while a huge but finite speed
-# bound, such as u_hi = 1e300, asks for about 1e300 of them, a run that would never end.  It also
-# caps the cells, kept defect values and windows that a run builds (`check_step_cap`).
+# bound, such as that of data reaching 1e300, asks for about 1e300 of them, a run that would never
+# end.  It also caps the cells, kept defect values and windows that a run builds (`check_step_cap`).
 MAX_STEPS = 10**7
 
 

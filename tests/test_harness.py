@@ -149,6 +149,10 @@ REJECTED = {
         "nan-epsilon": ("path-stability", "epsilons = 0.2,nan,0.05,0.025\n", "epsilons"),
         "file-datum": ("path-stability", "datum = file:{tmp}/u0.csv\n", "datum"),
         "datum-feels-no-driver": ("path-stability", "datum = riemann:0.5,0.5\n", "riemann:0.5,0.5"),
+        # the bump's peak sampled on the doubled grid, 0.799875, is above u_hi; on the grid it is 0.79950
+        "fine-datum-outside-envelope": ("path-stability", "datum = bump:0,0.4,0.8\nu_hi = 0.7996\nn_cells = 100\n",
+                                        "config error: bump:0,0.4,0.8: the datum's values [0, 0.799875] leave the "
+                                        "certified u_range [-2.0, 0.7996]\n"),
         # the sine perturbation is 0 at the outputs 0, 0.5 and 1, and below eps = 1/(2 pi) the perturbed
         # identity is monotone: its legs are the identity's, and so is the solution at the outputs
         "perturbation-cancels": ("path-stability", "path = identity\nn_outputs = 2\n",
@@ -174,18 +178,22 @@ REJECTED = {
         "inf-x-hi": ("solve", "x_hi = inf\nn_cells = 32\n", "x_hi = inf"),
         "inf-horizon": ("solve", "horizon = inf\nn_cells = 32\n", "horizon = inf"),
         "negative-power": ("solve", "path = monomial:-1,8\nn_cells = 32\n", "path = monomial:-1,8"),
-        "huge-bound": ("solve", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n",
+        # data that reach a huge state: each run's speed bound is that of its data's hull
+        "huge-bound": ("solve", "u_lo = -1e300\nu_hi = 1e300\ndatum = riemann:1e300,-1e300\nn_cells = 32\n",
                        "config error: speed bound 3.44e+300 with dx = 0.0625: the step count is "
                        "2.609383224e+301, more than the step cap of 10000000\n"),
-        "semilinear-huge-bound": ("semilinear-demo", "u_lo = -1e300\nu_hi = 1e300\nn_cells = 32\n",
-                                  "config error: speed bound 1e+300 with dx = 0.0625: the step count is "
-                                  "1.777777778e+301, more than the step cap of 10000000\n"),
-        "huge-u-hi": ("solve", "u_hi = 1e300\nn_cells = 32\n",
+        # the demo's states reach e^(lam T) = e^690 while its front stays at x = 0.46
+        "semilinear-huge-bound": ("semilinear-demo", "u_lo = -1e300\nu_hi = 1e300\nsource = linear:5e299\n"
+                                  "horizon = 1.38e-297\nn_cells = 32768\n",
+                                  "config error: speed bound 4.6e+299 with dx = 6.1e-05: the step count is "
+                                  "11567764.6, more than the step cap of 10000000\n"),
+        "huge-u-hi": ("solve", "u_hi = 1e300\ndatum = riemann:1e300,0\nn_cells = 32\n",
                       "config error: speed bound 3.44e+300 with dx = 0.0625: the step count is "
                       "2.609383224e+301, more than the step cap of 10000000\n"),
-        "semilinear-huge-u-hi": ("semilinear-demo", "u_hi = 1e300\nn_cells = 32\n",
-                                 "config error: speed bound 1e+300 with dx = 0.0625: the step count is "
-                                 "1.777777778e+301, more than the step cap of 10000000\n"),
+        "semilinear-huge-u-hi": ("semilinear-demo", "u_hi = 1e300\nsource = linear:5e299\nhorizon = 1.38e-297\n"
+                                 "n_cells = 32768\n",
+                                 "config error: speed bound 4.6e+299 with dx = 6.1e-05: the step count is "
+                                 "11567764.6, more than the step cap of 10000000\n"),
         "huge-coefficient": ("solve", "flux = poly:0,1e308\nn_cells = 32\n",
                              "config error: speed bound inf with dx = 0.0625: the step count is inf, more than the "
                              "step cap of 10000000\n"),
@@ -426,8 +434,8 @@ class TestRefinement:
         upwind state; Godunov keeps these bits, and Engquist-Osher may move at roundoff only."""
         cfg = load_config(None, {"experiment": "refine", "datum": "riemann:1,0", "u_lo": -0.5, "u_hi": 1.5,
                                  "n_cells": 400, "seed": 16, "level_lo": 4, "level_hi": 10, "scheme": scheme})
-        pinned = ["0x1.cd94745d0d6f1p-3", "0x1.48f81d4afd9efp-4", "0x1.0d1bd7143bac6p-4",
-                  "0x1.74b4411d8b7e7p-5", "0x1.de48a1680ac47p-6", "0x1.1cc84bade4009p-6"]
+        pinned = ["0x1.cd5d1cc368f13p-3", "0x1.4de72e6a3a8d5p-4", "0x1.0d1bd7143bacap-4",
+                  "0x1.8494f65eaaadcp-5", "0x1.dd6ea65f8d02dp-6", "0x1.1fe8305210d96p-6"]
         report = run_refinement(cfg, tmp_path)
         assert len(report["gaps"]) == len(pinned)
         for got, want in zip(report["gaps"], map(float.fromhex, pinned)):
@@ -486,6 +494,82 @@ class TestIrreducibleLegs:
         monkeypatch.setattr(harness, "reduced_path", lambda *a: pytest.fail("reduced"))
         execute(name, tiny(experiment=name, path="brownian:64", **over), tmp_path)
         assert solved_paths
+
+
+# experiment -> overrides on `tiny` for a small run of it
+CERTIFIED_CASES = {
+    "solve": {},
+    "contraction": {"datum2": "riemann:0.8,-0.2"},
+    "path-stability": {"datum": "bump:0,0.4,0.8", "path": "brownian:64", "epsilons": "0.4,0.2,0.1,0.05"},
+    "refine": {"level_lo": 2, "level_hi": 5},
+    "kinetic-check": {"n_xi": 80},
+    "dissipative-check": {"n_seeds": 1, "n_data": 2, "n_anchors": 2},  # two windows where D rises a little
+    "semilinear-demo": {"source": "linear:0.3"},
+}
+
+
+class TestCertifiedRange:
+    """Each experiment certifies its flux on the hull of the values its data take, where the maximum
+    principle keeps every state, and records that range and its `lip_a` in report.json; `u_lo`/`u_hi`
+    are only the envelope the data must lie in (`tiny`'s is [-1.5, 1.5])."""
+
+    @pytest.fixture
+    def fluxes(self, monkeypatch):
+        """(flux, path, its steps as (t0, dt)) of every `harness.solve_path` call, and (flux, None, None)
+        of every `harness.mismatch_report` call."""
+        calls, solve, mismatch = [], harness.solve_path, harness.mismatch_report
+
+        def solve_spy(u0, flux, path, *args, **kwargs):
+            steps = []
+            calls.append((flux, path, steps))
+            return solve(u0, flux, path, *args, collect=lambda slab: steps.append((slab.t0, slab.dt)), **kwargs)
+
+        def mismatch_spy(source, flux, *args, **kwargs):
+            calls.append((flux, None, None))
+            return mismatch(source, flux, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_path", solve_spy)
+        monkeypatch.setattr(harness, "mismatch_report", mismatch_spy)
+        return calls
+
+    @pytest.mark.parametrize("name, over, hull", [
+        ("solve", {}, (0.0, 1.0)),
+        ("contraction", {}, (-0.2, 1.0)),  # the union of both data
+        ("path-stability", {}, (0.0, 0.7998749902338664)),  # the peak on the fine grid; 0.79950 on the coarse
+        ("refine", {}, (0.0, 1.0)),
+        ("kinetic-check", {}, (0.0, 1.0)),
+        ("dissipative-check", {"datum": "riemann:0.5,0"}, (0.0, 0.5)),
+        ("semilinear-demo", {"source": "logistic"}, (0.0, 1.0)),
+        ("semilinear-demo", {}, (0.0, math.exp(0.3 * 0.5))),  # e^(lam T), T = 0.5
+        ("solve", {"datum": "riemann:0.5,0.5"}, (-1.5, 1.5)),  # a constant datum keeps the envelope
+    ], ids=["solve", "contraction", "path-stability", "refine", "kinetic-check", "dissipative-check",
+            "semilinear-logistic", "semilinear-linear", "constant-datum"])
+    def test_flux_certified_on_the_data_hull(self, tmp_path, fluxes, name, over, hull):
+        _, report = execute(name, tiny(experiment=name, **{**CERTIFIED_CASES[name], **over}), tmp_path)
+        flux = fluxes[0][0]
+        assert all(f is flux for f, _, _ in fluxes)
+        assert flux.u_range == hull
+        assert report["certified_range"] == list(hull) and report["lip_a"] == flux.lip_a.tolist()
+        if name == "contraction":  # one flux and one path, so one step sequence for both data
+            (_, path1, steps1), (_, path2, steps2) = fluxes
+            assert path1 is path2 and steps1 and steps1 == steps2
+
+    @pytest.mark.parametrize("name", CERTIFIED_CASES)
+    def test_widening_the_envelope_moves_nothing(self, tmp_path, name):
+        """The same data inside [-1.5, 1.5] and inside [-6, 7]: every CSV byte and report.json are the same,
+        and the manifests differ in the echoed config only."""
+        runs = [execute(name, tiny(experiment=name, **CERTIFIED_CASES[name], **edges), tmp_path / str(k))[0]
+                for k, edges in enumerate([{}, {"u_lo": -6.0, "u_hi": 7.0}])]
+        files = [sorted(p.name for p in run.iterdir()) for run in runs]
+        assert files[0] == files[1]
+        for file_name in files[0]:
+            texts = [(run / file_name).read_text() for run in runs]
+            if file_name == "manifest.json":
+                kept = [{k: v for k, v in json.loads(t).items() if k not in ("config", "run_id", "created",
+                                                                              "duration_s")} for t in texts]
+                assert kept[0] == kept[1]
+            elif file_name != "config.txt":
+                assert texts[0] == texts[1], file_name
 
 
 class TestKineticAndDissipative:
@@ -808,7 +892,7 @@ class TestCli:
         """The default suite's two failing members say which clause failed, with its numbers."""
         if command == "single":
             code = main(["path-stability", "--out", str(tmp_path)])
-            name, clause = "path-stability", "failed: Richardson dx_error 9.78e-03 > errors[-1]/10 = 2.42e-03"
+            name, clause = "path-stability", "failed: Richardson dx_error 7.13e-03 > errors[-1]/10 = 2.41e-03"
         else:
             code = main(["suite", "refine", "--out", str(tmp_path)])
             name, clause = "refine", (
@@ -833,6 +917,15 @@ class TestCli:
                              text=True, check=True).stdout
         assert out.strip() == "[]"
 
+    @pytest.mark.parametrize("command", ["single", "suite"])
+    @pytest.mark.parametrize("experiment", ["solve", "semilinear-demo"])
+    def test_huge_envelope_solves_on_the_data_hull(self, command, experiment):
+        """u_hi = 1e300 around data in [0, 1], whose speed bound over the envelope asked for about 1e301
+        steps: the run certifies its flux on [0, 1] and takes the steps of the default envelope's run."""
+        taken = [run_cli(*rejected_argv((experiment, f"{edge}n_cells = 32\n", None), command))
+                 for edge in ("u_hi = 1e300\n", "")]
+        assert taken[0] == taken[1] and taken[0][:2] == (0, "") and 0 < taken[0][2] < 100
+
     def test_unknown_suite_member(self):
         assert_rejected(REJECTED["one_off"]["unknown-suite-member"], "suite")
 
@@ -850,8 +943,8 @@ class TestCli:
         """A count key, or a product of them, above `solver.MAX_STEPS` is refused by name before
         anything of its size is built: no datum is built and no solver step is taken."""
         monkeypatch.setattr(solver, "MAX_STEPS", LOWERED_CAP)
-        for module in (config, harness):
-            monkeypatch.setattr(module, "build_datum", lambda *a: pytest.fail("built a datum"))
+        # every run builds its data through `Experiment.datum`
+        monkeypatch.setattr(config, "build_datum", lambda *a: pytest.fail("built a datum"))
         assert_rejected(REJECTED["over_the_cap"][name], command)
 
     @pytest.mark.parametrize("rate", REJECTED["bad_linear_rate"])
