@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         "path-stability": "error scaling under sine perturbations of the driver",
         "refine": "Cauchy gaps under dyadic path refinement",
         "kinetic-check": "defect-measure extraction, sign/mass bounds, L1 identity",
-        "dissipative-check": "monotonicity against local smooth solutions",
+        "dissipative-check": "L1 distance to local smooth solutions must not rise (periodic grids)",
         "semilinear-demo": "transform-vs-direct shock mismatch for a semilinear law",
     }
     for name in EXPERIMENTS:

@@ -104,13 +104,16 @@ def run_solve(cfg: dict, run_dir: Path) -> dict:
     drift = float(np.max(np.abs(mass - mass[0]))) if exp.grid.bc == "periodic" else None
     tv_up = float(max(0.0, np.max(tv - tv[0])))
     overshoot = float(max(0.0, np.max(u_max) - u_max[0], u_min[0] - np.min(u_min)))
+    tol_mass = 1e-12 * max(1.0, traj.states[0].l1())
+    tol_tv = 1e-10 * max(1.0, tv[0])
+    tol_max = 1e-12 * max(1.0, float(np.max(np.abs(u0))))
     report = {"times": traj.times.tolist(), "mass_drift": drift, "tv_increase": tv_up,
               "max_principle_violation": overshoot, "segments": [[path.n_segments, legs.n_segments]],
               **_certificate(flux)}
     return _verdict(report, [
-        (tv_up <= 1e-10, f"TV increase {tv_up:.3g} > 1e-10"),
-        (overshoot <= 1e-12, f"maximum principle violated by {overshoot:.3g} > 1e-12"),
-        (drift is None or drift <= 1e-12, f"mass drift {drift} > 1e-12"),
+        (tv_up <= tol_tv, f"TV increase {tv_up:.3g} > {tol_tv:.3g}"),
+        (overshoot <= tol_max, f"maximum principle violated by {overshoot:.3g} > {tol_max:.3g}"),
+        (drift is None or drift <= tol_mass, f"mass drift {drift} > {tol_mass:.3g}"),
     ])
 
 
@@ -290,6 +293,9 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
     """Windows are computed first so each gets 17 snapshots across it; each path's solve
     takes snapshots at 0 and at those times only, so it ends at the last window end."""
     exp = build_experiment(cfg)
+    if exp.grid.bc != "periodic":
+        raise ValueError(f"dissipative-check takes bc = periodic, got bc = {exp.grid.bc}: on an outflow grid the "
+                         "L1 distance to a local smooth solution moves by the flux through the boundary")
     for key in ("n_seeds", "n_data", "n_anchors"):
         if int(cfg[key]) < 1:
             raise ValueError(f"{key} must be at least 1, got {cfg[key]!r}")
@@ -322,10 +328,8 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
         for _, sol in plan:
             times.append(np.linspace(*sol.window, 17))
         traj = solve_path(u0, flux, path, distinct_times(np.concatenate(times)), exp.grid, exp.solver)
-        u_inf = float(np.max(np.abs(u0)))
-        weight = bump_weight(0.0, u_inf + 1.0)
         for di, sol in plan:
-            rep = dissipative_check(traj, sol, weight)
+            rep = dissipative_check(traj, sol)
             rep["seed"] = int(cfg["seed"]) + i
             rep["datum_index"] = di
             windows.append(rep)
@@ -333,21 +337,21 @@ def run_dissipative_check(cfg: dict, run_dir: Path) -> dict:
         run_dir, "windows.csv", "seed,datum,t0,h,max_violation,tol",
         [[w["seed"] for w in windows], [w["datum_index"] for w in windows],
          [w["t0"] for w in windows], [w["h"] for w in windows],
-         [w["max_violation"] for w in windows], [w["tol_D"] for w in windows]],
+         [w["max_violation"] for w in windows], [w["tol"] for w in windows]],
     )
     report = {
         "n_windows": len(windows),
         "min_h": min(w["h"] for w in windows),
         "worst_violation": max(w["max_violation"] for w in windows),
         "windows": [
-            {k: w[k] for k in ("seed", "datum_index", "t0", "h", "max_violation", "tol_D", "pass")}
+            {k: w[k] for k in ("seed", "datum_index", "t0", "h", "max_violation", "tol", "pass")}
             for w in windows
         ],
         **_certificate(flux),
     }
     return _verdict(report, [
-        (w["pass"], f"D rises by {w['max_violation']:.3g} > tol_D {w['tol_D']:.3g} in the window at "
-                    f"t0 = {w['t0']:.3g} (seed {w['seed']}, datum {w['datum_index']})")
+        (w["pass"], f"L1 distance to the local smooth solution rises by {w['max_violation']:.3g} > tol "
+                    f"{w['tol']:.3g} in the window at t0 = {w['t0']:.3g} (seed {w['seed']}, datum {w['datum_index']})")
         for w in windows
     ])
 

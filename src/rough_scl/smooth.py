@@ -1,7 +1,7 @@
 """Smooth compactly supported profiles shared by the verification modules.
 
-One type, `Weight`, holds each of them: a test weight of the kinetic or
-dissipative checks, or the datum of a local smooth solution.  Everything is
+One type, `Weight`, holds each of them: a test weight of the kinetic check,
+or the datum of a local smooth solution.  Everything is
 built from the reference bump B(z) = exp(1 - 1/(1 - z^2)) on (-1, 1), which is
 C-infinity, equals 1 at z = 0 and vanishes with all derivatives at the
 endpoints.  Derivatives are closed-form, no finite differencing anywhere, and

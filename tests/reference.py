@@ -3,7 +3,7 @@
 Bit for bit where the form is an earlier operation order the kernel must keep
 (`NumpyReference`, `earlier_pad`, `earlier_step`, `earlier_step_ends`,
 `_cursor_march`, `dense_reporting_defect`, the masked bump,
-`full_rectangle_evaluate`, `per_snapshot_d`, `earlier_logistic_flow`), or to
+`full_rectangle_evaluate`, `per_snapshot_k`, `earlier_logistic_flow`), or to
 roundoff where it is the maths written plainly (`defect_from_slab` per step,
 rho and the transport shift, the unfused `strang_semilinear_solve`,
 `earlier_linear_flow`).  `burgers_riemann_path` is a closed-form solution:
@@ -399,7 +399,7 @@ def rho_eval(kernel, y, x, xi, t, path, flux):
     return rho(kernel, np.asarray(y, dtype=float) - np.asarray(x, dtype=float) + shift)
 
 
-# -- characteristics: the local smooth solution and D(t) --------------------------
+# -- characteristics: the local smooth solution and K(t) --------------------------
 
 
 def full_rectangle_evaluate(sol, x, t):
@@ -427,22 +427,16 @@ def full_rectangle_evaluate(sol, x, t):
     return out.reshape(np.shape(t) + x.shape)
 
 
-def per_snapshot_d(traj, sol, weight):
-    """D(t_j) of `dissipative_check`, one `searchsorted` and one sum per in-window snapshot."""
+def per_snapshot_k(traj, sol):
+    """K(t_j) of `dissipative_check`, one sum per in-window snapshot, with Psi wrapped onto the
+    periodic grid as the sum of its images Psi(x + k L), k = -2..2, each from its own `evaluate` call."""
+    grid = traj.grid
     mask = sol.in_window(traj.times)
-    k_lo, k_hi = weight.support
-    dk = (k_hi - k_lo) / chars.N_K
-    k = k_lo + (np.arange(chars.N_K) + 0.5) * dk
-    psi_k = weight.value(k)
-    c0 = np.concatenate([[0.0], np.cumsum(psi_k)])
-    c1 = np.concatenate([[0.0], np.cumsum(k * psi_k)])
-    psi = sol.evaluate(traj.grid.centers, traj.times[mask])
-    d_vals = np.empty(psi.shape[0])
+    psi = sum(sol.evaluate(grid.centers + grid.length * k, traj.times[mask]) for k in range(-2, 3))
+    k_vals = np.empty(psi.shape[0])
     for j, i in enumerate(np.flatnonzero(mask)):
-        a = traj.states[i].u - psi[j]
-        below = np.searchsorted(k, a)
-        d_vals[j] = traj.grid.dx * dk * float(np.sum(a * c0[below] - c1[below]))
-    return d_vals
+        k_vals[j] = grid.dx * float(np.sum(np.abs(traj.states[i].u - psi[j])))
+    return k_vals
 
 
 # -- Burgers Riemann data along a driver -------------------------------------------

@@ -269,10 +269,11 @@ def test_criterion_10_dissipative(tmp_path):
         "seed": 0,
     })
     report = run_dissipative_check(cfg, tmp_path)
+    worst = max(report["windows"], key=lambda w: w["max_violation"])
     ok = report["pass"] and report["n_windows"] == 45 and report["min_h"] > 0.0
     gate(10, "dissipative", ok,
          f"{report['n_windows']} windows, min h={report['min_h']:.3f}, "
-         f"worst violation={report['worst_violation']:.2e}")
+         f"worst rise of the L1 distance={report['worst_violation']:.2e} <= tol {worst['tol']:.2e}")
 
 
 def test_criterion_11_semilinear():

@@ -1,4 +1,4 @@
-"""Characteristic flow, validity windows, and one-sided dissipation checks."""
+"""Characteristic flow, validity windows, and the L1 comparison with local smooth solutions."""
 import numpy as np
 import pytest
 
@@ -17,7 +17,7 @@ from rough_scl.paths import PiecewiseLinearPath, brownian_sample, identity_path,
 from rough_scl.smooth import Weight, bump_weight
 from rough_scl.solver import Grid1D, SolverConfig, solve_path
 
-from reference import assert_bitwise, full_rectangle_evaluate, per_snapshot_d
+from reference import assert_bitwise, full_rectangle_evaluate, per_snapshot_k
 
 
 def burgers(rng=(-2.0, 2.0)):
@@ -184,7 +184,9 @@ def batch_cases():
     """The Brownian-window paths with one and two channels, and the identity path."""
     one = (bump_weight(0.0, 0.5, 0.3), brownian_sample(1, 1.0, 16, 1), burgers())
     return {"brownian-1ch": one, "brownian-2ch": two_channel_case(1),
-            "identity": (bump_weight(0.0, 0.5, 0.5), identity_path(1.0), burgers())}
+            "identity": (bump_weight(0.0, 0.5, 0.5), identity_path(1.0), burgers()),
+            # a(u) = 40 + u carries a support nearly two periods of [-2, 2] either way across its window
+            "drifting": (bump_weight(0.0, 0.5, 0.5), identity_path(1.0), from_spec("poly:0,40,0.5", (-2.0, 2.0)))}
 
 
 class TestBatchedEvaluate:
@@ -321,44 +323,60 @@ def shock_u0(x):
 
 
 class TestDissipative:
-    def check_inputs(self, u0_fn, datum, t0=0.25, horizon=0.5, weight=None, case=None):
-        """Trajectory, local solution and weight: Burgers under W(t) = t, or a `batch_cases` case."""
+    def check_inputs(self, u0_fn, datum, t0=0.25, horizon=0.5, case=None):
+        """Trajectory and local solution: Burgers under W(t) = t, or a `batch_cases` case."""
         grid = Grid1D(-2.0, 2.0, 200, "periodic")
         _, path, flux = batch_cases()[case] if case else (None, identity_path(horizon), burgers())
         traj = solve_path(u0_fn(grid.centers), flux, path, np.linspace(0.0, path.horizon, 33), grid)
-        return traj, local_solution(datum, path, flux, t0), weight or bump_weight(0.0, 1.5)
+        return traj, local_solution(datum, path, flux, t0)
 
     def run_check(self, u0_fn, datum, **kwargs):
         return dissipative_check(*self.check_inputs(u0_fn, datum, **kwargs))
 
-    @pytest.mark.parametrize("datum, weight, case", [
-        (bump_weight(0.5, 0.4, 0.5), None, None),
-        (bump_weight(0.0, 0.4, 0.0), bump_weight(3.0, 0.5), None),
-        (bump_weight(0.0, 0.5, -0.3), None, "brownian-2ch"),
+    @pytest.mark.parametrize("datum, case", [
+        (bump_weight(0.5, 0.4, 0.5), None),
+        (bump_weight(0.0, 0.4, 0.0), None),
+        (bump_weight(0.0, 0.5, -0.3), "brownian-2ch"),
+        (bump_weight(1.8, 0.4, 0.5), None),  # its support crosses x = 2, so Psi wraps round to x = -2
+        (bump_weight(0.5, 0.4, 0.5), "drifting"),
     ])
-    def test_batched_d_equals_per_snapshot_loop(self, datum, weight, case):
-        inputs = self.check_inputs(shock_u0, datum, weight=weight, case=case, t0=0.5 if case else 0.25)
-        assert_bitwise(np.array(dissipative_check(*inputs)["D"]), per_snapshot_d(*inputs))
+    def test_batched_d_equals_per_snapshot_loop(self, datum, case):
+        inputs = self.check_inputs(shock_u0, datum, case=case, t0=0.5 if case else 0.25)
+        assert_bitwise(np.array(dissipative_check(*inputs)["distances"]), per_snapshot_k(*inputs))
 
     def test_shock_data_passes(self):
         datum = bump_weight(0.5, 0.4, 0.5)
         rep = self.run_check(shock_u0, datum)
         assert rep["pass"]
         assert rep["h"] > 0
-        assert len(rep["D"]) >= 2
+        assert len(rep["distances"]) >= 2
 
-    def test_weight_above_range_sees_nothing(self):
-        """If psi is supported in k > sup u, then (u - k - Psi)_+ = 0 whenever
-        Psi >= 0...  use Psi = 0 (zero datum) to make D identically zero."""
-        datum = bump_weight(0.0, 0.4, 0.0)
-        weight = bump_weight(3.0, 0.5)
-        rep = self.run_check(shock_u0, datum, weight=weight)
-        assert np.allclose(rep["D"], 0.0)
-        assert rep["pass"]
+    def test_support_across_the_edge_wraps(self):
+        """The periodic problem translated by half the period, its datum's support now crossing x = 2,
+        reads the same distances as the untranslated one, to roundoff."""
+        def shifted(x):
+            return shock_u0(np.where(x < 0.0, x + 2.0, x - 2.0))
+
+        plain = self.run_check(shock_u0, bump_weight(0.2, 0.4, 0.5))
+        wrapped = self.run_check(shifted, bump_weight(2.2, 0.4, 0.5))  # support [1.8, 2.6]
+        assert np.allclose(wrapped["distances"], plain["distances"], rtol=1e-12, atol=0.0)
+        assert plain["times"] == wrapped["times"]
+
+    def test_support_wider_than_the_period_rejected(self):
+        with pytest.raises(ValueError, match="wider than the period 4"):
+            self.run_check(shock_u0, bump_weight(0.0, 2.1, 0.1))
+
+    def test_outflow_grid_rejected(self):
+        grid = Grid1D(-2.0, 2.0, 100, "outflow")
+        path = identity_path(0.5)
+        traj = solve_path(shock_u0(grid.centers), burgers(), path, np.linspace(0.0, 0.5, 17), grid)
+        with pytest.raises(ValueError, match="periodic grids only"):
+            dissipative_check(traj, local_solution(bump_weight(0.5, 0.4, 0.5), path, burgers(), 0.25))
 
     @pytest.mark.parametrize("n_snapshots", [17, 65])
     def test_flow_calls_per_window_fixed(self, monkeypatch, n_snapshots):
-        """One batched inversion per window: table, 3 Newton steps, residual."""
+        """One call for the transported support's ends, then one batched inversion per window: table,
+        3 Newton steps, residual."""
         grid = Grid1D(-2.0, 2.0, 100, "periodic")
         path = identity_path(0.5)
         traj = solve_path(np.where(np.abs(grid.centers) < 0.5, 1.0, 0.0), burgers(), path,
@@ -372,9 +390,9 @@ class TestDissipative:
             return real(*args)
 
         monkeypatch.setattr(chars, "characteristic_flow", counted)
-        rep = dissipative_check(traj, sol, bump_weight(0.0, 1.5))
+        rep = dissipative_check(traj, sol)
         assert len(rep["times"]) >= 4
-        assert len(calls) == 5
+        assert len(calls) == 6
         assert all(np.array_equal(t, rep["times"]) for t in calls)
 
     def test_schedule_too_coarse_rejected(self):
@@ -385,4 +403,4 @@ class TestDissipative:
         traj = solve_path(u0, flux, path, [0.0, 0.5], grid)
         datum = bump_weight(0.5, 0.3, 1.2)
         with pytest.raises(ValueError, match="snapshots inside"):
-            dissipative_check(traj, local_solution(datum, path, flux, 0.25), bump_weight(0.0, 1.5))
+            dissipative_check(traj, local_solution(datum, path, flux, 0.25))

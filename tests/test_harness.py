@@ -25,7 +25,7 @@ import rough_scl.solver as solver
 from rough_scl.cli import main
 from rough_scl.config import load_config
 from rough_scl import harness
-from rough_scl.fluxes import builtin
+from rough_scl.fluxes import SegmentFlux, builtin
 from rough_scl.harness import (
     DEFAULT_SUITE,
     EXPERIMENTS,
@@ -34,6 +34,7 @@ from rough_scl.harness import (
     output_root,
     rerun_from_manifest,
     run_contraction,
+    run_dissipative_check,
     run_kinetic_check,
     run_path_stability,
     run_refinement,
@@ -213,6 +214,10 @@ REJECTED = {
         "no-monomial-segment": ("solve", "path = monomial:2,-1\n", "path = monomial:2,-1"),  # IndexError
         "linear-front-leaves-domain": ("semilinear-demo", "source = linear:0.5\nu_hi = 10\nhorizon = 2.2\n",
                                        "horizon = 2.2"),
+        "dissipative-outflow": ("dissipative-check", "bc = outflow\n",
+                                "config error: dissipative-check takes bc = periodic, got bc = outflow: on an outflow "
+                                "grid the L1 distance to a local smooth solution moves by the flux through the "
+                                "boundary\n"),
     },
     "missing_input_file": {  # each alone and as a one-member suite
         key: ("solve", f"{key} = file:{{tmp}}/absent.csv\n", "absent.csv") for key in ("datum", "path")
@@ -296,6 +301,15 @@ class TestRunSolve:
         assert len(states) == 5
         for name in ["path.csv", *states]:
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_gates_scale_with_the_datum(self, tmp_path):
+        """A datum of size 1e6 drifts in mass by far more than 1e-12, by roundoff against a mass of 1e6: each
+        gate's bound scales with the datum's own norm, so the run passes."""
+        cfg = load_config(None, {"experiment": "solve", "datum": "riemann:1e6,0", "u_hi": 2e6, "horizon": 1e-6,
+                                 "n_cells": 32})
+        _, report = execute("solve", cfg, tmp_path)
+        assert report["pass"] and report["failed_clauses"] == []
+        assert 1e-12 < report["mass_drift"] <= 1e-12 * 1e6
 
     def test_outflow_skips_mass_gate(self, tmp_path):
         cfg = tiny(experiment="solve", bc="outflow")
@@ -503,7 +517,7 @@ CERTIFIED_CASES = {
     "path-stability": {"datum": "bump:0,0.4,0.8", "path": "brownian:64", "epsilons": "0.4,0.2,0.1,0.05"},
     "refine": {"level_lo": 2, "level_hi": 5},
     "kinetic-check": {"n_xi": 80},
-    "dissipative-check": {"n_seeds": 1, "n_data": 2, "n_anchors": 2},  # two windows where D rises a little
+    "dissipative-check": {"n_seeds": 1, "n_data": 2, "n_anchors": 2},  # four windows where K rises a little
     "semilinear-demo": {"source": "linear:0.3"},
 }
 
@@ -663,6 +677,34 @@ class TestKineticAndDissipative:
         with pytest.raises(ValueError, match=f"^{key} must be at least 1, got 0$"):
             execute("dissipative-check", cfg, tmp_path / "out")
         assert list((tmp_path / "out").iterdir()) == []
+
+
+def roe_flux(self, v, scheme):
+    """`SegmentFlux.interface_flux` as Roe's upwind flux with no entropy fix: F at the upwind state by the
+    sign of the chord's slope, so an expansion between states of equal F stays a standing shock."""
+    v = np.asarray(v, float)
+    fv = self.value(v)
+    f_l, f_r = fv[..., :-1], fv[..., 1:]
+    return np.where((f_r - f_l) * (v[..., 1:] - v[..., :-1]) >= 0.0, f_l, f_r)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("datum", ["riemann:-1,1", "riemann:1,-1"])
+class TestDissipativeGate:
+    """The dissipative check at the defaults, with `datum` and `seed`: an entropy-violating scheme fails it, and
+    Engquist-Osher passes it at three resolutions, each by a margin of 10 to the bound of some window or of all."""
+
+    def test_roe_without_entropy_fix_fails(self, tmp_path, monkeypatch, datum, seed):
+        monkeypatch.setattr(SegmentFlux, "interface_flux", roe_flux)
+        report = run_dissipative_check(load_config(None, {"datum": datum, "seed": seed}), tmp_path)
+        assert not report["pass"]
+        assert max(w["max_violation"] / w["tol"] for w in report["windows"]) >= 10.0
+
+    @pytest.mark.parametrize("n_cells", [200, 400, 800])
+    def test_engquist_osher_passes(self, tmp_path, datum, seed, n_cells):
+        report = run_dissipative_check(load_config(None, {"datum": datum, "seed": seed, "n_cells": n_cells}), tmp_path)
+        assert report["pass"]
+        assert all(w["max_violation"] <= 0.1 * w["tol"] for w in report["windows"])
 
 
 class TestSemilinearDemo:
