@@ -18,9 +18,10 @@ which is right for concave and non-convex F too (a negative driver slope makes
 F concave).  When a step's states all lie in one node interval (every Burgers
 1/0 solve), F is monotone on them and the two schemes coincide: both are F at
 the upwind state, F(u_l) where F rises and F(u_r) where it falls or is flat.
-The node tables serve only states that straddle a breakpoint, Godunov's loop
-over the breakpoints and the kinetic integrals P and N (`one_sided_integrals`:
-both from one node lookup and one evaluation of F).
+The node tables serve only straddling states, where Engquist-Osher forms P~ in
+F(v)'s buffer and Godunov folds F(b) in only where the breakpoint b can bind (a
+strict local minimum into a min, a strict local maximum into a max), and the
+kinetic integrals P and N (`one_sided_integrals`: one node lookup and one F).
 
 The solver calls `interface_flux` once per step and builds one SegmentFlux per
 driver segment, so both avoid numpy's per-call wrappers.  F and each channel's
@@ -210,7 +211,8 @@ class SegmentFlux:
     nodes that make P, N and the straddling fluxes exact, are built on first use.
     """
 
-    _NODE_TABLES = ("_f_nodes", "_pos_cum", "_neg_cum", "_rising", "_falling", "_pos_at_zero", "_neg_at_zero")
+    _NODE_TABLES = ("_f_nodes", "_pos_cum", "_neg_cum", "_rising", "_falling", "_rising_f", "_extrema",
+                    "_pos_at_zero", "_neg_at_zero")
 
     def __init__(self, flux: FluxModel, c) -> None:
         c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -260,6 +262,13 @@ class SegmentFlux:
                     for keep in (self._rises, self._falls))
         arrays = map(np.array, (f, pos, neg, self._rises, self._falls))
         self._f_nodes, self._pos_cum, self._neg_cum, self._rising, self._falling = arrays
+        self._rising_f = self._rising.astype(float)
+        # (b, F(b), kind) per breakpoint: kind -1 a strict local minimum (F falls, then rises, and F(b) lies
+        # below both neighbouring node values), +1 a strict local maximum (the mirror), 0 any other
+        r, fl = self._rises, self._falls
+        self._extrema = tuple((b, f[k], -1 if fl[k - 1] and r[k] and f[k] < min(f[k - 1], f[k + 1]) else
+                               1 if r[k - 1] and fl[k] and f[k] > max(f[k - 1], f[k + 1]) else 0)
+                              for k, b in enumerate(self._bp, 1))
         # the one-sided sums at u = 0, as `one_sided_integrals` forms them
         i = bisect.bisect_right(self._bp, 0.0)
         part = _horner(self._plan, 0.0) - f[i]
@@ -297,9 +306,11 @@ class SegmentFlux:
         F(u_r) where it falls or is flat; no node table is read.  Straddling states
         take each scheme's general form.  "engquist_osher" is
         F(0) + P(u_l) + N(u_r) = P~(u_l) + (F - P~)(u_r), P~ the one-sided integral
-        from the bottom node.  "godunov_convex" is the exact Godunov flux for any F:
-        min F on [u_l, u_r], or max F on [u_r, u_l], taken at both ends and the
-        breakpoints between them (F is monotone in between).
+        from the bottom node, formed in F(v)'s buffer.  "godunov_convex" is the exact
+        Godunov flux for any F: min F on [u_l, u_r], or max F on [u_r, u_l], at both
+        ends and each breakpoint between them that can bind (`_extrema`): a strict
+        local minimum only in a min, a strict local maximum only in a max (within ulps
+        of b, F at both ends may round beyond F(b)).  `v` is never written.
         """
         # arguments by position: numpy's keyword parsing is a measurable share of a call on ~400 values
         v = np.asarray(v, float)
@@ -314,14 +325,20 @@ class SegmentFlux:
         if i == bisect.bisect_right(self._bp, v_max):  # no breakpoint in (v_min, v_max]
             return fv[..., :-1] if self._rises[i] else fv[..., 1:]
         if scheme == "engquist_osher":
+            # adding +-0.0 keeps P~(node), which is never -0.0: F ends on adding c_0, a sum from +0.0
             idx = self.breakpoints.searchsorted(v, "right")
-            p = self._pos_cum[idx] + np.where(self._rising[idx], fv - self._f_nodes[idx], 0.0)
-            return p[..., :-1] + (fv - p)[..., 1:]
-        u_l, u_r = v[..., :-1], v[..., 1:]
-        s = np.where(u_l <= u_r, 1.0, -1.0)  # a max is the min of -F
-        lowest = np.minimum(s * fv[..., :-1], s * fv[..., 1:])
-        below, above = np.minimum(u_l, u_r), np.maximum(u_l, u_r)
-        for b, fb in zip(self._bp, self._f_nodes[1:-1].tolist()):
-            if not (b <= v_min or v_max <= b):  # else no interval holds b
-                np.minimum(lowest, s * fb, out=lowest, where=(below < b) & (b < above))
-        return s * lowest
+            p = fv - self._f_nodes[idx]
+            p *= self._rising_f[idx]
+            p += self._pos_cum[idx]
+            fv -= p
+            return np.add(fv[..., 1:], p[..., :-1], fv[..., 1:])
+        u_l, u_r, f_l, f_r = v[..., :-1], v[..., 1:], fv[..., :-1], fv[..., 1:]
+        g = np.maximum(f_l, f_r)  # `np.putmask`, not a ufunc's `where=`, which costs several times as much
+        np.putmask(g, u_l <= u_r, np.minimum(f_l, f_r))
+        for b, fb, kind in self._extrema:
+            if v_min < b < v_max:  # else no interval holds b
+                if kind <= 0:  # a strict local maximum cannot be the min of F on [u_l, u_r]
+                    np.putmask(g, (u_l < b) & (b < u_r), np.minimum(g, fb))
+                if kind >= 0:
+                    np.putmask(g, (u_r < b) & (b < u_l), np.maximum(g, fb))
+        return g

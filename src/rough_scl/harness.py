@@ -119,6 +119,9 @@ def run_solve(cfg: dict, run_dir: Path) -> dict:
 
 def run_contraction(cfg: dict, run_dir: Path) -> dict:
     exp = build_experiment(cfg)
+    if exp.grid.bc != "periodic":
+        raise ValueError(f"contraction takes bc = periodic, got bc = {exp.grid.bc}: an outflow grid's zero-gradient "
+                         "ghost cell at an inflow boundary injects states, so the L1 distance need not contract")
     if not cfg.get("datum2"):
         raise ValueError("contraction needs the datum2 key")
     u1, u2 = exp.datum(), exp.datum(cfg["datum2"])

@@ -505,6 +505,152 @@ def roundoff_scale(fs):
     return 4.0 * np.finfo(float).eps * max(1.0, *(float(np.max(np.abs(t))) for t in tables))
 
 
+def root_flux(roots, factor=(1.0,)):
+    """One channel on (-1.5, 1.5) whose A' is prod(u - root) times the polynomial `factor`."""
+    return FluxModel([Channel("roots", npp.polyint(npp.polymul(npp.polyfromroots(roots), factor)))], (-1.5, 1.5))
+
+
+def square_flux(r):
+    """`TestDoubleRootOfFPrime`'s channel: A' = (u - r)^2."""
+    return FluxModel([Channel("square", npp.polyint([r * r, -2.0 * r, 1.0]))], (-1.5, 1.5))
+
+
+# (flux, slope, the kind of each breakpoint): -1 a strict local minimum of F, +1 a strict local maximum, 0 any other
+EXTREMUM_CASES = {
+    "local-min": (root_flux([0.4], [1.0, 0.0, 1.0]), [1.0], (-1,)),  # F' = (u - 0.4)(1 + u^2)
+    "local-max": (root_flux([0.4], [1.0, 0.0, 1.0]), [-1.0], (1,)),
+    "min-and-max": (root_flux([-0.5, 0.6, 3.0]), [1.0], (-1, 1)),  # the root 3 lies beyond the range
+    "min-max-min": (root_flux([-1.0, 0.0, 1.0]), [1.0], (-1, 1, -1)),
+    "cubic": (from_spec("cubic", (-1.5, 1.5)), [1.0], (0,)),  # a double root at 0: F rises on both sides
+    "concave-cubic": (from_spec("cubic", (-1.5, 1.5)), [-0.7], (0,)),
+    # the split pair: the interval between is flat for s = 1; for s = -0.6 it rises, so the pair reads as
+    # a minimum then a maximum by the signs alone, but F(b) is not below (above) both neighbouring nodes
+    "split-double-root": (square_flux(0.7), [1.0], (0, 0)),
+    "split-double-root-concave": (square_flux(0.7), [-0.6], (0, 0)),
+    "returned-twice": (square_flux(0.5), [1.0], (0,)),
+    "burgers-cubic": (from_spec("burgers;cubic", (-1.05, 1.05)), [0.7, -0.4], (-1,)),
+}
+
+
+def at_and_beside(points, ulps=1):
+    """Each point and the floats up to `ulps` steps either side of it."""
+    out = [np.asarray(points, dtype=float)]
+    for direction in (-np.inf, np.inf):
+        x = out[0]
+        for _ in range(ulps):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def check_godunov(fs, v):
+    """Godunov's `interface_flux` on `v` against the +-1 numpy form: bitwise, except where a pair
+    straddles a strict extremum b in the direction in which it cannot bind (a maximum inside
+    [u_l, u_r], a minimum inside [u_r, u_l]), both states lie in the two node intervals beside b,
+    and roundoff puts F at both beyond F(b).  There the numpy form returns F(b) and the flux the
+    nearer end value, within `roundoff_scale`.  Returns how many interfaces take that departure."""
+    got = fs.interface_flux(v, "godunov_convex")
+    want = NumpyReference.on_tables(fs).interface_flux(v, "godunov_convex")
+    differ = got.view(np.int64) != want.view(np.int64)
+    u_l, u_r, fv = v[..., :-1], v[..., 1:], fs.value(v)
+    ends = np.where(u_l <= u_r, np.minimum(fv[..., :-1], fv[..., 1:]), np.maximum(fv[..., :-1], fv[..., 1:]))
+    i_l, i_r = fs.breakpoints.searchsorted(u_l, "right"), fs.breakpoints.searchsorted(u_r, "right")
+    allowed = np.zeros_like(differ)
+    for k, (b, fb, kind) in enumerate(fs._extrema, 1):  # b is node k, between intervals k - 1 and k
+        wrong_way = (u_l < b) & (b < u_r) if kind > 0 else (u_r < b) & (b < u_l)
+        beside = np.isin(i_l, (k - 1, k)) & np.isin(i_r, (k - 1, k))
+        allowed |= (kind != 0) & wrong_way & beside & (want == fb) & (got == ends)
+    assert not np.any(differ & ~allowed)
+    assert np.max(np.abs(got - want), initial=0.0) <= roundoff_scale(fs)
+    return int(np.count_nonzero(differ))
+
+
+class TestExtremumTable:
+    """Godunov folds F(b) in only where b can bind: a strict local minimum into min F on
+    [u_l, u_r], a strict local maximum into max F on [u_r, u_l], any other breakpoint both
+    ways.  The +-1 numpy form stays the reference."""
+
+    @pytest.mark.parametrize("name", EXTREMUM_CASES)
+    def test_kinds(self, name):
+        flux, c, kinds = EXTREMUM_CASES[name]
+        fs = SegmentFlux(flux, c)
+        assert tuple(kind for _, _, kind in fs._extrema) == kinds
+        assert [b for b, _, _ in fs._extrema] == fs.breakpoints.tolist()
+        assert_bitwise(np.array([fb for _, fb, _ in fs._extrema]), fs._f_nodes[1:-1])
+
+    @pytest.mark.parametrize("name", EXTREMUM_CASES)
+    def test_fluxes_at_and_beside_the_breakpoints(self, name):
+        """Every ordered pair of states at a breakpoint, one ulp beside it, on the range ends and at
+        random, as (pairs, 2) and (L, n) stacks: Engquist-Osher bitwise, Godunov bitwise but for the
+        departure `check_godunov` names, which the pairs one ulp either side of b can take."""
+        flux, c, _ = EXTREMUM_CASES[name]
+        fs = SegmentFlux(flux, c)
+        ref = NumpyReference.on_tables(fs)
+        lo, hi = flux.u_range
+        rng = np.random.default_rng(len(name))
+        states = np.concatenate([at_and_beside(fs.breakpoints), [lo, hi, 0.0], rng.uniform(lo, hi, 12)])
+        u_l, u_r = np.meshgrid(states, states, indexing="ij")
+        for v in (np.stack([u_l.ravel(), u_r.ravel()], axis=-1), rng.permuted(np.tile(states, (3, 1)), axis=1)):
+            assert_bitwise(fs.interface_flux(v, "engquist_osher"), ref.interface_flux(v, "engquist_osher"))
+            check_godunov(fs, v)
+
+    def test_departure_is_reached_and_bounded(self):
+        """States a few ulps either side of the strict extrema of many slopes: the departure occurs,
+        and only where `check_godunov` allows it."""
+        flux = from_spec("poly:0.1,-0.3,0.2,0.5,-0.25,0.15", (-1.5, 1.5))
+        departures = 0
+        for c in np.random.default_rng(5).normal(size=(40, 1)):
+            fs = SegmentFlux(flux, c)
+            near = at_and_beside(fs.breakpoints, 4)
+            u_l, u_r = np.meshgrid(near, near, indexing="ij")
+            departures += check_godunov(fs, np.stack([u_l.ravel(), u_r.ravel()], axis=-1))
+        assert departures > 0
+
+    @pytest.mark.parametrize("name", EXTREMUM_CASES)
+    def test_brute_force_extremum(self, name):
+        """min F over 10^4 points of [u_l, u_r] and the breakpoints inside (F is monotone between
+        them), or max F on [u_r, u_l], within `roundoff_scale`."""
+        flux, c, _ = EXTREMUM_CASES[name]
+        fs = SegmentFlux(flux, c)
+        lo, hi = flux.u_range
+        rng = np.random.default_rng(len(name))
+        u_l, u_r = rng.uniform(lo, hi, (2, 60))
+        u_l[:3], u_r[:3] = fs.breakpoints[0] - 0.25, fs.breakpoints[-1] + 0.25  # around every breakpoint
+        g = pair_flux(fs, u_l, u_r, "godunov_convex")
+        below, above = np.minimum(u_l, u_r)[:, None], np.maximum(u_l, u_r)[:, None]
+        dense = fs.value(np.concatenate([below + np.linspace(0.0, 1.0, 10_000) * (above - below),
+                                         np.clip(fs.breakpoints, below, above)], axis=1))
+        brute = np.where(u_l <= u_r, dense.min(axis=1), dense.max(axis=1))
+        assert np.max(np.abs(g - brute)) <= roundoff_scale(fs)
+
+    @pytest.mark.parametrize("spec, c", SIGNED_ZERO_CASES + [("burgers;cubic", [0.7, -0.4])])
+    def test_tables_hold_no_negative_zero(self, spec, c):
+        """F ends on the add of c_0, a sum from +0.0, so neither F at the nodes nor P~ there is -0.0:
+        adding Engquist-Osher's +-0.0 on a falling interval keeps P~(node) bitwise."""
+        fs = SegmentFlux(from_spec(spec, (-1.5, 1.5)), c)
+        for table in (fs._f_nodes, fs._pos_cum):
+            assert not np.any(np.signbit(table) & (table == 0.0))
+
+
+class TestNoAliasing:
+    """`interface_flux` never writes into its argument and never returns a view of it: two calls
+    on the same states leave their bytes alone and give the same bits."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("states", ["one-interval", "straddling", "stack"])
+    def test_two_calls(self, scheme, states):
+        fs = SegmentFlux(from_spec("burgers;cubic", (-1.05, 1.05)), [0.7, -0.4])
+        rng = np.random.default_rng(3)
+        v = {"one-interval": rng.uniform(0.1, 1.0, 40), "straddling": rng.uniform(-1.0, 1.0, 40),
+             "stack": rng.uniform(-1.0, 1.0, (3, 40))}[states]
+        before = v.tobytes()
+        first = fs.interface_flux(v, scheme)
+        second = fs.interface_flux(v, scheme)
+        assert v.tobytes() == before
+        assert not np.shares_memory(first, v) and not np.shares_memory(first, second)
+        assert_bitwise(first, second)
+
+
 class TestOneInterval:
     """States that share one node interval, where F is monotone: both schemes give
     F at the upwind state bit for bit, and the general path and the numpy

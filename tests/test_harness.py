@@ -218,6 +218,10 @@ REJECTED = {
                                 "config error: dissipative-check takes bc = periodic, got bc = outflow: on an outflow "
                                 "grid the L1 distance to a local smooth solution moves by the flux through the "
                                 "boundary\n"),
+        "contraction-outflow": ("contraction", "bc = outflow\n",
+                                "config error: contraction takes bc = periodic, got bc = outflow: an outflow grid's "
+                                "zero-gradient ghost cell at an inflow boundary injects states, so the L1 distance "
+                                "need not contract\n"),
     },
     "missing_input_file": {  # each alone and as a one-member suite
         key: ("solve", f"{key} = file:{{tmp}}/absent.csv\n", "absent.csv") for key in ("datum", "path")
