@@ -32,7 +32,8 @@ from . import __version__
 from .characteristics import dissipative_check, local_solution
 from .config import build_experiment, build_source, config_text, load_config, spec_args
 from .fluxes import FluxModel
-from .kinetic import XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1, check_xi_covers
+from .kinetic import (IDENTITY_TOL, XiGrid, accumulate_defects, check_kf_bounds, check_scheme, check_unpr1,
+                      check_xi_covers)
 from .paths import (
     PathSeed,
     PiecewiseLinearPath,
@@ -279,16 +280,15 @@ def run_kinetic_check(cfg: dict, run_dir: Path) -> dict:
     unpr = check_unpr1(traj, defects)
     xi_mass = np.sum([d.xi_line_mass() for d in defects], axis=0)
     write_table(run_dir, "xi_mass.csv", "xi,mass", [xi.centers, xi_mass])
-    write_table(
-        run_dir, "l1_identity.csv", "t,lhs,rhs",
-        [[d.t0 for d in defects], unpr["lhs"], unpr["rhs"]],
-    )
+    write_table(run_dir, "l1_identity.csv", "t,residual", [[d.t0 for d in defects], unpr["residuals"]])
     report = dict(kf, unpr1_max_relative=unpr["max_relative"], **_certificate(flux))
     return _verdict(report, [
         (kf["total_ok"], f"total m {kf['total_mass']:.3g} > {kf['bound_total']:.3g} + {kf['tol_total']:.3g}"),
         (kf["xi_ok"], f"max per-xi m {kf['xi_mass_max']:.3g} > {kf['bound_xi']:.3g} + {kf['tol_xi']:.3g}"),
         (kf["sign_ok"], f"min m {kf['min_m']:.3g} < -tol_m = {-kf['tol_m']:.3g}"),
         (kf["support_ok"], f"support excess {kf['support_excess']:.3g} > tol_m = {kf['tol_m']:.3g}"),
+        (unpr["max_relative"] <= IDENTITY_TOL,
+         f"kinetic identity residual {unpr['max_relative']:.3g} of max S > {IDENTITY_TOL:g}"),
     ])
 
 

