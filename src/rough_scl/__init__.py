@@ -27,7 +27,6 @@ from .solver import (
     SolverConfig,
     Trajectory,
     burgers_riemann_exact,
-    composition_check,
     l1_distance,
     solve_path,
     solve_segment,

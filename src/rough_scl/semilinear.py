@@ -15,10 +15,13 @@ O(knots + output times) evaluations at the quadrature nodes, whatever the
 driver's range or variation.
 
 For a linear source Psi(., t) is linear and the transformed and direct fronts
-coincide.  For the quadratic source Phi(u) = u(1 - u) and Burgers flux the
-flow is the logistic closed form, the transformed Rankine-Hugoniot speed of
-the 1/0 front is int_0^1 Psi(w; t) dw > 1/2, while the direct entropy solution
-keeps its shock at t/2 (0 and 1 are equilibria of the source).  The gap is the
+coincide, at expm1(lam T) / (2 lam) along W~(t) = t.  For the quadratic source
+Phi(u) = u(1 - u) and Burgers flux the flow is the logistic closed form, the
+transformed Rankine-Hugoniot speed of the 1/0 front is int_0^1 Psi(w; t) dw > 1/2,
+which along W~(t) = t is (1 + 1/expm1(t)) (1 - t/expm1(t)); its integral puts the
+transformed front at x(T) = T / (1 - e^-T) - 1, 1/(e - 1) at T = 1.  The direct
+entropy solution keeps its shock at t/2 (0 and 1 are equilibria of the source).
+The demo checks the quadrature against these closed forms.  The gap is the
 whole point: the transform does not map entropy shocks to entropy shocks when
 the source is nonlinear.
 """

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .fluxes import FluxModel, SegmentFlux
-from .paths import PiecewiseLinearPath, identity_path
+from .paths import PiecewiseLinearPath
 
 _TIME_ATOL = 1e-12
 # Far above the largest march in tier-1, the suite and the benchmark (36,487 steps, kinetic-check
@@ -300,36 +300,3 @@ def burgers_riemann_exact(u_l: float, u_r: float, x, t: float) -> np.ndarray:
         s = 0.5 * (u_l + u_r)
         return np.where(x < s * t, u_l, u_r)
     return np.clip(x / t, u_l, u_r)
-
-
-def composition_check(
-    flux: FluxModel,
-    u0: np.ndarray,
-    path: PiecewiseLinearPath,
-    t: float,
-    grid: Grid1D,
-    config: SolverConfig = SolverConfig(),
-) -> dict:
-    """Compare the path solve with u(x, t) = v(x, W(t)) for nondecreasing W.
-
-    v is the autonomous solution (driver W(tau) = tau) evaluated at tau = W(t).
-    Returns the L1 discrepancy, which is 0 up to scheme resolution.
-    """
-    if flux.n_channels != 1 or path.n_channels != 1:
-        raise ValueError("composition check is single-channel only")
-    if np.any(path.slopes() < 0.0):
-        raise ValueError("path must be nondecreasing")
-    along = solve_path(u0, flux, path, [t], grid, config).states[-1]
-    w_t = float(path.eval(t)[0])
-    if w_t <= _TIME_ATOL:
-        composed = CellState(grid, np.array(u0, dtype=float), t)
-    else:
-        composed = solve_path(u0, flux, identity_path(w_t), [w_t], grid, config).states[-1]
-    return {
-        "t": t,
-        "w_t": w_t,
-        "l1_discrepancy": float(grid.dx * np.sum(np.abs(along.u - composed.u))),
-        "dx": grid.dx,
-        "state_path": along,
-        "state_composed": composed,
-    }

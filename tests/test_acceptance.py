@@ -35,15 +35,16 @@ from rough_scl.smooth import bump_weight
 from rough_scl.solver import (
     Grid1D,
     SolverConfig,
-    composition_check,
     l1_distance,
     solve_path,
 )
 
+from reference import burgers_riemann_path
+
 N_SWEEP = 20
 SWEEP_GRID = Grid1D(-1.0, 1.0, 400, "periodic")
 SWEEP_XI = XiGrid(-1.3, 1.3, 150)
-TRANSFORMED_FRONT_AT_1 = 0.581976706869246
+TRANSFORMED_FRONT_AT_1 = 1.0 / (math.e - 1.0)  # T / (1 - e^-T) - 1 at T = 1
 
 
 def gate(number: int, name: str, ok: bool, detail: str) -> None:
@@ -119,11 +120,13 @@ def test_criterion_03_irreversibility():
     grid = Grid1D(-1.5, 2.5, 800, "outflow")
     u0 = np.where(grid.centers < 0.0, 1.0, 0.0)
     flux = FluxModel([builtin("burgers")], (-0.5, 1.5))
-    traj = solve_path(u0, flux, tent_path(), [2.0], grid)
-    gap = grid.dx * float(np.abs(traj.states[-1].u - u0).sum())
+    u = solve_path(u0, flux, tent_path(), [2.0], grid).states[-1].u
+    exact = burgers_riemann_path(1.0, 0.0, 0.0, tent_path(), 2.0, grid)  # 1/4 from u0 in L1
+    err = grid.dx * float(np.abs(u - exact).sum())
+    gap = grid.dx * float(np.abs(u - u0).sum())
     tol = max(0.02, 5.0 * grid.dx)
-    ok = abs(gap - 0.25) <= tol
-    gate(3, "irreversibility", ok, f"|u(2)-u0|_L1={gap:.4f}, oracle=0.25, tol={tol:.3f}")
+    ok = err <= tol
+    gate(3, "irreversibility", ok, f"|u(2)-exact|_L1={err:.4f}, tol={tol:.3f}; |u(2)-u0|_L1={gap:.4f}, exact 0.25")
 
 
 def test_criterion_04_monotone_composition():
@@ -132,14 +135,14 @@ def test_criterion_04_monotone_composition():
     knots = np.linspace(0.0, 1.0, 65)
     path = PiecewiseLinearPath(knots, (knots**2)[:, None])
     flux = FluxModel([builtin("burgers")], (-0.5, 1.5))
-    rep = composition_check(flux, u0, path, 1.0, grid)
-    u = rep["state_path"].u
+    u = solve_path(u0, flux, path, [1.0], grid).states[-1].u
+    err = grid.dx * float(np.abs(u - burgers_riemann_path(1.0, 0.0, -0.5, path, 1.0, grid)).sum())
     jump_x = grid.centers[int(np.flatnonzero(np.abs(np.diff(u)) > 0.4)[0])]
     shock_err = abs(jump_x - 0.0)  # started at -0.5, moved by W(1)/2 = 0.5
-    ok = shock_err <= 2.0 * grid.dx and rep["l1_discrepancy"] <= 5.0 * grid.dx
+    ok = shock_err <= 2.0 * grid.dx and err <= 5.0 * grid.dx
     gate(4, "monotone-composition", ok,
          f"shock at {jump_x:+.4f} (target 0, tol {2*grid.dx:.4f}), "
-         f"L1 vs composed={rep['l1_discrepancy']:.2e}")
+         f"L1 vs exact={err:.2e} (tol {5*grid.dx:.4f})")
 
 
 def test_criterion_05_kinetic_bounds(sweep):
@@ -296,7 +299,7 @@ def test_criterion_11_semilinear():
     )
     gate(11, "semilinear", ok,
          f"speed={speed:.9f} (oracle {speed_oracle:.9f}), "
-         f"x_transform={x_transform:.7f} (oracle {TRANSFORMED_FRONT_AT_1}), "
+         f"x_transform={x_transform:.7f} (oracle 1/(e-1) = {TRANSFORMED_FRONT_AT_1:.7f}), "
          f"x_direct={x_direct:.4f} (target 0.5 +- {2*dx:.4f}), gap={gap:+.4f}")
 
 

@@ -29,6 +29,7 @@ from rough_scl.fluxes import SegmentFlux, builtin
 from rough_scl.harness import (
     DEFAULT_SUITE,
     EXPERIMENTS,
+    _logistic_front,
     _logistic_speed,
     execute,
     output_root,
@@ -800,6 +801,43 @@ class TestSemilinearDemo:
             exact = 0.5 * weights @ (w * math.exp(t) / (1.0 + w * math.expm1(t)))
             assert _logistic_speed(t) == pytest.approx(exact, rel=0.0, abs=1e-10)
         assert abs(_logistic_speed(1e-7) - (0.5 + 1e-7 / 12.0)) > 1e-9  # the T/12 series is wrong
+
+    def test_logistic_front_closed_form(self):
+        """x(T) = T / (1 - e^-T) - 1 is the quadrature's transformed front to roundoff, 1/(e - 1) at
+        T = 1, and finite and positive at every horizon the demo accepts, the smallest float included."""
+        assert abs(_logistic_front(1.0) - 1.0 / (math.e - 1.0)) <= 1e-15
+        for t in (1e-7, 1e-3, 0.5, 1.0, 2.5):
+            flow = semilinear.FlowMap(semilinear.logistic_source(), identity_path(t))
+            quadrature = semilinear.transformed_shock_position(builtin("burgers"), flow, t)
+            assert abs(_logistic_front(t) - quadrature) <= 1e-14
+        for t in (5e-324, 1e-323, sys.float_info.min, 1e-300, 1e-20, math.nextafter(1e-6, 0.0), 1e-6, 0.5, 2.99, 3.0):
+            assert 0.0 < _logistic_front(t) < math.inf, t
+
+    @pytest.mark.parametrize("source, horizon", [("logistic", 0.3), ("logistic", 1.0), ("logistic", 2.5),
+                                                 ("linear:0.5", 1.0), ("linear:-2", 1.0), ("zero", 1.0)])
+    def test_every_source_meets_its_exact_fronts(self, tmp_path, source, horizon):
+        """Each source reports its exact speed and transformed front and passes the three front clauses,
+        the transformed ones to roundoff."""
+        cfg = load_config(None, {"experiment": "semilinear-demo", "source": source, "horizon": horizon})
+        _, report = execute("semilinear-demo", cfg, tmp_path)
+        assert report["pass"] and report["failed_clauses"] == []
+        assert abs(report["x_transform"] - report["front_oracle"]) <= 1e-14
+        assert abs(report["speed_at_horizon"] - report["speed_oracle"]) <= 1e-14
+
+    @pytest.mark.parametrize("source", ["logistic", "linear:-1"])
+    def test_shifted_transformed_front_fails(self, tmp_path, monkeypatch, capsys, source):
+        """The transformed-front clause is live for every source: moving the front by 1e-5 fails it alone."""
+        report = harness.mismatch_report
+
+        def shifted(*args, **kwargs):
+            rows = report(*args, **kwargs)
+            return [dict(r, x_transform=r["x_transform"] + 1e-5, gap=r["gap"] + 1e-5) for r in rows]
+        monkeypatch.setattr(harness, "mismatch_report", shifted)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"source = {source}\n")
+        assert main(["semilinear-demo", "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 1
+        failed = [ln.strip() for ln in capsys.readouterr().out.splitlines() if "failed:" in ln]
+        assert len(failed) == 1 and failed[0].startswith("failed: transformed front"), failed
 
 
 class TestManifests:

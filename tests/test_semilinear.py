@@ -30,7 +30,7 @@ from reference import assert_bitwise, earlier_linear_flow, earlier_logistic_flow
 
 # Logistic flow Psi(v; t) = v e^t / (1 - v + v e^t); closed-form anchors.
 LOGISTIC_SPEED_AT_1 = math.e * (math.e - 2.0) / (math.e - 1.0) ** 2
-TRANSFORMED_FRONT_AT_1 = 0.581976706869246  # int_0^1 speed(tau) dtau
+TRANSFORMED_FRONT_AT_1 = 1.0 / (math.e - 1.0)  # int_0^1 speed(tau) dtau = T / (1 - e^-T) - 1 at T = 1
 
 
 def logistic_g(s):

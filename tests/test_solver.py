@@ -19,7 +19,6 @@ from rough_scl.solver import (
     Grid1D,
     SolverConfig,
     burgers_riemann_exact,
-    composition_check,
     l1_distance,
     solve_path,
     solve_segment,
@@ -511,44 +510,67 @@ class TestBrownianInvariants:
 
 
 class TestCompositionWithTime:
+    """u(x, t) = v(x, W(t)) for W nondecreasing: along W(t) = t^2 the Burgers step 1 | 0 at -0.5
+    has its shock at -0.5 + W(1) (u_l + u_r) / 2 = 0 at t = 1."""
+
+    KNOTS = np.linspace(0.0, 1.0, 65)
+    CLOCK = PiecewiseLinearPath(KNOTS, (KNOTS**2)[:, None])
+
+    @staticmethod
+    def step_at(grid, x_jump):
+        return np.where(grid.centers < x_jump, 1.0, 0.0)
+
     def test_quadratic_clock_matches_composed_solution(self):
-        """u(x, t) = v(x, W(t)) for W nondecreasing: the path solve along
-        W(t) = t^2 agrees with the autonomous solution at tau = W(t)."""
+        """The path solve is within 5 dx in L1 of the exact cell averages of v(., W(1))."""
         grid = Grid1D(-1.0, 1.0, 400, "outflow")
-        u0 = np.where(grid.centers < -0.5, 1.0, 0.0)
-        knots = np.linspace(0.0, 1.0, 65)
-        path = PiecewiseLinearPath(knots, (knots**2)[:, None])
-        rep = composition_check(burgers(), u0, path, 1.0, grid)
-        assert rep["w_t"] == pytest.approx(1.0)
-        assert rep["l1_discrepancy"] <= 5.0 * grid.dx
-        # shock started at -0.5 and moved by w_t * (u_l + u_r) / 2 = 0.5
-        u = rep["state_path"].u
+        u = solve_path(self.step_at(grid, -0.5), burgers(), self.CLOCK, [1.0], grid).states[-1].u
+        exact = burgers_riemann_path(1.0, 0.0, -0.5, self.CLOCK, 1.0, grid)
+        assert grid.dx * np.abs(u - exact).sum() <= 5.0 * grid.dx
         jump = grid.centers[np.flatnonzero(np.abs(np.diff(u)) > 0.4)[0]]
         assert jump == pytest.approx(0.0, abs=2.5 * grid.dx)
 
-    def test_rejects_nonmonotone_clock(self):
-        grid = Grid1D(-1.0, 1.0, 32, "periodic")
-        with pytest.raises(ValueError):
-            composition_check(burgers(), np.zeros(32), tent_path(), 1.5, grid)
+    def test_discrete_time_change(self):
+        """The scheme's own time change: the solve along W(t) = t^2 to t = 1 and the solve along
+        W(tau) = tau to tau = W(1) = 1 agree within 5 dx in L1."""
+        grid = Grid1D(-1.0, 1.0, 400, "outflow")
+        u0 = self.step_at(grid, -0.5)
+        along, composed = (solve_path(u0, burgers(), path, [1.0], grid).states[-1]
+                           for path in (self.CLOCK, identity_path(1.0)))
+        assert l1_distance(along, composed) <= 5.0 * grid.dx
 
     def test_degenerate_clock_returns_datum(self):
         grid = Grid1D(-1.0, 1.0, 32, "outflow")
-        u0 = np.where(grid.centers < 0.0, 1.0, 0.0)
+        u0 = self.step_at(grid, 0.0)
         path = PiecewiseLinearPath(np.array([0.0, 1.0]), np.array([[0.0], [0.0]]))
-        rep = composition_check(burgers(), u0, path, 1.0, grid)
-        assert rep["l1_discrepancy"] == pytest.approx(0.0, abs=1e-14)
+        assert np.array_equal(solve_path(u0, burgers(), path, [1.0], grid).states[-1].u, u0)
+        assert np.max(np.abs(burgers_riemann_path(1.0, 0.0, 0.0, path, 1.0, grid) - u0)) <= 1e-15
+
+    def test_exact_check_fails_where_the_second_solve_agrees(self, monkeypatch):
+        """Criterion 4's config with every interface flux 1.05 times Engquist-Osher's: the shock runs
+        5% fast in both solves, so they still agree (2.0e-7 apart, against 5 dx = 0.0125), while the
+        exact cell averages are 0.025 away."""
+        grid = Grid1D(-1.0, 1.0, 800, "outflow")
+        u0 = self.step_at(grid, -0.5)
+        eo = SegmentFlux.interface_flux
+        monkeypatch.setattr(SegmentFlux, "interface_flux", lambda self, v, scheme: 1.05 * eo(self, v, scheme))
+        along, composed = (solve_path(u0, burgers((-0.5, 1.5)), path, [1.0], grid).states[-1]
+                           for path in (self.CLOCK, identity_path(1.0)))
+        exact = burgers_riemann_path(1.0, 0.0, -0.5, self.CLOCK, 1.0, grid)
+        assert l1_distance(along, composed) <= 5.0 * grid.dx
+        assert grid.dx * np.abs(along.u - exact).sum() > 5.0 * grid.dx
 
 
 class TestQuarterTurnaroundOracle:
     def test_tent_driver_limit_distance(self):
-        """Burgers along the tent driver: up-leg forms a shock from step data
-        (1, 0); the down-leg fan does not restore it. The L1 gap from the
-        initial state converges to 1/4 as the mesh refines."""
+        """Burgers along the tent driver: the up-leg moves the 1 | 0 shock to 1/2, and the down-leg
+        opens it into a fan on [-1/2, 1/2] that does not restore the datum. The scheme converges
+        to those exact cell averages, which lie 1/4 in L1 from the initial state."""
         grid = Grid1D(-1.5, 2.5, 800, "outflow")
         u0 = np.where(grid.centers < 0.0, 1.0, 0.0)
         traj = solve_path(u0, burgers((-0.5, 1.5)), tent_path(), [2.0], grid)
-        gap = grid.dx * np.abs(traj.states[-1].u - u0).sum()
-        assert gap == pytest.approx(0.25, abs=max(0.02, 5.0 * grid.dx))
+        exact = burgers_riemann_path(1.0, 0.0, 0.0, tent_path(), 2.0, grid)
+        assert grid.dx * np.abs(exact - u0).sum() == pytest.approx(0.25, abs=1e-12)
+        assert grid.dx * np.abs(traj.states[-1].u - exact).sum() <= max(0.02, 5.0 * grid.dx)
 
 
 class TestBurgersRiemannAlongAPath:
