@@ -27,6 +27,7 @@ from .solver import (
     SolverConfig,
     Trajectory,
     burgers_riemann_exact,
+    burgers_riemann_path,
     l1_distance,
     solve_path,
     solve_segment,

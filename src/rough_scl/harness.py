@@ -11,7 +11,7 @@ the envelope the data must lie in, and each report records the `certified_range`
 `solve`, `contraction`, `path-stability` and `refine` solve along the driver's irreducible legs where
 the flux lets them (`_legs`: one channel, no `Channel.inflections` on the certified range), and report
 the segments of each path solved beside the given one; dissipative-check merges its windows' times by
-`distinct_times`.
+`distinct_times`.  `path-stability`, `refine` and `kinetic-check` report the closed form's numbers (`_exact`).
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .paths import (
 )
 from .semilinear import MISMATCH_DOMAIN, mismatch_report
 from .smooth import bump_weight
-from .solver import Grid1D, check_step_cap, distinct_times, l1_distance, solve_path
+from .solver import Grid1D, burgers_riemann_path, check_step_cap, distinct_times, l1_distance, solve_path
 
 ENV_OUT = "ROUGH_SCL_OUT"
 CONTRACTION_TOL = 1e-10
@@ -81,6 +81,27 @@ def _legs(exp, flux: FluxModel, path: PiecewiseLinearPath) -> PiecewiseLinearPat
     has no real root (`Channel.inflections`) on its certified range; else `path`."""
     channel, *more = flux.channels
     return path if more or channel.inflections(*flux.u_range).size else reduced_path(path, exp.outputs)
+
+
+def _exact(exp, measure) -> dict:
+    """`measure(u_l, u_r, x_jump)`, a report's numbers for `burgers_riemann_path`, ungated, where it covers the run
+    (one Burgers channel, a riemann: datum); else, or where it raises or gives a non-finite number, why not."""
+    (channel, *more), (name, args) = exp.flux.channels, spec_args(exp.cfg["datum"])  # checked by `exp.datum`
+    if more or channel.coeffs.tolist() != [0.0, 0.0, 0.5] or name != "riemann":
+        return {"unavailable": f"flux = {exp.cfg['flux']}, datum = {exp.cfg['datum']}: the closed form is for "
+                               "one Burgers channel and a riemann: datum"}
+    try:
+        with np.errstate(all="ignore"):
+            numbers = measure(*([float(a) for a in args] + [0.0])[:3])
+    except ValueError as exc:
+        return {"unavailable": str(exc)}
+    key = _non_finite_key(numbers)
+    return numbers if key is None else {"unavailable": f"{key} is not a finite number"}
+
+
+def _worst_l1(grid: Grid1D, a, b) -> float:
+    """The largest L1 distance between matching rows of a and b, one row per output time."""
+    return float(np.max(grid.dx * np.sum(np.abs(np.asarray(a) - b), axis=-1)))
 
 
 # -- individual experiments --------------------------------------------------
@@ -175,12 +196,9 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
     flux = _certified(exp, u0, u0_fine)
     given = [path, *(_perturbed(path, eps) for eps in eps_list)]
     solved = [_legs(exp, flux, p) for p in given]  # the fine solve takes the base's legs
-    base = solve_path(u0, flux, solved[0], exp.outputs, exp.grid, exp.solver)
-    errors = []
-    for pert_path in solved[1:]:
-        pert = solve_path(u0, flux, pert_path, exp.outputs, exp.grid, exp.solver)
-        errors.append(max(l1_distance(a, b) for a, b in zip(base.states, pert.states)))
-    errors = np.asarray(errors)
+    base, *perturbed = ([s.u for s in solve_path(u0, flux, p, exp.outputs, exp.grid, exp.solver).states]
+                        for p in solved)
+    errors = np.array([_worst_l1(exp.grid, base, pert) for pert in perturbed])
     if not np.all(errors):  # also where a perturbation cancels in the driver's legs
         raise ValueError(f"datum = {cfg['datum']}: the solution perturbed by eps = {eps_list[np.argmin(errors)]:g} "
                          "equals the base one, so there is no error to fit a slope to (the datum does not "
@@ -190,12 +208,13 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
 
     # Richardson check: the spatial error must sit well below the smallest E.
     fine = solve_path(u0_fine, flux, solved[0], exp.outputs, fine_grid, exp.solver)
-    dx_error = max(
-        exp.grid.dx * float(np.sum(np.abs(_coarsen(f.u) - c.u)))
-        for f, c in zip(fine.states, base.states)
-    )
+    dx_error = _worst_l1(exp.grid, [_coarsen(f.u) for f in fine.states], base)
     richardson_ok = bool(dx_error <= errors[-1] / 10.0)
     write_table(run_dir, "stability.csv", "eps,error", [eps_list, errors])
+
+    def exact(*riemann):  # the closed form's perturbation errors
+        base_rows, *rows = (burgers_riemann_path(*riemann, p, exp.outputs, exp.grid) for p in given)
+        return {"errors": [_worst_l1(exp.grid, base_rows, r) for r in rows]}
     report = {
         "eps": list(eps_list),
         "errors": errors.tolist(),
@@ -205,6 +224,7 @@ def run_path_stability(cfg: dict, run_dir: Path) -> dict:
         "dx_error": dx_error,
         "richardson_ok": richardson_ok,
         "segments": [[p.n_segments, q.n_segments] for p, q in zip(given, solved)],
+        "exact": _exact(exp, exact),
         **_certificate(flux),
     }
     return _verdict(report, [
@@ -231,11 +251,8 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
     u0 = exp.datum()
     flux = _certified(exp, u0)
     solved = [_legs(exp, flux, p) for p in level_paths]
-    trajs = [solve_path(u0, flux, p, exp.outputs, exp.grid, exp.solver) for p in solved]
-    d = np.array([
-        max(l1_distance(a, b) for a, b in zip(t0.states, t1.states))
-        for t0, t1 in zip(trajs[:-1], trajs[1:])
-    ])
+    states = [[s.u for s in solve_path(u0, flux, p, exp.outputs, exp.grid, exp.solver).states] for p in solved]
+    d = np.array([_worst_l1(exp.grid, a, b) for a, b in zip(states, states[1:])])
     if not np.all(d > 0.0):  # also where a refinement cancels in the driver's legs
         k = lo + int(np.argmin(d > 0.0))
         raise ValueError(f"datum = {cfg['datum']}: the solutions on levels {k} and {k + 1} are equal, so there "
@@ -248,6 +265,11 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
     write_table(run_dir, "refinement.csv", "level,solution_gap,path_gap", [levels, d, path_dist])
     decreasing = bool(np.all(np.diff(d) < 0.0))
     rises = ", ".join(f"{levels[j]}->{levels[j + 1]}" for j in np.flatnonzero(np.diff(d) >= 0.0))
+
+    def exact(*riemann):  # the closed form's gaps, and the scheme's errors, per level
+        rows = [burgers_riemann_path(*riemann, p, exp.outputs, exp.grid) for p in level_paths]
+        return {"gaps": [_worst_l1(exp.grid, a, b) for a, b in zip(rows, rows[1:])],
+                "errors": [_worst_l1(exp.grid, s, r) for s, r in zip(states, rows)]}
     report = {
         "levels": levels.tolist(),
         "gaps": d.tolist(),
@@ -255,6 +277,7 @@ def run_refinement(cfg: dict, run_dir: Path) -> dict:
         "strictly_decreasing": decreasing,
         "final_vs_first": float(d[-1] / d[0]),
         "segments": [[p.n_segments, q.n_segments] for p, q in zip(level_paths, solved)],
+        "exact": _exact(exp, exact),
         **_certificate(flux),
     }
     return _verdict(report, [
@@ -274,14 +297,23 @@ def run_kinetic_check(cfg: dict, run_dir: Path) -> dict:
     xi = XiGrid(float(cfg["xi_lo"]), float(cfg["xi_hi"]), n_xi)
     check_xi_covers(xi, float(np.max(np.abs(u0))))
     flux = _certified(exp, u0)
-    traj = solve_path(u0, flux, exp.path(), exp.outputs, exp.grid, solver)
+    path = exp.path()
+    traj = solve_path(u0, flux, path, exp.outputs, exp.grid, solver)
     defects = accumulate_defects(traj, flux, xi)
     kf = check_kf_bounds(defects, traj.states[0])
     unpr = check_unpr1(traj, defects)
     xi_mass = np.sum([d.xi_line_mass() for d in defects], axis=0)
     write_table(run_dir, "xi_mass.csv", "xi,mass", [xi.centers, xi_mass])
     write_table(run_dir, "l1_identity.csv", "t,residual", [[d.t0 for d in defects], unpr["residuals"]])
-    report = dict(kf, unpr1_max_relative=unpr["max_relative"], **_certificate(flux))
+
+    def exact(u_l, u_r, x_jump):  # a shock dissipates (xi - u_r)(u_l - xi) / 2 per level xi and unit of driver
+        burgers_riemann_path(u_l, u_r, x_jump, path, exp.horizon, exp.grid)  # raises where the waves meet
+        hi, lo = (f(path.values[:, 0] - path.values[0, 0], initial=0.0) for f in (np.max, np.min))
+        driver = hi - lo if exp.grid.bc == "periodic" else (hi if u_l > u_r else -lo)  # both jumps, or the one
+        profile = driver * np.maximum((xi.centers - u_r) * (u_l - xi.centers), 0.0) / 2.0
+        return {"total_mass": float(driver * np.abs(u_l - u_r) ** 3 / 12.0),
+                "xi_mass_l1": float(xi.d_xi * np.sum(np.abs(xi_mass - profile)))}
+    report = dict(kf, unpr1_max_relative=unpr["max_relative"], exact=_exact(exp, exact), **_certificate(flux))
     return _verdict(report, [
         (kf["total_ok"], f"total m {kf['total_mass']:.3g} > {kf['bound_total']:.3g} + {kf['tol_total']:.3g}"),
         (kf["xi_ok"], f"max per-xi m {kf['xi_mass_max']:.3g} > {kf['bound_xi']:.3g} + {kf['tol_xi']:.3g}"),

@@ -6,7 +6,8 @@ default, or the exact Godunov flux) in steps that end at `step_ends`, the CFL li
 speed bound (one step of the whole span where that bound is 0; the semilinear splitting march steps
 by the same rule), and segments are chained at the knots.  Each step pads the state with one ghost
 cell per side (`Grid1D.pad`, the one boundary rule of the package) and takes all interface fluxes
-from `SegmentFlux.interface_flux`.
+from `SegmentFlux.interface_flux`.  The exact solution of Burgers Riemann data along a one-channel
+driver, `burgers_riemann_path`, and its W(s) = s readout `burgers_riemann_exact` share one fan rule.
 """
 from __future__ import annotations
 
@@ -287,16 +288,79 @@ def solve_path(
     return Trajectory(grid, outputs, states, slabs)
 
 
-def burgers_riemann_exact(u_l: float, u_r: float, x, t: float) -> np.ndarray:
-    """Entropy solution of Burgers u_t + (u^2/2)_x = 0 with step data at x=0.
+def _riemann_fan(left, right, x0, hi, lo, w):
+    """(p, d) of the Burgers wave from left | right at x0 at driver state (M, m, w) = (hi, lo, w), w = W - W(0),
+    M = max(0, sup w), m = min(0, inf w) so far: left below p + d left, (x - p) / d between, right above
+    p + d right.  A shock (left > right) moves at sigma = (left + right) / 2 per unit of driver while w sets
+    a new maximum, and a backward leg opens it into a fan, p = x0 + sigma M, d = -(M - w), that a forward
+    leg closes; a rarefaction is the mirror image, with the running minimum: p = x0 + sigma m, d = w - m."""
+    sigma = 0.5 * (left + right)
+    if left > right:
+        return x0 + sigma * hi, -(hi - w)
+    return x0 + sigma * lo, w - lo
 
-    Shock at speed (u_l+u_r)/2 for u_l > u_r, rarefaction fan clamp(x/t, u_l, u_r)
-    otherwise; requires t > 0.
-    """
+
+def _ramp_averages(left, right, x0, state, edges):
+    """The cell averages of `_riemann_fan`'s profile, one row per driver state."""
+    p, d = _riemann_fan(left, right, x0, *state)
+    a, b = (p + d * left)[:, None], (p + d * right)[:, None]
+    tail = np.maximum(edges - b, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # b = a: a shock, whose ramp is not read
+        ramp = (np.clip(edges, a, b) - a) ** 2 / (2.0 * (b - a))
+    integral = (right - left) * np.where(b > a, ramp + tail, tail)
+    return left + (integral[:, 1:] - integral[:, :-1]) / (edges[1:] - edges[:-1])
+
+
+def burgers_riemann_path(u_l: float, u_r: float, x_jump: float, path: PiecewiseLinearPath, t, grid: Grid1D):
+    """Exact cell averages of Burgers u_t + (u^2/2)_x dW = 0, W the one-channel `path`, from u_l left of x_jump
+    and u_r right of it, on an outflow or a periodic grid (whose ends make a second, mirrored wave): one row
+    for a scalar t, one per time for a 1-D array.  The wave edges are linear in (M, m, w), which is linear in
+    time between the knots and where w passes M or m; while the waves are apart at those states they neither
+    meet nor reach an outflow boundary (periodic riemann:1,0 on (-1, 1): M - m < 2).  ValueError naming
+    the driver's range by the first time t where they do is raised otherwise."""
+    times = np.asarray(t, dtype=float)
+    w_t = path.eval(times.ravel())[:, 0] - path.values[0, 0]
+    if u_l == u_r:
+        return np.full(times.shape + (grid.n_cells,), float(u_l))
+    w = path.values[:, 0] - path.values[0, 0]
+    hi, lo = np.maximum.accumulate(np.maximum(w, 0.0)), np.minimum.accumulate(np.minimum(w, 0.0))
+
+    def apart(state):
+        p, d = _riemann_fan(u_l, u_r, x_jump, *state)
+        a, b = p + d * u_l, p + d * u_r
+        if grid.bc == "outflow":
+            return (grid.x_lo < a) & (b < grid.x_hi)
+        p2, d2 = _riemann_fan(u_r, u_l, grid.x_lo, *state)
+        return (p2 + d2 * u_l < a) & (b < p2 + d2 * u_r + grid.length)
+
+    def apart_passing(k, w_end):  # where w passes hi[k] or lo[k] between w[k] and w_end, if it does
+        edge = np.where(w_end > w[k], hi[k], lo[k])
+        inside = (np.minimum(w[k], w_end) < edge) & (edge < np.maximum(w[k], w_end))
+        return ~inside | apart((hi[k], lo[k], edge))
+
+    ok = np.logical_and.accumulate(apart((hi, lo, w)) & np.append(True, apart_passing(np.arange(w.size - 1), w[1:])))
+    k = np.maximum(np.searchsorted(path.knots, times.ravel()), 1) - 1  # the last knot before t, 0 at t = 0
+    now = np.maximum(hi[k], np.maximum(w_t, 0.0)), np.minimum(lo[k], np.minimum(w_t, 0.0)), w_t
+    ok_t = ok[k] & apart_passing(k, w_t) & apart(now)  # ok[k]: apart at every state up to knot k
+    if not ok_t.all():
+        i = int(np.argmin(ok_t))
+        raise ValueError(f"driver range [m, M] = [{now[1][i]:.6g}, {now[0][i]:.6g}] by t = {times.ravel()[i]}: "
+                         f"the waves meet or reach a boundary of the {grid.bc} grid [{grid.x_lo}, {grid.x_hi}]")
+    edges = grid.x_lo + np.arange(grid.n_cells + 1) * grid.dx
+    u = _ramp_averages(u_l, u_r, x_jump, now, edges)
+    if grid.bc == "periodic":  # the second wave at each end of the domain, u_l and u_r away from it
+        for x0, away in ((grid.x_lo, u_l), (grid.x_hi, u_r)):
+            u += _ramp_averages(u_r, u_l, x0, now, edges) - away
+    return u.reshape(times.shape + (grid.n_cells,))
+
+
+def burgers_riemann_exact(u_l: float, u_r: float, x, t: float) -> np.ndarray:
+    """Entropy solution of Burgers u_t + (u^2/2)_x = 0 with step data at x = 0, t > 0: `_riemann_fan`
+    along W(s) = s, where M = w = t and m = 0, read at the points x."""
     if t <= 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
-    if u_l > u_r:
-        s = 0.5 * (u_l + u_r)
-        return np.where(x < s * t, u_l, u_r)
-    return np.clip(x / t, u_l, u_r)
+    p, d = _riemann_fan(u_l, u_r, 0.0, t, 0.0, t)
+    if u_l > u_r:  # d = 0: the shock, at sigma t
+        return np.where(x < p, u_l, u_r)
+    return np.clip((x - p) / d, u_l, u_r)

@@ -3,12 +3,12 @@
 Bit for bit where the form is an earlier operation order the kernel must keep
 (`NumpyReference`, `earlier_pad`, `earlier_step`, `earlier_step_ends`,
 `_cursor_march`, `dense_reporting_defect`, the masked bump,
-`full_rectangle_evaluate`, `per_snapshot_k`, `earlier_logistic_flow`), or to
-roundoff where it is the maths written plainly (`defect_from_slab` per step,
-rho and the transport shift, the unfused `strang_semilinear_solve`,
-`earlier_linear_flow`).  `burgers_riemann_path` is a closed-form solution:
-exact cell averages of Burgers Riemann data along a one-channel piecewise
-linear driver.
+`full_rectangle_evaluate`, `per_snapshot_k`, `earlier_logistic_flow`,
+`earlier_burgers_riemann_exact`), or to roundoff where it is the maths written
+plainly (`defect_from_slab` per step, rho and the transport shift, the unfused
+`strang_semilinear_solve`, `earlier_linear_flow`).  The closed-form Burgers
+Riemann solution the scheme is measured against is the package's own,
+`rough_scl.solver.burgers_riemann_path`.
 """
 import math
 
@@ -439,73 +439,18 @@ def per_snapshot_k(traj, sol):
     return k_vals
 
 
-# -- Burgers Riemann data along a driver -------------------------------------------
+# -- Burgers Riemann data with W(t) = t ---------------------------------------------
 
-def _driver_states(path, t):
-    """(M, m, w) at t, then at each knot before t and where w passes the running max M or min m
-    inside a segment: w = W - W(0), M = max(0, sup w), m = min(0, inf w) up to then.  Each
-    wave's edges are linear in (M, m, w), and (M, m, w) is linear in time between these."""
-    w = np.append(path.values[path.knots < t, 0], path.eval(t)[0]) - path.values[0, 0]
-    hi, lo = np.maximum.accumulate(np.maximum(w, 0.0)), np.minimum.accumulate(np.minimum(w, 0.0))
-    states = [(hi[-1], lo[-1], w[-1]), *zip(hi, lo, w)]
-    for j in range(1, w.size):
-        states += [(hi[j - 1], lo[j - 1], edge) for edge in (hi[j - 1], lo[j - 1])
-                   if min(w[j - 1], w[j]) < edge < max(w[j - 1], w[j])]
-    return states
-
-
-def _riemann_fan(left, right, x0, state):
-    """The edges (a, b) of the one wave from left | right at x0, at driver state (M, m, w).
-
-    A shock (left > right) moves at sigma = (left + right) / 2 per unit of driver while w
-    sets a new maximum, and a backward leg opens it into a fan centred at p = x0 + sigma M
-    of width tau = M - w (the flux -A is concave); a forward leg closes the fan again.  A
-    rarefaction (left < right) is the mirror image, with the running minimum.  Between
-    a and b the state runs linearly from left to right."""
-    hi, lo, w = state
-    sigma = 0.5 * (left + right)
-    if left > right:
-        p, tau = x0 + sigma * hi, hi - w
-        return p - tau * left, p - tau * right
-    p, tau = x0 + sigma * lo, w - lo
-    return p + tau * left, p + tau * right
-
-
-def _ramp_averages(left, right, a, b, edges):
-    """Cell averages of the profile: left below a, linear from left to right on [a, b], right above b."""
-    z = np.clip(edges, a, b)
-    tail = np.maximum(edges - b, 0.0)
-    integral = (right - left) * ((z - a) ** 2 / (2.0 * (b - a)) + tail if b > a else tail)
-    return left + np.diff(integral) / np.diff(edges)
-
-
-def burgers_riemann_path(u_l, u_r, x_jump, path, t, grid):
-    """Exact cell averages at t of Burgers u_t + (u^2/2)_x dW = 0, W the one-channel `path`,
-    from u_l left of x_jump and u_r right of it, on an outflow or a periodic grid.
-
-    On a periodic grid the second jump, u_r | u_l at the domain's ends, makes a second wave,
-    mirrored.  The waves evolve apart while they neither meet nor reach an outflow boundary
-    (periodic riemann:1,0 on (-1, 1): while M - m < 2); ValueError naming the driver's range
-    is raised otherwise."""
-    edges = grid.x_lo + np.arange(grid.n_cells + 1) * grid.dx
-    if u_l == u_r:
-        return np.full(grid.n_cells, float(u_l))
-    now, *history = _driver_states(path, t)
-    for state in history:
-        a, b = _riemann_fan(u_l, u_r, x_jump, state)
-        if grid.bc == "periodic":
-            a2, b2 = _riemann_fan(u_r, u_l, grid.x_lo, state)
-            apart = b2 < a and b < a2 + grid.length
-        else:
-            apart = grid.x_lo < a and b < grid.x_hi
-        if not apart:
-            raise ValueError(f"driver range [m, M] = [{state[1]:.6g}, {state[0]:.6g}] by t = {t}: the waves "
-                             f"meet or reach a boundary of the {grid.bc} grid [{grid.x_lo}, {grid.x_hi}]")
-    u = _ramp_averages(u_l, u_r, *_riemann_fan(u_l, u_r, x_jump, now), edges)
-    if grid.bc == "periodic":  # the second wave at each end of the domain, u_l and u_r away from it
-        for x0, away in ((grid.x_lo, u_l), (grid.x_hi, u_r)):
-            u += _ramp_averages(u_r, u_l, *_riemann_fan(u_r, u_l, x0, now), edges) - away
-    return u
+def earlier_burgers_riemann_exact(u_l, u_r, x, t):
+    """`burgers_riemann_exact` in its two-branch form, before it read the one fan rule: a shock at
+    speed (u_l + u_r) / 2 for u_l > u_r, the fan clip(x / t, u_l, u_r) otherwise; requires t > 0."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    x = np.asarray(x, dtype=float)
+    if u_l > u_r:
+        s = 0.5 * (u_l + u_r)
+        return np.where(x < s * t, u_l, u_r)
+    return np.clip(x / t, u_l, u_r)
 
 
 # -- semilinear -------------------------------------------------------------------

@@ -35,11 +35,11 @@ from rough_scl.smooth import bump_weight
 from rough_scl.solver import (
     Grid1D,
     SolverConfig,
+    burgers_riemann_path,
     l1_distance,
     solve_path,
 )
 
-from reference import burgers_riemann_path
 
 N_SWEEP = 20
 SWEEP_GRID = Grid1D(-1.0, 1.0, 400, "periodic")

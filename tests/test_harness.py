@@ -591,6 +591,77 @@ class TestCertifiedRange:
                 assert texts[0] == texts[1], file_name
 
 
+class TestExactReports:
+    """`path-stability`, `refine` and `kinetic-check` report the closed form `burgers_riemann_path` in one
+    `exact` dict, without a gate, at the CLI's defaults (Burgers riemann:1,0 on periodic (-1, 1))."""
+
+    RUNS = {"refine": run_refinement, "path-stability": run_path_stability, "kinetic-check": run_kinetic_check}
+
+    def run(self, name, tmp_path, **over):
+        return self.RUNS[name](load_config(None, {"experiment": name, **over}), tmp_path)
+
+    @pytest.mark.parametrize("seed, errors", [(0, (0.0584, 0.0652)), (2, (0.0204, 0.0625))])
+    def test_refine(self, tmp_path, seed, errors):
+        """The exact ladder beside the scheme's (seed 0: 0.1660, 0.1122, 0.1312, 0.0507, 0.0204, 0.0187),
+        and the scheme's error per level, which rises as the path refines."""
+        report = self.run("refine", tmp_path, seed=seed)
+        exact = report["exact"]
+        if seed == 0:
+            assert exact["gaps"] == pytest.approx([0.1653, 0.1120, 0.1311, 0.0507, 0.0208, 0.0187], abs=1e-3)
+        assert len(exact["gaps"]) == 6 and len(exact["errors"]) == 7
+        assert (exact["errors"][0], exact["errors"][-1]) == pytest.approx(errors, abs=1e-3)
+        assert max(abs(a - b) for a, b in zip(exact["gaps"], report["gaps"])) <= 0.005
+
+    def test_path_stability(self, tmp_path):
+        """The exact perturbation errors at seed 0; at seed 3 the waves meet along the eps = 0.2 path."""
+        exact = self.run("path-stability", tmp_path, seed=0)["exact"]
+        assert exact["errors"] == pytest.approx([0.1994, 0.0973, 0.0476, 0.0238], abs=1e-3)
+        report = self.run("path-stability", tmp_path, seed=3)
+        assert report["exact"] == {"unavailable": "driver range [m, M] = [-1.32676, 0.862995] by t = 0.9: the "
+                                                  "waves meet or reach a boundary of the periodic grid [-1.0, 1.0]"}
+
+    @pytest.mark.parametrize("seed, scheme, exact", [(0, 0.0883, 0.0832), (1, 0.0542, 0.0469), (2, 0.1075, 0.0999),
+                                                     (3, 0.1695, 0.1657)])
+    def test_kinetic_check(self, tmp_path, seed, scheme, exact):
+        """(M - m) / 12, the dissipation of the two jumps of a periodic grid, beside the scheme's total."""
+        report = self.run("kinetic-check", tmp_path, seed=seed)
+        assert (report["total_mass"], report["exact"]["total_mass"]) == pytest.approx((scheme, exact), abs=1e-3)
+        assert 0.0 < report["exact"]["xi_mass_l1"] <= 0.01
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_kinetic_total_converges_to_the_exact_dissipation(self, tmp_path, seed):
+        """The scheme's total over the exact one, less 1: +10.6%, +6.2%, +3.4% at seed 0 and +13.6%, +7.5%,
+        +4.0% at seed 2, on 200, 400 and 800 cells with 100, 200 and 400 xi cells."""
+        excess = []
+        for n_cells in (200, 400, 800):
+            report = self.run("kinetic-check", tmp_path, seed=seed, n_cells=n_cells, n_xi=n_cells // 2)
+            excess.append(report["total_mass"] / report["exact"]["total_mass"] - 1.0)
+        assert excess[0] <= 0.15 and all(a / b >= 1.6 for a, b in zip(excess, excess[1:])), excess
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("over, why", [
+        ({"flux": "cubic"}, "flux = cubic, datum = riemann:1,0: the closed form is for one Burgers channel and a "
+                            "riemann: datum"),
+        ({"datum": "bump:0,0.4,0.8"}, "flux = burgers, datum = bump:0,0.4,0.8: the closed form is for"),
+        ({"path": "identity", "horizon": 4.0}, "driver range [m, M] = ["),  # refine: brownian paths
+    ], ids=["cubic", "bump", "waves-meet"])
+    def test_unavailable_leaves_the_run_as_it_is(self, tmp_path, monkeypatch, name, over, why):
+        """Where the form does not cover the run, `exact` says why, and the rest of the report is the
+        report of the run without it."""
+        over = {**over, "n_cells": 100, "n_xi": 80, "level_lo": 2, "level_hi": 5}
+        report = self.run(name, tmp_path, **over)
+        assert report.pop("exact")["unavailable"].startswith(why)
+        monkeypatch.setattr(harness, "_exact", lambda exp, measure: None)
+        alone = self.run(name, tmp_path, **over)
+        assert alone.pop("exact") is None and alone == report
+
+    def test_a_number_not_finite_is_unavailable(self):
+        exp = config.build_experiment(load_config(None, {}))
+        assert harness._exact(exp, lambda *riemann: {"total_mass": math.inf}) == {
+            "unavailable": "total_mass is not a finite number"}
+        assert harness._exact(exp, lambda *riemann: {"riemann": list(riemann)}) == {"riemann": [1.0, 0.0, 0.0]}
+
+
 class TestKineticAndDissipative:
     def test_kinetic_check_small(self, tmp_path):
         cfg = tiny(experiment="kinetic-check", n_xi=80)

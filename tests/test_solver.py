@@ -19,13 +19,14 @@ from rough_scl.solver import (
     Grid1D,
     SolverConfig,
     burgers_riemann_exact,
+    burgers_riemann_path,
     l1_distance,
     solve_path,
     solve_segment,
     step,
 )
 
-from reference import (_cursor_march, assert_bitwise, burgers_riemann_path, earlier_pad, earlier_step,
+from reference import (_cursor_march, assert_bitwise, earlier_burgers_riemann_exact, earlier_pad, earlier_step,
                        earlier_step_ends, outcome, same_outcome, segment_flux_cases)
 
 
@@ -133,6 +134,16 @@ class TestRiemannOracles:
         assert np.allclose(fan, [-1.0, 0.4, 0.6, 1.0])
         with pytest.raises(ValueError):
             burgers_riemann_exact(1.0, 0.0, x, 0.0)
+
+    def test_keeps_the_two_branch_bits(self):
+        """Read from the one fan rule along W(s) = s, the point solution keeps the bits of its
+        two-branch form: shocks (one at x = 0), fans, u_l = u_r and signed zeros, over a seeded draw."""
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            u_l, u_r = rng.uniform(-2.0, 2.0, 2)
+            t, x = rng.uniform(0.01, 3.0), np.append(rng.uniform(-4.0, 4.0, 40), [0.0, -0.0])
+            for data in ((u_l, u_r), (u_r, u_l), (u_l, -u_l), (u_l, u_l), (u_l, -0.0), (0.0, u_r)):
+                assert_bitwise(burgers_riemann_exact(*data, x, t), earlier_burgers_riemann_exact(*data, x, t))
 
     def test_solver_tracks_shock(self):
         grid = Grid1D(-1.0, 1.0, 400, "outflow")
@@ -574,7 +585,7 @@ class TestQuarterTurnaroundOracle:
 
 
 class TestBurgersRiemannAlongAPath:
-    """`reference.burgers_riemann_path`: exact cell averages along a driver."""
+    """`solver.burgers_riemann_path`: exact cell averages along a driver."""
 
     OUTFLOW = Grid1D(-1.0, 1.0, 400, "outflow")  # dx = 0.005: every wave edge below is a cell edge
 
@@ -625,6 +636,63 @@ class TestBurgersRiemannAlongAPath:
         with pytest.raises(ValueError, match=f"driver range {re.escape(range_)}"):
             burgers_riemann_path(1.0, 0.0, 0.0, path, path.horizon, grid)
 
+    def test_raises_where_the_waves_met_before_t(self):
+        """0 | 1 along the tent to 1.5 and back: the fan reaches the outflow boundary x = 1 at w = 1, and
+        by t = 2 it has closed back to the step, where the form alone would read the datum again."""
+        grid = Grid1D(-1.0, 1.0, 40, "outflow")
+        with pytest.raises(ValueError, match=re.escape("driver range [m, M] = [0, 1.5] by t = 2.0: the waves")):
+            burgers_riemann_path(0.0, 1.0, 0.0, tent_path(1.0, 1.5, 2.0), 2.0, grid)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("grid, u_l, u_r, x_jump", [
+        (Grid1D(-1.0, 1.0, 200, "periodic"), 1.0, 0.0, 0.0),
+        (Grid1D(-1.0, 1.0, 150, "periodic"), -0.5, 0.75, 0.3),
+        (Grid1D(-3.0, 3.0, 300, "outflow"), 1.0, -0.5, 0.25),
+        (Grid1D(-3.0, 3.0, 300, "outflow"), -0.25, 0.5, -0.5),
+    ])
+    def test_times_give_the_scalar_rows(self, seed, grid, u_l, u_r, x_jump):
+        """A 1-D array of times, knots and t = 0 among them, gives each scalar call's row bit for bit."""
+        path = brownian_sample(seed, 1.0, 16)
+        path = PiecewiseLinearPath(path.knots, 0.5 * path.values)  # the waves stay apart at seeds 0-2
+        times = np.array([0.0, 0.1, 0.125, 0.3, 0.5, 0.61, 0.875, 0.97, 1.0])
+        rows = burgers_riemann_path(u_l, u_r, x_jump, path, times, grid)
+        assert rows.shape == (times.size, grid.n_cells)
+        for t, row in zip(times, rows):
+            assert_bitwise(row, burgers_riemann_path(u_l, u_r, x_jump, path, t, grid))
+        assert_bitwise(burgers_riemann_path(0.5, 0.5, x_jump, path, times, grid), np.full(rows.shape, 0.5))
+
+    def test_times_raise_the_first_failing_times_message(self):
+        """The `periodic-range-2.1` path: the waves are apart up to w = 0.8, t = 0.976, and meet after;
+        a batched call raises the scalar call's message at its first failing time."""
+        grid = Grid1D(-1.0, 1.0, 40, "periodic")
+        path = PiecewiseLinearPath([0.0, 0.5, 1.0], [0.0, -1.2, 0.9])
+        every = (0.5, 0.75, 0.98, 1.0)
+        scalar = {t: outcome(burgers_riemann_path, 1.0, 0.0, 0.0, path, t, grid) for t in every}
+        assert [isinstance(scalar[t], tuple) for t in every] == [False, False, True, True]
+        assert scalar[0.98] != scalar[1.0]  # the range by t = 0.98 is [-1.2, 0.8...]
+        for times in (every, (0.75, 0.98, 1.0), (0.5, 1.0, 0.98)):
+            first = scalar[next(t for t in times if t >= 0.98)]
+            assert outcome(burgers_riemann_path, 1.0, 0.0, 0.0, path, np.array(times), grid) == first
+
+
+class TestSchemeConvergesAlongABrownianDriver:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_first_order_at_three_resolutions(self, seed):
+        """Burgers riemann:1,0 on periodic (-1, 1) along brownian:64: the largest L1 error over 10
+        outputs against the closed form reads 0.058-0.074, 0.032-0.040 and 0.018-0.022 at 200, 400
+        and 800 cells (seeds 0-4), falling 1.74-1.93 times per doubling.  At seed 5 the waves meet
+        by t = 0.8, and the closed form raises."""
+        path = brownian_sample(seed, 1.0, 64)
+        outputs = np.linspace(0.0, 1.0, 11)[1:]
+        errors = []
+        for n_cells in (200, 400, 800):
+            grid = Grid1D(-1.0, 1.0, n_cells, "periodic")
+            states = solve_path(np.where(grid.centers < 0.0, 1.0, 0.0), burgers((0.0, 1.0)), path, outputs, grid).states
+            exact = burgers_riemann_path(1.0, 0.0, 0.0, path, outputs, grid)
+            errors.append(max(grid.dx * np.abs(s.u - e).sum() for s, e in zip(states, exact)))
+        assert errors[1] <= 0.045, errors
+        assert all(coarse / fine >= 1.6 for coarse, fine in zip(errors, errors[1:])), errors
+
 
 class TestIrreducibleLegs:
     """For one convex channel the legs that `reduced_path` removes cancel in the exact solution:
@@ -657,7 +725,7 @@ class TestIrreducibleLegs:
         for level in range(5, 11):
             path = dyadic_refine(path, seed, level)
         u0 = np.where(grid.centers < 0.0, 1.0, 0.0)
-        exact = [burgers_riemann_path(1.0, 0.0, 0.0, path, t, grid) for t in outputs[1:]]
+        exact = burgers_riemann_path(1.0, 0.0, 0.0, path, outputs[1:], grid)
         errors = []
         for p in (path, reduced_path(path, outputs)):
             states = solve_path(u0, flux, p, outputs, grid).states[1:]
